@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import abstraction, decompose, instantiate, netsim
+from . import abstraction, decompose, expr, instantiate, netsim, solve
 
 
 class CliError(Exception):
@@ -140,7 +140,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
             (out / f"trace{suffix}.csv").write_text(trace.to_csv())
             (out / f"summary{suffix}.txt").write_text(_summary(net, trace))
             utilities.append(trace.mean("net", "sum_utility", tail=0.3))
-    except netsim.NetsimError as err:
+    except (netsim.NetsimError, solve.SolveError, expr.ExprError) as err:
         print(f"[simulate] {err}", file=sys.stderr)
         return 2
     if spec.seeds > 1:

@@ -23,12 +23,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from . import expr as ex
-from .abstraction import BoxRule, ControlProblem, resolve_model
+from .abstraction import BoxRule, ControlProblem, ElementGraph, resolve_model
 from .decompose import ControlProgram
 from .expr import Env, Expr
-from .solve import DualState, SolverConfig, dual_update, solve_program
+from .solve import (CompiledProgram, DualState, SolverConfig, clip, compile_program,
+                    dual_update, solve_program)
 
 SCHEMES = ("joint", "rate-only", "power-only", "no-control", "best-response")
 
@@ -189,7 +191,10 @@ class NetState:
     utility_expr: Expr | None = None
     utility_sense: str = "max"
     pending: list[tuple[tuple[str, int], ControlProgram]] = field(default_factory=list)
-    _solvers: dict = field(default_factory=dict)
+    graph: ElementGraph | None = None
+    capacity: Callable[[Env], float] | None = None   # compiled lnkcap model, bits/s
+    # (kind, index) -> solver built from the installed program on first use
+    _solvers: dict[tuple[str, int], _EntitySolver | None] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +280,7 @@ def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
 # ---------------------------------------------------------------------------
 # capacity through the shared symbolic model
 
-_CAP_FNS: dict[int, object] = {}
-
-
-def _capacity_fn(graph):
-    key = id(graph)
-    if key not in _CAP_FNS:
-        _CAP_FNS[key] = ex.compile_expr(resolve_model(graph, "lnkcap"))
-    return _CAP_FNS[key]
-
-
-def link_capacity(link: Link, net: NetState, graph) -> float:
+def link_capacity(link: Link, net: NetState) -> float:
     """Capacity in bits/s from the symbolic SINR model; the aggregate
     interference binds through (lnkgain_itf=1, itfpwr=sum of weighted
     interferer powers)."""
@@ -297,7 +292,7 @@ def link_capacity(link: Link, net: NetState, graph) -> float:
            "lnkgain_itf": 1.0, "itfpwr": itf}
     if link.noise + itf <= 0.0:
         raise DomainError(f"link {link.index}: non-positive noise+interference")
-    return _capacity_fn(graph)(env)
+    return net.capacity(env)
 
 
 def _aggregate_interference(link: Link, net: NetState) -> float:
@@ -322,7 +317,8 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
     net.utility_sense = problem.sense
     for rule in problem.box_rules:
         _apply_box_rule(net, rule)
-    net._solvers["graph"] = problem.graph
+    net.graph = problem.graph
+    net.capacity = ex.compile_expr(resolve_model(problem.graph, "lnkcap"))
     return net
 
 
@@ -399,8 +395,7 @@ def _apply_pending(net: NetState) -> None:
 
 @dataclass
 class _EntitySolver:
-    prog: ControlProgram
-    objective: Expr
+    program: CompiledProgram
     cfg: SolverConfig
     lam_sources: list[tuple[int, int]]   # (family ordinal, member) per lbd_NN
     self_family: int | None = None
@@ -420,13 +415,13 @@ def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntityS
                        max_iters=net.cfg.rate_iters, tol=1e-9,
                        boxes={"sesrate": s.rate_box},
                        max_move=net.cfg.rate_move_max)
-    return _EntitySolver(prog, objective, cfg, lam_sources, self_family)
+    program = compile_program(replace(prog, objective=objective))
+    return _EntitySolver(program, cfg, lam_sources, self_family)
 
 
 def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolver:
-    graph = net._solvers["graph"]
     # capacity in packets/s so the objective shares the dual's units
-    model = ex.div(resolve_model(graph, "lnkcap"), ex.const(net.cfg.packet_bits))
+    model = ex.div(resolve_model(net.graph, "lnkcap"), ex.const(net.cfg.packet_bits))
     objective = ex.substitute(prog.objective, {"lnkcap": model})
     objective = ex.substitute(objective, {"lnkpwr": DB_TO_LINEAR})
     if prog.penalty is not None:
@@ -445,9 +440,9 @@ def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolv
                        max_iters=net.cfg.power_iters, tol=1e-9,
                        boxes={"pwrgain": link.power_box},
                        max_move=net.cfg.power_move_max)
-    prog = replace(prog, decision="pwrgain")
     self_family = next((r.family for r in prog.collect if r.symbol == "self"), None)
-    return _EntitySolver(prog, objective, cfg, [], self_family)
+    program = compile_program(replace(prog, objective=objective, decision="pwrgain"))
+    return _EntitySolver(program, cfg, [], self_family)
 
 
 def _get_solver(net: NetState, kind: str, idx: int) -> _EntitySolver | None:
@@ -497,9 +492,9 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def _measure(net: NetState, graph) -> None:
+def _measure(net: NetState) -> None:
     for link in net.links:
-        cap_bits = link_capacity(link, net, graph)
+        cap_bits = link_capacity(link, net)
         link.capacity_pps = cap_bits / net.cfg.packet_bits
         rx = net.nodes[link.rx].registers
         rx.post_state("physical", f"itf_{link.index}",
@@ -521,6 +516,8 @@ def _family_slacks(net: NetState, fam: ConstraintFamily) -> dict[str, float]:
     slacks: dict[str, float] = {}
     members = (range(len(net.links)) if fam.entity == "link"
                else range(len(net.sessions)))
+    env = _runtime_bindings(net)
+    limit = net.cfg.slack_clip
     for m in members:
         if fam.entity == "link":
             sharing = [s.index for s in net.sessions
@@ -530,15 +527,9 @@ def _family_slacks(net: NetState, fam: ConstraintFamily) -> dict[str, float]:
             bindings = {"seslnk": list(net.sessions[m].path)}
         lhs = ex.expand_sums(ex.bind_index(fam.lhs, fam.holder, m), bindings)
         rhs = ex.expand_sums(ex.bind_index(fam.rhs, fam.holder, m), bindings)
-        env = _runtime_bindings(net)
         slack = ex.eval_expr(rhs, env) - ex.eval_expr(lhs, env)
-        clip = net.cfg.slack_clip
-        slacks[f"m{m:02d}"] = _clamp(slack, -clip, clip) if clip > 0 else slack
+        slacks[f"m{m:02d}"] = clip(slack, -limit, limit) if limit > 0 else slack
     return slacks
-
-
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
 
 
 def _update_duals(net: NetState) -> None:
@@ -566,7 +557,7 @@ def _solve_power(net: NetState, link: Link) -> None:
         "lnkpwr_anchor": db_to_linear(link.pwr_gain_db),
         "lbd": _self_lambda(net, solver, link.index),
     }
-    if solver.prog.penalty is not None:
+    if solver.program.prog.penalty is not None:
         for j in sorted(link.cross_gain):
             lj = net.links[j]
             ours = link.cross_gain.get(j, 0.0)
@@ -579,8 +570,7 @@ def _solve_power(net: NetState, link: Link) -> None:
             other = _aggregate_interference(lj, net) \
                 - lj.cross_gain.get(link.index, 0.0) * link.power_linear
             env[f"itf_lnknoise@{j}"] = lj.noise + max(0.0, other)
-    prog = replace(solver.prog, objective=solver.objective)
-    decision = solve_program(prog, env, solver.cfg)
+    decision = solve_program(solver.program, env, solver.cfg)
     tx = net.nodes[link.tx].registers
     tx.write_decision("physical", f"pwrgain_{link.index}", decision["pwrgain"])
     link.pwr_gain_db = decision["pwrgain"]
@@ -605,8 +595,7 @@ def _solve_rate(net: NetState, s: Session) -> None:
                 "lbd": _self_lambda(net, solver, s.index)}
     for fam_ord, li in solver.lam_sources:
         env[ex.var_name("lbd", li)] = net.families[fam_ord].prev.get(li, 0.0)
-    prog = replace(solver.prog, objective=solver.objective)
-    decision = solve_program(prog, env, solver.cfg)
+    decision = solve_program(solver.program, env, solver.cfg)
     net.nodes[s.src].registers.write_decision("transport", "sesrate",
                                               decision["sesrate"])
     s.rate = decision["sesrate"]
@@ -634,8 +623,9 @@ def _deliver(net: NetState) -> None:
         # conservation: never beyond the bottleneck's proportional share
         for li in s.path:
             cap = net.links[li].capacity_pps
-            if demand[li] > 0:
-                assert s.throughput <= cap * s.rate / demand[li] + 1e-9
+            if demand[li] > 0 and not s.throughput <= cap * s.rate / demand[li] + 1e-9:
+                raise NetsimError(f"session {s.index}: throughput {s.throughput!r} "
+                                  f"breaks conservation on link {li}")
         if s.budget > 0:
             s.sent += s.throughput * net.cfg.phys_epoch
             if s.sent >= s.budget:
@@ -678,11 +668,10 @@ def step(net: NetState, scheme: str = "joint") -> NetState:
     """Advance one physical epoch: measure capacities, update duals, run
     the physical-layer programs, run the transport programs every
     timescale-th epoch, then account delivered traffic."""
-    graph = net._solvers.get("graph")
-    if graph is None:
+    if net.capacity is None:
         raise NetsimError("install_problem must run before step")
     _apply_pending(net)
-    _measure(net, graph)
+    _measure(net)
     _update_duals(net)
     if scheme in ("joint", "power-only"):
         for link in net.links:

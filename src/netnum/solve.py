@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import expr as ex
 from .decompose import ControlProgram, DualProblem, split_by_layer, split_by_entity
@@ -54,38 +55,60 @@ class SolverConfig:
         raise SolveError(f"no box bounds for {name}")
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
+def clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-def solve_program(prog: ControlProgram, params: Env, cfg: SolverConfig) -> dict[str, float]:
-    """Projected gradient ascent on the program's (concrete) objective over
-    its decision variables.  All foreign variables and dual values must be
-    bound in params; anchors default to `<var>_anchor` entries, else the
-    box midpoint.  Returns the converged decision."""
+@dataclass(frozen=True)
+class CompiledProgram:
+    """A control program ready to run: its objective and the gradient for
+    each owned decision variable, compiled once."""
+    prog: ControlProgram
+    owned: tuple[str, ...]
+    objective: Callable[[Env], float]
+    grads: dict[str, Callable[[Env], float]]
+
+
+def compile_program(prog: ControlProgram) -> CompiledProgram:
+    """Differentiate and compile a program's (concrete) objective once, so
+    that solve_program can run it any number of times."""
     if ex.contains_bigsum(prog.objective):
         raise SolveError("objective still contains unexpanded collection sums")
-    owned = sorted(v for v in ex.free_vars(prog.objective)
-                   if v.rsplit("_", 1)[0] == prog.decision or v == prog.decision)
+    owned = tuple(sorted(v for v in ex.free_vars(prog.objective)
+                         if v.rsplit("_", 1)[0] == prog.decision or v == prog.decision))
     if not owned:
         raise SolveError(f"objective has no {prog.decision} variable")
-
     obj = ex.compile_expr(prog.objective)
     grads = {v: ex.compile_expr(ex.differentiate(prog.objective, v)) for v in owned}
+    return CompiledProgram(prog, owned, obj, grads)
 
+
+def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
+                  cfg: SolverConfig) -> dict[str, float]:
+    """Projected gradient ascent on the program's objective over its
+    decision variables.  A plain ControlProgram is compiled first; callers
+    that solve one program repeatedly pass its CompiledProgram.  All
+    foreign variables and dual values must be bound in params; anchors
+    default to `<var>_anchor` entries, else the box midpoint.  Returns the
+    converged decision."""
+    if isinstance(prog, ControlProgram):
+        prog = compile_program(prog)
+    owned, obj, grads = prog.owned, prog.objective, prog.grads
+
+    boxes = {v: cfg.box(v) for v in owned}
     env = dict(params)
     x: dict[str, float] = {}
     for v in owned:
-        lo, hi = cfg.box(v)
-        x[v] = _clip(params.get(f"{v}_anchor", (lo + hi) / 2.0), lo, hi)
+        lo, hi = boxes[v]
+        x[v] = clip(params.get(f"{v}_anchor", (lo + hi) / 2.0), lo, hi)
     env.update(x)
 
     # Case-2 gradient mode is a single raw projected first-order step
-    if prog.mode == "gradient":
+    if prog.prog.mode == "gradient":
         for v in owned:
             g = grads[v](env)
-            lo, hi = cfg.box(v)
-            x[v] = _clip(x[v] + cfg.step * g, lo, hi)
+            lo, hi = boxes[v]
+            x[v] = clip(x[v] + cfg.step * g, lo, hi)
         return x
 
     current = obj(env)
@@ -104,11 +127,11 @@ def solve_program(prog: ControlProgram, params: Env, cfg: SolverConfig) -> dict[
             cand = {}
             moved = 0.0
             for v in owned:
-                lo, hi = cfg.box(v)
+                lo, hi = boxes[v]
                 delta = scale * cfg.step * g[v]
                 if cfg.max_move > 0:
-                    delta = _clip(delta, -cfg.max_move, cfg.max_move)
-                cand[v] = _clip(x[v] + delta, lo, hi)
+                    delta = clip(delta, -cfg.max_move, cfg.max_move)
+                cand[v] = clip(x[v] + delta, lo, hi)
                 moved += (cand[v] - x[v]) ** 2
             trial = obj({**env, **cand})
             if trial >= current or moved == 0.0:
@@ -247,7 +270,7 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
         base = owned_ctrl[0].rsplit("_", 1)[0]
         prog = ControlProgram(s.layer, s.entity_kind or "", s.objective, "max",
                               base, ())
-        programs.append((prog, owned_ctrl))
+        programs.append((compile_program(prog), owned_ctrl))
 
     fixed: Env = dict(params or {})
     rng = random.Random(seed)

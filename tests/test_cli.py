@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -119,3 +120,46 @@ def test_scenario_file_error_names_stage(tmp_path, capsys):
                   "--scenario", bad, "--out", tmp_path])
     assert rc != 0
     assert "[scenario]" in capsys.readouterr().err
+
+
+# sha256 of trace.csv and summary.txt for joint runs at seed 0; a change
+# that alters any simulated float shows here.
+PINNED_RUNS = [
+    ("jocp_log.ncp", "s2.cfg", 90,
+     "076f40d5bd0c90fb009d2ffad9070904c390010cdbab1dcd0c8a4e888d3cefcf",
+     "4ecc72111512eebe8b30f3f61860b9ea8917934014e99977a54cab19d782acb6"),
+    ("jocp_log.ncp", "s5.cfg", 60,
+     "4c529221dcc70d7b8ea51405f70b52ae61d9c4e3db639c4f1a6c86e174c68301",
+     "48bb38b249fd67c5d61da1ce068f452737b78bafb2bf187c33f968f35beb7d37"),
+    ("powermin.ncp", "s2.cfg", 90,
+     "b2c16dffb4a93bd9975f6f71eb13def81318153f94c885d584a7d47ecc1913be",
+     "6626eff78d6fb59448266bdd71e53be8c08c7d7b48486370c48543d4467e8e34"),
+]
+
+
+@pytest.mark.parametrize("problem, scenario, duration, trace_sha, summary_sha",
+                         PINNED_RUNS)
+def test_pinned_trace_digests(tmp_path, problem, scenario, duration,
+                              trace_sha, summary_sha):
+    rc = run_cli(["run", "--problem", PROBLEMS / problem,
+                  "--scenario", SCENARIOS / scenario, "--scheme", "joint",
+                  "--duration", duration, "--seed", "0", "--out", tmp_path])
+    assert rc == 0
+    for name, sha in (("trace.csv", trace_sha), ("summary.txt", summary_sha)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("settings, message", [
+    # the rate box is empty: the transport solver refuses it
+    ("rate_min = 50\nrate_max = 10\n", "box lower 50.0 exceeds upper 10.0"),
+    # goodput turns nan under overload: the conservation check fails
+    ("congestion_exp = nan\n", "breaks conservation"),
+], ids=["empty-rate-box", "nan-congestion"])
+def test_simulation_error_names_stage(tmp_path, capsys, settings, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("scenario = 2\n" + settings)
+    rc = run_cli(["run", "--problem", PROBLEMS / "jocp_log.ncp",
+                  "--scenario", cfg, "--duration", "30", "--out", tmp_path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[simulate] ") and message in err

@@ -1,10 +1,11 @@
-import math
 import random
+from pathlib import Path
 
 import pytest
 
+import netnum
 from netnum import expr as ex
-from netnum.abstraction import builtin_graph, resolve_model
+from netnum.abstraction import builtin_graph, parse_problem, resolve_model
 
 
 def capacity_model():
@@ -195,6 +196,11 @@ def test_free_vars_session4_subproblem(jocp_inst):
     assert ex.free_vars(s4.objective) == expected
 
 
+def _same_float(a, b):
+    # repr tells -0.0 from 0.0 and prints every digit of a float
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
 def test_compiled_matches_interpreted():
     rng = random.Random(23)
     names = ["x", "y"]
@@ -203,7 +209,80 @@ def test_compiled_matches_interpreted():
         fn = ex.compile_expr(e)
         for _ in range(5):
             env = {n: rng.uniform(0.2, 2.0) for n in names}
-            assert math.isclose(fn(env), ex.eval_expr(e, env), rel_tol=1e-12)
+            assert _same_float(fn(env), ex.eval_expr(e, env))
+
+
+def _shipped_objectives():
+    """The concrete link and session objectives the simulator solves, for
+    every shipped problem, with their derivatives."""
+    from netnum import cli, netsim
+    out = []
+    for path in sorted((Path(netnum.__file__).parent / "data" / "problems").glob("*.ncp")):
+        problem = parse_problem(path.read_text())
+        programs, _, _ = cli.build_programs(problem)
+        net = cli.deploy(problem, programs, netsim.ScenarioConfig(scenario=5))
+        netsim._apply_pending(net)
+        for kind, idx in (("link", 0), ("link", 7), ("session", 1)):
+            program = netsim._get_solver(net, kind, idx).program
+            out.append(program.prog.objective)
+            out.extend(ex.differentiate(program.prog.objective, v) for v in program.owned)
+    return out
+
+
+def test_compiled_matches_interpreted_on_shipped_objectives():
+    rng = random.Random(5)
+    objectives = _shipped_objectives()
+    assert len(objectives) == 4 * 3 * 2
+    for e in objectives:
+        fn = ex.compile_expr(e)
+        names = sorted(ex.free_vars(e))
+        for _ in range(10):
+            env = {n: rng.uniform(0.0, 30.0) if n.startswith("pwrgain")
+                   else rng.uniform(0.01, 3.0) for n in names}
+            assert _same_float(fn(env), ex.eval_expr(e, env))
+
+
+def test_compiled_sum_keeps_eval_expr_signed_zero():
+    e = ex.add(ex.var("a"), ex.var("b"))
+    env = {"a": -0.0, "b": -0.0}
+    assert _same_float(ex.compile_expr(e)(env), ex.eval_expr(e, env))
+    assert _same_float(ex.compile_expr(e)(env), 0.0)
+    e = ex.mul(ex.var("a"), ex.var("b"), ex.neg(ex.var("a")))
+    env = {"a": 0.0, "b": 2.0}
+    assert _same_float(ex.compile_expr(e)(env), ex.eval_expr(e, env))
+
+
+@pytest.mark.parametrize("e, env", [
+    (ex.div(ex.var("x"), ex.var("y")), {"x": 1.0, "y": 0.0}),
+    (ex.div(ex.var("x"), ex.var("y")), {"x": 1.0, "y": -0.0}),
+    # the denominator is checked before the numerator is evaluated
+    (ex.div(ex.ln(ex.var("x")), ex.var("y")), {"x": -1.0, "y": 0.0}),
+    (ex.div(ex.var("z"), ex.var("y")), {"y": 0.0}),
+    (ex.log2(ex.var("x")), {"x": 0.0}),
+    (ex.log2(ex.var("x")), {"x": -2.5}),
+    (ex.ln(ex.var("x")), {"x": -0.0}),
+    (ex.ln(ex.sub(ex.var("x"), ex.ONE)), {"x": 0.5}),
+    (ex.sqrt(ex.var("x")), {"x": -1e-300}),
+    (ex.add(ex.var("x"), ex.mul(ex.const(2.0), ex.var("sesrate", 4))), {"x": 1.0}),
+    (ex.exp10(ex.var("x")), {"x": 400.0}),
+], ids=["div-zero", "div-negative-zero", "div-denominator-first", "div-unbound-numerator",
+        "log2-zero", "log2-negative", "ln-negative-zero", "ln-negative", "sqrt-negative",
+        "unbound", "exp10-overflow"])
+def test_compiled_raises_as_interpreted(e, env):
+    with pytest.raises(Exception) as interpreted:
+        ex.eval_expr(e, env)
+    with pytest.raises(Exception) as compiled:
+        ex.compile_expr(e)(env)
+    assert type(compiled.value) is type(interpreted.value)
+    assert str(compiled.value) == str(interpreted.value)
+
+
+def test_compile_deep_tree():
+    e = ex.var("x")
+    for _ in range(300):
+        e = ex.div(e, ex.var("y"))
+    env = {"x": 3.0, "y": 1.01}
+    assert _same_float(ex.compile_expr(e)(env), ex.eval_expr(e, env))
 
 
 def test_render_parenthesization():

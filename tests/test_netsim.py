@@ -61,29 +61,29 @@ def test_interference_excludes_half_duplex_conflicts():
 
 
 def test_link_capacity_unit_snr():
-    net, problem, _ = deploy(scenario=1)
+    net, _, _ = deploy(scenario=1)
     link = net.links[0]
     link.pwr_gain_db = 0.0          # linear power 1
     link.gain = link.noise          # SNR exactly 1 -> one bit per Hz
     link.cross_gain = {}
-    cap = ns.link_capacity(link, net, problem.graph)
+    cap = ns.link_capacity(link, net)
     assert abs(cap - link.bandwidth) < 1e-6
 
 
 def test_link_capacity_inactive_link_is_zero():
-    net, problem, _ = deploy(scenario=1)
+    net, _, _ = deploy(scenario=1)
     net.links[0].active = False
-    assert ns.link_capacity(net.links[0], net, problem.graph) == 0.0
+    assert ns.link_capacity(net.links[0], net) == 0.0
 
 
 def test_capacity_strictly_decreases_with_interference():
-    net, problem, _ = deploy(scenario=3)
+    net, _, _ = deploy(scenario=3)
     link = net.links[0]
     caps = []
     for pwr in (0.0, 10.0, 20.0, 30.0):
         for j in link.cross_gain:
             net.links[j].pwr_gain_db = pwr
-        caps.append(ns.link_capacity(link, net, problem.graph))
+        caps.append(ns.link_capacity(link, net))
     assert all(a > b for a, b in zip(caps, caps[1:]))
 
 

@@ -74,6 +74,28 @@ def test_numerical_error_on_nonfinite():
         sv.solve_program(_prog(obj), {"sesrate_anchor": 0.0}, cfg)
 
 
+def test_compiled_program_solves_as_the_plain_program():
+    log_obj = ex.sub(ex.ln(ex.var("sesrate")),
+                     ex.mul(ex.var("sesrate"), ex.var("lbd")))
+    cfg = sv.SolverConfig(step=0.5, max_iters=50, max_move=0.3,
+                          boxes={"sesrate": (0.01, 10.0)})
+    for prog in (_prog(log_obj), linear_rate_prog(),
+                 _prog(log_obj, mode="gradient")):
+        compiled = sv.compile_program(prog)
+        assert compiled.owned == ("sesrate",)
+        for lbd, anchor in ((0.5, 0.01), (0.1, 7.0), (2.0, 3.0)):
+            params = {"lbd": lbd, "sesrate_anchor": anchor}
+            assert sv.solve_program(compiled, params, cfg) \
+                == sv.solve_program(prog, params, cfg)
+
+
+def test_compile_program_rejects_unexpanded_sums_and_missing_decision():
+    with pytest.raises(sv.SolveError, match="unexpanded"):
+        sv.compile_program(_prog(ex.bigsum("seslnk", ex.var("lbd", "seslnk"))))
+    with pytest.raises(sv.SolveError, match="no sesrate variable"):
+        sv.compile_program(_prog(ex.var("lbd")))
+
+
 def test_dual_update_arithmetic():
     st = sv.dual_update(sv.DualState({"lbd_00": 0.5}), {"lbd_00": -0.2},
                         sv.SolverConfig(dual_step=0.1))
