@@ -676,7 +676,7 @@ def _validate_problem(p: ControlProblem) -> None:
     declared = {s.terminal() for s in p.varspecs.values()}
     for e, what in [(p.utility, "utility")] + [(c.lhs, "constraint") for c in p.constraints] \
             + [(c.rhs, "constraint") for c in p.constraints]:
-        for v in _var_bases(e):
+        for v in ex.node_names(e, "var"):
             if v not in declared:
                 raise ValidationError(f"{what} uses undeclared element {v!r}")
     if not p.control_specs():
@@ -686,15 +686,6 @@ def _validate_problem(p: ControlProblem) -> None:
     for c in p.constraints:
         for side in (c.lhs, c.rhs):
             _check_all_under_sum(side, p)
-
-
-def _var_bases(e: Expr) -> set[str]:
-    if e.kind == "var":
-        return {e.name}
-    out: set[str] = set()
-    for c in e.children:
-        out |= _var_bases(c)
-    return out
 
 
 def _check_all_under_sum(e: Expr, p: ControlProblem, under_sum: bool = False) -> None:

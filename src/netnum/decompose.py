@@ -349,7 +349,7 @@ def _primitive_of(graph: ElementGraph, entity_kind: str) -> str:
 def _decision_base(objective: Expr, graph: ElementGraph) -> str:
     """The controllable variable of a template: a ctrl element appearing
     directly, else the ctrl variable inside a modeled element's model."""
-    bases = {b for b in _var_bases(objective) if b != LBD}
+    bases = ex.node_names(objective, "var") - {LBD}
     direct = sorted(b for b in bases
                     if b in graph.elements and graph.element(b).ctrl)
     if direct:
@@ -361,15 +361,6 @@ def _decision_base(objective: Expr, graph: ElementGraph) -> str:
             if inner:
                 return sorted(inner)[0]
     raise NoMatchingElement(f"no decision variable in template over {sorted(bases)}")
-
-
-def _var_bases(e: Expr) -> set[str]:
-    if e.kind == "var":
-        return {e.name}
-    out: set[str] = set()
-    for c in e.children:
-        out |= _var_bases(c)
-    return out
 
 
 def _distribute(e: Expr) -> Expr:

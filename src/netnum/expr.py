@@ -414,6 +414,15 @@ def free_vars(e: Expr) -> set[str]:
     return out
 
 
+def node_names(e: Expr, kind: str) -> set[str]:
+    """The name of every node of one kind in e: base names for "var",
+    index-set symbols for "bigsum"."""
+    out = {e.name} if e.kind == kind else set()
+    for c in e.children:
+        out |= node_names(c, kind)
+    return out
+
+
 def contains_bigsum(e: Expr) -> bool:
     if e.kind == "bigsum":
         return True

@@ -263,8 +263,8 @@ def _referenced_elements(problem: ControlProblem) -> tuple[set[str], set[str]]:
                 (glbs if el.scope == "global" else lcls).add(name)
     summed = set()
     for c in problem.constraints:
-        summed |= _bigsum_symbols(c.lhs) | _bigsum_symbols(c.rhs)
-    summed |= _bigsum_symbols(problem.utility)
+        summed |= ex.node_names(c.lhs, "bigsum") | ex.node_names(c.rhs, "bigsum")
+    summed |= ex.node_names(problem.utility, "bigsum")
     # a family is sampled unless its dual partner already is; families the
     # constraints actually sum over take priority
     primary: set[str] = set()
@@ -275,15 +275,6 @@ def _referenced_elements(problem: ControlProblem) -> tuple[set[str], set[str]]:
         glbs.add(g.element(lc).mother)
         glbs.add(_holder_global(problem, lc))
     return glbs, primary
-
-
-def _bigsum_symbols(e: Expr) -> set[str]:
-    out = set()
-    if e.kind == "bigsum":
-        out.add(e.name)
-    for c in e.children:
-        out |= _bigsum_symbols(c)
-    return out
 
 
 def _dual_partner(problem: ControlProblem, local_name: str) -> str | None:

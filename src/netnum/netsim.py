@@ -1,7 +1,6 @@
 """Deterministic simulation of a multi-hop wireless network with
-SINR-coupled links, per-node parameter registers, dual-coefficient
-message passing along session paths, and multi-timescale execution of
-generated control programs.
+SINR-coupled links, dual-coefficient message passing along session
+paths, and multi-timescale execution of generated control programs.
 
 Model notes:
   - Fluid flow: sessions are rate processes in packets/s; no per-packet
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from . import expr as ex
 from .abstraction import BoxRule, ControlProblem, ElementGraph, resolve_model
@@ -34,6 +33,7 @@ from .solve import (CompiledProgram, DualState, SolverConfig, clip, compile_prog
 
 SCHEMES = ("joint", "rate-only", "power-only", "no-control", "best-response")
 
+# Not built from db_to_linear: 0.1 * x and x / 10.0 round differently.
 DB_TO_LINEAR = ex.exp10(ex.mul(ex.const(0.1), ex.var("pwrgain")))
 
 
@@ -63,7 +63,7 @@ def db_to_linear(db: float) -> float:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    scenario: int = 1               # 1..5; 0 = fully custom
+    scenario: int = 1               # 1..5
     seed: int = 0
     bandwidth: float = 200e3        # Hz per band
     packet_bits: int = 2048
@@ -89,45 +89,25 @@ class ScenarioConfig:
     band_pattern: tuple[int, ...] = ()
     budgets: tuple[float, ...] = () # packets per session; 0 = unlimited
 
+    def __post_init__(self):
+        if self.timescale < 1:
+            raise ConfigError(f"timescale must be at least 1, got {self.timescale}")
+        if not self.phys_epoch > 0:
+            raise ConfigError(f"phys_epoch must be positive, got {self.phys_epoch}")
+        chains, hops, _, _ = _scenario_shape(self)
+        if self.band_pattern and len(self.band_pattern) != chains * hops:
+            raise ConfigError(f"band_pattern has {len(self.band_pattern)} entries; "
+                              f"scenario {self.scenario} has {chains * hops} links")
+
     @property
     def transport_epoch(self) -> float:
         return self.timescale * self.phys_epoch
-
-
-class Registers:
-    """Per-node, per-layer parameter registers: measured state is posted by
-    the simulator, decisions are written only by installed programs."""
-
-    def __init__(self):
-        self._state: dict[str, dict[str, float]] = {}
-        self._decisions: dict[str, dict[str, float]] = {}
-        self._programs: dict[str, ControlProgram] = {}
-
-    def post_state(self, layer: str, name: str, value: float) -> None:
-        self._state.setdefault(layer, {})[name] = value
-
-    def read(self, layer: str, name: str, default: float = 0.0) -> float:
-        return self._state.get(layer, {}).get(name, default)
-
-    def write_decision(self, layer: str, name: str, value: float) -> None:
-        self._decisions.setdefault(layer, {})[name] = value
-
-    def decision(self, layer: str, name: str, default: float) -> float:
-        return self._decisions.get(layer, {}).get(name, default)
-
-    def install(self, layer: str, program: ControlProgram) -> None:
-        self._programs[layer] = program
-
-    def program(self, layer: str) -> ControlProgram | None:
-        return self._programs.get(layer)
 
 
 @dataclass
 class Node:
     index: int
     pos: tuple[float, float]
-    max_gain_db: float = 30.0
-    registers: Registers = field(default_factory=Registers)
 
 
 @dataclass
@@ -142,8 +122,7 @@ class Link:
     cross_gain: dict[int, float] = field(default_factory=dict)
     pwr_gain_db: float = 0.0
     power_box: tuple[float, float] = (0.0, 30.0)
-    lam: float = 0.0
-    lam_prev: float = 0.0
+    sessions: tuple[int, ...] = ()    # sessions whose path uses this link
     capacity_pps: float = 0.0
     active: bool = True
 
@@ -175,8 +154,8 @@ class ConstraintFamily:
     entity: str            # link | session
     lhs: Expr
     rhs: Expr
-    duals: DualState = field(default_factory=DualState)
-    prev: dict[int, float] = field(default_factory=dict)
+    duals: DualState = field(default_factory=DualState)   # keyed by member index
+    prev: DualState = field(default_factory=DualState)    # last epoch's duals
 
 
 @dataclass
@@ -191,6 +170,7 @@ class NetState:
     utility_expr: Expr | None = None
     utility_sense: str = "max"
     pending: list[tuple[tuple[str, int], ControlProgram]] = field(default_factory=list)
+    programs: dict[tuple[str, int], ControlProgram] = field(default_factory=dict)
     graph: ElementGraph | None = None
     capacity: Callable[[Env], float] | None = None   # compiled lnkcap model, bits/s
     # (kind, index) -> solver built from the installed program on first use
@@ -227,7 +207,7 @@ def _scenario_shape(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[int, ...]
     if s == 5:
         per_chain = tuple(range(6))
         return 3, 6, 6, per_chain * 3
-    raise ConfigError(f"unknown scenario {s} (custom builds need band_pattern)")
+    raise ConfigError(f"unknown scenario {s}; pick one of 1..5")
 
 
 def build_scenario(cfg: ScenarioConfig) -> NetState:
@@ -240,7 +220,7 @@ def build_scenario(cfg: ScenarioConfig) -> NetState:
     hop_len = [cfg.hop_short, cfg.hop_long,
                (cfg.hop_short + cfg.hop_long) / 2.0]
     positions = _chain_positions(chains, hops, hop_len, cfg.chain_spacing)
-    nodes = [Node(i, p, cfg.max_gain_db) for i, p in enumerate(positions)]
+    nodes = [Node(i, p) for i, p in enumerate(positions)]
 
     links: list[Link] = []
     sessions: list[Session] = []
@@ -253,9 +233,9 @@ def build_scenario(cfg: ScenarioConfig) -> NetState:
             tx, rx = base + h, base + h + 1
             d = _dist(positions[tx], positions[rx])
             links.append(Link(
-                index=li, tx=tx, rx=rx, band=pattern[li] if li < len(pattern) else 0,
+                index=li, tx=tx, rx=rx, band=pattern[li],
                 bandwidth=cfg.bandwidth, gain=d ** -cfg.pathloss_exp,
-                noise=cfg.noise, power_box=(0.0, cfg.max_gain_db)))
+                noise=cfg.noise, power_box=(0.0, cfg.max_gain_db), sessions=(c,)))
             path.append(li)
         budget = cfg.budgets[c] if c < len(cfg.budgets) else 0.0
         sessions.append(Session(
@@ -352,8 +332,8 @@ def _apply_box_rule(net: NetState, rule: BoxRule) -> None:
 
 def install_program(net: NetState, owner: tuple[str, int],
                     prog: ControlProgram) -> NetState:
-    """Queue a program for an entity's decision-plane register; applied
-    atomically at the next epoch boundary."""
+    """Queue a program for an entity; it replaces the entity's installed
+    program atomically at the next epoch boundary."""
     kind, idx = owner
     if kind == "session":
         if idx >= len(net.sessions):
@@ -378,15 +358,9 @@ def install_program(net: NetState, owner: tuple[str, int],
 
 
 def _apply_pending(net: NetState) -> None:
-    for (kind, idx), prog in net.pending:
-        if kind == "session":
-            node = net.nodes[net.sessions[idx].src]
-            node.registers.install("transport", prog)
-            net._solvers.pop(("session", idx), None)
-        else:
-            node = net.nodes[net.links[idx].tx]
-            node.registers.install(f"physical:{idx}", prog)
-            net._solvers.pop(("link", idx), None)
+    for owner, prog in net.pending:
+        net.programs[owner] = prog
+        net._solvers.pop(owner, None)
     net.pending.clear()
 
 
@@ -449,14 +423,13 @@ def _get_solver(net: NetState, kind: str, idx: int) -> _EntitySolver | None:
     key = (kind, idx)
     if key in net._solvers:
         return net._solvers[key]
-    if kind == "session":
-        s = net.sessions[idx]
-        prog = net.nodes[s.src].registers.program("transport")
-        solver = None if prog is None else _session_solver(net, s, prog)
+    prog = net.programs.get(key)
+    if prog is None:
+        solver = None
+    elif kind == "session":
+        solver = _session_solver(net, net.sessions[idx], prog)
     else:
-        link = net.links[idx]
-        prog = net.nodes[link.tx].registers.program(f"physical:{idx}")
-        solver = None if prog is None else _link_solver(net, link, prog)
+        solver = _link_solver(net, net.links[idx], prog)
     net._solvers[key] = solver
     return solver
 
@@ -494,12 +467,7 @@ class Trace:
 
 def _measure(net: NetState) -> None:
     for link in net.links:
-        cap_bits = link_capacity(link, net)
-        link.capacity_pps = cap_bits / net.cfg.packet_bits
-        rx = net.nodes[link.rx].registers
-        rx.post_state("physical", f"itf_{link.index}",
-                      _aggregate_interference(link, net))
-        rx.post_state("physical", f"cap_pps_{link.index}", link.capacity_pps)
+        link.capacity_pps = link_capacity(link, net) / net.cfg.packet_bits
 
 
 def _runtime_bindings(net: NetState) -> Env:
@@ -512,38 +480,35 @@ def _runtime_bindings(net: NetState) -> Env:
     return env
 
 
-def _family_slacks(net: NetState, fam: ConstraintFamily) -> dict[str, float]:
-    slacks: dict[str, float] = {}
+def _family_slacks(net: NetState, fam: ConstraintFamily) -> dict[int, float]:
+    slacks: dict[int, float] = {}
     members = (range(len(net.links)) if fam.entity == "link"
                else range(len(net.sessions)))
     env = _runtime_bindings(net)
     limit = net.cfg.slack_clip
     for m in members:
         if fam.entity == "link":
-            sharing = [s.index for s in net.sessions
-                       if not s.done and m in s.path]
+            sharing = [si for si in net.links[m].sessions if not net.sessions[si].done]
             bindings = {"lnkses": sharing}
         else:
             bindings = {"seslnk": list(net.sessions[m].path)}
         lhs = ex.expand_sums(ex.bind_index(fam.lhs, fam.holder, m), bindings)
         rhs = ex.expand_sums(ex.bind_index(fam.rhs, fam.holder, m), bindings)
         slack = ex.eval_expr(rhs, env) - ex.eval_expr(lhs, env)
-        slacks[f"m{m:02d}"] = clip(slack, -limit, limit) if limit > 0 else slack
+        slacks[m] = clip(slack, -limit, limit) if limit > 0 else slack
     return slacks
 
 
 def _update_duals(net: NetState) -> None:
     cfg = SolverConfig(dual_step=net.cfg.dual_step)
     for fam in net.families:
-        fam.prev = {m: fam.duals.values.get(f"m{m:02d}", 0.0)
-                    for m in (range(len(net.links)) if fam.entity == "link"
-                              else range(len(net.sessions)))}
+        fam.prev = fam.duals
         fam.duals = dual_update(fam.duals, _family_slacks(net, fam), cfg)
-    for link in net.links:
-        link.lam_prev = link.lam
-        cap_fams = [f for f in net.families if f.entity == "link"]
-        if cap_fams:
-            link.lam = cap_fams[0].duals.values.get(f"m{link.index:02d}", 0.0)
+
+
+def _link_family(net: NetState) -> ConstraintFamily | None:
+    """The first family over links: its duals price link capacity."""
+    return next((f for f in net.families if f.entity == "link"), None)
 
 
 def _solve_power(net: NetState, link: Link) -> None:
@@ -558,11 +523,11 @@ def _solve_power(net: NetState, link: Link) -> None:
         "lbd": _self_lambda(net, solver, link.index),
     }
     if solver.program.prog.penalty is not None:
+        cap = _link_family(net)
+        prices = {} if cap is None else cap.prev.values
         for j in sorted(link.cross_gain):
             lj = net.links[j]
-            ours = link.cross_gain.get(j, 0.0)
-            active = lj.active and not _session_done_for_link(net, j)
-            env[f"lbd_itf@{j}"] = lj.lam_prev if active else 0.0
+            env[f"lbd_itf@{j}"] = prices.get(j, 0.0) if lj.active else 0.0
             env[f"itf_freq@{j}"] = lj.bandwidth
             env[f"itf_lnkpwr@{j}"] = lj.power_linear
             env[f"itf_lnkgain@{j}"] = lj.gain
@@ -571,20 +536,13 @@ def _solve_power(net: NetState, link: Link) -> None:
                 - lj.cross_gain.get(link.index, 0.0) * link.power_linear
             env[f"itf_lnknoise@{j}"] = lj.noise + max(0.0, other)
     decision = solve_program(solver.program, env, solver.cfg)
-    tx = net.nodes[link.tx].registers
-    tx.write_decision("physical", f"pwrgain_{link.index}", decision["pwrgain"])
     link.pwr_gain_db = decision["pwrgain"]
 
 
 def _self_lambda(net: NetState, solver: _EntitySolver, member: int) -> float:
     if solver.self_family is None:
         return 0.0
-    return net.families[solver.self_family].prev.get(member, 0.0)
-
-
-def _session_done_for_link(net: NetState, link_index: int) -> bool:
-    users = [s for s in net.sessions if link_index in s.path]
-    return bool(users) and all(s.done for s in users)
+    return net.families[solver.self_family].prev.values.get(member, 0.0)
 
 
 def _solve_rate(net: NetState, s: Session) -> None:
@@ -594,10 +552,8 @@ def _solve_rate(net: NetState, s: Session) -> None:
     env: Env = {"sesrate_anchor": s.rate,
                 "lbd": _self_lambda(net, solver, s.index)}
     for fam_ord, li in solver.lam_sources:
-        env[ex.var_name("lbd", li)] = net.families[fam_ord].prev.get(li, 0.0)
+        env[ex.var_name("lbd", li)] = net.families[fam_ord].prev.values.get(li, 0.0)
     decision = solve_program(solver.program, env, solver.cfg)
-    net.nodes[s.src].registers.write_decision("transport", "sesrate",
-                                              decision["sesrate"])
     s.rate = decision["sesrate"]
 
 
@@ -631,8 +587,9 @@ def _deliver(net: NetState) -> None:
             if s.sent >= s.budget:
                 s.done = True
                 for li in s.path:
-                    if _session_done_for_link(net, li):
-                        net.links[li].active = False
+                    link = net.links[li]
+                    if all(net.sessions[u].done for u in link.sessions):
+                        link.active = False
 
 
 def sum_utility(net: NetState) -> float:
@@ -655,12 +612,14 @@ def sum_utility(net: NetState) -> float:
 
 def _record(net: NetState, trace: Trace) -> None:
     t = net.clock
+    cap = _link_family(net)
     for s in net.sessions:
         trace.record(t, "session", s.index, "throughput_pps", s.throughput)
     for link in net.links:
         if link.active:
             trace.record(t, "node", link.tx, "power_gain_db", link.pwr_gain_db)
-        trace.record(t, "link", link.index, "lambda", link.lam)
+        lam = 0.0 if cap is None else cap.duals.values.get(link.index, 0.0)
+        trace.record(t, "link", link.index, "lambda", lam)
     trace.record(t, "net", 0, "sum_utility", sum_utility(net))
 
 
@@ -719,7 +678,7 @@ def run(net: NetState, duration: float, scheme: str = "joint") -> Trace:
 # ---------------------------------------------------------------------------
 # scenario files
 
-_CFG_TYPES = {f.name: f.type for f in ScenarioConfig.__dataclass_fields__.values()}
+_CFG_TYPES = get_type_hints(ScenarioConfig)
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -736,13 +695,12 @@ def load_scenario(text: str) -> ScenarioConfig:
         key, val = key.strip(), val.strip()
         if key not in _CFG_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in ("scenario", "packet_bits", "timescale", "seed",
-                   "rate_iters", "power_iters"):
-            values[key] = int(val)
-        elif key == "band_pattern":
-            values[key] = tuple(int(x) for x in val.split(",") if x != "")
-        elif key == "budgets":
-            values[key] = tuple(float(x) for x in val.split(",") if x != "")
-        else:
-            values[key] = float(val)
+        tp = _CFG_TYPES[key]
+        try:
+            if get_origin(tp) is tuple:
+                values[key] = tuple(get_args(tp)[0](x) for x in val.split(",") if x != "")
+            else:
+                values[key] = tp(val)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from None
     return ScenarioConfig(**values)

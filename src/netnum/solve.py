@@ -153,7 +153,8 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
 
 @dataclass
 class DualState:
-    values: dict[str, float] = field(default_factory=dict)
+    # keyed by dual name, or by member index for a runtime constraint family
+    values: dict[str | int, float] = field(default_factory=dict)
     step: int = 0
 
     def __post_init__(self):
@@ -162,7 +163,7 @@ class DualState:
                 raise SolveError(f"dual {k} initialized negative")
 
 
-def dual_update(state: DualState, slacks: dict[str, float],
+def dual_update(state: DualState, slacks: dict[str | int, float],
                 cfg: SolverConfig) -> DualState:
     """Projected subgradient step on the duals: lbd_j <- max(0, lbd_j -
     step * slack_j), slack_j = rhs_j - lhs_j at the current decisions."""

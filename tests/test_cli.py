@@ -115,11 +115,22 @@ def test_compare_schema_mismatch(tmp_path, capsys):
 
 def test_scenario_file_error_names_stage(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("warp_drive = 9\n")
-    rc = run_cli(["run", "--problem", PROBLEMS / "jocp.ncp",
-                  "--scenario", bad, "--out", tmp_path])
-    assert rc != 0
-    assert "[scenario]" in capsys.readouterr().err
+    for text, message in [
+            ("warp_drive = 9\n", "unknown key 'warp_drive'"),
+            ("scenario = 2\ntimescale = 0\n", "timescale must be at least 1"),
+            ("timescale = 0.5\n", "line 1: bad value for timescale"),
+            ("seed = 1\nbudgets = 0,lots\n", "line 2: bad value for budgets"),
+            ("phys_epoch = 0\n", "phys_epoch must be positive"),
+            ("scenario = 0\n", "unknown scenario 0"),
+            ("scenario = 6\n", "unknown scenario 6"),
+            ("scenario = 5\nband_pattern = 0,1\n", "band_pattern has 2 entries"),
+    ]:
+        bad.write_text(text)
+        rc = run_cli(["run", "--problem", PROBLEMS / "jocp.ncp",
+                      "--scenario", bad, "--out", tmp_path])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith("[scenario]") and message in err, (text, err)
 
 
 # sha256 of trace.csv and summary.txt for joint runs at seed 0; a change
@@ -134,6 +145,10 @@ PINNED_RUNS = [
     ("powermin.ncp", "s2.cfg", 90,
      "b2c16dffb4a93bd9975f6f71eb13def81318153f94c885d584a7d47ecc1913be",
      "6626eff78d6fb59448266bdd71e53be8c08c7d7b48486370c48543d4467e8e34"),
+    # session 1 drains at t = 325: interference prices after a drain
+    ("jocp_log.ncp", "s2_drain.cfg", 360,
+     "86c642dc54e610ae9cacda13322017bb45fb7bd32f4897d6592c31dd311a5122",
+     "4a01deec756c1a820845196d9bb7388b6eae53152dc2973d2ab3de56e98838c0"),
 ]
 
 

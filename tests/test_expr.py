@@ -184,6 +184,14 @@ def test_free_vars():
     assert ex.free_vars(ex.add(ex.var("x"), ex.var("x"))) == {"x"}
 
 
+def test_node_names():
+    e = ex.add(ex.var("x", 3), ex.bigsum("seslnk", ex.mul(ex.var("lbd", "seslnk"),
+                                                          ex.var("x"))))
+    assert ex.node_names(e, "var") == {"x", "lbd"}
+    assert ex.node_names(e, "bigsum") == {"seslnk"}
+    assert ex.node_names(ex.const(1.0), "var") == set()
+
+
 def test_free_vars_session4_subproblem(jocp_inst):
     from netnum import decompose as dc
     inst, imap = jocp_inst

@@ -1,3 +1,4 @@
+import dataclasses
 import statistics
 
 import pytest
@@ -239,17 +240,25 @@ def test_budget_drain_frees_the_survivor():
     assert all(not net.links[li].active for li in net.sessions[1].path)
 
 
-def test_registers_mediate_state_and_decisions():
-    net, problem, _ = deploy(scenario=2, seed=1)
-    ns.run(net, 60, "joint")
-    link = net.links[0]
-    rx = net.nodes[link.rx].registers
-    assert rx.read("physical", f"cap_pps_{link.index}") == link.capacity_pps
-    tx = net.nodes[link.tx].registers
-    assert tx.decision("physical", f"pwrgain_{link.index}", -1.0) \
-        == link.pwr_gain_db
-    src_regs = net.nodes[net.sessions[0].src].registers
-    assert src_regs.decision("transport", "sesrate", -1.0) == net.sessions[0].rate
+def test_program_installed_mid_run_takes_effect_at_next_step():
+    # two identical networks; one gets a rate-shedding transport program
+    # for session 0 between two steps
+    nets = [deploy(scenario=2, seed=1, timescale=1)[0] for _ in range(2)]
+    for net in nets:
+        for _ in range(3):
+            ns.step(net, "rate-only")
+    kept, swapped = nets
+    old = swapped.programs[("session", 0)]
+    new = dataclasses.replace(old, objective=ex.neg(ex.var("sesrate")))
+    ns.install_program(swapped, ("session", 0), new)
+    assert swapped.programs[("session", 0)] is old
+    assert ns._get_solver(swapped, "session", 0).program.prog.objective \
+        == ns._get_solver(kept, "session", 0).program.prog.objective
+    for net in nets:
+        ns.step(net, "rate-only")
+    assert swapped.programs[("session", 0)] is new
+    assert swapped.sessions[0].rate < kept.sessions[0].rate
+    assert swapped.sessions[1].rate == kept.sessions[1].rate
 
 
 def test_trace_csv_schema():
