@@ -3,11 +3,14 @@ scenario config, emit traces and dumps, or compare two trace files.
 
     netnum run --problem jocp.ncp --scenario s2.cfg --out results/
     netnum compare results_a/trace.csv results_b/trace.csv
+
+`python -m netnum` runs the same entry point.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 from dataclasses import dataclass, replace
@@ -84,7 +87,11 @@ def _summary(net: netsim.NetState, trace: netsim.Trace) -> str:
     for s in net.sessions:
         m = trace.mean("session", "throughput_pps", s.index)
         lines.append(f"session_{s.index}_mean_throughput_pps\t{m!r}")
-    lines.append(f"mean_power_gain_db\t{trace.mean('node', 'power_gain_db')!r}")
+    try:
+        power = trace.mean("node", "power_gain_db")
+    except netsim.NetsimError:
+        power = math.nan   # every link went inactive before the first record
+    lines.append(f"mean_power_gain_db\t{power!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,10 @@ Model notes:
     whose source is the interfered link's receiver is excluded
     (half-duplex conflict the fluid model abstracts away).
   - Dual values travel as zero-loss messages with one epoch of delay.
+  - Constraint slacks and the utility are compiled once per topology:
+    the compiled functions are kept with the session done flags (and, for
+    the utility, the active links) they were expanded for, and rebuilt
+    when those differ from the live state.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .solve import (CompiledProgram, DualState, SolverConfig, clip, compile_prog
                     dual_update, solve_program)
 
 SCHEMES = ("joint", "rate-only", "power-only", "no-control", "best-response")
+
+Compiled = Callable[[Env], float]   # an Expr compiled by expr.compile_expr
 
 # Not built from db_to_linear: 0.1 * x and x / 10.0 round differently.
 DB_TO_LINEAR = ex.exp10(ex.mul(ex.const(0.1), ex.var("pwrgain")))
@@ -156,6 +162,10 @@ class ConstraintFamily:
     rhs: Expr
     duals: DualState = field(default_factory=DualState)   # keyed by member index
     prev: DualState = field(default_factory=DualState)    # last epoch's duals
+    # compiled (member, rhs, lhs) per member, and the session done flags
+    # they were expanded for
+    slack_fns: list[tuple[int, Compiled, Compiled]] = field(default_factory=list)
+    slack_key: tuple[bool, ...] | None = None
 
 
 @dataclass
@@ -169,10 +179,18 @@ class NetState:
     families: list[ConstraintFamily] = field(default_factory=list)
     utility_expr: Expr | None = None
     utility_sense: str = "max"
+    # utility_expr expanded and compiled for (live sessions, active links)
+    utility_fn: Compiled | None = None
+    utility_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    # env names of each session's rate and each link's capacity and power
+    rate_names: tuple[str, ...] = ()
+    cap_names: tuple[str, ...] = ()
+    pwr_names: tuple[str, ...] = ()
+    dual_cfg: SolverConfig | None = None
     pending: list[tuple[tuple[str, int], ControlProgram]] = field(default_factory=list)
     programs: dict[tuple[str, int], ControlProgram] = field(default_factory=dict)
     graph: ElementGraph | None = None
-    capacity: Callable[[Env], float] | None = None   # compiled lnkcap model, bits/s
+    capacity: Compiled | None = None   # lnkcap model, bits/s
     # (kind, index) -> solver built from the installed program on first use
     _solvers: dict[tuple[str, int], _EntitySolver | None] = field(default_factory=dict)
 
@@ -295,6 +313,11 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
         net.families.append(ConstraintFamily(i, c.holder, entity, c.lhs, c.rhs))
     net.utility_expr = problem.utility
     net.utility_sense = problem.sense
+    net.utility_fn = net.utility_key = None
+    net.rate_names = tuple(ex.var_name("sesrate", s.index) for s in net.sessions)
+    net.cap_names = tuple(ex.var_name("lnkcap", l.index) for l in net.links)
+    net.pwr_names = tuple(ex.var_name("lnkpwr", l.index) for l in net.links)
+    net.dual_cfg = SolverConfig(dual_step=net.cfg.dual_step)
     for rule in problem.box_rules:
         _apply_box_rule(net, rule)
     net.graph = problem.graph
@@ -472,20 +495,34 @@ def _measure(net: NetState) -> None:
 
 def _runtime_bindings(net: NetState) -> Env:
     env: Env = {}
-    for s in net.sessions:
-        env[ex.var_name("sesrate", s.index)] = 0.0 if s.done else s.rate
-    for l in net.links:
-        env[ex.var_name("lnkcap", l.index)] = l.capacity_pps
-        env[ex.var_name("lnkpwr", l.index)] = l.power_linear
+    for name, s in zip(net.rate_names, net.sessions):
+        env[name] = 0.0 if s.done else s.rate
+    for cap, pwr, l in zip(net.cap_names, net.pwr_names, net.links):
+        env[cap] = l.capacity_pps
+        env[pwr] = l.power_linear
     return env
 
 
-def _family_slacks(net: NetState, fam: ConstraintFamily) -> dict[int, float]:
+def _family_slacks(net: NetState, fam: ConstraintFamily, env: Env) -> dict[int, float]:
+    key = tuple(s.done for s in net.sessions)
+    if fam.slack_key != key:
+        fam.slack_fns = _compile_slacks(net, fam)
+        fam.slack_key = key
     slacks: dict[int, float] = {}
+    limit = net.cfg.slack_clip
+    for m, rhs, lhs in fam.slack_fns:
+        slack = rhs(env) - lhs(env)
+        slacks[m] = clip(slack, -limit, limit) if limit > 0 else slack
+    return slacks
+
+
+def _compile_slacks(net: NetState, fam: ConstraintFamily,
+                    ) -> list[tuple[int, Compiled, Compiled]]:
+    """Each member's rhs and lhs, its sums expanded over the sessions that
+    have not finished, compiled."""
+    fns = []
     members = (range(len(net.links)) if fam.entity == "link"
                else range(len(net.sessions)))
-    env = _runtime_bindings(net)
-    limit = net.cfg.slack_clip
     for m in members:
         if fam.entity == "link":
             sharing = [si for si in net.links[m].sessions if not net.sessions[si].done]
@@ -494,16 +531,15 @@ def _family_slacks(net: NetState, fam: ConstraintFamily) -> dict[int, float]:
             bindings = {"seslnk": list(net.sessions[m].path)}
         lhs = ex.expand_sums(ex.bind_index(fam.lhs, fam.holder, m), bindings)
         rhs = ex.expand_sums(ex.bind_index(fam.rhs, fam.holder, m), bindings)
-        slack = ex.eval_expr(rhs, env) - ex.eval_expr(lhs, env)
-        slacks[m] = clip(slack, -limit, limit) if limit > 0 else slack
-    return slacks
+        fns.append((m, ex.compile_expr(rhs), ex.compile_expr(lhs)))
+    return fns
 
 
 def _update_duals(net: NetState) -> None:
-    cfg = SolverConfig(dual_step=net.cfg.dual_step)
+    env = _runtime_bindings(net)
     for fam in net.families:
         fam.prev = fam.duals
-        fam.duals = dual_update(fam.duals, _family_slacks(net, fam), cfg)
+        fam.duals = dual_update(fam.duals, _family_slacks(net, fam, env), net.dual_cfg)
 
 
 def _link_family(net: NetState) -> ConstraintFamily | None:
@@ -597,16 +633,19 @@ def sum_utility(net: NetState) -> float:
     and live powers, in maximize sense."""
     if net.utility_expr is None:
         return 0.0
-    live_s = [s.index for s in net.sessions if not s.done]
-    live_l = [l.index for l in net.links if l.active]
-    bindings = {"netses": live_s, "netlnk": live_l}
-    e = ex.expand_sums(net.utility_expr, bindings)
+    key = (tuple(s.index for s in net.sessions if not s.done),
+           tuple(l.index for l in net.links if l.active))
+    if net.utility_key != key:
+        live_s, live_l = key
+        e = ex.expand_sums(net.utility_expr, {"netses": live_s, "netlnk": live_l})
+        net.utility_fn = ex.compile_expr(e)
+        net.utility_key = key
     env: Env = {}
-    for s in net.sessions:
-        env[ex.var_name("sesrate", s.index)] = max(s.throughput, 1e-6)
-    for l in net.links:
-        env[ex.var_name("lnkpwr", l.index)] = l.power_linear
-    val = ex.eval_expr(e, env)
+    for name, s in zip(net.rate_names, net.sessions):
+        env[name] = max(s.throughput, 1e-6)
+    for name, l in zip(net.pwr_names, net.links):
+        env[name] = l.power_linear
+    val = net.utility_fn(env)
     return val if net.utility_sense == "max" else -val
 
 

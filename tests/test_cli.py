@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 import netnum
 from netnum import cli
 
+SRC = Path(netnum.__file__).parent.parent
 DATA = Path(netnum.__file__).parent / "data"
 PROBLEMS = DATA / "problems"
 SCENARIOS = DATA / "scenarios"
@@ -133,35 +137,60 @@ def test_scenario_file_error_names_stage(tmp_path, capsys):
         assert err.startswith("[scenario]") and message in err, (text, err)
 
 
-# sha256 of trace.csv and summary.txt for joint runs at seed 0; a change
-# that alters any simulated float shows here.
+# sha256 of trace.csv and summary.txt for runs at seed 0; a change that
+# alters any simulated float shows here.
 PINNED_RUNS = [
     ("jocp_log.ncp", "s2.cfg", 90,
      "076f40d5bd0c90fb009d2ffad9070904c390010cdbab1dcd0c8a4e888d3cefcf",
-     "4ecc72111512eebe8b30f3f61860b9ea8917934014e99977a54cab19d782acb6"),
+     "4ecc72111512eebe8b30f3f61860b9ea8917934014e99977a54cab19d782acb6", "joint"),
     ("jocp_log.ncp", "s5.cfg", 60,
      "4c529221dcc70d7b8ea51405f70b52ae61d9c4e3db639c4f1a6c86e174c68301",
-     "48bb38b249fd67c5d61da1ce068f452737b78bafb2bf187c33f968f35beb7d37"),
+     "48bb38b249fd67c5d61da1ce068f452737b78bafb2bf187c33f968f35beb7d37", "joint"),
     ("powermin.ncp", "s2.cfg", 90,
      "b2c16dffb4a93bd9975f6f71eb13def81318153f94c885d584a7d47ecc1913be",
-     "6626eff78d6fb59448266bdd71e53be8c08c7d7b48486370c48543d4467e8e34"),
+     "6626eff78d6fb59448266bdd71e53be8c08c7d7b48486370c48543d4467e8e34", "joint"),
     # session 1 drains at t = 325: interference prices after a drain
     ("jocp_log.ncp", "s2_drain.cfg", 360,
      "86c642dc54e610ae9cacda13322017bb45fb7bd32f4897d6592c31dd311a5122",
-     "4a01deec756c1a820845196d9bb7388b6eae53152dc2973d2ab3de56e98838c0"),
+     "4a01deec756c1a820845196d9bb7388b6eae53152dc2973d2ab3de56e98838c0", "joint"),
+    # session 1 drains at t = 196 and links 2 and 3 go inactive: dual
+    # bookkeeping across a topology change, with no power solves
+    ("jocp_log.ncp", "s2_drain.cfg", 360,
+     "66b3c90e52661b938576844c253780b19a9de7e193722bd2bbd760d2d43da38d",
+     "edee5d6ff57eb52ea30433c877897ca5f4f36660f50ab975011053b504046244", "rate-only"),
 ]
 
 
-@pytest.mark.parametrize("problem, scenario, duration, trace_sha, summary_sha",
+@pytest.mark.parametrize("problem, scenario, duration, trace_sha, summary_sha, scheme",
                          PINNED_RUNS)
 def test_pinned_trace_digests(tmp_path, problem, scenario, duration,
-                              trace_sha, summary_sha):
+                              trace_sha, summary_sha, scheme):
     rc = run_cli(["run", "--problem", PROBLEMS / problem,
-                  "--scenario", SCENARIOS / scenario, "--scheme", "joint",
+                  "--scenario", SCENARIOS / scenario, "--scheme", scheme,
                   "--duration", duration, "--seed", "0", "--out", tmp_path])
     assert rc == 0
     for name, sha in (("trace.csv", trace_sha), ("summary.txt", summary_sha)):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
+
+def test_run_where_every_session_drains_at_once(tmp_path):
+    # both budgets run out in epoch 0, so no link is active at any record
+    cfg = tmp_path / "drained.cfg"
+    cfg.write_text("scenario = 2\nbudgets = 1,1\n")
+    rc = run_cli(["run", "--problem", PROBLEMS / "jocp_log.ncp",
+                  "--scenario", cfg, "--duration", "30", "--out", tmp_path])
+    assert rc == 0
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "final_sum_utility\t0.0" in lines
+    assert "mean_power_gain_db\tnan" in lines
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "netnum", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: netnum")
 
 
 @pytest.mark.parametrize("settings, message", [

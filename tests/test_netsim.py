@@ -1,5 +1,6 @@
 import dataclasses
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +8,11 @@ from netnum import abstraction as ab
 from netnum import cli
 from netnum import expr as ex
 from netnum import netsim as ns
+from netnum.solve import clip
 
 from conftest import JOCP_LOG, JOCP_RATE
+
+DATA = Path(ns.__file__).parent / "data"
 
 
 def deploy(source=JOCP_LOG, **cfg_kw):
@@ -259,6 +263,133 @@ def test_program_installed_mid_run_takes_effect_at_next_step():
     assert swapped.programs[("session", 0)] is new
     assert swapped.sessions[0].rate < kept.sessions[0].rate
     assert swapped.sessions[1].rate == kept.sessions[1].rate
+
+
+def interpreted_env(net, rates):
+    env = {}
+    for s in net.sessions:
+        env[ex.var_name("sesrate", s.index)] = rates(s)
+    for l in net.links:
+        env[ex.var_name("lnkcap", l.index)] = l.capacity_pps
+        env[ex.var_name("lnkpwr", l.index)] = l.power_linear
+    return env
+
+
+def interpreted_slacks(net, fam, env):
+    """Each member's slack with its sums expanded over the live sessions
+    now, walked by eval_expr: the reference for the compiled slacks."""
+    slacks = {}
+    members = net.links if fam.entity == "link" else net.sessions
+    limit = net.cfg.slack_clip
+    for m in range(len(members)):
+        if fam.entity == "link":
+            bindings = {"lnkses": [s.index for s in net.sessions
+                                   if m in s.path and not s.done]}
+        else:
+            bindings = {"seslnk": list(net.sessions[m].path)}
+        lhs = ex.expand_sums(ex.bind_index(fam.lhs, fam.holder, m), bindings)
+        rhs = ex.expand_sums(ex.bind_index(fam.rhs, fam.holder, m), bindings)
+        slack = ex.eval_expr(rhs, env) - ex.eval_expr(lhs, env)
+        slacks[m] = clip(slack, -limit, limit)
+    return slacks
+
+
+def interpreted_utility(net):
+    live_s = [s.index for s in net.sessions if not s.done]
+    live_l = [l.index for l in net.links if l.active]
+    e = ex.expand_sums(net.utility_expr, {"netses": live_s, "netlnk": live_l})
+    env = interpreted_env(net, lambda s: max(s.throughput, 1e-6))
+    val = ex.eval_expr(e, env)
+    return val if net.utility_sense == "max" else -val
+
+
+# No shipped problem declares a family over sessions (powermin's rate
+# floor is a box rule), so one is added at install: each session's rate
+# within the sum of its path's capacities.
+SESSION_FAMILY = ab.Constraint(ex.var("sesrate", "netses"),
+                               ex.bigsum("seslnk", ex.var("lnkcap", "seslnk")),
+                               "netses")
+
+
+@pytest.mark.parametrize("problem, extra, families", [
+    ("jocp_log.ncp", [], ["link"]),
+    ("powermin.ncp", [SESSION_FAMILY], ["link", "session"]),
+])
+def test_compiled_slacks_and_utility_match_interpreted(problem, extra, families):
+    problem = ab.parse_problem((DATA / "problems" / problem).read_text())
+    programs, _, _ = cli.build_programs(problem)
+    problem.constraints.extend(extra)
+    cfg = ns.ScenarioConfig(scenario=2, seed=4, budgets=(0.0, 400.0))
+    net = cli.deploy(problem, programs, cfg)
+    assert [f.entity for f in net.families] == families
+
+    def bits(values):
+        return {k: v.hex() for k, v in values.items()}
+
+    def check():
+        env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
+        assert bits(ns._runtime_bindings(net)) == bits(env)
+        # finished sessions keep their rate here, so a member whose sums
+        # still include one reads differently
+        probe = interpreted_env(net, lambda s: s.rate)
+        for fam in net.families:
+            for e in (env, probe):
+                assert bits(ns._family_slacks(net, fam, e)) \
+                    == bits(interpreted_slacks(net, fam, e))
+        assert ns.sum_utility(net).hex() == interpreted_utility(net).hex()
+
+    for _ in range(150):
+        ns.step(net, "joint")
+        check()
+    assert net.sessions[1].done and not net.sessions[0].done
+    assert [l.active for l in net.links] == [True, True, False, False]
+
+    # flipped by hand, with no drain: both caches must follow the state
+    for obj, attr, value in [(net.sessions[0], "done", True),
+                             (net.sessions[1], "done", False),
+                             (net.links[2], "active", True),
+                             (net.links[0], "active", False)]:
+        setattr(obj, attr, value)
+        check()
+        setattr(obj, attr, not value)
+        check()
+    for _ in range(30):
+        ns.step(net, "joint")
+        check()
+
+
+def test_slacks_and_utility_compile_once_per_topology(monkeypatch):
+    problem = ab.parse_problem((DATA / "problems" / "jocp_log.ncp").read_text())
+    programs, _, _ = cli.build_programs(problem)
+    cfg = ns.load_scenario((DATA / "scenarios" / "s2_drain.cfg").read_text())
+    net = cli.deploy(problem, programs, dataclasses.replace(cfg, seed=0))
+
+    epoch = 0          # the step running, or the one whose record is running
+    compiles, drains = [], []
+    compile_expr, step = ex.compile_expr, ns.step
+
+    def counted_compile(e):
+        compiles.append(epoch)
+        return compile_expr(e)
+
+    def tagged_step(net, scheme):
+        nonlocal epoch
+        epoch = net.epoch
+        live = sum(not s.done for s in net.sessions)
+        step(net, scheme)
+        if sum(not s.done for s in net.sessions) < live:
+            drains.append(epoch)
+
+    monkeypatch.setattr(ex, "compile_expr", counted_compile)
+    monkeypatch.setattr(ns, "step", tagged_step)
+    ns.run(net, 360, "rate-only")
+    assert len(drains) == 1
+    d = drains[0]
+    # the first epoch compiles everything; the drain's record recompiles
+    # the utility, and the next epoch's dual update the slacks
+    assert set(compiles) == {0, d, d + 1}
+    assert compiles.count(d) == 1
+    assert compiles.count(d + 1) == 2 * len(net.links)
 
 
 def test_trace_csv_schema():
