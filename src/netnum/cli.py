@@ -96,6 +96,9 @@ def _summary(net: netsim.NetState, trace: netsim.Trace) -> str:
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
+    if spec.seeds < 1:
+        print(f"[simulate] --seeds must be at least 1, got {spec.seeds}", file=sys.stderr)
+        return 2
     try:
         source = spec.problem_path.read_text()
     except OSError as err:

@@ -224,7 +224,11 @@ def eval_expr(e: Expr, env: Env) -> float:
     raise UnsupportedNode(k)
 
 
-def compile_expr(e: Expr) -> Callable[[Env], float]:
+# what a generated fast path raises where eval_expr raises an ExprError
+_FAST_PATH_ERRORS = "(KeyError, ZeroDivisionError, ValueError, OverflowError)"
+
+
+def compile_expr(e: Expr, fallback: Expr | None = None) -> Callable[[Env], float]:
     """Compile to one Python function generated as source; same results
     as eval_expr, bit for bit, and much faster when one expression is
     evaluated many times (simulation inner loops).
@@ -235,20 +239,44 @@ def compile_expr(e: Expr) -> Callable[[Env], float]:
     are passed in as objects rather than printed.  The fast path leaves
     the domain checks to the float operations themselves; when one of
     them raises (or a variable is unbound) the call is evaluated again by
-    eval_expr, which raises the same exception eval_expr always does."""
+    eval_expr, which raises the same exception eval_expr always does.
+    That slow path evaluates `fallback` when one is given: an expression
+    equal to e once the variables e reads but fallback does not are
+    bound, as in the staged programs of solve.compile_program."""
     gen = _SourceGen()
     result = gen.emit(e)
     body = "".join(f"        {line}\n" for line in gen.lines)
     source = (f"def compiled(env):\n"
               f"    try:\n{body}"
               f"        return {result}\n"
-              f"    except (KeyError, ZeroDivisionError, ValueError, OverflowError):\n"
+              f"    except {_FAST_PATH_ERRORS}:\n"
               f"        pass\n"
               f"    return _eval_expr(_expr, env)\n")
-    namespace = {"_eval_expr": eval_expr, "_expr": e,
+    namespace = {"_eval_expr": eval_expr, "_expr": e if fallback is None else fallback,
                  **{f"_{f}": fn for f, fn in _FUNC_EVAL.items()}, **gen.consts}
     exec(compile(source, "<compile_expr>", "exec"), namespace)
     return namespace["compiled"]
+
+
+def compile_prelude(values: Iterable[tuple[str, Expr]]) -> Callable[[Env], None]:
+    """Compile named expressions into one generated function that
+    evaluates all of them under env and then stores each value in env
+    under its name.  Values are computed as compile_expr computes them,
+    and a subtree shared between expressions is computed once.  The
+    function never raises for an unbound variable or a domain error:
+    then it stores nothing, and a staged function that reads the missing
+    values falls back to evaluating its original expression."""
+    gen = _SourceGen()
+    stores = [f"    env[{name!r}] = {gen.emit(e)}\n" for name, e in values]
+    body = "".join(f"        {line}\n" for line in gen.lines) or "        pass\n"
+    source = (f"def prelude(env):\n"
+              f"    try:\n{body}"
+              f"    except {_FAST_PATH_ERRORS}:\n"
+              f"        return\n"
+              f"{''.join(stores)}")
+    namespace = {**{f"_{f}": fn for f, fn in _FUNC_EVAL.items()}, **gen.consts}
+    exec(compile(source, "<compile_prelude>", "exec"), namespace)
+    return namespace["prelude"]
 
 
 class _SourceGen:

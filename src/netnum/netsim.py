@@ -278,14 +278,15 @@ def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
 # ---------------------------------------------------------------------------
 # capacity through the shared symbolic model
 
-def link_capacity(link: Link, net: NetState) -> float:
+def link_capacity(link: Link, net: NetState, powers: list[float]) -> float:
     """Capacity in bits/s from the symbolic SINR model; the aggregate
     interference binds through (lnkgain_itf=1, itfpwr=sum of weighted
-    interferer powers)."""
+    interferer powers).  `powers` holds every link's power_linear by
+    index (see _linear_powers)."""
     if not link.active:
         return 0.0
-    itf = _aggregate_interference(link, net)
-    env = {"freq": link.bandwidth, "lnkpwr": link.power_linear,
+    itf = _aggregate_interference(link, net, powers)
+    env = {"freq": link.bandwidth, "lnkpwr": powers[link.index],
            "lnkgain": link.gain, "lnknoise": link.noise,
            "lnkgain_itf": 1.0, "itfpwr": itf}
     if link.noise + itf <= 0.0:
@@ -293,8 +294,12 @@ def link_capacity(link: Link, net: NetState) -> float:
     return net.capacity(env)
 
 
-def _aggregate_interference(link: Link, net: NetState) -> float:
-    return sum(g * net.links[j].power_linear for j, g in link.cross_gain.items()
+def _linear_powers(net: NetState) -> list[float]:
+    return [l.power_linear for l in net.links]
+
+
+def _aggregate_interference(link: Link, net: NetState, powers: list[float]) -> float:
+    return sum(g * powers[j] for j, g in link.cross_gain.items()
                if net.links[j].active)
 
 
@@ -396,6 +401,8 @@ class _EntitySolver:
     cfg: SolverConfig
     lam_sources: list[tuple[int, int]]   # (family ordinal, member) per lbd_NN
     self_family: int | None = None
+    # links: each interfered neighbour j with its _NEIGHBOUR_PARAMS env names
+    neighbours: tuple[tuple[int, tuple[str, ...]], ...] = ()
 
 
 def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntitySolver:
@@ -416,11 +423,17 @@ def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntityS
     return _EntitySolver(program, cfg, lam_sources, self_family)
 
 
+# what _solve_power binds for each interfered neighbour, in this order
+_NEIGHBOUR_PARAMS = ("lbd_itf", "itf_freq", "itf_lnkpwr", "itf_lnkgain",
+                     "itf_lnkgain_itf", "itf_lnknoise")
+
+
 def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolver:
     # capacity in packets/s so the objective shares the dual's units
     model = ex.div(resolve_model(net.graph, "lnkcap"), ex.const(net.cfg.packet_bits))
     objective = ex.substitute(prog.objective, {"lnkcap": model})
     objective = ex.substitute(objective, {"lnkpwr": DB_TO_LINEAR})
+    neighbours = []
     if prog.penalty is not None:
         terms = [objective]
         for j in sorted(link.cross_gain):
@@ -432,6 +445,7 @@ def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolv
                 if v.startswith("itf_") or v == "lbd_itf"})
             pj = ex.substitute(pj, {"lnkpwr": DB_TO_LINEAR})
             terms.append(pj)
+            neighbours.append((j, tuple(f"{v}@{j}" for v in _NEIGHBOUR_PARAMS)))
         objective = ex.add(*terms)
     cfg = SolverConfig(step=net.cfg.power_step, dual_step=net.cfg.dual_step,
                        max_iters=net.cfg.power_iters, tol=1e-9,
@@ -439,7 +453,7 @@ def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolv
                        max_move=net.cfg.power_move_max)
     self_family = next((r.family for r in prog.collect if r.symbol == "self"), None)
     program = compile_program(replace(prog, objective=objective, decision="pwrgain"))
-    return _EntitySolver(program, cfg, [], self_family)
+    return _EntitySolver(program, cfg, [], self_family, tuple(neighbours))
 
 
 def _get_solver(net: NetState, kind: str, idx: int) -> _EntitySolver | None:
@@ -488,9 +502,9 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def _measure(net: NetState) -> None:
+def _measure(net: NetState, powers: list[float]) -> None:
     for link in net.links:
-        link.capacity_pps = link_capacity(link, net) / net.cfg.packet_bits
+        link.capacity_pps = link_capacity(link, net, powers) / net.cfg.packet_bits
 
 
 def _runtime_bindings(net: NetState) -> Env:
@@ -547,30 +561,33 @@ def _link_family(net: NetState) -> ConstraintFamily | None:
     return next((f for f in net.families if f.entity == "link"), None)
 
 
-def _solve_power(net: NetState, link: Link) -> None:
+def _solve_power(net: NetState, link: Link, powers: list[float]) -> None:
+    """Solve one link's power program; `powers` holds every link's
+    power_linear as the epoch's earlier solves left it."""
     solver = _get_solver(net, "link", link.index)
     if solver is None or not link.active:
         return
+    own = powers[link.index]
     env: Env = {
         "freq": link.bandwidth, "lnkgain": link.gain, "lnknoise": link.noise,
-        "lnkgain_itf": 1.0, "itfpwr": _aggregate_interference(link, net),
+        "lnkgain_itf": 1.0, "itfpwr": _aggregate_interference(link, net, powers),
         "pwrgain_anchor": link.pwr_gain_db,
-        "lnkpwr_anchor": db_to_linear(link.pwr_gain_db),
+        "lnkpwr_anchor": own,
         "lbd": _self_lambda(net, solver, link.index),
     }
-    if solver.program.prog.penalty is not None:
+    if solver.neighbours:
         cap = _link_family(net)
         prices = {} if cap is None else cap.prev.values
-        for j in sorted(link.cross_gain):
+        for j, (lbd, freq, pwr, gain, gain_itf, noise) in solver.neighbours:
             lj = net.links[j]
-            env[f"lbd_itf@{j}"] = prices.get(j, 0.0) if lj.active else 0.0
-            env[f"itf_freq@{j}"] = lj.bandwidth
-            env[f"itf_lnkpwr@{j}"] = lj.power_linear
-            env[f"itf_lnkgain@{j}"] = lj.gain
-            env[f"itf_lnkgain_itf@{j}"] = lj.cross_gain.get(link.index, 0.0)
-            other = _aggregate_interference(lj, net) \
-                - lj.cross_gain.get(link.index, 0.0) * link.power_linear
-            env[f"itf_lnknoise@{j}"] = lj.noise + max(0.0, other)
+            back = lj.cross_gain.get(link.index, 0.0)
+            env[lbd] = prices.get(j, 0.0) if lj.active else 0.0
+            env[freq] = lj.bandwidth
+            env[pwr] = powers[j]
+            env[gain] = lj.gain
+            env[gain_itf] = back
+            other = _aggregate_interference(lj, net, powers) - back * own
+            env[noise] = lj.noise + max(0.0, other)
     decision = solve_program(solver.program, env, solver.cfg)
     link.pwr_gain_db = decision["pwrgain"]
 
@@ -669,11 +686,13 @@ def step(net: NetState, scheme: str = "joint") -> NetState:
     if net.capacity is None:
         raise NetsimError("install_problem must run before step")
     _apply_pending(net)
-    _measure(net)
+    powers = _linear_powers(net)
+    _measure(net, powers)
     _update_duals(net)
     if scheme in ("joint", "power-only"):
         for link in net.links:
-            _solve_power(net, link)
+            _solve_power(net, link, powers)
+            powers[link.index] = link.power_linear
     if scheme in ("joint", "rate-only") and net.epoch % net.cfg.timescale == 0:
         for s in net.sessions:
             _solve_rate(net, s)
@@ -699,6 +718,10 @@ def run(net: NetState, duration: float, scheme: str = "joint") -> Trace:
         raise ConfigError("duration must be positive")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+    ratio = duration / net.cfg.phys_epoch
+    if not math.isfinite(ratio) or round(ratio) < 1:
+        raise ConfigError(f"duration must be finite and last at least one "
+                          f"{net.cfg.phys_epoch!r} s epoch, got {duration!r}")
     rng = random.Random(net.cfg.seed)
     for s in net.sessions:
         lo, hi = s.rate_box
@@ -707,8 +730,7 @@ def run(net: NetState, duration: float, scheme: str = "joint") -> Trace:
         lo, hi = link.power_box
         link.pwr_gain_db = hi if scheme == "best-response" else rng.uniform(lo, hi)
     trace = Trace()
-    epochs = int(round(duration / net.cfg.phys_epoch))
-    for _ in range(epochs):
+    for _ in range(round(ratio)):
         step(net, scheme)
         _record(net, trace)
     return trace

@@ -61,26 +61,88 @@ def clip(x: float, lo: float, hi: float) -> float:
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """A control program ready to run: its objective and the gradient for
-    each owned decision variable, compiled once."""
+    """A control program ready to run, compiled once: a prelude that
+    stores in the env every value that does not depend on the owned
+    decision variables, then the objective and the gradient for each
+    owned variable, which read those values instead of computing them."""
     prog: ControlProgram
     owned: tuple[str, ...]
+    prelude: Callable[[Env], None]
     objective: Callable[[Env], float]
     grads: dict[str, Callable[[Env], float]]
 
 
 def compile_program(prog: ControlProgram) -> CompiledProgram:
     """Differentiate and compile a program's (concrete) objective once, so
-    that solve_program can run it any number of times."""
+    that solve_program can run it any number of times.
+
+    Compilation is staged.  Every maximal subtree of the objective and of
+    the gradients that reads no owned variable (and is more than a bare
+    constant or variable) is fixed for a whole solve_program call, so it
+    moves into the prelude, which solve_program runs once per call.  The
+    objective and the gradients are compiled over trees in which those
+    subtrees are replaced by variables that read the prelude's values;
+    every other operation stays where it was, so every value is the same
+    float as unstaged.  If the prelude's values are missing (a prelude
+    value failed, or a caller evaluates without running the prelude), the
+    objective and the gradients evaluate their original trees with
+    eval_expr, which returns or raises what unstaged evaluation would."""
     if ex.contains_bigsum(prog.objective):
         raise SolveError("objective still contains unexpanded collection sums")
     owned = tuple(sorted(v for v in ex.free_vars(prog.objective)
                          if v.rsplit("_", 1)[0] == prog.decision or v == prog.decision))
     if not owned:
         raise SolveError(f"objective has no {prog.decision} variable")
-    obj = ex.compile_expr(prog.objective)
-    grads = {v: ex.compile_expr(ex.differentiate(prog.objective, v)) for v in owned}
-    return CompiledProgram(prog, owned, obj, grads)
+    trees = [prog.objective, *(ex.differentiate(prog.objective, v) for v in owned)]
+    hoisted, staged = _stage(trees, set(owned))
+    obj, *grads = (ex.compile_expr(s, fallback=t) for s, t in zip(staged, trees))
+    return CompiledProgram(prog, owned, ex.compile_prelude(hoisted), obj,
+                           dict(zip(owned, grads)))
+
+
+def _stage(trees: list[Expr], owned: set[str],
+           ) -> tuple[list[tuple[str, Expr]], list[Expr]]:
+    """Each tree with its maximal owned-free subtrees replaced by
+    variables, and those subtrees under the variables' names.  Nodes are
+    told apart by identity, so a subtree shared between trees is hoisted
+    once; the names hold a space, which no parsed or simulator variable
+    can."""
+    hoisted: list[tuple[str, Expr]] = []
+    readers: dict[int, Expr] = {}                # id(subtree) -> its variable
+    seen: dict[int, tuple[Expr, bool]] = {}      # id(node) -> (rewritten, varies)
+
+    def hoist(e: Expr) -> Expr:
+        if e.kind in ("const", "var"):
+            return e
+        if id(e) not in readers:
+            name = f"hoisted {len(hoisted)}"
+            hoisted.append((name, e))
+            readers[id(e)] = ex.var(name)
+        return readers[id(e)]
+
+    def visit(e: Expr) -> tuple[Expr, bool]:
+        done = seen.get(id(e))
+        if done is None:
+            if e.kind == "var":
+                done = (e, ex.var_name(e.name, e.index) in owned)
+            else:
+                kids = [visit(c) for c in e.children]
+                if any(varies for _, varies in kids):
+                    # Expr() rather than the factories, which would
+                    # flatten and fold and so reorder the arithmetic
+                    children = tuple(r if varies else hoist(c)
+                                     for c, (r, varies) in zip(e.children, kids))
+                    done = (Expr(e.kind, children, e.value, e.name, e.index), True)
+                else:
+                    done = (e, False)
+            seen[id(e)] = done
+        return done
+
+    staged = []
+    for tree in trees:
+        rewritten, varies = visit(tree)
+        staged.append(rewritten if varies else hoist(tree))
+    return hoisted, staged
 
 
 def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
@@ -89,8 +151,9 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
     decision variables.  A plain ControlProgram is compiled first; callers
     that solve one program repeatedly pass its CompiledProgram.  All
     foreign variables and dual values must be bound in params; anchors
-    default to `<var>_anchor` entries, else the box midpoint.  Returns the
-    converged decision."""
+    default to `<var>_anchor` entries, else the box midpoint.  The
+    program's prelude runs once, on the call's own copy of params, before
+    the first evaluation.  Returns the converged decision."""
     if isinstance(prog, ControlProgram):
         prog = compile_program(prog)
     owned, obj, grads = prog.owned, prog.objective, prog.grads
@@ -102,6 +165,7 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
         lo, hi = boxes[v]
         x[v] = clip(params.get(f"{v}_anchor", (lo + hi) / 2.0), lo, hi)
     env.update(x)
+    prog.prelude(env)
 
     # Case-2 gradient mode is a single raw projected first-order step
     if prog.prog.mode == "gradient":
@@ -133,8 +197,10 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
                     delta = clip(delta, -cfg.max_move, cfg.max_move)
                 cand[v] = clip(x[v] + delta, lo, hi)
                 moved += (cand[v] - x[v]) ** 2
+            if moved == 0.0:
+                break
             trial = obj({**env, **cand})
-            if trial >= current or moved == 0.0:
+            if trial >= current:
                 break
             scale *= 0.5
         else:

@@ -158,6 +158,14 @@ PINNED_RUNS = [
     ("jocp_log.ncp", "s2_drain.cfg", 360,
      "66b3c90e52661b938576844c253780b19a9de7e193722bd2bbd760d2d43da38d",
      "edee5d6ff57eb52ea30433c877897ca5f4f36660f50ab975011053b504046244", "rate-only"),
+    # three chains and a power cap on the session paths
+    ("jocp_log_powercap.ncp", "s4.cfg", 120,
+     "247813ce0e07eb34a18c628eb23b6d513b88524f2c374bc49304ce057b94b787",
+     "70d6c2ca3b7862f32f072eb251182ce81e98a5abc3ff92119d6393e150c7556f", "joint"),
+    # power solves with no rate solves
+    ("jocp_log.ncp", "s4.cfg", 120,
+     "574bfc4cb03c81cfaa91a45a7deab907da11e6bdb5eb5f165ea8b1d43fbc34a7",
+     "4db8c3a3666c7556494fbff10c4ff628dca2480cc7dd8f390c2a1948bcd5d589", "power-only"),
 ]
 
 
@@ -207,3 +215,19 @@ def test_simulation_error_names_stage(tmp_path, capsys, settings, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("[simulate] ") and message in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "0", "--seeds must be at least 1, got 0"),
+    ("--seeds", "-2", "--seeds must be at least 1, got -2"),
+    ("--duration", "nan", "duration must be finite and last at least one 1.0 s epoch, got nan"),
+    ("--duration", "inf", "duration must be finite and last at least one 1.0 s epoch, got inf"),
+    ("--duration", "0.4", "duration must be finite and last at least one 1.0 s epoch, got 0.4"),
+], ids=["seeds-zero", "seeds-negative", "duration-nan", "duration-inf", "duration-no-epoch"])
+def test_bad_run_options_name_stage(tmp_path, capsys, flag, value, message):
+    args = ["run", "--problem", PROBLEMS / "jocp_log.ncp",
+            "--scenario", SCENARIOS / "s1.cfg", "--duration", "30", "--out", tmp_path]
+    rc = run_cli(args + [flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"[simulate] {message}\n"

@@ -71,14 +71,14 @@ def test_link_capacity_unit_snr():
     link.pwr_gain_db = 0.0          # linear power 1
     link.gain = link.noise          # SNR exactly 1 -> one bit per Hz
     link.cross_gain = {}
-    cap = ns.link_capacity(link, net)
+    cap = ns.link_capacity(link, net, ns._linear_powers(net))
     assert abs(cap - link.bandwidth) < 1e-6
 
 
 def test_link_capacity_inactive_link_is_zero():
     net, _, _ = deploy(scenario=1)
     net.links[0].active = False
-    assert ns.link_capacity(net.links[0], net) == 0.0
+    assert ns.link_capacity(net.links[0], net, ns._linear_powers(net)) == 0.0
 
 
 def test_capacity_strictly_decreases_with_interference():
@@ -88,7 +88,7 @@ def test_capacity_strictly_decreases_with_interference():
     for pwr in (0.0, 10.0, 20.0, 30.0):
         for j in link.cross_gain:
             net.links[j].pwr_gain_db = pwr
-        caps.append(ns.link_capacity(link, net))
+        caps.append(ns.link_capacity(link, net, ns._linear_powers(net)))
     assert all(a > b for a, b in zip(caps, caps[1:]))
 
 
@@ -368,9 +368,9 @@ def test_slacks_and_utility_compile_once_per_topology(monkeypatch):
     compiles, drains = [], []
     compile_expr, step = ex.compile_expr, ns.step
 
-    def counted_compile(e):
+    def counted_compile(e, **kwargs):
         compiles.append(epoch)
-        return compile_expr(e)
+        return compile_expr(e, **kwargs)
 
     def tagged_step(net, scheme):
         nonlocal epoch

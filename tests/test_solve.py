@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -204,3 +205,151 @@ def test_dual_loop_inactive_constraint_dual_vanishes():
     # oracle utility and loop utility agree up to averaging slack
     assert res.utility >= val - 0.15
     assert val >= res.utility - 0.05
+
+
+# ---------------------------------------------------------------------------
+# staged compilation: the prelude and the trees that read its values
+
+def _shipped_programs():
+    """The compiled link programs of jocp_log and powermin (with their
+    interference penalties) and the jocp_log session program on s5."""
+    from pathlib import Path
+
+    import netnum
+    from netnum import cli, netsim
+    problems = Path(netnum.__file__).parent / "data" / "problems"
+    out = []
+    for name, kinds in (("jocp_log.ncp", (("link", 7), ("session", 1))),
+                        ("powermin.ncp", (("link", 7),))):
+        problem = ab.parse_problem((problems / name).read_text())
+        programs, _, _ = cli.build_programs(problem)
+        net = cli.deploy(problem, programs, netsim.ScenarioConfig(scenario=5))
+        netsim._apply_pending(net)
+        for kind, idx in kinds:
+            out.append(netsim._get_solver(net, kind, idx).program)
+    return out
+
+
+def _random_env(rng, tree):
+    return {n: rng.uniform(0.0, 30.0) if n.startswith("pwrgain")
+            else rng.uniform(0.01, 3.0) for n in sorted(ex.free_vars(tree))}
+
+
+def test_staged_program_matches_eval_expr_bit_for_bit():
+    rng = random.Random(11)
+    programs = _shipped_programs()
+    assert [p.prog.penalty is not None for p in programs] == [True, False, True]
+    for program in programs:
+        trees = [program.prog.objective,
+                 *(ex.differentiate(program.prog.objective, v) for v in program.owned)]
+        hoisted, staged = sv._stage(trees, set(program.owned))
+        assert hoisted
+        for _ in range(10):
+            env = _random_env(rng, program.prog.objective)
+            staged_env = dict(env)
+            program.prelude(staged_env)
+            assert set(staged_env) - set(env) == {name for name, _ in hoisted}
+            fns = [program.objective, *(program.grads[v] for v in program.owned)]
+            for tree, rewritten, fn in zip(trees, staged, fns):
+                want = ex.eval_expr(tree, env).hex()
+                assert fn(staged_env).hex() == want
+                # the rewritten tree alone, without the fallback to the original
+                assert ex.compile_expr(rewritten)(staged_env).hex() == want
+                assert ex.eval_expr(rewritten, staged_env).hex() == want
+
+
+def test_staged_program_without_prelude_returns_the_unstaged_value():
+    rng = random.Random(12)
+    for program in _shipped_programs():
+        env = _random_env(rng, program.prog.objective)
+        assert program.objective(env).hex() \
+            == ex.eval_expr(program.prog.objective, env).hex()
+        for v in program.owned:
+            tree = ex.differentiate(program.prog.objective, v)
+            assert program.grads[v](env).hex() == ex.eval_expr(tree, env).hex()
+
+
+def test_staged_program_missing_parameter_raises_as_unstaged():
+    link = _shipped_programs()[0]
+    env = _random_env(random.Random(13), link.prog.objective)
+    noise = min(n for n in env if n.startswith("itf_lnknoise@"))
+    # inside a hoisted interference term, and a bare factor of the own term
+    for missing in (noise, "lbd"):
+        partial = {k: v for k, v in env.items() if k != missing}
+        with pytest.raises(ex.UnboundVariable) as unstaged:
+            ex.eval_expr(link.prog.objective, partial)
+        assert unstaged.value.name == missing
+        with pytest.raises(ex.UnboundVariable) as staged:
+            link.prelude(partial)
+            link.objective(partial)
+        assert staged.value.name == unstaged.value.name
+        with pytest.raises(ex.UnboundVariable) as solved:
+            sv.solve_program(link, partial, sv.SolverConfig(boxes={"pwrgain": (0.0, 30.0)}))
+        assert solved.value.name == unstaged.value.name
+
+
+@pytest.mark.parametrize("invariant, lbd", [
+    (ex.ln(ex.var("lbd")), -1.0),
+    (ex.div(ex.ONE, ex.sub(ex.var("lbd"), ex.ONE)), 1.0),
+    (ex.exp10(ex.var("lbd")), 400.0),
+], ids=["ln-negative", "div-zero", "exp10-overflow"])
+def test_staged_domain_error_raises_as_unstaged(invariant, lbd):
+    obj = ex.sub(ex.ln(ex.var("sesrate")), ex.mul(ex.var("sesrate"), invariant))
+    prog = _prog(obj)
+    env = {"lbd": lbd, "sesrate": 1.0}
+    with pytest.raises(Exception) as unstaged:
+        ex.eval_expr(obj, env)
+    cfg = sv.SolverConfig(boxes={"sesrate": (0.01, 10.0)})
+    with pytest.raises(Exception) as staged:
+        sv.solve_program(sv.compile_program(prog), {"lbd": lbd, "sesrate_anchor": 1.0}, cfg)
+    assert type(staged.value) is type(unstaged.value)
+    assert str(staged.value) == str(unstaged.value)
+
+
+def test_gradient_mode_ignores_an_objective_only_domain_error():
+    # d/dsesrate is lbd + 1; ln(mu) fails, and only the objective holds it
+    obj = ex.sub(ex.mul(ex.var("sesrate"), ex.add(ex.var("lbd"), ex.ONE)),
+                 ex.ln(ex.var("mu")))
+    cfg = sv.SolverConfig(step=0.25, boxes={"sesrate": (0.0, 5.0)})
+    compiled = sv.compile_program(_prog(obj, mode="gradient"))
+    params = {"lbd": 1.0, "mu": -1.0, "sesrate_anchor": 1.0}
+    assert sv.solve_program(compiled, params, cfg) == {"sesrate": 1.5}
+    with pytest.raises(ex.DomainError):
+        sv.solve_program(sv.compile_program(_prog(obj)), params, cfg)
+
+
+def test_solve_skips_the_trial_when_the_step_cannot_move(monkeypatch):
+    # the anchor sits on the upper edge and the gradient points outward
+    calls = {"objective": 0, "gradient": 0}
+
+    def counted(kind, fn):
+        def evaluate(env):
+            calls[kind] += 1
+            return fn(env)
+        return evaluate
+
+    compile_program = sv.compile_program
+
+    def counted_program(prog):
+        c = compile_program(prog)
+        return dataclasses.replace(
+            c, objective=counted("objective", c.objective),
+            grads={v: counted("gradient", g) for v, g in c.grads.items()})
+
+    monkeypatch.setattr(sv, "compile_program", counted_program)
+    cfg = sv.SolverConfig(step=0.05, boxes={"sesrate": (0.0, 5.0)})
+    d = sv.solve_program(linear_rate_prog(), {"lbd": 0.0, "sesrate_anchor": 5.0}, cfg)
+    assert d == {"sesrate": 5.0}
+    assert calls == {"objective": 1, "gradient": 1}
+
+
+def test_staging_keeps_each_operation_in_place():
+    # x + (sesrate - lbd) as built, not flattened: summing 2**53, 1.0 and
+    # 1.0 left to right would round to 2**53
+    inner = ex.Expr("add", (ex.var("sesrate"), ex.neg(ex.var("lbd"))))
+    obj = ex.Expr("add", (ex.var("x"), inner))
+    compiled = sv.compile_program(_prog(obj))
+    env = {"x": 2.0 ** 53, "lbd": -1.0, "sesrate": 1.0}
+    compiled.prelude(env)
+    assert "hoisted 0" in env
+    assert compiled.objective(env) == 2.0 ** 53 + 2.0
