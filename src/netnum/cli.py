@@ -186,7 +186,7 @@ def compare_runs(path_a: Path, path_b: Path) -> str:
 
     def mean(rows, kind, metric):
         vals = [v for (_, k, _, m, v) in rows if k == kind and m == metric]
-        return sum(vals) / len(vals)
+        return expr.left_sum(vals) / len(vals)
 
     lines = [f"compare {path_a} vs {path_b}"]
     for kind, metric in sorted(metrics_a):

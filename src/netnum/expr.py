@@ -187,6 +187,16 @@ def bigsum(set_symbol: str, body: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
+def left_sum(values: Iterable[float]) -> float:
+    """0 + v0 + v1 + ..., added left to right.  sum() of floats gives
+    these floats before Python 3.12 and compensated ones from 3.12 on;
+    this gives the same floats on every interpreter."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
 def eval_expr(e: Expr, env: Env) -> float:
     """Evaluate e under env; every free variable must be bound."""
     k = e.kind
@@ -199,7 +209,7 @@ def eval_expr(e: Expr, env: Env) -> float:
         except KeyError:
             raise UnboundVariable(name) from None
     if k == "add":
-        return sum(eval_expr(c, env) for c in e.children)
+        return left_sum(eval_expr(c, env) for c in e.children)
     if k == "mul":
         r = 1.0
         for c in e.children:
@@ -233,101 +243,135 @@ def compile_expr(e: Expr, fallback: Expr | None = None) -> Callable[[Env], float
     as eval_expr, bit for bit, and much faster when one expression is
     evaluated many times (simulation inner loops).
 
-    Each node becomes one local assignment, so deep trees never nest in
-    the source.  Arithmetic keeps eval_expr's operations and order: add
-    is sum() over the children, mul folds left from 1.0, and constants
-    are passed in as objects rather than printed.  The fast path leaves
+    The source is SourceGen's: one local per distinct subtree, so deep
+    trees never nest and equal subtrees are computed once, with
+    eval_expr's operations in eval_expr's order.  The fast path leaves
     the domain checks to the float operations themselves; when one of
     them raises (or a variable is unbound) the call is evaluated again by
     eval_expr, which raises the same exception eval_expr always does.
     That slow path evaluates `fallback` when one is given: an expression
     equal to e once the variables e reads but fallback does not are
     bound, as in the staged programs of solve.compile_program."""
-    gen = _SourceGen()
+    gen = SourceGen()
     result = gen.emit(e)
-    body = "".join(f"        {line}\n" for line in gen.lines)
     source = (f"def compiled(env):\n"
-              f"    try:\n{body}"
+              f"    try:\n{gen.source(gen.reads + gen.lines, 8)}"
               f"        return {result}\n"
               f"    except {_FAST_PATH_ERRORS}:\n"
               f"        pass\n"
               f"    return _eval_expr(_expr, env)\n")
-    namespace = {"_eval_expr": eval_expr, "_expr": e if fallback is None else fallback,
-                 **{f"_{f}": fn for f, fn in _FUNC_EVAL.items()}, **gen.consts}
-    exec(compile(source, "<compile_expr>", "exec"), namespace)
-    return namespace["compiled"]
+    return gen.define(source, "compiled", _eval_expr=eval_expr,
+                      _expr=e if fallback is None else fallback)
 
 
 def compile_prelude(values: Iterable[tuple[str, Expr]]) -> Callable[[Env], None]:
     """Compile named expressions into one generated function that
     evaluates all of them under env and then stores each value in env
     under its name.  Values are computed as compile_expr computes them,
-    and a subtree shared between expressions is computed once.  The
+    and equal subtrees are computed once, also across expressions.  The
     function never raises for an unbound variable or a domain error:
     then it stores nothing, and a staged function that reads the missing
     values falls back to evaluating its original expression."""
-    gen = _SourceGen()
+    gen = SourceGen()
     stores = [f"    env[{name!r}] = {gen.emit(e)}\n" for name, e in values]
-    body = "".join(f"        {line}\n" for line in gen.lines) or "        pass\n"
+    body = gen.source(gen.reads + gen.lines, 8) or "        pass\n"
     source = (f"def prelude(env):\n"
               f"    try:\n{body}"
               f"    except {_FAST_PATH_ERRORS}:\n"
               f"        return\n"
               f"{''.join(stores)}")
-    namespace = {**{f"_{f}": fn for f, fn in _FUNC_EVAL.items()}, **gen.consts}
-    exec(compile(source, "<compile_prelude>", "exec"), namespace)
-    return namespace["prelude"]
+    return gen.define(source, "prelude")
 
 
-class _SourceGen:
-    """Straight-line source for one Expr: a local per distinct node object
-    (shared subtrees are computed once) and one per distinct variable."""
+class SourceGen:
+    """Straight-line Python source for expressions, one local per
+    distinct subtree.
 
-    def __init__(self):
+    Subtrees are merged by structure (hash-consing): a node's key is its
+    kind, its name and the locals of its children, and a constant's key
+    is its float.hex, so -0.0 and 0.0 stay apart and no key relies on
+    Expr equality.  Arithmetic is eval_expr's: add is 0 + a + b + ...,
+    mul is 1.0 * a * b * ..., the denominator of a div is evaluated
+    first, exp10(x) is 10.0 ** x, and constants are passed in as objects
+    rather than printed.  Each variable is read once from `env` into a
+    local (`reads`); `bind` makes a variable name a given local instead.
+    Equal values computed twice are the same float, so merging changes
+    no result."""
+
+    def __init__(self, env: str = "env"):
+        self.env = env
+        self.reads: list[str] = []
         self.lines: list[str] = []
         self.consts: dict[str, float] = {}
-        self._seen: dict[int, str] = {}
         self._vars: dict[str, str] = {}
+        self._keys: dict[tuple, str] = {}
+        self._ids: dict[int, str] = {}   # id(node) -> local, for shared nodes
+
+    def bind(self, name: str, local: str) -> None:
+        self._vars[name] = local
 
     def emit(self, e: Expr) -> str:
         """Name of a local (or constant) holding e's value."""
-        seen = self._seen.get(id(e))
-        if seen is not None:
-            return seen
+        done = self._ids.get(id(e))
+        if done is not None:
+            return done
         k = e.kind
         if k == "const":
-            name = f"_c{len(self.consts)}"
-            self.consts[name] = e.value
+            key = (k, float(e.value).hex())
+            name = self._keys.get(key)
+            if name is None:
+                name = self._keys[key] = f"_c{len(self.consts)}"
+                self.consts[name] = e.value
         elif k == "var":
             vname = var_name(e.name, e.index)
             name = self._vars.get(vname)
             if name is None:
-                name = self._vars[vname] = f"v{len(self._vars)}"
-                self.lines.append(f"{name} = env[{vname!r}]")
+                name = self._vars[vname] = f"v{len(self.reads)}"
+                self.reads.append(f"{name} = {self.env}[{vname!r}]")
         elif k in ("add", "mul", "neg", "div", "func"):
             if k == "func" and e.name not in _FUNC_EVAL:
                 raise UnsupportedNode(f"func:{e.name}")
-            # div: the denominator first, as eval_expr does
-            args = list(map(self.emit,
-                            e.children[::-1] if k == "div" else e.children))
-            if k == "add":
-                code = f"sum(({''.join(a + ', ' for a in args)}))"
-            elif k == "mul":
-                code = " * ".join(["1.0", *args])
-            elif k == "neg":
-                code = f"-{args[0]}"
-            elif k == "div":
-                code = f"{args[1]} / {args[0]}"
+            if k == "div":
+                den = self.emit(e.children[1])
+                args = [self.emit(e.children[0]), den]
             else:
-                code = f"_{e.name}({args[0]})"
-            name = f"t{len(self.lines)}"
-            self.lines.append(f"{name} = {code}")
+                args = [self.emit(c) for c in e.children]
+            key = (k, e.name, *args)
+            name = self._keys.get(key)
+            if name is None:
+                if k == "add":
+                    code = " + ".join(["0", *args])
+                elif k == "mul":
+                    code = " * ".join(["1.0", *args])
+                elif k == "neg":
+                    code = f"-{args[0]}"
+                elif k == "div":
+                    code = f"{args[0]} / {args[1]}"
+                elif e.name == "exp10":
+                    code = f"10.0 ** {args[0]}"
+                else:
+                    code = f"_{e.name}({args[0]})"
+                name = self._keys[key] = f"t{len(self._keys)}"
+                self.lines.append(f"{name} = {code}")
         elif k == "bigsum":
             raise UnboundIndexSet(e.name)
         else:
             raise UnsupportedNode(k)
-        self._seen[id(e)] = name
+        self._ids[id(e)] = name
         return name
+
+    @staticmethod
+    def source(lines: list[str], indent: int) -> str:
+        pad = " " * indent
+        return "".join(f"{pad}{line}\n" for line in lines)
+
+    def define(self, source: str, fname: str, **names) -> Callable:
+        """The function `fname` defined by source, with the constants and
+        function evaluators the emitted lines read."""
+        namespace = {**{f"_{f}": fn for f, fn in _FUNC_EVAL.items()},
+                     **self.consts, **names}
+        exec(compile(source, f"<{fname}>", "exec"), namespace)
+        return namespace[fname]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,14 @@ Model notes:
     the compiled functions are kept with the session done flags (and, for
     the utility, the active links) they were expanded for, and rebuilt
     when those differ from the live state.
+  - Solvers are compiled once per (installed program, shape), on the
+    first step: a link program names each interfered neighbour's
+    parameters by slot (sorted-neighbour order) and a session program
+    names its path's duals by hop, so every link with the same neighbour
+    count, and every session with the same path length, runs one compiled
+    program (solve.compile_program: prelude and ascent loop fused into one
+    generated function).  Boxes and the slot/hop-to-index maps stay with
+    each entity's solver.
 """
 
 from __future__ import annotations
@@ -100,6 +108,15 @@ class ScenarioConfig:
             raise ConfigError(f"timescale must be at least 1, got {self.timescale}")
         if not self.phys_epoch > 0:
             raise ConfigError(f"phys_epoch must be positive, got {self.phys_epoch}")
+        if self.packet_bits < 1:
+            raise ConfigError(f"packet_bits must be at least 1, got {self.packet_bits}")
+        if not self.rate_min <= self.rate_max:
+            raise ConfigError(f"rate_min {self.rate_min} exceeds rate_max {self.rate_max}")
+        if not self.max_gain_db >= 0:
+            raise ConfigError(f"max_gain_db must not be negative, got {self.max_gain_db}")
+        for key in ("rate_step", "power_step", "dual_step"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         chains, hops, _, _ = _scenario_shape(self)
         if self.band_pattern and len(self.band_pattern) != chains * hops:
             raise ConfigError(f"band_pattern has {len(self.band_pattern)} entries; "
@@ -193,6 +210,11 @@ class NetState:
     capacity: Compiled | None = None   # lnkcap model, bits/s
     # (kind, index) -> solver built from the installed program on first use
     _solvers: dict[tuple[str, int], _EntitySolver | None] = field(default_factory=dict)
+    # (kind, id(program), shape) -> (program, its compiled solver program),
+    # shared by every entity of that kind running that program with that
+    # shape; the entry holds the program, so no other program has its id
+    _shared: dict[tuple[str, int, int], tuple[ControlProgram, CompiledProgram]] = \
+        field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +321,12 @@ def _linear_powers(net: NetState) -> list[float]:
 
 
 def _aggregate_interference(link: Link, net: NetState, powers: list[float]) -> float:
-    return sum(g * powers[j] for j, g in link.cross_gain.items()
-               if net.links[j].active)
+    # folded left from 0, as ex.left_sum, without a generator per call
+    total = 0
+    for j, g in link.cross_gain.items():
+        if net.links[j].active:
+            total = total + g * powers[j]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -386,40 +412,70 @@ def install_program(net: NetState, owner: tuple[str, int],
 
 
 def _apply_pending(net: NetState) -> None:
+    if not net.pending:
+        return
     for owner, prog in net.pending:
         net.programs[owner] = prog
         net._solvers.pop(owner, None)
     net.pending.clear()
+    installed = {id(prog) for prog in net.programs.values()}
+    for key in [key for key in net._shared if key[1] not in installed]:
+        del net._shared[key]
 
 
 # ---------------------------------------------------------------------------
-# per-entity compiled solvers
+# per-entity solvers over compiled programs shared per shape
 
 @dataclass
 class _EntitySolver:
-    program: CompiledProgram
-    cfg: SolverConfig
-    lam_sources: list[tuple[int, int]]   # (family ordinal, member) per lbd_NN
+    program: CompiledProgram   # shared by the entities of the same shape
+    cfg: SolverConfig          # the entity's own box
+    # sessions: (family ordinal, env name, link) per collected dual, the
+    # names by hop position
+    lam_sources: list[tuple[int, str, int]]
     self_family: int | None = None
-    # links: each interfered neighbour j with its _NEIGHBOUR_PARAMS env names
+    # links: each interfered neighbour j with its slot's _NEIGHBOUR_PARAMS
+    # env names, slots in sorted-neighbour order
     neighbours: tuple[tuple[int, tuple[str, ...]], ...] = ()
 
 
-def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntitySolver:
+def _shared_program(net: NetState, kind: str, prog: ControlProgram,
+                    shape: int) -> CompiledProgram:
+    """The compiled program of every `kind` entity that runs prog and has
+    this shape (a link's neighbour count, a session's path length),
+    compiled on first use."""
+    key = (kind, id(prog), shape)
+    entry = net._shared.get(key)
+    if entry is None:
+        build = _session_program if kind == "session" else _link_program
+        entry = net._shared[key] = (prog, build(net, prog, shape))
+    return entry[1]
+
+
+def _session_program(net: NetState, prog: ControlProgram, hops: int) -> CompiledProgram:
+    # collected sums run over hop positions, so the dual of a path's
+    # h-th link is lbd_h for every session
     objective = prog.objective
-    lam_sources: list[tuple[int, int]] = []
+    for rule in prog.collect:
+        if rule.symbol != "self":
+            objective = ex.expand_sums(objective, {rule.symbol: range(hops)})
+    return compile_program(replace(prog, objective=objective))
+
+
+def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntitySolver:
+    lam_sources: list[tuple[int, str, int]] = []
     self_family = None
     for rule in prog.collect:
         if rule.symbol == "self":
             self_family = rule.family
         else:
-            objective = ex.expand_sums(objective, {rule.symbol: list(s.path)})
-            lam_sources.extend((rule.family, li) for li in s.path)
+            lam_sources.extend((rule.family, ex.var_name("lbd", hop), li)
+                               for hop, li in enumerate(s.path))
     cfg = SolverConfig(step=net.cfg.rate_step, dual_step=net.cfg.dual_step,
                        max_iters=net.cfg.rate_iters, tol=1e-9,
                        boxes={"sesrate": s.rate_box},
                        max_move=net.cfg.rate_move_max)
-    program = compile_program(replace(prog, objective=objective))
+    program = _shared_program(net, "session", prog, len(s.path))
     return _EntitySolver(program, cfg, lam_sources, self_family)
 
 
@@ -428,32 +484,37 @@ _NEIGHBOUR_PARAMS = ("lbd_itf", "itf_freq", "itf_lnkpwr", "itf_lnkgain",
                      "itf_lnkgain_itf", "itf_lnknoise")
 
 
-def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolver:
+def _link_program(net: NetState, prog: ControlProgram, slots: int) -> CompiledProgram:
     # capacity in packets/s so the objective shares the dual's units
     model = ex.div(resolve_model(net.graph, "lnkcap"), ex.const(net.cfg.packet_bits))
     objective = ex.substitute(prog.objective, {"lnkcap": model})
     objective = ex.substitute(objective, {"lnkpwr": DB_TO_LINEAR})
-    neighbours = []
     if prog.penalty is not None:
         terms = [objective]
-        for j in sorted(link.cross_gain):
+        for slot in range(slots):
             # links we interfere with collect our linearized damage,
             # normalized to packets/s like the own term
             pj = ex.div(prog.penalty, ex.const(net.cfg.packet_bits))
             pj = ex.substitute(pj, {
-                v: ex.var(f"{v}@{j}") for v in ex.free_vars(prog.penalty)
+                v: ex.var(f"{v}@{slot}") for v in ex.free_vars(prog.penalty)
                 if v.startswith("itf_") or v == "lbd_itf"})
             pj = ex.substitute(pj, {"lnkpwr": DB_TO_LINEAR})
             terms.append(pj)
-            neighbours.append((j, tuple(f"{v}@{j}" for v in _NEIGHBOUR_PARAMS)))
         objective = ex.add(*terms)
+    return compile_program(replace(prog, objective=objective, decision="pwrgain"))
+
+
+def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolver:
+    interfered = sorted(link.cross_gain) if prog.penalty is not None else []
+    neighbours = tuple((j, tuple(f"{v}@{slot}" for v in _NEIGHBOUR_PARAMS))
+                       for slot, j in enumerate(interfered))
     cfg = SolverConfig(step=net.cfg.power_step, dual_step=net.cfg.dual_step,
                        max_iters=net.cfg.power_iters, tol=1e-9,
                        boxes={"pwrgain": link.power_box},
                        max_move=net.cfg.power_move_max)
     self_family = next((r.family for r in prog.collect if r.symbol == "self"), None)
-    program = compile_program(replace(prog, objective=objective, decision="pwrgain"))
-    return _EntitySolver(program, cfg, [], self_family, tuple(neighbours))
+    program = _shared_program(net, "link", prog, len(neighbours))
+    return _EntitySolver(program, cfg, [], self_family, neighbours)
 
 
 def _get_solver(net: NetState, kind: str, idx: int) -> _EntitySolver | None:
@@ -493,7 +554,7 @@ class Trace:
             raise NetsimError(f"no {kind}/{metric} records")
         n = max(1, int(len(vals) * tail))
         vals = vals[-n:]
-        return sum(vals) / len(vals)
+        return ex.left_sum(vals) / len(vals)
 
     def to_csv(self) -> str:
         lines = ["time,entity_kind,entity_id,metric,value"]
@@ -604,8 +665,8 @@ def _solve_rate(net: NetState, s: Session) -> None:
         return
     env: Env = {"sesrate_anchor": s.rate,
                 "lbd": _self_lambda(net, solver, s.index)}
-    for fam_ord, li in solver.lam_sources:
-        env[ex.var_name("lbd", li)] = net.families[fam_ord].prev.values.get(li, 0.0)
+    for fam_ord, name, li in solver.lam_sources:
+        env[name] = net.families[fam_ord].prev.values.get(li, 0.0)
     decision = solve_program(solver.program, env, solver.cfg)
     s.rate = decision["sesrate"]
 

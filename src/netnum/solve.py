@@ -3,7 +3,10 @@ control programs, projected subgradient updates for the duals, and a
 brute-force grid oracle used as independent ground truth in tests.
 
 Gradients always come from symbolic differentiation of the objective, so
-solver behavior is deterministic and reproducible.
+solver behavior is deterministic and reproducible.  A program is compiled
+once (compile_program); a one-variable program solved by ascent, as every
+simulator program is, then runs as one generated function that holds the
+prelude and the whole ascent loop and returns the generic loop's floats.
 """
 
 from __future__ import annotations
@@ -59,17 +62,25 @@ def clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
+# fused(params, lo, hi, cfg) -> (decision, objective evals, gradient
+# evals), or None where the generic loop must run instead
+Fused = Callable[[Env, float, float, SolverConfig], "tuple[float, int, int] | None"]
+
+
 @dataclass(frozen=True)
 class CompiledProgram:
     """A control program ready to run, compiled once: a prelude that
     stores in the env every value that does not depend on the owned
     decision variables, then the objective and the gradient for each
-    owned variable, which read those values instead of computing them."""
+    owned variable, which read those values instead of computing them.
+    A program with one owned variable that is solved by ascent also gets
+    `fused`: the prelude and the whole ascent loop as one function."""
     prog: ControlProgram
     owned: tuple[str, ...]
     prelude: Callable[[Env], None]
     objective: Callable[[Env], float]
     grads: dict[str, Callable[[Env], float]]
+    fused: Fused | None = None
 
 
 def compile_program(prog: ControlProgram) -> CompiledProgram:
@@ -86,7 +97,9 @@ def compile_program(prog: ControlProgram) -> CompiledProgram:
     float as unstaged.  If the prelude's values are missing (a prelude
     value failed, or a caller evaluates without running the prelude), the
     objective and the gradients evaluate their original trees with
-    eval_expr, which returns or raises what unstaged evaluation would."""
+    eval_expr, which returns or raises what unstaged evaluation would.
+    A program with one owned variable, solved by ascent, is also compiled
+    into `fused` (see _fuse)."""
     if ex.contains_bigsum(prog.objective):
         raise SolveError("objective still contains unexpanded collection sums")
     owned = tuple(sorted(v for v in ex.free_vars(prog.objective)
@@ -96,8 +109,10 @@ def compile_program(prog: ControlProgram) -> CompiledProgram:
     trees = [prog.objective, *(ex.differentiate(prog.objective, v) for v in owned)]
     hoisted, staged = _stage(trees, set(owned))
     obj, *grads = (ex.compile_expr(s, fallback=t) for s, t in zip(staged, trees))
+    fused = (_fuse(owned[0], hoisted, staged)
+             if len(owned) == 1 and prog.mode != "gradient" else None)
     return CompiledProgram(prog, owned, ex.compile_prelude(hoisted), obj,
-                           dict(zip(owned, grads)))
+                           dict(zip(owned, grads)), fused)
 
 
 def _stage(trees: list[Expr], owned: set[str],
@@ -145,6 +160,93 @@ def _stage(trees: list[Expr], owned: set[str],
     return hoisted, staged
 
 
+_FUSED = """\
+def fused(params, lo, hi, cfg):
+    step, max_move, tol = cfg.step, cfg.max_move, cfg.tol
+    try:
+{reads}\
+        x = params.get({anchor!r}, (lo + hi) / 2.0)
+        x = lo if x < lo else hi if x > hi else x
+{prelude}\
+        p = x
+{objective_start}\
+        current = {objective}
+        n_obj, n_grad = 1, 0
+        if not _isfinite(current):
+            return None
+        for _ in range(cfg.max_iters):
+{gradient}\
+            g = {grad}
+            n_grad += 1
+            if not _isfinite(g):
+                return None
+            scale = 1.0
+            for _ in range(30):
+                delta = scale * step * g
+                if max_move > 0:
+                    delta = (-max_move if delta < -max_move
+                             else max_move if delta > max_move else delta)
+                c = x + delta
+                c = lo if c < lo else hi if c > hi else c
+                moved = (c - x) ** 2
+                if moved == 0.0:
+                    break
+                p = c
+{objective_trial}\
+                trial = {objective}
+                n_obj += 1
+                if trial >= current:
+                    break
+                scale *= 0.5
+            else:
+                break
+            if moved == 0.0:
+                break
+            x = c
+            current = trial
+            if _sqrt(moved) < tol:
+                break
+        if not _isfinite(current):
+            return None
+        return x, n_obj, n_grad
+    except Exception:
+        return None
+"""
+
+
+def _fuse(v: str, hoisted: list[tuple[str, Expr]], staged: list[Expr]) -> Fused:
+    """solve_program's prelude and ascent loop for the one owned variable
+    v as one generated function, with the same operations in the same
+    order, so it returns the same decision as the generic loop.  Each
+    parameter is read from params once, the prelude's values are locals,
+    and the decision is the local p.  Equal subtrees are computed once
+    (SourceGen), and the gradient reuses the values the objective
+    computed at p: the gradient is only ever evaluated at the point of
+    the last objective evaluation (the start, or the trial just
+    accepted).  Where anything raises or a value is not finite, the
+    function returns None instead, and solve_program runs the generic
+    loop from the start: that loop, not the merged and reordered work
+    here, decides which error a call raises (an unbound parameter, a
+    domain error, a non-finite value, a parameter that is not a
+    number)."""
+    gen = ex.SourceGen(env="params")
+    gen.bind(v, "p")
+    for name, e in hoisted:
+        gen.bind(name, gen.emit(e))
+    obj_from = len(gen.lines)
+    objective = gen.emit(staged[0])
+    grad_from = len(gen.lines)
+    grad = gen.emit(staged[1])
+    obj_lines = gen.lines[obj_from:grad_from]
+    source = _FUSED.format(
+        reads=gen.source(gen.reads, 8), anchor=f"{v}_anchor",
+        prelude=gen.source(gen.lines[:obj_from], 8),
+        objective_start=gen.source(obj_lines, 8),
+        objective_trial=gen.source(obj_lines, 16), objective=objective,
+        gradient=gen.source(gen.lines[grad_from:], 12), grad=grad)
+    return gen.define(source, "fused", _isfinite=math.isfinite, _sqrt=math.sqrt)
+
+
 def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
                   cfg: SolverConfig) -> dict[str, float]:
     """Projected gradient ascent on the program's objective over its
@@ -153,9 +255,16 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
     foreign variables and dual values must be bound in params; anchors
     default to `<var>_anchor` entries, else the box midpoint.  The
     program's prelude runs once, on the call's own copy of params, before
-    the first evaluation.  Returns the converged decision."""
+    the first evaluation.  A program with a fused function runs that; the
+    generic loop below runs only where it returns None, and then raises
+    what it always raised.  Returns the converged decision."""
     if isinstance(prog, ControlProgram):
         prog = compile_program(prog)
+    if prog.fused is not None:
+        v = prog.owned[0]
+        done = prog.fused(params, *cfg.box(v), cfg)
+        if done is not None:
+            return {v: done[0]}
     owned, obj, grads = prog.owned, prog.objective, prog.grads
 
     boxes = {v: cfg.box(v) for v in owned}

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -128,6 +129,13 @@ def test_scenario_file_error_names_stage(tmp_path, capsys):
             ("scenario = 0\n", "unknown scenario 0"),
             ("scenario = 6\n", "unknown scenario 6"),
             ("scenario = 5\nband_pattern = 0,1\n", "band_pattern has 2 entries"),
+            ("scenario = 2\npacket_bits = 0\n", "packet_bits must be at least 1, got 0"),
+            ("rate_min = 50\nrate_max = 10\n", "rate_min 50.0 exceeds rate_max 10.0"),
+            ("max_gain_db = -1\n", "max_gain_db must not be negative, got -1.0"),
+            ("rate_step = 0\n", "rate_step must be positive, got 0.0"),
+            ("power_step = -60\n", "power_step must be positive, got -60.0"),
+            ("dual_step = 0\n", "dual_step must be positive, got 0.0"),
+            ("dual_step = nan\n", "dual_step must be positive, got nan"),
     ]:
         bad.write_text(text)
         rc = run_cli(["run", "--problem", PROBLEMS / "jocp.ncp",
@@ -181,6 +189,54 @@ def test_pinned_trace_digests(tmp_path, problem, scenario, duration,
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
 
 
+# Runs every pin given as JSON in argv[1] into argv[2]/<i>, and prints
+# their digests as JSON; needs only the standard library and netnum.
+_PIN_RUNNER = """
+import hashlib, json, sys
+from pathlib import Path
+from netnum import cli
+pins, out = json.loads(sys.argv[1]), Path(sys.argv[2])
+digests = []
+for i, (problem, scenario, duration, scheme) in enumerate(pins):
+    rc = cli.main(["run", "--problem", problem, "--scenario", scenario,
+                   "--scheme", scheme, "--duration", str(duration), "--seed", "0",
+                   "--out", str(out / str(i))])
+    digests.append([rc] + [hashlib.sha256((out / str(i) / name).read_bytes()).hexdigest()
+                           for name in ("trace.csv", "summary.txt")])
+print(json.dumps(digests))
+"""
+
+
+def _other_interpreters():
+    """pyenv's interpreters from 3.10 on, other than the running one."""
+    found = []
+    for python in sorted((Path.home() / ".pyenv" / "versions").glob("*/bin/python3")):
+        parts = python.parent.parent.name.split(".")
+        if len(parts) == 3 and all(p.isdigit() for p in parts):
+            version = tuple(map(int, parts))
+            if version >= (3, 10) and version != sys.version_info[:3]:
+                found.append(python)
+    return found
+
+
+def test_pinned_digests_on_every_interpreter(tmp_path):
+    # float sums fold left from 0 everywhere, so the compensated sum()
+    # of Python 3.12 and later cannot move a pinned trace
+    pythons = _other_interpreters()
+    if not pythons:
+        pytest.skip("no other Python 3.10+ interpreter under ~/.pyenv/versions")
+    pins = [[str(PROBLEMS / problem), str(SCENARIOS / scenario), duration, scheme]
+            for problem, scenario, duration, _, _, scheme in PINNED_RUNS]
+    want = [[0, trace_sha, summary_sha] for _, _, _, trace_sha, summary_sha, _ in PINNED_RUNS]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for python in pythons:
+        out = tmp_path / python.parent.parent.name
+        proc = subprocess.run([str(python), "-c", _PIN_RUNNER, json.dumps(pins), str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (python, proc.stderr)
+        assert json.loads(proc.stdout.splitlines()[-1]) == want, python
+
+
 def test_run_where_every_session_drains_at_once(tmp_path):
     # both budgets run out in epoch 0, so no link is active at any record
     cfg = tmp_path / "drained.cfg"
@@ -201,16 +257,17 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("usage: netnum")
 
 
-@pytest.mark.parametrize("settings, message", [
-    # the rate box is empty: the transport solver refuses it
-    ("rate_min = 50\nrate_max = 10\n", "box lower 50.0 exceeds upper 10.0"),
+@pytest.mark.parametrize("problem, settings, message", [
+    # the problem's rate floor (4 packets/s) empties the scenario's rate
+    # box: the transport solver refuses it
+    ("powermin.ncp", "rate_max = 3\n", "box lower 4.0 exceeds upper 3.0"),
     # goodput turns nan under overload: the conservation check fails
-    ("congestion_exp = nan\n", "breaks conservation"),
+    ("jocp_log.ncp", "congestion_exp = nan\n", "breaks conservation"),
 ], ids=["empty-rate-box", "nan-congestion"])
-def test_simulation_error_names_stage(tmp_path, capsys, settings, message):
+def test_simulation_error_names_stage(tmp_path, capsys, problem, settings, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scenario = 2\n" + settings)
-    rc = run_cli(["run", "--problem", PROBLEMS / "jocp_log.ncp",
+    rc = run_cli(["run", "--problem", PROBLEMS / problem,
                   "--scenario", cfg, "--duration", "30", "--out", tmp_path])
     assert rc == 2
     err = capsys.readouterr().err

@@ -260,6 +260,35 @@ def test_compiled_sum_keeps_eval_expr_signed_zero():
     assert _same_float(ex.compile_expr(e)(env), ex.eval_expr(e, env))
 
 
+def test_sums_fold_left_from_zero():
+    # 0.0 added left to right; 1.0 compensated, as sum() of floats is
+    # from Python 3.12 on
+    terms = [1e16, 1.0, -1e16]
+    e = ex.add(ex.var("a"), ex.var("b"), ex.var("c"))
+    env = dict(zip("abc", terms))
+    assert _same_float(ex.left_sum(terms), 0.0)
+    assert _same_float(ex.eval_expr(e, env), 0.0)
+    assert _same_float(ex.compile_expr(e)(env), 0.0)
+    ex.compile_prelude([("total", e)])(env)
+    assert _same_float(env["total"], 0.0)
+
+
+def test_compiled_merges_equal_subtrees_built_apart():
+    def square():
+        return ex.mul(ex.var("x"), ex.var("x"))
+    # built with Expr(), as add() drops zeros
+    e = ex.Expr("add", (square(), ex.neg(square()), ex.const(0.0), ex.const(-0.0)))
+    gen = ex.SourceGen()
+    gen.emit(e)
+    assert len(gen.lines) == 3                  # x*x, its negation, the sum
+    assert len(gen.consts) == 2                 # 0.0 and -0.0 stay apart
+    env = {"x": 1.5}
+    assert _same_float(ex.compile_expr(e)(env), ex.eval_expr(e, env))
+    # one argument, four functions: four values
+    e = ex.add(*(ex.func(f, ex.var("x")) for f in ("ln", "log2", "sqrt", "exp10")))
+    assert _same_float(ex.compile_expr(e)(env), ex.eval_expr(e, env))
+
+
 @pytest.mark.parametrize("e, env", [
     (ex.div(ex.var("x"), ex.var("y")), {"x": 1.0, "y": 0.0}),
     (ex.div(ex.var("x"), ex.var("y")), {"x": 1.0, "y": -0.0}),

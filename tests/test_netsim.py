@@ -75,6 +75,20 @@ def test_link_capacity_unit_snr():
     assert abs(cap - link.bandwidth) < 1e-6
 
 
+def test_interference_and_trace_means_fold_left_from_zero():
+    # 0.0 added left to right; 1.0 compensated, as sum() of floats is
+    # from Python 3.12 on
+    net = ns.build_scenario(ns.ScenarioConfig(scenario=1))
+    link = net.links[0]
+    link.cross_gain = {1: 1.0, 2: 1.0, 3: 1.0}
+    itf = ns._aggregate_interference(link, net, [0.0, 1e16, 1.0, -1e16])
+    assert repr(itf) == "0.0"
+    trace = ns.Trace()
+    for t, v in enumerate((1e16, 1.0, -1e16)):
+        trace.record(float(t), "net", 0, "sum_utility", v)
+    assert repr(trace.mean("net", "sum_utility")) == "0.0"
+
+
 def test_link_capacity_inactive_link_is_zero():
     net, _, _ = deploy(scenario=1)
     net.links[0].active = False
@@ -263,6 +277,107 @@ def test_program_installed_mid_run_takes_effect_at_next_step():
     assert swapped.programs[("session", 0)] is new
     assert swapped.sessions[0].rate < kept.sessions[0].rate
     assert swapped.sessions[1].rate == kept.sessions[1].rate
+
+
+def counted_compiles(monkeypatch):
+    """compile_program calls the simulator makes, by decision variable:
+    pwrgain for link programs, sesrate for session programs."""
+    counts = {"pwrgain": 0, "sesrate": 0}
+    compile_program = ns.compile_program
+
+    def counted(prog):
+        counts[prog.decision] += 1
+        return compile_program(prog)
+
+    monkeypatch.setattr(ns, "compile_program", counted)
+    return counts
+
+
+def test_solvers_compile_once_per_layer_shape(monkeypatch):
+    counts = counted_compiles(monkeypatch)
+    net, _, _ = deploy(scenario=5)
+    ns.run(net, 90, "joint")
+    # 18 links with two interfered neighbours each, 3 six-hop sessions
+    assert counts == {"pwrgain": 1, "sesrate": 1}
+    for kind, entities in (("link", net.links), ("session", net.sessions)):
+        solvers = [ns._get_solver(net, kind, e.index) for e in entities]
+        assert len({id(solver.program) for solver in solvers}) == 1
+        assert len({id(solver) for solver in solvers}) == len(entities)
+
+
+@pytest.mark.parametrize("band_pattern, neighbour_counts", [
+    ((), {2}),
+    ((0, 0, 1, 0, 0, 0), {0, 3, 4}),
+])
+def test_link_solvers_compile_once_per_neighbour_count(monkeypatch, band_pattern,
+                                                       neighbour_counts):
+    counts = counted_compiles(monkeypatch)
+    net, _, _ = deploy(scenario=4, band_pattern=band_pattern)
+    assert {len(link.cross_gain) for link in net.links} == neighbour_counts
+    ns.run(net, 60, "joint")
+    assert counts == {"pwrgain": len(neighbour_counts), "sesrate": 1}
+    for link in net.links:
+        solver = ns._get_solver(net, "link", link.index)
+        assert [j for j, _ in solver.neighbours] == sorted(link.cross_gain)
+
+
+def test_shared_link_program_keeps_each_link_power_box():
+    # jocp_log_powercap caps the first session's links at 5 dB; the
+    # jocp_log_powercap.ncp/s4.cfg pin in test_cli.py holds the traces
+    problem = ab.parse_problem((DATA / "problems" / "jocp_log_powercap.ncp").read_text())
+    programs, _, _ = cli.build_programs(problem)
+    net = cli.deploy(problem, programs, ns.ScenarioConfig(scenario=4))
+    trace = ns.run(net, 60, "joint")
+    solvers = [ns._get_solver(net, "link", link.index) for link in net.links]
+    assert len({id(solver.program) for solver in solvers}) == 1
+    boxes = [solver.cfg.box("pwrgain") for solver in solvers]
+    assert boxes == [link.power_box for link in net.links]
+    assert boxes == [(0.0, 5.0)] * 2 + [(0.0, 30.0)] * 4
+    for link in net.links:
+        powers = [v for _, v in trace.series("node", link.tx, "power_gain_db")]
+        assert max(powers) <= link.power_box[1]
+    assert max(net.links[2].pwr_gain_db, net.links[3].pwr_gain_db) > 5.0
+
+
+def test_program_installed_mid_run_compiles_its_own_solver(monkeypatch):
+    counts = counted_compiles(monkeypatch)
+    nets = [deploy(scenario=5, seed=2)[0] for _ in range(2)]
+    for net in nets:
+        for _ in range(3):
+            ns.step(net, "joint")
+    # each network compiles its own
+    assert counts == {"pwrgain": 2, "sesrate": 2}
+    kept, swapped = nets
+    old = swapped.programs[("link", 3)]
+    # the same penalties, and an own term that only pays for power
+    new = dataclasses.replace(old, objective=ex.neg(ex.var("lnkpwr")))
+    for idx in (3, 9):
+        ns.install_program(swapped, ("link", idx), new)
+    # queued with the others, and rebuilt from the old shared program
+    ns.install_program(swapped, ("link", 15), old)
+    for net in nets:
+        ns.step(net, "joint")
+    # one compile for both links with the new program, none for the rest
+    assert counts == {"pwrgain": 3, "sesrate": 2}
+    shared = ns._get_solver(swapped, "link", 0).program
+    assert shared.prog.objective == ns._get_solver(kept, "link", 0).program.prog.objective
+    assert ns._get_solver(swapped, "link", 15).program is shared
+    for idx in (3, 9):
+        program = ns._get_solver(swapped, "link", idx).program
+        assert program is not shared and program.prog.penalty == old.penalty
+        assert "log2" not in ex.render(program.prog.objective)
+        assert swapped.links[idx].pwr_gain_db < kept.links[idx].pwr_gain_db
+    assert ns._get_solver(swapped, "link", 3).program \
+        is ns._get_solver(swapped, "link", 9).program
+    # solved before link 3, from the same state
+    assert swapped.links[0].pwr_gain_db == kept.links[0].pwr_gain_db
+    # once no link runs the new program, its compiled program is dropped
+    for idx in (3, 9):
+        ns.install_program(swapped, ("link", idx), old)
+    ns.step(swapped, "joint")
+    assert counts == {"pwrgain": 3, "sesrate": 2}
+    kept_programs = [prog for prog, _ in swapped._shared.values()]
+    assert len(kept_programs) == 2 and all(prog is not new for prog in kept_programs)
 
 
 def interpreted_env(net, rates):

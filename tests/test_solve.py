@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -331,16 +332,22 @@ def test_solve_skips_the_trial_when_the_step_cannot_move(monkeypatch):
     compile_program = sv.compile_program
 
     def counted_program(prog):
+        # the generic loop: without the fused function, which bypasses
+        # the objective and gradient functions
         c = compile_program(prog)
         return dataclasses.replace(
             c, objective=counted("objective", c.objective),
-            grads={v: counted("gradient", g) for v, g in c.grads.items()})
+            grads={v: counted("gradient", g) for v, g in c.grads.items()},
+            fused=None)
 
     monkeypatch.setattr(sv, "compile_program", counted_program)
     cfg = sv.SolverConfig(step=0.05, boxes={"sesrate": (0.0, 5.0)})
-    d = sv.solve_program(linear_rate_prog(), {"lbd": 0.0, "sesrate_anchor": 5.0}, cfg)
+    params = {"lbd": 0.0, "sesrate_anchor": 5.0}
+    d = sv.solve_program(linear_rate_prog(), params, cfg)
     assert d == {"sesrate": 5.0}
     assert calls == {"objective": 1, "gradient": 1}
+    # the fused loop reports its own evaluation counts
+    assert compile_program(linear_rate_prog()).fused(params, 0.0, 5.0, cfg) == (5.0, 1, 1)
 
 
 def test_staging_keeps_each_operation_in_place():
@@ -353,3 +360,158 @@ def test_staging_keeps_each_operation_in_place():
     compiled.prelude(env)
     assert "hoisted 0" in env
     assert compiled.objective(env) == 2.0 ** 53 + 2.0
+
+
+# ---------------------------------------------------------------------------
+# the fused solver: prelude and ascent loop as one generated function
+
+DATA = Path(sv.__file__).parent / "data"
+
+
+@pytest.mark.parametrize("problem", ["jocp.ncp", "jocp_log.ncp",
+                                     "jocp_log_powercap.ncp", "powermin.ncp"])
+def test_fused_solver_matches_the_generic_loop(monkeypatch, problem):
+    from netnum import cli, netsim
+    solve_program = sv.solve_program
+    generic: dict[int, sv.CompiledProgram] = {}
+    solved = {"pwrgain": 0, "sesrate": 0}
+
+    def both(prog, params, cfg):
+        v, = prog.owned
+        fused = prog.fused(params, *cfg.box(v), cfg)
+        plain = generic.setdefault(id(prog), dataclasses.replace(prog, fused=None))
+        want = solve_program(plain, params, cfg)
+        assert fused is not None
+        assert fused[0].hex() == want[v].hex()
+        solved[v] += 1
+        return want
+
+    monkeypatch.setattr(netsim, "solve_program", both)
+    for scenario, duration in (("s2.cfg", 90), ("s4.cfg", 90), ("s5.cfg", 60)):
+        parsed = ab.parse_problem((DATA / "problems" / problem).read_text())
+        programs, _, _ = cli.build_programs(parsed)
+        cfg = netsim.load_scenario((DATA / "scenarios" / scenario).read_text())
+        netsim.run(cli.deploy(parsed, programs, cfg), duration, "joint")
+    assert solved["pwrgain"] == 90 * 4 + 90 * 6 + 60 * 18
+    assert solved["sesrate"] == 3 * 2 + 3 * 3 + 2 * 3
+
+
+LOG_RATE = ex.sub(ex.ln(ex.var("sesrate")), ex.mul(ex.var("sesrate"), ex.var("lbd")))
+
+
+def _shifted_square(total):
+    """-(sesrate - total)^2: the ascent lands on total."""
+    d = ex.sub(ex.var("sesrate"), total)
+    return ex.neg(ex.mul(d, d))
+
+
+RATE_BOX = dict(boxes={"sesrate": (0.01, 10.0)})
+
+
+@pytest.mark.parametrize("obj, params, cfg, error, message", [
+    (LOG_RATE, {"sesrate_anchor": 1.0}, RATE_BOX,
+     ex.UnboundVariable, "unbound variable: lbd"),
+    # ln(lbd) is a prelude value
+    (ex.sub(ex.ln(ex.var("sesrate")), ex.mul(ex.var("sesrate"), ex.ln(ex.var("lbd")))),
+     {"lbd": -1.0, "sesrate_anchor": 1.0}, RATE_BOX,
+     ex.DomainError, "ln of non-positive value -1.0"),
+    (ex.mul(ex.var("sesrate"), ex.var("lbd")), {"lbd": math.inf, "sesrate_anchor": 1.0},
+     RATE_BOX, sv.NumericalError, "non-finite objective at start"),
+    # -inf at the anchor, with a finite gradient, and finite after the
+    # first (capped) move: only the check at the start fails
+    (_shifted_square(ex.ZERO), {"sesrate_anchor": 1.5e154},
+     dict(boxes={"sesrate": (-1e300, 1e300)}, max_move=1e154),
+     sv.NumericalError, "non-finite objective at start"),
+    # 1/x is 1e160, its gradient -1/(x*x) is -inf
+    (ex.div(ex.ONE, ex.var("sesrate")), {"sesrate_anchor": 1e-160},
+     dict(boxes={"sesrate": (1e-300, 1.0)}), sv.NumericalError,
+     "non-finite gradient for sesrate"),
+    # x*x climbs from 1e308 to +inf, which every later trial matches
+    (ex.mul(ex.var("sesrate"), ex.var("sesrate")), {"sesrate_anchor": 1e154},
+     dict(boxes={"sesrate": (-1e300, 1e300)}, max_move=5e153, max_iters=3),
+     sv.NumericalError, "non-finite objective at solution"),
+    # not a number: the generic loop's prelude negates it first
+    (LOG_RATE, {"lbd": None, "sesrate_anchor": 1.0}, RATE_BOX,
+     TypeError, "bad operand type for unary -: 'NoneType'"),
+], ids=["unbound", "prelude-domain", "non-finite-start", "minus-infinity-start",
+        "infinite-gradient", "infinite-at-solution", "not-a-number"])
+def test_fused_solver_raises_as_the_generic_loop(obj, params, cfg, error, message):
+    compiled = sv.compile_program(_prog(obj))
+    cfg = sv.SolverConfig(step=0.5, **cfg)
+    assert compiled.fused(params, *cfg.box("sesrate"), cfg) is None
+    raised = []
+    for prog in (dataclasses.replace(compiled, fused=None), compiled):
+        with pytest.raises(Exception) as exc:
+            sv.solve_program(prog, params, cfg)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised == [(error, message)] * 2
+
+
+def test_fused_solver_sums_fold_left_from_zero():
+    # 1e16 + 1.0 - 1e16 is 0.0 folded left, 1.0 compensated
+    total = ex.add(ex.var("a"), ex.var("b"), ex.var("c"))
+    compiled = sv.compile_program(_prog(_shifted_square(total)))
+    cfg = sv.SolverConfig(step=0.5, boxes={"sesrate": (-5.0, 5.0)})
+    params = {"a": 1e16, "b": 1.0, "c": -1e16, "sesrate_anchor": 3.0}
+    x, _, _ = compiled.fused(params, -5.0, 5.0, cfg)
+    assert x.hex() == (0.0).hex()
+    assert sv.solve_program(dataclasses.replace(compiled, fused=None), params, cfg) \
+        == {"sesrate": x}
+
+
+def test_fused_solver_merges_equal_subtrees():
+    # each neighbour's -lnkpwr_anchor and each gradient term's 2048*2048,
+    # built apart, are computed once
+    link = _shipped_programs()[0]
+    hoisted, _ = sv._stage([link.prog.objective,
+                            ex.differentiate(link.prog.objective, "pwrgain")], {"pwrgain"})
+    rendered = [ex.render(e) for _, e in hoisted]
+    assert rendered.count("-lnkpwr_anchor") == 2 and rendered.count("2048*2048") == 3
+    gen = ex.SourceGen()
+    locals_ = [gen.emit(e) for _, e in hoisted]
+    assert len(set(locals_)) == len(set(rendered))
+
+
+def _counted_generic(compiled):
+    """The generic loop over compiled, and its evaluation counts."""
+    calls = {"objective": 0, "gradient": 0}
+
+    def counted(kind, fn):
+        def evaluate(env):
+            calls[kind] += 1
+            return fn(env)
+        return evaluate
+
+    return dataclasses.replace(
+        compiled, objective=counted("objective", compiled.objective),
+        grads={v: counted("gradient", g) for v, g in compiled.grads.items()},
+        fused=None), calls
+
+
+@pytest.mark.parametrize("obj, anchor, cfg, decision", [
+    # the step cannot move off the box edge
+    (LOG_RATE, 10.0, dict(step=0.5, boxes={"sesrate": (0.01, 10.0)}), None),
+    # only the 30th trial step, scaled by 2**-29, stays within the peak
+    (_shifted_square(ex.ZERO), 1.0,
+     dict(step=0.75 * 2.0 ** 29, max_iters=1, boxes={"sesrate": (-10.0, 10.0)}), -0.5),
+    # no trial of the 30 is accepted
+    (_shifted_square(ex.ZERO), 1.0,
+     dict(step=2.0 ** 31, max_iters=1, boxes={"sesrate": (-10.0, 10.0)}), 1.0),
+    # moves shrink below the tolerance
+    (LOG_RATE, 0.5, dict(step=0.5, tol=1e-3, boxes={"sesrate": (0.01, 10.0)}), None),
+    # every move is capped, and the iterations run out
+    (LOG_RATE, 0.5, dict(step=0.5, max_move=0.05, max_iters=7,
+                         boxes={"sesrate": (0.01, 10.0)}), 0.85),
+], ids=["box-edge", "thirtieth-halving", "halvings-exhausted", "tolerance", "max-move"])
+def test_fused_solver_leaves_the_loop_as_the_generic_loop(obj, anchor, cfg, decision):
+    compiled = sv.compile_program(_prog(obj))
+    cfg = sv.SolverConfig(**cfg)
+    params = {"lbd": 0.5, "sesrate_anchor": anchor}
+    generic, calls = _counted_generic(compiled)
+    want = sv.solve_program(generic, params, cfg)["sesrate"]
+    fused = compiled.fused(params, *cfg.box("sesrate"), cfg)
+    assert fused is not None
+    x, n_obj, n_grad = fused
+    assert (x.hex(), n_obj, n_grad) == (want.hex(), calls["objective"], calls["gradient"])
+    if decision is not None:
+        assert x == pytest.approx(decision)
