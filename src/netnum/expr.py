@@ -238,7 +238,7 @@ def eval_expr(e: Expr, env: Env) -> float:
 _FAST_PATH_ERRORS = "(KeyError, ZeroDivisionError, ValueError, OverflowError)"
 
 
-def compile_expr(e: Expr, fallback: Expr | None = None) -> Callable[[Env], float]:
+def compile_expr(e: Expr) -> Callable[[Env], float]:
     """Compile to one Python function generated as source; same results
     as eval_expr, bit for bit, and much faster when one expression is
     evaluated many times (simulation inner loops).
@@ -248,10 +248,7 @@ def compile_expr(e: Expr, fallback: Expr | None = None) -> Callable[[Env], float
     eval_expr's operations in eval_expr's order.  The fast path leaves
     the domain checks to the float operations themselves; when one of
     them raises (or a variable is unbound) the call is evaluated again by
-    eval_expr, which raises the same exception eval_expr always does.
-    That slow path evaluates `fallback` when one is given: an expression
-    equal to e once the variables e reads but fallback does not are
-    bound, as in the staged programs of solve.compile_program."""
+    eval_expr, which raises the same exception eval_expr always does."""
     gen = SourceGen()
     result = gen.emit(e)
     source = (f"def compiled(env):\n"
@@ -260,27 +257,7 @@ def compile_expr(e: Expr, fallback: Expr | None = None) -> Callable[[Env], float
               f"    except {_FAST_PATH_ERRORS}:\n"
               f"        pass\n"
               f"    return _eval_expr(_expr, env)\n")
-    return gen.define(source, "compiled", _eval_expr=eval_expr,
-                      _expr=e if fallback is None else fallback)
-
-
-def compile_prelude(values: Iterable[tuple[str, Expr]]) -> Callable[[Env], None]:
-    """Compile named expressions into one generated function that
-    evaluates all of them under env and then stores each value in env
-    under its name.  Values are computed as compile_expr computes them,
-    and equal subtrees are computed once, also across expressions.  The
-    function never raises for an unbound variable or a domain error:
-    then it stores nothing, and a staged function that reads the missing
-    values falls back to evaluating its original expression."""
-    gen = SourceGen()
-    stores = [f"    env[{name!r}] = {gen.emit(e)}\n" for name, e in values]
-    body = gen.source(gen.reads + gen.lines, 8) or "        pass\n"
-    source = (f"def prelude(env):\n"
-              f"    try:\n{body}"
-              f"    except {_FAST_PATH_ERRORS}:\n"
-              f"        return\n"
-              f"{''.join(stores)}")
-    return gen.define(source, "prelude")
+    return gen.define(source, "compiled", _eval_expr=eval_expr, _expr=e)
 
 
 class SourceGen:
@@ -296,19 +273,23 @@ class SourceGen:
     rather than printed.  Each variable is read once from `env` into a
     local (`reads`); `bind` makes a variable name a given local instead.
     Equal values computed twice are the same float, so merging changes
-    no result."""
+    no result.  Reads and lines are (local, code) pairs.  `varying` holds
+    every bound local and every local computed from one, so a caller
+    that changes the bound locals need recompute only those."""
 
     def __init__(self, env: str = "env"):
         self.env = env
-        self.reads: list[str] = []
-        self.lines: list[str] = []
+        self.reads: list[tuple[str, str]] = []
+        self.lines: list[tuple[str, str]] = []
         self.consts: dict[str, float] = {}
+        self.varying: set[str] = set()
         self._vars: dict[str, str] = {}
         self._keys: dict[tuple, str] = {}
         self._ids: dict[int, str] = {}   # id(node) -> local, for shared nodes
 
     def bind(self, name: str, local: str) -> None:
         self._vars[name] = local
+        self.varying.add(local)
 
     def emit(self, e: Expr) -> str:
         """Name of a local (or constant) holding e's value."""
@@ -327,7 +308,7 @@ class SourceGen:
             name = self._vars.get(vname)
             if name is None:
                 name = self._vars[vname] = f"v{len(self.reads)}"
-                self.reads.append(f"{name} = {self.env}[{vname!r}]")
+                self.reads.append((name, f"{self.env}[{vname!r}]"))
         elif k in ("add", "mul", "neg", "div", "func"):
             if k == "func" and e.name not in _FUNC_EVAL:
                 raise UnsupportedNode(f"func:{e.name}")
@@ -352,7 +333,9 @@ class SourceGen:
                 else:
                     code = f"_{e.name}({args[0]})"
                 name = self._keys[key] = f"t{len(self._keys)}"
-                self.lines.append(f"{name} = {code}")
+                self.lines.append((name, code))
+                if not self.varying.isdisjoint(args):
+                    self.varying.add(name)
         elif k == "bigsum":
             raise UnboundIndexSet(e.name)
         else:
@@ -361,9 +344,9 @@ class SourceGen:
         return name
 
     @staticmethod
-    def source(lines: list[str], indent: int) -> str:
+    def source(lines: list[tuple[str, str]], indent: int) -> str:
         pad = " " * indent
-        return "".join(f"{pad}{line}\n" for line in lines)
+        return "".join(f"{pad}{name} = {code}\n" for name, code in lines)
 
     def define(self, source: str, fname: str, **names) -> Callable:
         """The function `fname` defined by source, with the constants and

@@ -24,9 +24,10 @@ Model notes:
     parameters by slot (sorted-neighbour order) and a session program
     names its path's duals by hop, so every link with the same neighbour
     count, and every session with the same path length, runs one compiled
-    program (solve.compile_program: prelude and ascent loop fused into one
-    generated function).  Boxes and the slot/hop-to-index maps stay with
-    each entity's solver.
+    program (solve.compile_program: the ascent loop fused into one
+    generated function that computes each decision-invariant value once
+    per solve).  Boxes and the slot/hop-to-index maps stay with each
+    entity's solver.
 """
 
 from __future__ import annotations
@@ -117,6 +118,10 @@ class ScenarioConfig:
         for key in ("rate_step", "power_step", "dual_step"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        for key in ("hop_short", "hop_long", "chain_spacing", "bandwidth", "noise"):
+            value = getattr(self, key)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
         chains, hops, _, _ = _scenario_shape(self)
         if self.band_pattern and len(self.band_pattern) != chains * hops:
             raise ConfigError(f"band_pattern has {len(self.band_pattern)} entries; "

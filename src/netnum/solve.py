@@ -6,7 +6,8 @@ Gradients always come from symbolic differentiation of the objective, so
 solver behavior is deterministic and reproducible.  A program is compiled
 once (compile_program); a one-variable program solved by ascent, as every
 simulator program is, then runs as one generated function that holds the
-prelude and the whole ascent loop and returns the generic loop's floats.
+whole ascent loop, computes each value that does not depend on the
+decision once per call, and returns the generic loop's floats.
 """
 
 from __future__ import annotations
@@ -69,15 +70,12 @@ Fused = Callable[[Env, float, float, SolverConfig], "tuple[float, int, int] | No
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """A control program ready to run, compiled once: a prelude that
-    stores in the env every value that does not depend on the owned
-    decision variables, then the objective and the gradient for each
-    owned variable, which read those values instead of computing them.
-    A program with one owned variable that is solved by ascent also gets
-    `fused`: the prelude and the whole ascent loop as one function."""
+    """A control program ready to run, compiled once: the objective and
+    the gradient for each owned decision variable.  A program with one
+    owned variable that is solved by ascent also gets `fused`: the whole
+    ascent loop as one function."""
     prog: ControlProgram
     owned: tuple[str, ...]
-    prelude: Callable[[Env], None]
     objective: Callable[[Env], float]
     grads: dict[str, Callable[[Env], float]]
     fused: Fused | None = None
@@ -85,21 +83,10 @@ class CompiledProgram:
 
 def compile_program(prog: ControlProgram) -> CompiledProgram:
     """Differentiate and compile a program's (concrete) objective once, so
-    that solve_program can run it any number of times.
-
-    Compilation is staged.  Every maximal subtree of the objective and of
-    the gradients that reads no owned variable (and is more than a bare
-    constant or variable) is fixed for a whole solve_program call, so it
-    moves into the prelude, which solve_program runs once per call.  The
-    objective and the gradients are compiled over trees in which those
-    subtrees are replaced by variables that read the prelude's values;
-    every other operation stays where it was, so every value is the same
-    float as unstaged.  If the prelude's values are missing (a prelude
-    value failed, or a caller evaluates without running the prelude), the
-    objective and the gradients evaluate their original trees with
-    eval_expr, which returns or raises what unstaged evaluation would.
-    A program with one owned variable, solved by ascent, is also compiled
-    into `fused` (see _fuse)."""
+    that solve_program can run it any number of times.  A program with
+    one owned variable, solved by ascent, is also compiled into `fused`
+    (see _fuse), which computes each value that does not depend on the
+    decision once per call."""
     if ex.contains_bigsum(prog.objective):
         raise SolveError("objective still contains unexpanded collection sums")
     owned = tuple(sorted(v for v in ex.free_vars(prog.objective)
@@ -107,57 +94,10 @@ def compile_program(prog: ControlProgram) -> CompiledProgram:
     if not owned:
         raise SolveError(f"objective has no {prog.decision} variable")
     trees = [prog.objective, *(ex.differentiate(prog.objective, v) for v in owned)]
-    hoisted, staged = _stage(trees, set(owned))
-    obj, *grads = (ex.compile_expr(s, fallback=t) for s, t in zip(staged, trees))
-    fused = (_fuse(owned[0], hoisted, staged)
+    obj, *grads = (ex.compile_expr(t) for t in trees)
+    fused = (_fuse(owned[0], trees)
              if len(owned) == 1 and prog.mode != "gradient" else None)
-    return CompiledProgram(prog, owned, ex.compile_prelude(hoisted), obj,
-                           dict(zip(owned, grads)), fused)
-
-
-def _stage(trees: list[Expr], owned: set[str],
-           ) -> tuple[list[tuple[str, Expr]], list[Expr]]:
-    """Each tree with its maximal owned-free subtrees replaced by
-    variables, and those subtrees under the variables' names.  Nodes are
-    told apart by identity, so a subtree shared between trees is hoisted
-    once; the names hold a space, which no parsed or simulator variable
-    can."""
-    hoisted: list[tuple[str, Expr]] = []
-    readers: dict[int, Expr] = {}                # id(subtree) -> its variable
-    seen: dict[int, tuple[Expr, bool]] = {}      # id(node) -> (rewritten, varies)
-
-    def hoist(e: Expr) -> Expr:
-        if e.kind in ("const", "var"):
-            return e
-        if id(e) not in readers:
-            name = f"hoisted {len(hoisted)}"
-            hoisted.append((name, e))
-            readers[id(e)] = ex.var(name)
-        return readers[id(e)]
-
-    def visit(e: Expr) -> tuple[Expr, bool]:
-        done = seen.get(id(e))
-        if done is None:
-            if e.kind == "var":
-                done = (e, ex.var_name(e.name, e.index) in owned)
-            else:
-                kids = [visit(c) for c in e.children]
-                if any(varies for _, varies in kids):
-                    # Expr() rather than the factories, which would
-                    # flatten and fold and so reorder the arithmetic
-                    children = tuple(r if varies else hoist(c)
-                                     for c, (r, varies) in zip(e.children, kids))
-                    done = (Expr(e.kind, children, e.value, e.name, e.index), True)
-                else:
-                    done = (e, False)
-            seen[id(e)] = done
-        return done
-
-    staged = []
-    for tree in trees:
-        rewritten, varies = visit(tree)
-        staged.append(rewritten if varies else hoist(tree))
-    return hoisted, staged
+    return CompiledProgram(prog, owned, obj, dict(zip(owned, grads)), fused)
 
 
 _FUSED = """\
@@ -167,7 +107,7 @@ def fused(params, lo, hi, cfg):
 {reads}\
         x = params.get({anchor!r}, (lo + hi) / 2.0)
         x = lo if x < lo else hi if x > hi else x
-{prelude}\
+{invariant}\
         p = x
 {objective_start}\
         current = {objective}
@@ -214,36 +154,35 @@ def fused(params, lo, hi, cfg):
 """
 
 
-def _fuse(v: str, hoisted: list[tuple[str, Expr]], staged: list[Expr]) -> Fused:
-    """solve_program's prelude and ascent loop for the one owned variable
-    v as one generated function, with the same operations in the same
-    order, so it returns the same decision as the generic loop.  Each
-    parameter is read from params once, the prelude's values are locals,
-    and the decision is the local p.  Equal subtrees are computed once
-    (SourceGen), and the gradient reuses the values the objective
-    computed at p: the gradient is only ever evaluated at the point of
-    the last objective evaluation (the start, or the trial just
-    accepted).  Where anything raises or a value is not finite, the
-    function returns None instead, and solve_program runs the generic
-    loop from the start: that loop, not the merged and reordered work
-    here, decides which error a call raises (an unbound parameter, a
-    domain error, a non-finite value, a parameter that is not a
-    number)."""
+def _fuse(v: str, trees: list[Expr]) -> Fused:
+    """solve_program's ascent loop for the one owned variable v, over the
+    objective and gradient trees, as one generated function with the
+    same operations in the same order, so it returns the same decision
+    as the generic loop.  Each parameter is read from params once, and
+    the decision is the local p.  Equal subtrees are computed once
+    (SourceGen), every line that does not vary with p runs once before
+    the loop, and the gradient reuses the values the objective computed
+    at p: the gradient is only ever evaluated at the point of the last
+    objective evaluation (the start, or the trial just accepted).  Where
+    anything raises or a value is not finite, the function returns None
+    instead, and solve_program runs the generic loop from the start:
+    that loop, not the merged and reordered work here, decides which
+    error a call raises (an unbound parameter, a domain error, a
+    non-finite value, a parameter that is not a number)."""
     gen = ex.SourceGen(env="params")
     gen.bind(v, "p")
-    for name, e in hoisted:
-        gen.bind(name, gen.emit(e))
-    obj_from = len(gen.lines)
-    objective = gen.emit(staged[0])
+    objective = gen.emit(trees[0])
     grad_from = len(gen.lines)
-    grad = gen.emit(staged[1])
-    obj_lines = gen.lines[obj_from:grad_from]
+    grad = gen.emit(trees[1])
+    invariant = [line for line in gen.lines if line[0] not in gen.varying]
+    obj_lines, grad_lines = ([line for line in lines if line[0] in gen.varying]
+                             for lines in (gen.lines[:grad_from], gen.lines[grad_from:]))
     source = _FUSED.format(
         reads=gen.source(gen.reads, 8), anchor=f"{v}_anchor",
-        prelude=gen.source(gen.lines[:obj_from], 8),
+        invariant=gen.source(invariant, 8),
         objective_start=gen.source(obj_lines, 8),
         objective_trial=gen.source(obj_lines, 16), objective=objective,
-        gradient=gen.source(gen.lines[grad_from:], 12), grad=grad)
+        gradient=gen.source(grad_lines, 12), grad=grad)
     return gen.define(source, "fused", _isfinite=math.isfinite, _sqrt=math.sqrt)
 
 
@@ -253,11 +192,10 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
     decision variables.  A plain ControlProgram is compiled first; callers
     that solve one program repeatedly pass its CompiledProgram.  All
     foreign variables and dual values must be bound in params; anchors
-    default to `<var>_anchor` entries, else the box midpoint.  The
-    program's prelude runs once, on the call's own copy of params, before
-    the first evaluation.  A program with a fused function runs that; the
-    generic loop below runs only where it returns None, and then raises
-    what it always raised.  Returns the converged decision."""
+    default to `<var>_anchor` entries, else the box midpoint.  A program
+    with a fused function runs that; the generic loop below runs only
+    where it returns None, and then raises what it always raised.
+    Returns the converged decision."""
     if isinstance(prog, ControlProgram):
         prog = compile_program(prog)
     if prog.fused is not None:
@@ -274,7 +212,6 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
         lo, hi = boxes[v]
         x[v] = clip(params.get(f"{v}_anchor", (lo + hi) / 2.0), lo, hi)
     env.update(x)
-    prog.prelude(env)
 
     # Case-2 gradient mode is a single raw projected first-order step
     if prog.prog.mode == "gradient":
@@ -305,7 +242,10 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
                 if cfg.max_move > 0:
                     delta = clip(delta, -cfg.max_move, cfg.max_move)
                 cand[v] = clip(x[v] + delta, lo, hi)
-                moved += (cand[v] - x[v]) ** 2
+                try:
+                    moved += (cand[v] - x[v]) ** 2
+                except OverflowError:
+                    raise NumericalError(f"non-finite move for {v}") from None
             if moved == 0.0:
                 break
             trial = obj({**env, **cand})

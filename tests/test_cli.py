@@ -136,6 +136,16 @@ def test_scenario_file_error_names_stage(tmp_path, capsys):
             ("power_step = -60\n", "power_step must be positive, got -60.0"),
             ("dual_step = 0\n", "dual_step must be positive, got 0.0"),
             ("dual_step = nan\n", "dual_step must be positive, got nan"),
+            ("scenario = 2\nhop_short = 0\n", "hop_short must be positive and finite, got 0.0"),
+            ("scenario = 2\nhop_short = inf\n",
+             "hop_short must be positive and finite, got inf"),
+            ("hop_long = -60\n", "hop_long must be positive and finite, got -60.0"),
+            ("scenario = 5\nchain_spacing = 0\n",
+             "chain_spacing must be positive and finite, got 0.0"),
+            ("bandwidth = -5\n", "bandwidth must be positive and finite, got -5.0"),
+            ("bandwidth = 0\n", "bandwidth must be positive and finite, got 0.0"),
+            ("noise = -1\n", "noise must be positive and finite, got -1.0"),
+            ("noise = nan\n", "noise must be positive and finite, got nan"),
     ]:
         bad.write_text(text)
         rc = run_cli(["run", "--problem", PROBLEMS / "jocp.ncp",
@@ -187,6 +197,23 @@ def test_pinned_trace_digests(tmp_path, problem, scenario, duration,
     assert rc == 0
     for name, sha in (("trace.csv", trace_sha), ("summary.txt", summary_sha)):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
+
+def test_pinned_gradient_mode_digests(tmp_path):
+    # dist=gradient takes one raw projected step per solve, which the
+    # generic loop runs rather than a fused one
+    problem = tmp_path / "jocp_log_gradient.ncp"
+    text = (PROBLEMS / "jocp_log.ncp").read_text()
+    assert "dist=dpl" in text
+    problem.write_text(text.replace("dist=dpl", "dist=gradient"))
+    out = tmp_path / "out"
+    rc = run_cli(["run", "--problem", problem, "--scenario", SCENARIOS / "s2.cfg",
+                  "--scheme", "joint", "--duration", 90, "--seed", "0", "--out", out])
+    assert rc == 0
+    for name, sha in (
+            ("trace.csv", "1f4127f6414ffd63dd03fba314d264f8aec5e52dddb06dbf7fd155cd7cb6bef9"),
+            ("summary.txt", "ba015617994be8515201e27bbf24fe8ad74a91af0d8880092f5281a20186d66f")):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha
 
 
 # Runs every pin given as JSON in argv[1] into argv[2]/<i>, and prints

@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -269,8 +270,6 @@ def test_sums_fold_left_from_zero():
     assert _same_float(ex.left_sum(terms), 0.0)
     assert _same_float(ex.eval_expr(e, env), 0.0)
     assert _same_float(ex.compile_expr(e)(env), 0.0)
-    ex.compile_prelude([("total", e)])(env)
-    assert _same_float(env["total"], 0.0)
 
 
 def test_compiled_merges_equal_subtrees_built_apart():
@@ -287,6 +286,22 @@ def test_compiled_merges_equal_subtrees_built_apart():
     # one argument, four functions: four values
     e = ex.add(*(ex.func(f, ex.var("x")) for f in ("ln", "log2", "sqrt", "exp10")))
     assert _same_float(ex.compile_expr(e)(env), ex.eval_expr(e, env))
+
+
+def test_source_gen_marks_what_varies_with_a_bound_name():
+    # ln(x)*(a+b) + exp10(a) with x bound: a+b and exp10(a) are invariant
+    a, b, x = ex.var("a"), ex.var("b"), ex.var("x")
+    total, power = ex.add(a, b), ex.exp10(a)
+    gen = ex.SourceGen()
+    gen.bind("x", "p")
+    gen.emit(ex.add(ex.mul(ex.ln(x), total), power))
+    assert gen.emit(total) not in gen.varying and gen.emit(power) not in gen.varying
+    assert len(gen.lines) == 5
+    varying = [name for name, _ in gen.lines if name in gen.varying]
+    assert len(varying) == 3                    # ln(x), the product, the sum
+    for name, code in gen.lines:
+        if name not in gen.varying:
+            assert not set(re.findall(r"\w+", code)) & gen.varying
 
 
 @pytest.mark.parametrize("e, env", [

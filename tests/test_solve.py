@@ -209,7 +209,7 @@ def test_dual_loop_inactive_constraint_dual_vanishes():
 
 
 # ---------------------------------------------------------------------------
-# staged compilation: the prelude and the trees that read its values
+# compiled programs raise what eval_expr raises
 
 def _shipped_programs():
     """The compiled link programs of jocp_log and powermin (with their
@@ -236,54 +236,17 @@ def _random_env(rng, tree):
             else rng.uniform(0.01, 3.0) for n in sorted(ex.free_vars(tree))}
 
 
-def test_staged_program_matches_eval_expr_bit_for_bit():
-    rng = random.Random(11)
-    programs = _shipped_programs()
-    assert [p.prog.penalty is not None for p in programs] == [True, False, True]
-    for program in programs:
-        trees = [program.prog.objective,
-                 *(ex.differentiate(program.prog.objective, v) for v in program.owned)]
-        hoisted, staged = sv._stage(trees, set(program.owned))
-        assert hoisted
-        for _ in range(10):
-            env = _random_env(rng, program.prog.objective)
-            staged_env = dict(env)
-            program.prelude(staged_env)
-            assert set(staged_env) - set(env) == {name for name, _ in hoisted}
-            fns = [program.objective, *(program.grads[v] for v in program.owned)]
-            for tree, rewritten, fn in zip(trees, staged, fns):
-                want = ex.eval_expr(tree, env).hex()
-                assert fn(staged_env).hex() == want
-                # the rewritten tree alone, without the fallback to the original
-                assert ex.compile_expr(rewritten)(staged_env).hex() == want
-                assert ex.eval_expr(rewritten, staged_env).hex() == want
-
-
-def test_staged_program_without_prelude_returns_the_unstaged_value():
-    rng = random.Random(12)
-    for program in _shipped_programs():
-        env = _random_env(rng, program.prog.objective)
-        assert program.objective(env).hex() \
-            == ex.eval_expr(program.prog.objective, env).hex()
-        for v in program.owned:
-            tree = ex.differentiate(program.prog.objective, v)
-            assert program.grads[v](env).hex() == ex.eval_expr(tree, env).hex()
-
-
 def test_staged_program_missing_parameter_raises_as_unstaged():
     link = _shipped_programs()[0]
     env = _random_env(random.Random(13), link.prog.objective)
     noise = min(n for n in env if n.startswith("itf_lnknoise@"))
-    # inside a hoisted interference term, and a bare factor of the own term
+    # inside a decision-invariant interference term, and a bare factor of
+    # the own term
     for missing in (noise, "lbd"):
         partial = {k: v for k, v in env.items() if k != missing}
         with pytest.raises(ex.UnboundVariable) as unstaged:
             ex.eval_expr(link.prog.objective, partial)
         assert unstaged.value.name == missing
-        with pytest.raises(ex.UnboundVariable) as staged:
-            link.prelude(partial)
-            link.objective(partial)
-        assert staged.value.name == unstaged.value.name
         with pytest.raises(ex.UnboundVariable) as solved:
             sv.solve_program(link, partial, sv.SolverConfig(boxes={"pwrgain": (0.0, 30.0)}))
         assert solved.value.name == unstaged.value.name
@@ -351,19 +314,29 @@ def test_solve_skips_the_trial_when_the_step_cannot_move(monkeypatch):
 
 
 def test_staging_keeps_each_operation_in_place():
-    # x + (sesrate - lbd) as built, not flattened: summing 2**53, 1.0 and
-    # 1.0 left to right would round to 2**53
-    inner = ex.Expr("add", (ex.var("sesrate"), ex.neg(ex.var("lbd"))))
-    obj = ex.Expr("add", (ex.var("x"), inner))
-    compiled = sv.compile_program(_prog(obj))
-    env = {"x": 2.0 ** 53, "lbd": -1.0, "sesrate": 1.0}
-    compiled.prelude(env)
-    assert "hoisted 0" in env
-    assert compiled.objective(env) == 2.0 ** 53 + 2.0
+    # x + (sesrate - lbd) as built, not flattened: at x = lbd = 2**53 and
+    # sesrate = 3 it is 3.0, where x + sesrate - lbd left to right is 4.0
+    # (2**53 + 3 rounds to 2**53 + 4).  The ascents on -(sum)^2 from
+    # there differ, and the fused loop takes the generic loop's path.
+    x, lbd, sesrate = ex.var("x"), ex.var("lbd"), ex.var("sesrate")
+    env = {"x": 2.0 ** 53, "lbd": 2.0 ** 53, "sesrate": 3.0}
+    params = {"x": 2.0 ** 53, "lbd": 2.0 ** 53, "sesrate_anchor": 3.0}
+    cfg = sv.SolverConfig(step=0.5, boxes={"sesrate": (-10.0, 10.0)})
+    paths = []
+    for total, at_anchor in ((ex.Expr("add", (x, ex.Expr("add", (sesrate, ex.neg(lbd))))), 3.0),
+                             (ex.add(x, sesrate, ex.neg(lbd)), 4.0)):
+        compiled = sv.compile_program(_prog(ex.neg(ex.mul(total, total))))
+        assert compiled.objective(env) == -at_anchor ** 2
+        generic, calls = _counted_generic(compiled)
+        want = sv.solve_program(generic, params, cfg)["sesrate"]
+        fused = compiled.fused(params, -10.0, 10.0, cfg)
+        assert fused == (want, calls["objective"], calls["gradient"])
+        paths.append(fused)
+    assert paths[0] != paths[1]
 
 
 # ---------------------------------------------------------------------------
-# the fused solver: prelude and ascent loop as one generated function
+# the fused solver: the ascent loop as one generated function
 
 DATA = Path(sv.__file__).parent / "data"
 
@@ -411,7 +384,7 @@ RATE_BOX = dict(boxes={"sesrate": (0.01, 10.0)})
 @pytest.mark.parametrize("obj, params, cfg, error, message", [
     (LOG_RATE, {"sesrate_anchor": 1.0}, RATE_BOX,
      ex.UnboundVariable, "unbound variable: lbd"),
-    # ln(lbd) is a prelude value
+    # ln(lbd) does not vary with the decision
     (ex.sub(ex.ln(ex.var("sesrate")), ex.mul(ex.var("sesrate"), ex.ln(ex.var("lbd")))),
      {"lbd": -1.0, "sesrate_anchor": 1.0}, RATE_BOX,
      ex.DomainError, "ln of non-positive value -1.0"),
@@ -430,14 +403,18 @@ RATE_BOX = dict(boxes={"sesrate": (0.01, 10.0)})
     (ex.mul(ex.var("sesrate"), ex.var("sesrate")), {"sesrate_anchor": 1e154},
      dict(boxes={"sesrate": (-1e300, 1e300)}, max_move=5e153, max_iters=3),
      sv.NumericalError, "non-finite objective at solution"),
-    # not a number: the generic loop's prelude negates it first
+    # not a number: the objective multiplies by it first
     (LOG_RATE, {"lbd": None, "sesrate_anchor": 1.0}, RATE_BOX,
-     TypeError, "bad operand type for unary -: 'NoneType'"),
+     TypeError, "unsupported operand type(s) for *: 'float' and 'NoneType'"),
+    # a move of 1e160 overflows when squared
+    (ex.var("sesrate"), {"sesrate_anchor": 0.0},
+     dict(step=1e160, boxes={"sesrate": (-1e300, 1e300)}),
+     sv.NumericalError, "non-finite move for sesrate"),
 ], ids=["unbound", "prelude-domain", "non-finite-start", "minus-infinity-start",
-        "infinite-gradient", "infinite-at-solution", "not-a-number"])
+        "infinite-gradient", "infinite-at-solution", "not-a-number", "move-overflow"])
 def test_fused_solver_raises_as_the_generic_loop(obj, params, cfg, error, message):
     compiled = sv.compile_program(_prog(obj))
-    cfg = sv.SolverConfig(step=0.5, **cfg)
+    cfg = sv.SolverConfig(**{"step": 0.5, **cfg})
     assert compiled.fused(params, *cfg.box("sesrate"), cfg) is None
     raised = []
     for prog in (dataclasses.replace(compiled, fused=None), compiled):
@@ -461,15 +438,29 @@ def test_fused_solver_sums_fold_left_from_zero():
 
 def test_fused_solver_merges_equal_subtrees():
     # each neighbour's -lnkpwr_anchor and each gradient term's 2048*2048,
-    # built apart, are computed once
+    # built apart, are computed once, before the loop
     link = _shipped_programs()[0]
-    hoisted, _ = sv._stage([link.prog.objective,
-                            ex.differentiate(link.prog.objective, "pwrgain")], {"pwrgain"})
-    rendered = [ex.render(e) for _, e in hoisted]
+    trees = [link.prog.objective, ex.differentiate(link.prog.objective, "pwrgain")]
+    built: dict[int, ex.Expr] = {}
+
+    def collect(e):
+        built[id(e)] = e
+        for c in e.children:
+            collect(c)
+
+    for tree in trees:
+        collect(tree)
+    rendered = [ex.render(e) for e in built.values()]
     assert rendered.count("-lnkpwr_anchor") == 2 and rendered.count("2048*2048") == 3
-    gen = ex.SourceGen()
-    locals_ = [gen.emit(e) for _, e in hoisted]
-    assert len(set(locals_)) == len(set(rendered))
+    gen = ex.SourceGen(env="params")
+    gen.bind("pwrgain", "p")
+    for tree in trees:
+        gen.emit(tree)
+    anchor, = (name for name, code in gen.reads if code == "params['lnkpwr_anchor']")
+    two_k, = (name for name, value in gen.consts.items() if value == 2048.0)
+    merged = [name for name, code in gen.lines
+              if code in (f"-{anchor}", f"1.0 * {two_k} * {two_k}")]
+    assert len(merged) == 2 and not gen.varying.intersection(merged)
 
 
 def _counted_generic(compiled):
