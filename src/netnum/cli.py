@@ -177,20 +177,16 @@ def _load_trace(path: Path) -> list[tuple[float, str, int, str, float]]:
 
 def compare_runs(path_a: Path, path_b: Path) -> str:
     """Per-metric deltas and orderings between two runs of the same schema."""
-    a, b = _load_trace(path_a), _load_trace(path_b)
-    metrics_a = {(k, m) for (_, k, _, m, _) in a}
-    metrics_b = {(k, m) for (_, k, _, m, _) in b}
+    a, b = netsim.Trace(_load_trace(path_a)), netsim.Trace(_load_trace(path_b))
+    metrics_a = {(k, m) for (_, k, _, m, _) in a.rows}
+    metrics_b = {(k, m) for (_, k, _, m, _) in b.rows}
     if metrics_a != metrics_b:
         raise SchemaMismatch(
             f"traces record different metrics: {sorted(metrics_a ^ metrics_b)}")
 
-    def mean(rows, kind, metric):
-        vals = [v for (_, k, _, m, v) in rows if k == kind and m == metric]
-        return expr.left_sum(vals) / len(vals)
-
     lines = [f"compare {path_a} vs {path_b}"]
     for kind, metric in sorted(metrics_a):
-        ma, mb = mean(a, kind, metric), mean(b, kind, metric)
+        ma, mb = a.mean(kind, metric), b.mean(kind, metric)
         order = "A>B" if ma > mb else ("A<B" if ma < mb else "A=B")
         lines.append(f"{kind}/{metric}\tA={ma!r}\tB={mb!r}\tdelta={ma - mb!r}\t{order}")
     return "\n".join(lines) + "\n"

@@ -247,7 +247,6 @@ class ControlProgram:
     collect: tuple[CollectionRule, ...]
     mode: str = "best_response"
     penalty: Expr | None = None  # per-foreign-entity template (gradient/dpl)
-    bounds: tuple[float | None, float | None] = (None, None)
 
 
 def _strip_entity(e: Expr, kind: str, idx: int, graph: ElementGraph) -> Expr:
@@ -483,6 +482,4 @@ def dump_program(prog: ControlProgram) -> str:
     ]
     if prog.penalty is not None:
         lines.append(f"penalty: {ex.render(prog.penalty)}")
-    if prog.bounds != (None, None):
-        lines.append(f"bounds: {prog.bounds[0]} .. {prog.bounds[1]}")
     return "\n".join(lines) + "\n"

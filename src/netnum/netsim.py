@@ -113,15 +113,22 @@ class ScenarioConfig:
             raise ConfigError(f"packet_bits must be at least 1, got {self.packet_bits}")
         if not self.rate_min <= self.rate_max:
             raise ConfigError(f"rate_min {self.rate_min} exceeds rate_max {self.rate_max}")
-        if not self.max_gain_db >= 0:
-            raise ConfigError(f"max_gain_db must not be negative, got {self.max_gain_db}")
+        # 0 turns slack_clip and the move caps off
+        for key in ("max_gain_db", "rate_min", "slack_clip", "power_move_max",
+                    "rate_move_max"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"{key} must not be negative, got {getattr(self, key)}")
         for key in ("rate_step", "power_step", "dual_step"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
-        for key in ("hop_short", "hop_long", "chain_spacing", "bandwidth", "noise"):
+        for key in ("hop_short", "hop_long", "chain_spacing", "bandwidth", "noise",
+                    "pathloss_exp"):
             value = getattr(self, key)
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{key} must be positive and finite, got {value}")
+        for budget in self.budgets:
+            if not (budget >= 0 and math.isfinite(budget)):
+                raise ConfigError(f"budgets must be finite and not negative, got {budget}")
         chains, hops, _, _ = _scenario_shape(self)
         if self.band_pattern and len(self.band_pattern) != chains * hops:
             raise ConfigError(f"band_pattern has {len(self.band_pattern)} entries; "
@@ -196,7 +203,6 @@ class NetState:
     nodes: list[Node]
     links: list[Link]
     sessions: list[Session]
-    clock: float = 0.0
     epoch: int = 0
     families: list[ConstraintFamily] = field(default_factory=list)
     utility_expr: Expr | None = None
@@ -220,6 +226,11 @@ class NetState:
     # shape; the entry holds the program, so no other program has its id
     _shared: dict[tuple[str, int, int], tuple[ControlProgram, CompiledProgram]] = \
         field(default_factory=dict)
+
+    @property
+    def clock(self) -> float:
+        """Seconds simulated: the end of the last epoch stepped."""
+        return self.epoch * self.cfg.phys_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +775,6 @@ def step(net: NetState, scheme: str = "joint") -> NetState:
             _solve_rate(net, s)
     _deliver(net)
     net.epoch += 1
-    net.clock = net.epoch * net.cfg.phys_epoch
     # feasibility invariants hold at every epoch
     for fam in net.families:
         for v in fam.duals.values.values():

@@ -1,13 +1,15 @@
-"""Numerical engine: projected gradient ascent over box constraints for
-control programs, projected subgradient updates for the duals, and a
-brute-force grid oracle used as independent ground truth in tests.
+"""Numerical engine: projected gradient ascent over a box for control
+programs, projected subgradient updates for the duals, and a brute-force
+grid oracle used as independent ground truth in tests.
 
-Gradients always come from symbolic differentiation of the objective, so
-solver behavior is deterministic and reproducible.  A program is compiled
-once (compile_program); a one-variable program solved by ascent, as every
-simulator program is, then runs as one generated function that holds the
-whole ascent loop, computes each value that does not depend on the
-decision once per call, and returns the generic loop's floats.
+Every control program owns one decision variable: dual decomposition
+leaves each entity a subproblem in its own rate or power.  Gradients
+always come from symbolic differentiation of the objective, so solver
+behavior is deterministic and reproducible.  A program is compiled once
+(compile_program); a program solved by ascent then runs as one generated
+function that holds the whole ascent loop, computes each value that does
+not depend on the decision once per call, and returns the generic loop's
+floats.
 """
 
 from __future__ import annotations
@@ -71,33 +73,38 @@ Fused = Callable[[Env, float, float, SolverConfig], "tuple[float, int, int] | No
 @dataclass(frozen=True)
 class CompiledProgram:
     """A control program ready to run, compiled once: the objective and
-    the gradient for each owned decision variable.  A program with one
-    owned variable that is solved by ascent also gets `fused`: the whole
-    ascent loop as one function."""
+    its derivative in the program's one decision variable `var`.  A
+    program solved by ascent also gets `fused`: the whole ascent loop as
+    one function."""
     prog: ControlProgram
-    owned: tuple[str, ...]
+    var: str
     objective: Callable[[Env], float]
-    grads: dict[str, Callable[[Env], float]]
+    grad: Callable[[Env], float]
     fused: Fused | None = None
 
 
 def compile_program(prog: ControlProgram) -> CompiledProgram:
     """Differentiate and compile a program's (concrete) objective once, so
-    that solve_program can run it any number of times.  A program with
-    one owned variable, solved by ascent, is also compiled into `fused`
-    (see _fuse), which computes each value that does not depend on the
-    decision once per call."""
+    that solve_program can run it any number of times.  The objective
+    must hold exactly one variable named by prog.decision (the base name
+    or one indexed instance of it): the program's own decision.  A
+    program solved by ascent is also compiled into `fused` (see _fuse),
+    which computes each value that does not depend on the decision once
+    per call."""
     if ex.contains_bigsum(prog.objective):
         raise SolveError("objective still contains unexpanded collection sums")
-    owned = tuple(sorted(v for v in ex.free_vars(prog.objective)
-                         if v.rsplit("_", 1)[0] == prog.decision or v == prog.decision))
+    owned = sorted(v for v in ex.free_vars(prog.objective)
+                   if v.rsplit("_", 1)[0] == prog.decision or v == prog.decision)
     if not owned:
         raise SolveError(f"objective has no {prog.decision} variable")
-    trees = [prog.objective, *(ex.differentiate(prog.objective, v) for v in owned)]
-    obj, *grads = (ex.compile_expr(t) for t in trees)
-    fused = (_fuse(owned[0], trees)
-             if len(owned) == 1 and prog.mode != "gradient" else None)
-    return CompiledProgram(prog, owned, obj, dict(zip(owned, grads)), fused)
+    if len(owned) > 1:
+        raise SolveError(f"objective has {len(owned)} {prog.decision} variables "
+                         f"({', '.join(owned)}); a program owns one")
+    var, = owned
+    trees = [prog.objective, ex.differentiate(prog.objective, var)]
+    obj, grad = (ex.compile_expr(t) for t in trees)
+    fused = _fuse(var, trees) if prog.mode != "gradient" else None
+    return CompiledProgram(prog, var, obj, grad, fused)
 
 
 _FUSED = """\
@@ -155,7 +162,7 @@ def fused(params, lo, hi, cfg):
 
 
 def _fuse(v: str, trees: list[Expr]) -> Fused:
-    """solve_program's ascent loop for the one owned variable v, over the
+    """solve_program's ascent loop for the decision variable v, over the
     objective and gradient trees, as one generated function with the
     same operations in the same order, so it returns the same decision
     as the generic loop.  Each parameter is read from params once, and
@@ -188,67 +195,51 @@ def _fuse(v: str, trees: list[Expr]) -> Fused:
 
 def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
                   cfg: SolverConfig) -> dict[str, float]:
-    """Projected gradient ascent on the program's objective over its
-    decision variables.  A plain ControlProgram is compiled first; callers
+    """Projected gradient ascent on the program's objective over its one
+    decision variable.  A plain ControlProgram is compiled first; callers
     that solve one program repeatedly pass its CompiledProgram.  All
-    foreign variables and dual values must be bound in params; anchors
-    default to `<var>_anchor` entries, else the box midpoint.  A program
-    with a fused function runs that; the generic loop below runs only
-    where it returns None, and then raises what it always raised.
-    Returns the converged decision."""
+    foreign variables and dual values must be bound in params; the anchor
+    defaults to the `<var>_anchor` entry, else the box midpoint.  A
+    program with a fused function runs that; the generic loop below runs
+    only where it returns None, and then raises what it always raised.
+    Returns {var: converged decision}."""
     if isinstance(prog, ControlProgram):
         prog = compile_program(prog)
+    v, obj, grad = prog.var, prog.objective, prog.grad
+    lo, hi = cfg.box(v)
     if prog.fused is not None:
-        v = prog.owned[0]
-        done = prog.fused(params, *cfg.box(v), cfg)
+        done = prog.fused(params, lo, hi, cfg)
         if done is not None:
             return {v: done[0]}
-    owned, obj, grads = prog.owned, prog.objective, prog.grads
 
-    boxes = {v: cfg.box(v) for v in owned}
     env = dict(params)
-    x: dict[str, float] = {}
-    for v in owned:
-        lo, hi = boxes[v]
-        x[v] = clip(params.get(f"{v}_anchor", (lo + hi) / 2.0), lo, hi)
-    env.update(x)
+    x = env[v] = clip(params.get(f"{v}_anchor", (lo + hi) / 2.0), lo, hi)
 
     # Case-2 gradient mode is a single raw projected first-order step
     if prog.prog.mode == "gradient":
-        for v in owned:
-            g = grads[v](env)
-            lo, hi = boxes[v]
-            x[v] = clip(x[v] + cfg.step * g, lo, hi)
-        return x
+        return {v: clip(x + cfg.step * grad(env), lo, hi)}
 
     current = obj(env)
     if not math.isfinite(current):
         raise NumericalError("non-finite objective at start")
     for _ in range(cfg.max_iters):
-        g = {}
-        for v in owned:
-            g[v] = grads[v](env)
-            if not math.isfinite(g[v]):
-                raise NumericalError(f"non-finite gradient for {v}")
+        g = grad(env)
+        if not math.isfinite(g):
+            raise NumericalError(f"non-finite gradient for {v}")
         # projected step, halved until the objective does not decrease
         scale = 1.0
-        moved = 0.0
         for _ in range(30):
-            cand = {}
-            moved = 0.0
-            for v in owned:
-                lo, hi = boxes[v]
-                delta = scale * cfg.step * g[v]
-                if cfg.max_move > 0:
-                    delta = clip(delta, -cfg.max_move, cfg.max_move)
-                cand[v] = clip(x[v] + delta, lo, hi)
-                try:
-                    moved += (cand[v] - x[v]) ** 2
-                except OverflowError:
-                    raise NumericalError(f"non-finite move for {v}") from None
+            delta = scale * cfg.step * g
+            if cfg.max_move > 0:
+                delta = clip(delta, -cfg.max_move, cfg.max_move)
+            cand = clip(x + delta, lo, hi)
+            try:
+                moved = (cand - x) ** 2
+            except OverflowError:
+                raise NumericalError(f"non-finite move for {v}") from None
             if moved == 0.0:
                 break
-            trial = obj({**env, **cand})
+            trial = obj({**env, v: cand})
             if trial >= current:
                 break
             scale *= 0.5
@@ -256,14 +247,13 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
             break
         if moved == 0.0:
             break
-        x.update(cand)
-        env.update(cand)
+        x = env[v] = cand
         current = trial
         if math.sqrt(moved) < cfg.tol:
             break
     if not math.isfinite(current):
         raise NumericalError("non-finite objective at solution")
-    return x
+    return {v: x}
 
 
 @dataclass
@@ -378,15 +368,11 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
     subs = [s for layer in layers.values() for s in split_by_entity(layer, graph)]
     programs = []
     for s in subs:
-        owned_ctrl = [v for v in s.owned
-                      if v.rsplit("_", 1)[0] in graph.elements
-                      and graph.element(v.rsplit("_", 1)[0]).ctrl]
-        if not owned_ctrl:
-            continue
-        base = owned_ctrl[0].rsplit("_", 1)[0]
-        prog = ControlProgram(s.layer, s.entity_kind or "", s.objective, "max",
-                              base, ())
-        programs.append((compile_program(prog), owned_ctrl))
+        ctrl = [b for b in (v.rsplit("_", 1)[0] for v in s.owned)
+                if b in graph.elements and graph.element(b).ctrl]
+        if ctrl:
+            programs.append(compile_program(ControlProgram(
+                s.layer, s.entity_kind or "", s.objective, "max", ctrl[0], ())))
 
     fixed: Env = dict(params or {})
     rng = random.Random(seed)
@@ -405,10 +391,8 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
         shared: Env = dict(fixed)
         shared.update(duals.values)
         shared.update(x)  # foreign decisions seen at their current values
-        for prog, owned in programs:
-            anchors = {f"{v}_anchor": x[v] for v in owned}
-            decision = solve_program(prog, {**shared, **anchors}, cfg)
-            x.update(decision)
+        for prog in programs:
+            x.update(solve_program(prog, {**shared, f"{prog.var}_anchor": x[prog.var]}, cfg))
         env = dict(fixed)
         env.update(x)
         slacks = {name: r(env) - l(env) for name, l, r in slack_fns}

@@ -146,6 +146,14 @@ def test_scenario_file_error_names_stage(tmp_path, capsys):
             ("bandwidth = 0\n", "bandwidth must be positive and finite, got 0.0"),
             ("noise = -1\n", "noise must be positive and finite, got -1.0"),
             ("noise = nan\n", "noise must be positive and finite, got nan"),
+            ("slack_clip = -1\n", "slack_clip must not be negative, got -1.0"),
+            ("power_move_max = -1\n", "power_move_max must not be negative, got -1.0"),
+            ("rate_move_max = nan\n", "rate_move_max must not be negative, got nan"),
+            ("rate_min = -5\n", "rate_min must not be negative, got -5.0"),
+            ("pathloss_exp = -3\n", "pathloss_exp must be positive and finite, got -3.0"),
+            ("pathloss_exp = nan\n", "pathloss_exp must be positive and finite, got nan"),
+            ("scenario = 2\nbudgets = -5,1\n",
+             "budgets must be finite and not negative, got -5.0"),
     ]:
         bad.write_text(text)
         rc = run_cli(["run", "--problem", PROBLEMS / "jocp.ncp",

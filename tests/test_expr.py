@@ -234,7 +234,7 @@ def _shipped_objectives():
         for kind, idx in (("link", 0), ("link", 7), ("session", 1)):
             program = netsim._get_solver(net, kind, idx).program
             out.append(program.prog.objective)
-            out.extend(ex.differentiate(program.prog.objective, v) for v in program.owned)
+            out.append(ex.differentiate(program.prog.objective, program.var))
     return out
 
 

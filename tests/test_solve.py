@@ -84,7 +84,7 @@ def test_compiled_program_solves_as_the_plain_program():
     for prog in (_prog(log_obj), linear_rate_prog(),
                  _prog(log_obj, mode="gradient")):
         compiled = sv.compile_program(prog)
-        assert compiled.owned == ("sesrate",)
+        assert compiled.var == "sesrate"
         for lbd, anchor in ((0.5, 0.01), (0.1, 7.0), (2.0, 3.0)):
             params = {"lbd": lbd, "sesrate_anchor": anchor}
             assert sv.solve_program(compiled, params, cfg) \
@@ -96,6 +96,12 @@ def test_compile_program_rejects_unexpanded_sums_and_missing_decision():
         sv.compile_program(_prog(ex.bigsum("seslnk", ex.var("lbd", "seslnk"))))
     with pytest.raises(sv.SolveError, match="no sesrate variable"):
         sv.compile_program(_prog(ex.var("lbd")))
+
+
+def test_compile_program_rejects_two_decision_variables():
+    obj = ex.add(ex.var("sesrate", 0), ex.var("sesrate", 1))
+    with pytest.raises(sv.SolveError, match=r"\(sesrate_00, sesrate_01\)"):
+        sv.compile_program(_prog(obj))
 
 
 def test_dual_update_arithmetic():
@@ -300,7 +306,7 @@ def test_solve_skips_the_trial_when_the_step_cannot_move(monkeypatch):
         c = compile_program(prog)
         return dataclasses.replace(
             c, objective=counted("objective", c.objective),
-            grads={v: counted("gradient", g) for v, g in c.grads.items()},
+            grad=counted("gradient", c.grad),
             fused=None)
 
     monkeypatch.setattr(sv, "compile_program", counted_program)
@@ -350,7 +356,7 @@ def test_fused_solver_matches_the_generic_loop(monkeypatch, problem):
     solved = {"pwrgain": 0, "sesrate": 0}
 
     def both(prog, params, cfg):
-        v, = prog.owned
+        v = prog.var
         fused = prog.fused(params, *cfg.box(v), cfg)
         plain = generic.setdefault(id(prog), dataclasses.replace(prog, fused=None))
         want = solve_program(plain, params, cfg)
@@ -475,7 +481,7 @@ def _counted_generic(compiled):
 
     return dataclasses.replace(
         compiled, objective=counted("objective", compiled.objective),
-        grads={v: counted("gradient", g) for v, g in compiled.grads.items()},
+        grad=counted("gradient", compiled.grad),
         fused=None), calls
 
 
