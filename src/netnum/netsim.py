@@ -28,12 +28,22 @@ Model notes:
     generated function that computes each decision-invariant value once
     per solve).  Boxes and the slot/hop-to-index maps stay with each
     entity's solver.
+  - Physical-layer work is redone only where its inputs changed, and
+    gives the same floats: each epoch folds every link's interference
+    once, and a power that moves refolds only the sums that read it; a
+    link's capacity is recomputed only while it is inactive or when its
+    power, interference, channel values or the capacity model differ from
+    what it was computed for; a link solve that left the power at its
+    anchor is kept, and the next solve with bit-for-bit the same
+    parameters returns its decision without running.  All of it is read
+    from the live fields on every step.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, get_args, get_origin, get_type_hints
 
@@ -121,6 +131,10 @@ class ScenarioConfig:
         for key in ("rate_step", "power_step", "dual_step"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        # rate_step, power_step, slack_clip and the move caps run at inf
+        for key in ("phys_epoch", "max_gain_db", "rate_max", "dual_step"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         for key in ("hop_short", "hop_long", "chain_spacing", "bandwidth", "noise",
                     "pathloss_exp"):
             value = getattr(self, key)
@@ -160,6 +174,9 @@ class Link:
     sessions: tuple[int, ...] = ()    # sessions whose path uses this link
     capacity_pps: float = 0.0
     active: bool = True
+    # what capacity_pps was computed for: everything link_capacity reads
+    # (see _measure); None while inactive or before the first measure
+    cap_inputs: tuple | None = None
 
     @property
     def power_linear(self) -> float:
@@ -316,15 +333,14 @@ def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
 # ---------------------------------------------------------------------------
 # capacity through the shared symbolic model
 
-def link_capacity(link: Link, net: NetState, powers: list[float]) -> float:
-    """Capacity in bits/s from the symbolic SINR model; the aggregate
-    interference binds through (lnkgain_itf=1, itfpwr=sum of weighted
-    interferer powers).  `powers` holds every link's power_linear by
-    index (see _linear_powers)."""
+def link_capacity(link: Link, net: NetState, power: float, itf: float) -> float:
+    """Capacity in bits/s from the symbolic SINR model, at the link's
+    linear power and its aggregate interference `itf` (the sum of
+    weighted interferer powers, see _aggregate_interference), which binds
+    through (lnkgain_itf=1, itfpwr=itf)."""
     if not link.active:
         return 0.0
-    itf = _aggregate_interference(link, net, powers)
-    env = {"freq": link.bandwidth, "lnkpwr": powers[link.index],
+    env = {"freq": link.bandwidth, "lnkpwr": power,
            "lnkgain": link.gain, "lnknoise": link.noise,
            "lnkgain_itf": 1.0, "itfpwr": itf}
     if link.noise + itf <= 0.0:
@@ -453,6 +469,31 @@ class _EntitySolver:
     # links: each interfered neighbour j with its slot's _NEIGHBOUR_PARAMS
     # env names, slots in sorted-neighbour order
     neighbours: tuple[tuple[int, tuple[str, ...]], ...] = ()
+    # links: the parameters of the last solve, packed by `packer`, and its
+    # decision, while that solve left its anchor in place (see solve)
+    packer: struct.Struct | None = None
+    kept_params: bytes = b""
+    kept_decision: float = 0.0
+
+    def solve(self, params: Env) -> float:
+        """The decision for params.  A solve that leaves the decision at
+        its anchor keeps its parameters, bit for bit; the next solve with
+        the same parameters returns the kept decision without running.
+        A solve that moves the decision keeps nothing: the next one starts
+        from the moved anchor, so its parameters differ."""
+        key = b""
+        if self.kept_params:
+            key = self.packer.pack(*params.values())
+            if key == self.kept_params:
+                return self.kept_decision
+        var = self.program.var
+        decision = solve_program(self.program, params, self.cfg)[var]
+        if decision == params[f"{var}_anchor"]:
+            self.kept_params = key or self.packer.pack(*params.values())
+            self.kept_decision = decision
+        else:
+            self.kept_params = b""
+        return decision
 
 
 def _shared_program(net: NetState, kind: str, prog: ControlProgram,
@@ -530,7 +571,9 @@ def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolv
                        max_move=net.cfg.power_move_max)
     self_family = next((r.family for r in prog.collect if r.symbol == "self"), None)
     program = _shared_program(net, "link", prog, len(neighbours))
-    return _EntitySolver(program, cfg, [], self_family, neighbours)
+    # _solve_power binds 8 parameters of the link's own, then its neighbours'
+    packer = struct.Struct(f"{8 + len(_NEIGHBOUR_PARAMS) * len(neighbours)}d")
+    return _EntitySolver(program, cfg, [], self_family, neighbours, packer)
 
 
 def _get_solver(net: NetState, kind: str, idx: int) -> _EntitySolver | None:
@@ -579,18 +622,41 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def _measure(net: NetState, powers: list[float]) -> None:
+def _measure(net: NetState, powers: list[float]) -> list[float]:
+    """Every link's interference under `powers`, by index.  A link's
+    capacity is recomputed only where the link is inactive, or where
+    anything link_capacity reads differs from what its capacity_pps was
+    computed for.  Comparing with == is exact here: the channel values
+    are positive, and neither a power nor a sum folded from 0 can be
+    -0.0."""
+    itfs = []
+    for link, power in zip(net.links, powers):
+        itf = _aggregate_interference(link, net, powers)
+        itfs.append(itf)
+        inputs = (power, itf, link.bandwidth, link.gain, link.noise, net.capacity)
+        if not link.active or inputs != link.cap_inputs:
+            link.capacity_pps = link_capacity(link, net, power, itf) / net.cfg.packet_bits
+            link.cap_inputs = inputs if link.active else None
+    return itfs
+
+
+def _victims(net: NetState) -> list[list[Link]]:
+    """Each link's victims, by index: the links whose interference sum
+    reads its power."""
+    victims: list[list[Link]] = [[] for _ in net.links]
     for link in net.links:
-        link.capacity_pps = link_capacity(link, net, powers) / net.cfg.packet_bits
+        for j in link.cross_gain:
+            victims[j].append(link)
+    return victims
 
 
-def _runtime_bindings(net: NetState) -> Env:
+def _runtime_bindings(net: NetState, powers: list[float]) -> Env:
     env: Env = {}
     for name, s in zip(net.rate_names, net.sessions):
         env[name] = 0.0 if s.done else s.rate
-    for cap, pwr, l in zip(net.cap_names, net.pwr_names, net.links):
+    for cap, pwr, l, p in zip(net.cap_names, net.pwr_names, net.links, powers):
         env[cap] = l.capacity_pps
-        env[pwr] = l.power_linear
+        env[pwr] = p
     return env
 
 
@@ -626,8 +692,8 @@ def _compile_slacks(net: NetState, fam: ConstraintFamily,
     return fns
 
 
-def _update_duals(net: NetState) -> None:
-    env = _runtime_bindings(net)
+def _update_duals(net: NetState, powers: list[float]) -> None:
+    env = _runtime_bindings(net, powers)
     for fam in net.families:
         fam.prev = fam.duals
         fam.duals = dual_update(fam.duals, _family_slacks(net, fam, env), net.dual_cfg)
@@ -638,16 +704,18 @@ def _link_family(net: NetState) -> ConstraintFamily | None:
     return next((f for f in net.families if f.entity == "link"), None)
 
 
-def _solve_power(net: NetState, link: Link, powers: list[float]) -> None:
-    """Solve one link's power program; `powers` holds every link's
-    power_linear as the epoch's earlier solves left it."""
+def _solve_power(net: NetState, link: Link, powers: list[float],
+                 itfs: list[float]) -> None:
+    """Solve one link's power program; `powers` and `itfs` hold every
+    link's power_linear and interference as the epoch's earlier solves
+    left them."""
     solver = _get_solver(net, "link", link.index)
     if solver is None or not link.active:
         return
     own = powers[link.index]
     env: Env = {
         "freq": link.bandwidth, "lnkgain": link.gain, "lnknoise": link.noise,
-        "lnkgain_itf": 1.0, "itfpwr": _aggregate_interference(link, net, powers),
+        "lnkgain_itf": 1.0, "itfpwr": itfs[link.index],
         "pwrgain_anchor": link.pwr_gain_db,
         "lnkpwr_anchor": own,
         "lbd": _self_lambda(net, solver, link.index),
@@ -663,10 +731,9 @@ def _solve_power(net: NetState, link: Link, powers: list[float]) -> None:
             env[pwr] = powers[j]
             env[gain] = lj.gain
             env[gain_itf] = back
-            other = _aggregate_interference(lj, net, powers) - back * own
+            other = itfs[j] - back * own
             env[noise] = lj.noise + max(0.0, other)
-    decision = solve_program(solver.program, env, solver.cfg)
-    link.pwr_gain_db = decision["pwrgain"]
+    link.pwr_gain_db = solver.solve(env)
 
 
 def _self_lambda(net: NetState, solver: _EntitySolver, member: int) -> float:
@@ -764,12 +831,20 @@ def step(net: NetState, scheme: str = "joint") -> NetState:
         raise NetsimError("install_problem must run before step")
     _apply_pending(net)
     powers = _linear_powers(net)
-    _measure(net, powers)
-    _update_duals(net)
+    itfs = _measure(net, powers)
+    _update_duals(net, powers)
     if scheme in ("joint", "power-only"):
+        victims = None   # built when a power first moves
         for link in net.links:
-            _solve_power(net, link, powers)
-            powers[link.index] = link.power_linear
+            _solve_power(net, link, powers, itfs)
+            power = link.power_linear
+            if power != powers[link.index]:
+                powers[link.index] = power
+                # refold only the sums that read this power
+                if victims is None:
+                    victims = _victims(net)
+                for victim in victims[link.index]:
+                    itfs[victim.index] = _aggregate_interference(victim, net, powers)
     if scheme in ("joint", "rate-only") and net.epoch % net.cfg.timescale == 0:
         for s in net.sessions:
             _solve_rate(net, s)

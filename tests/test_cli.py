@@ -154,6 +154,10 @@ def test_scenario_file_error_names_stage(tmp_path, capsys):
             ("pathloss_exp = nan\n", "pathloss_exp must be positive and finite, got nan"),
             ("scenario = 2\nbudgets = -5,1\n",
              "budgets must be finite and not negative, got -5.0"),
+            ("max_gain_db = inf\n", "max_gain_db must be finite, got inf"),
+            ("rate_max = inf\n", "rate_max must be finite, got inf"),
+            ("dual_step = inf\n", "dual_step must be finite, got inf"),
+            ("phys_epoch = inf\n", "phys_epoch must be finite, got inf"),
     ]:
         bad.write_text(text)
         rc = run_cli(["run", "--problem", PROBLEMS / "jocp.ncp",

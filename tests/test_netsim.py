@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import statistics
 from pathlib import Path
 
@@ -65,13 +66,19 @@ def test_interference_excludes_half_duplex_conflicts():
             assert net.links[j].tx != link.rx
 
 
+def fresh_capacity(link, net, powers):
+    """link_capacity at `powers`, its interference folded afresh."""
+    return ns.link_capacity(link, net, powers[link.index],
+                            ns._aggregate_interference(link, net, powers))
+
+
 def test_link_capacity_unit_snr():
     net, _, _ = deploy(scenario=1)
     link = net.links[0]
     link.pwr_gain_db = 0.0          # linear power 1
     link.gain = link.noise          # SNR exactly 1 -> one bit per Hz
     link.cross_gain = {}
-    cap = ns.link_capacity(link, net, ns._linear_powers(net))
+    cap = fresh_capacity(link, net, ns._linear_powers(net))
     assert abs(cap - link.bandwidth) < 1e-6
 
 
@@ -92,7 +99,7 @@ def test_interference_and_trace_means_fold_left_from_zero():
 def test_link_capacity_inactive_link_is_zero():
     net, _, _ = deploy(scenario=1)
     net.links[0].active = False
-    assert ns.link_capacity(net.links[0], net, ns._linear_powers(net)) == 0.0
+    assert fresh_capacity(net.links[0], net, ns._linear_powers(net)) == 0.0
 
 
 def test_capacity_strictly_decreases_with_interference():
@@ -102,7 +109,7 @@ def test_capacity_strictly_decreases_with_interference():
     for pwr in (0.0, 10.0, 20.0, 30.0):
         for j in link.cross_gain:
             net.links[j].pwr_gain_db = pwr
-        caps.append(ns.link_capacity(link, net, ns._linear_powers(net)))
+        caps.append(fresh_capacity(link, net, ns._linear_powers(net)))
     assert all(a > b for a, b in zip(caps, caps[1:]))
 
 
@@ -380,6 +387,167 @@ def test_program_installed_mid_run_compiles_its_own_solver(monkeypatch):
     assert len(kept_programs) == 2 and all(prog is not new for prog in kept_programs)
 
 
+def deploy_file(problem, scenario, **cfg_kw):
+    problem = ab.parse_problem((DATA / "problems" / problem).read_text())
+    programs, _, _ = cli.build_programs(problem)
+    cfg = ns.load_scenario((DATA / "scenarios" / scenario).read_text())
+    return cli.deploy(problem, programs, dataclasses.replace(cfg, **cfg_kw))
+
+
+def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
+    net, _, _ = deploy(scenario=2, seed=1)
+    for _ in range(3):
+        ns.step(net, "joint")
+    runs = []
+    solve_program = ns.solve_program
+    monkeypatch.setattr(ns, "solve_program",
+                        lambda prog, params, cfg: runs.append(dict(params))
+                        or solve_program(prog, params, cfg))
+    link = net.links[0]
+    start, powers = link.pwr_gain_db, ns._linear_powers(net)
+    itfs = [ns._aggregate_interference(l, net, powers) for l in net.links]
+    cap = ns._link_family(net)
+
+    def solve(lbd):
+        # with no price on any link the power stays at its anchor, so the
+        # solve is kept for reuse
+        prices = {li: 0.0 for li in range(len(net.links))}
+        cap.prev = ns.DualState({**prices, link.index: lbd}, cap.prev.step)
+        link.pwr_gain_db = start
+        ns._solve_power(net, link, powers, itfs)
+        return link.pwr_gain_db
+
+    assert solve(0.0) == start and len(runs) == 1
+    assert solve(0.0) == start and len(runs) == 1
+    # equal to 0.0, but not bit for bit
+    assert solve(-0.0) == start and len(runs) == 2
+    assert math.copysign(1.0, runs[1]["lbd"]) == -1.0
+    assert solve(-0.0) == start and len(runs) == 2
+    # a neighbour's noise enters only the noise parameter of its slot
+    (j, names), = ns._get_solver(net, "link", 0).neighbours
+    net.links[j].noise *= 2.0
+    assert solve(-0.0) == start and len(runs) == 3
+    assert [k for k in runs[2] if runs[2][k] != runs[1][k]] == [names[-1]]
+    # a program installed mid-run solves afresh, from the same parameters
+    old = net.programs[("link", 0)]
+    new = dataclasses.replace(old, objective=ex.neg(ex.var("lnkpwr")))
+    ns.install_program(net, ("link", 0), new)
+    ns._apply_pending(net)
+    swapped = solve(-0.0)
+    assert len(runs) == 4 and runs[3] == runs[2]
+    assert swapped < start
+    solver = ns._get_solver(net, "link", 0)
+    assert swapped.hex() == solve_program(solver.program, runs[3], solver.cfg)["pwrgain"].hex()
+
+
+def check_links_every_phase(monkeypatch):
+    """Check, each time _measure or _solve_power runs, that every link's
+    interference and capacity_pps are what a fresh fold and a fresh
+    link_capacity give, bit for bit; returns the list of checked epochs."""
+    measure, solve_power = ns._measure, ns._solve_power
+    epochs = []
+
+    def fresh_itfs(net, powers):
+        return [repr(ns._aggregate_interference(l, net, powers)) for l in net.links]
+
+    def checked_measure(net, powers):
+        itfs = measure(net, powers)
+        assert [repr(x) for x in itfs] == fresh_itfs(net, powers)
+        assert [repr(l.capacity_pps) for l in net.links] == [
+            repr(fresh_capacity(l, net, powers) / net.cfg.packet_bits) for l in net.links]
+        epochs.append(net.epoch)
+        return itfs
+
+    def checked_solve_power(net, link, powers, itfs):
+        assert powers == ns._linear_powers(net)
+        assert [repr(x) for x in itfs] == fresh_itfs(net, powers)
+        solve_power(net, link, powers, itfs)
+
+    monkeypatch.setattr(ns, "_measure", checked_measure)
+    monkeypatch.setattr(ns, "_solve_power", checked_solve_power)
+    return epochs
+
+
+def test_interference_and_capacity_match_fresh_ones_across_a_drain(monkeypatch):
+    epochs = check_links_every_phase(monkeypatch)
+    net = deploy_file("jocp_log.ncp", "s2_drain.cfg")
+    ns.run(net, 360, "joint")
+    assert epochs == list(range(360))
+    assert [l.active for l in net.links] == [True, True, False, False]
+
+
+def test_interference_and_capacity_follow_state_set_by_hand(monkeypatch):
+    epochs = check_links_every_phase(monkeypatch)
+    net, _, _ = deploy(scenario=3, seed=2)
+    ns.run(net, 60, "joint")
+    edits = [(net.links[1], "pwr_gain_db", 7.5), (net.links[2], "active", False),
+             (net.links[0], "pwr_gain_db", 0.0), (net.links[2], "active", True),
+             (net.links[3], "active", False), (net.links[3], "active", True),
+             (net.links[0], "gain", 2.0 * net.links[0].gain),
+             (net.links[2], "noise", 0.5 * net.links[2].noise),
+             (net.links[1], "bandwidth", 2.0 * net.links[1].bandwidth)]
+    # each edit is the only change the next epoch's measure sees: the
+    # last step before it moves no power
+    for link, attr, value in edits:
+        setattr(link, attr, value)
+        for scheme in ("rate-only", "joint", "power-only", "rate-only"):
+            ns.step(net, scheme)
+    # and the capacity model itself
+    net.capacity = lambda env, model=net.capacity: 2.0 * model(env)
+    ns.step(net, "rate-only")
+    assert epochs == list(range(61 + 4 * len(edits)))
+
+
+@pytest.mark.parametrize("emptied", [(0, 1, 2, 3), (2,)])
+def test_interference_and_capacity_follow_emptied_cross_gains(monkeypatch, emptied):
+    epochs = check_links_every_phase(monkeypatch)
+    net, _, _ = deploy(scenario=3, seed=6)
+    for li in emptied:
+        net.links[li].cross_gain = {}
+    if len(emptied) == 1:
+        # the link hears no one, yet still interferes with another: its
+        # victims are not its interferers
+        assert any(emptied[0] in l.cross_gain for l in net.links)
+    ns.run(net, 120, "joint")
+    for _ in range(60):
+        ns.step(net, "rate-only")
+    assert epochs == list(range(180))
+
+
+def test_capacity_recomputed_only_where_its_inputs_change(monkeypatch):
+    calls = []
+    link_capacity = ns.link_capacity
+    monkeypatch.setattr(ns, "link_capacity",
+                        lambda link, net, *args: calls.append(net.epoch)
+                        or link_capacity(link, net, *args))
+    net = deploy_file("jocp_log.ncp", "s2_drain.cfg", seed=0)
+    drains, step = [], ns.step
+
+    def tagged_step(net, scheme):
+        done = [s.done for s in net.sessions]
+        step(net, scheme)
+        if [s.done for s in net.sessions] != done:
+            drains.append(net.epoch - 1)
+
+    monkeypatch.setattr(ns, "step", tagged_step)
+    ns.run(net, 360, "rate-only")
+    assert len(drains) == 1
+    d = drains[0]
+    per_epoch = [calls.count(e) for e in range(360)]
+    # powers stay fixed: the first epoch computes the four capacities, and
+    # the next change is the drain of session 1 (links 2 and 3), which
+    # changes the interference on links 0 and 1; from then on the two
+    # inactive links are recomputed (to 0.0) each epoch
+    assert per_epoch == [4] + [0] * d + [4] + [2] * (358 - d)
+
+    calls.clear()
+    net, _, _ = deploy(scenario=5, seed=0)
+    ns.run(net, 120, "joint")
+    per_epoch = [calls.count(e) for e in range(120)]
+    assert per_epoch[0] == 18 and max(per_epoch) <= 18
+    assert sum(per_epoch) < 18 * 120
+
+
 def interpreted_env(net, rates):
     env = {}
     for s in net.sessions:
@@ -443,7 +611,7 @@ def test_compiled_slacks_and_utility_match_interpreted(problem, extra, families)
 
     def check():
         env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
-        assert bits(ns._runtime_bindings(net)) == bits(env)
+        assert bits(ns._runtime_bindings(net, ns._linear_powers(net))) == bits(env)
         # finished sessions keep their rate here, so a member whose sums
         # still include one reads differently
         probe = interpreted_env(net, lambda s: s.rate)
