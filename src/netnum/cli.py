@@ -81,18 +81,29 @@ def deploy(problem: abstraction.ControlProblem,
     return net
 
 
-def _summary(net: netsim.NetState, trace: netsim.Trace) -> str:
-    lines = ["summary"]
-    lines.append(f"final_sum_utility\t{trace.mean('net', 'sum_utility', tail=0.3)!r}")
+def _summary(net: netsim.NetState, trace: netsim.Trace) -> tuple[str, float]:
+    """summary.txt, from one pass over the trace, and its final utility."""
+    utility: list[float] = []
+    power: list[float] = []
+    throughput: dict[int, list[float]] = {s.index: [] for s in net.sessions}
+    for _, kind, eid, metric, value in trace.rows:
+        if kind == "link":
+            continue
+        if kind == "node" and metric == "power_gain_db":
+            power.append(value)
+        elif kind == "session" and metric == "throughput_pps":
+            throughput[eid].append(value)
+        elif kind == "net" and metric == "sum_utility":
+            utility.append(value)
+    final = netsim.tail_mean(utility, "net/sum_utility", tail=0.3)
+    lines = ["summary", f"final_sum_utility\t{final!r}"]
     for s in net.sessions:
-        m = trace.mean("session", "throughput_pps", s.index)
+        m = netsim.tail_mean(throughput[s.index], "session/throughput_pps")
         lines.append(f"session_{s.index}_mean_throughput_pps\t{m!r}")
-    try:
-        power = trace.mean("node", "power_gain_db")
-    except netsim.NetsimError:
-        power = math.nan   # every link went inactive before the first record
-    lines.append(f"mean_power_gain_db\t{power!r}")
-    return "\n".join(lines) + "\n"
+    # nan when every link went inactive before the first record
+    m = netsim.tail_mean(power, "node/power_gain_db") if power else math.nan
+    lines.append(f"mean_power_gain_db\t{m!r}")
+    return "\n".join(lines) + "\n", final
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
@@ -148,8 +159,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
             trace = netsim.run(net, spec.duration, spec.scheme)
             suffix = f"_s{run_cfg.seed}" if spec.seeds > 1 else ""
             (out / f"trace{suffix}.csv").write_text(trace.to_csv())
-            (out / f"summary{suffix}.txt").write_text(_summary(net, trace))
-            utilities.append(trace.mean("net", "sum_utility", tail=0.3))
+            summary, utility = _summary(net, trace)
+            (out / f"summary{suffix}.txt").write_text(summary)
+            utilities.append(utility)
     except (netsim.NetsimError, solve.SolveError, expr.ExprError) as err:
         print(f"[simulate] {err}", file=sys.stderr)
         return 2

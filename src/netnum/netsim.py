@@ -35,8 +35,14 @@ Model notes:
     power, interference, channel values or the capacity model differ from
     what it was computed for; a link solve that left the power at its
     anchor is kept, and the next solve with bit-for-bit the same
-    parameters returns its decision without running.  All of it is read
-    from the live fields on every step.
+    parameters returns its decision without running.
+  - Transport-side bookkeeping follows the same rule: each family keeps
+    its clipped slacks with their inputs (masked rates, capacities,
+    powers, done flags and slack_clip), and sum_utility its value with
+    its inputs (each session's done flag and throughput, each link's
+    active flag and gain, the utility and its sense); both are recomputed
+    only when those differ bit for bit.  The dual step itself runs every
+    epoch.  All of it is read from the live fields on every step.
 """
 
 from __future__ import annotations
@@ -212,6 +218,10 @@ class ConstraintFamily:
     # they were expanded for
     slack_fns: list[tuple[int, Compiled, Compiled]] = field(default_factory=list)
     slack_key: tuple[bool, ...] | None = None
+    # the clipped slacks of the last dual update, and their inputs packed
+    # by NetState.dual_packer (see _update_duals)
+    slacks: dict[int, float] = field(default_factory=dict)
+    slack_inputs: bytes = b""
 
 
 @dataclass
@@ -224,14 +234,22 @@ class NetState:
     families: list[ConstraintFamily] = field(default_factory=list)
     utility_expr: Expr | None = None
     utility_sense: str = "max"
-    # utility_expr expanded and compiled for (live sessions, active links)
+    # utility_expr expanded and compiled for (utility_expr, live sessions,
+    # active links)
     utility_fn: Compiled | None = None
-    utility_key: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    utility_key: tuple[Expr, tuple[int, ...], tuple[int, ...]] | None = None
+    # sum_utility's last value, and its inputs: (utility_expr,
+    # utility_sense, the state it reads packed by utility_packer)
+    utility_value: float = 0.0
+    utility_inputs: tuple[Expr, str, bytes] | None = None
     # env names of each session's rate and each link's capacity and power
     rate_names: tuple[str, ...] = ()
     cap_names: tuple[str, ...] = ()
     pwr_names: tuple[str, ...] = ()
     dual_cfg: SolverConfig | None = None
+    # pack, as doubles, what the dual update's slacks and the utility read
+    dual_packer: struct.Struct | None = None
+    utility_packer: struct.Struct | None = None
     pending: list[tuple[tuple[str, int], ControlProgram]] = field(default_factory=list)
     programs: dict[tuple[str, int], ControlProgram] = field(default_factory=dict)
     graph: ElementGraph | None = None
@@ -376,11 +394,13 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
         net.families.append(ConstraintFamily(i, c.holder, entity, c.lhs, c.rhs))
     net.utility_expr = problem.utility
     net.utility_sense = problem.sense
-    net.utility_fn = net.utility_key = None
     net.rate_names = tuple(ex.var_name("sesrate", s.index) for s in net.sessions)
     net.cap_names = tuple(ex.var_name("lnkcap", l.index) for l in net.links)
     net.pwr_names = tuple(ex.var_name("lnkpwr", l.index) for l in net.links)
     net.dual_cfg = SolverConfig(dual_step=net.cfg.dual_step)
+    ns, nl = len(net.sessions), len(net.links)
+    net.dual_packer = struct.Struct(f"{2 * ns + 2 * nl + 1}d")
+    net.utility_packer = struct.Struct(f"{2 * ns + 2 * nl}d")
     for rule in problem.box_rules:
         _apply_box_rule(net, rule)
     net.graph = problem.graph
@@ -609,17 +629,23 @@ class Trace:
              tail: float = 1.0) -> float:
         vals = [v for (t, k, e, m, v) in self.rows
                 if k == kind and m == metric and (eid is None or e == eid)]
-        if not vals:
-            raise NetsimError(f"no {kind}/{metric} records")
-        n = max(1, int(len(vals) * tail))
-        vals = vals[-n:]
-        return ex.left_sum(vals) / len(vals)
+        return tail_mean(vals, f"{kind}/{metric}", tail)
 
     def to_csv(self) -> str:
         lines = ["time,entity_kind,entity_id,metric,value"]
         for (t, k, e, m, v) in self.rows:
             lines.append(f"{t!r},{k},{e},{m},{v!r}")
         return "\n".join(lines) + "\n"
+
+
+def tail_mean(vals: list[float], what: str, tail: float = 1.0) -> float:
+    """The mean of the last `tail` share of vals (at least one value),
+    folded left from 0; `what` names the records in the error for none."""
+    if not vals:
+        raise NetsimError(f"no {what} records")
+    n = max(1, int(len(vals) * tail))
+    vals = vals[-n:]
+    return ex.left_sum(vals) / len(vals)
 
 
 def _measure(net: NetState, powers: list[float]) -> list[float]:
@@ -693,10 +719,26 @@ def _compile_slacks(net: NetState, fam: ConstraintFamily,
 
 
 def _update_duals(net: NetState, powers: list[float]) -> None:
-    env = _runtime_bindings(net, powers)
+    """One dual step for every family.  A family's slacks are recomputed
+    only when what they read differs, bit for bit, from what they were
+    computed for: the masked rates, the capacities, `powers`, the done
+    flags the compiled slacks were expanded for, and slack_clip."""
+    sessions = net.sessions
+    values = [0.0 if s.done else s.rate for s in sessions]
+    values += [l.capacity_pps for l in net.links]
+    values += powers
+    values += [s.done for s in sessions]
+    values.append(net.cfg.slack_clip)
+    inputs = net.dual_packer.pack(*values)
+    env = None
     for fam in net.families:
+        if fam.slack_inputs != inputs:
+            if env is None:
+                env = _runtime_bindings(net, powers)
+            fam.slacks = _family_slacks(net, fam, env)
+            fam.slack_inputs = inputs
         fam.prev = fam.duals
-        fam.duals = dual_update(fam.duals, _family_slacks(net, fam, env), net.dual_cfg)
+        fam.duals = dual_update(fam.duals, fam.slacks, net.dual_cfg)
 
 
 def _link_family(net: NetState) -> ConstraintFamily | None:
@@ -791,36 +833,50 @@ def _deliver(net: NetState) -> None:
 
 def sum_utility(net: NetState) -> float:
     """The problem utility evaluated on achieved throughput (packets/s)
-    and live powers, in maximize sense."""
+    and live powers, in maximize sense.  The value is kept, and returned
+    again while every session's (done, throughput), every link's (active,
+    pwr_gain_db), the utility and its sense are what it was computed
+    for, bit for bit."""
     if net.utility_expr is None:
         return 0.0
-    key = (tuple(s.index for s in net.sessions if not s.done),
-           tuple(l.index for l in net.links if l.active))
+    sessions, links = net.sessions, net.links
+    values = [s.throughput for s in sessions]
+    values += [l.pwr_gain_db for l in links]
+    values += [s.done for s in sessions]
+    values += [l.active for l in links]
+    inputs = (net.utility_expr, net.utility_sense, net.utility_packer.pack(*values))
+    if inputs == net.utility_inputs:
+        return net.utility_value
+    key = (net.utility_expr, tuple(s.index for s in sessions if not s.done),
+           tuple(l.index for l in links if l.active))
     if net.utility_key != key:
-        live_s, live_l = key
+        _, live_s, live_l = key
         e = ex.expand_sums(net.utility_expr, {"netses": live_s, "netlnk": live_l})
         net.utility_fn = ex.compile_expr(e)
         net.utility_key = key
     env: Env = {}
-    for name, s in zip(net.rate_names, net.sessions):
+    for name, s in zip(net.rate_names, sessions):
         env[name] = max(s.throughput, 1e-6)
-    for name, l in zip(net.pwr_names, net.links):
+    for name, l in zip(net.pwr_names, links):
         env[name] = l.power_linear
     val = net.utility_fn(env)
-    return val if net.utility_sense == "max" else -val
+    net.utility_value = val if net.utility_sense == "max" else -val
+    net.utility_inputs = inputs
+    return net.utility_value
 
 
 def _record(net: NetState, trace: Trace) -> None:
     t = net.clock
     cap = _link_family(net)
+    lams = {} if cap is None else cap.duals.values
+    add = trace.rows.append
     for s in net.sessions:
-        trace.record(t, "session", s.index, "throughput_pps", s.throughput)
+        add((t, "session", s.index, "throughput_pps", s.throughput))
     for link in net.links:
         if link.active:
-            trace.record(t, "node", link.tx, "power_gain_db", link.pwr_gain_db)
-        lam = 0.0 if cap is None else cap.duals.values.get(link.index, 0.0)
-        trace.record(t, "link", link.index, "lambda", lam)
-    trace.record(t, "net", 0, "sum_utility", sum_utility(net))
+            add((t, "node", link.tx, "power_gain_db", link.pwr_gain_db))
+        add((t, "link", link.index, "lambda", lams.get(link.index, 0.0)))
+    add((t, "net", 0, "sum_utility", sum_utility(net)))
 
 
 def step(net: NetState, scheme: str = "joint") -> NetState:

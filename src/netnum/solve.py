@@ -276,7 +276,9 @@ def dual_update(state: DualState, slacks: dict[str | int, float],
     step = cfg.dual_step / math.sqrt(t) if cfg.diminishing else cfg.dual_step
     values = dict(state.values)
     for name, slack in slacks.items():
-        values[name] = max(0.0, values.get(name, 0.0) - step * slack)
+        # max(0.0, x), without the call: 0.0 for -0.0 and nan too
+        x = values.get(name, 0.0) - step * slack
+        values[name] = x if x > 0.0 else 0.0
     return DualState(values, t)
 
 

@@ -14,6 +14,7 @@ from netnum.solve import clip
 from conftest import JOCP_LOG, JOCP_RATE
 
 DATA = Path(ns.__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def deploy(source=JOCP_LOG, **cfg_kw):
@@ -548,6 +549,10 @@ def test_capacity_recomputed_only_where_its_inputs_change(monkeypatch):
     assert sum(per_epoch) < 18 * 120
 
 
+def bits(values):
+    return {k: v.hex() for k, v in values.items()}
+
+
 def interpreted_env(net, rates):
     env = {}
     for s in net.sessions:
@@ -573,7 +578,7 @@ def interpreted_slacks(net, fam, env):
         lhs = ex.expand_sums(ex.bind_index(fam.lhs, fam.holder, m), bindings)
         rhs = ex.expand_sums(ex.bind_index(fam.rhs, fam.holder, m), bindings)
         slack = ex.eval_expr(rhs, env) - ex.eval_expr(lhs, env)
-        slacks[m] = clip(slack, -limit, limit)
+        slacks[m] = clip(slack, -limit, limit) if limit > 0 else slack
     return slacks
 
 
@@ -606,9 +611,6 @@ def test_compiled_slacks_and_utility_match_interpreted(problem, extra, families)
     net = cli.deploy(problem, programs, cfg)
     assert [f.entity for f in net.families] == families
 
-    def bits(values):
-        return {k: v.hex() for k, v in values.items()}
-
     def check():
         env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
         assert bits(ns._runtime_bindings(net, ns._linear_powers(net))) == bits(env)
@@ -639,6 +641,135 @@ def test_compiled_slacks_and_utility_match_interpreted(problem, extra, families)
     for _ in range(30):
         ns.step(net, "joint")
         check()
+
+
+def check_duals_and_utility_every_epoch(monkeypatch):
+    """Check, each time _update_duals runs, that the duals it leaves are
+    the ones a dual step on interpreted slacks gives, and, each time
+    _record runs, that the utility it records is the interpreted one, bit
+    for bit; returns the list of checked epochs."""
+    update_duals, record = ns._update_duals, ns._record
+    epochs = []
+
+    def checked_update_duals(net, powers):
+        assert powers == ns._linear_powers(net)
+        env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
+        want = [ns.dual_update(fam.duals, interpreted_slacks(net, fam, env), net.dual_cfg)
+                for fam in net.families]
+        update_duals(net, powers)
+        assert [bits(fam.duals.values) for fam in net.families] \
+            == [bits(state.values) for state in want]
+        epochs.append(net.epoch)
+
+    def checked_record(net, trace):
+        record(net, trace)
+        assert trace.rows[-1][4].hex() == interpreted_utility(net).hex()
+
+    monkeypatch.setattr(ns, "_update_duals", checked_update_duals)
+    monkeypatch.setattr(ns, "_record", checked_record)
+    return epochs
+
+
+# A link family that reads what no shipped family does: each live
+# session on the link counts 1 beyond its rate, and the link's own linear
+# power enters.  Its slack stays negative, so its duals never rest at 0
+# and every change of a slack reaches them.
+PROBE_FAMILY = ab.Constraint(
+    ex.add(ex.bigsum("lnkses", ex.add(ex.var("sesrate", "lnkses"), ex.const(1.0))),
+           ex.mul(ex.const(0.01), ex.var("lnkpwr", "netlnk"))),
+    ex.mul(ex.const(0.001), ex.var("lnkcap", "netlnk")), "netlnk")
+
+
+@pytest.mark.parametrize("problem, extra", [
+    ("jocp_log.ncp", [PROBE_FAMILY]),
+    ("powermin.ncp", [SESSION_FAMILY, PROBE_FAMILY]),
+])
+def test_duals_and_utility_follow_state_set_by_hand(monkeypatch, problem, extra):
+    epochs = check_duals_and_utility_every_epoch(monkeypatch)
+    parsed = ab.parse_problem((DATA / "problems" / problem).read_text())
+    programs, _, _ = cli.build_programs(parsed)
+    parsed.constraints.extend(extra)
+    # no clipping, so that every change of a slack reaches its dual
+    net = cli.deploy(parsed, programs, ns.ScenarioConfig(scenario=2, seed=3, slack_clip=0.0))
+    other = ab.parse_problem((DATA / "problems" / "powermin.ncp").read_text())
+    trace = ns.run(net, 62, "rate-only")
+    s, link = net.sessions[1], net.links[2]
+    sense = net.utility_sense
+    flipped = "min" if sense == "max" else "max"
+    edits = [(s, "rate", 0.5 * s.rate), (link, "capacity_pps", 2.0 * link.capacity_pps),
+             (s, "throughput", 3.0 * s.throughput), (link, "pwr_gain_db", 7.5),
+             (link, "active", False), (link, "active", True),
+             # the masked rate is 0.0 either way: only the done flag differs
+             (s, "rate", 0.0), (s, "done", True), (s, "done", False),
+             (net, "cfg", dataclasses.replace(net.cfg, slack_clip=5.0)),
+             (net, "cfg", dataclasses.replace(net.cfg, slack_clip=0.0)),
+             (net, "utility_sense", flipped), (net, "utility_sense", sense)]
+    # each edit is the only change the next epoch's dual update sees: the
+    # last rate solve ran in epoch 60 and reached the duals in epoch 61,
+    # and rate-only moves no power
+    for obj, attr, value in edits:
+        setattr(obj, attr, value)
+        # the utility reads state that the next step's delivery overwrites
+        assert ns.sum_utility(net).hex() == interpreted_utility(net).hex()
+        for _ in range(2):
+            ns.step(net, "rate-only")
+            ns._record(net, trace)
+    # a power alone, with every capacity as last measured
+    link.pwr_gain_db += 1.0
+    ns._update_duals(net, ns._linear_powers(net))
+    ns._record(net, trace)
+    assert all(v > 0 for v in net.families[-1].duals.values.values())
+    # a fresh problem: new families, and another utility, then another sense
+    doubled = dataclasses.replace(parsed, utility=ex.mul(ex.const(2.0), parsed.utility))
+    for fresh in (doubled, other, parsed):
+        ns.install_problem(net, fresh)
+        assert ns.sum_utility(net).hex() == interpreted_utility(net).hex()
+        for _ in range(2):
+            ns.step(net, "rate-only")
+            ns._record(net, trace)
+    end = 62 + 2 * len(edits)
+    assert epochs == list(range(end + 1)) + list(range(end, end + 6))
+
+
+def test_slacks_evaluated_only_where_their_inputs_change(monkeypatch):
+    # the benchmark's rate-only drain run
+    problem = ab.parse_problem((DATA / "problems" / "jocp_log.ncp").read_text())
+    programs, _, _ = cli.build_programs(problem)
+    cfg = ns.load_scenario((ROOT / "perfbench" / "s5_drain.cfg").read_text())
+    net = cli.deploy(problem, programs, cfg)
+    slack_epochs, utility_epochs, drains = [], [], []
+    family_slacks, record, step = ns._family_slacks, ns._record, ns.step
+
+    def counted_slacks(net, fam, env):
+        slack_epochs.append(net.epoch)
+        return family_slacks(net, fam, env)
+
+    def tagged_record(net, trace):
+        kept = net.utility_inputs
+        record(net, trace)
+        if net.utility_inputs is not kept:
+            utility_epochs.append(net.epoch - 1)
+
+    def tagged_step(net, scheme):
+        live = sum(not s.done for s in net.sessions)
+        step(net, scheme)
+        if sum(not s.done for s in net.sessions) < live:
+            drains.append(net.epoch - 1)
+
+    monkeypatch.setattr(ns, "_family_slacks", counted_slacks)
+    monkeypatch.setattr(ns, "_record", tagged_record)
+    monkeypatch.setattr(ns, "step", tagged_step)
+    ns.run(net, 1500, "rate-only")
+    d, = drains
+    assert d == 474
+    # rates move in every 30th epoch and reach the slacks in the next; the
+    # drain changes the done flags and the capacities that the epoch after
+    # it reads
+    assert slack_epochs == sorted({0, 1, d + 1, *range(31, 1500, 30)})
+    assert len(slack_epochs) == 52
+    # throughput follows the rates in the epoch they move; the drained
+    # session's is zeroed in the epoch after its drain
+    assert utility_epochs == sorted({d, d + 1, *range(0, 1500, 30)})
 
 
 def test_slacks_and_utility_compile_once_per_topology(monkeypatch):
