@@ -15,9 +15,10 @@ dual values from at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from . import expr as ex
-from .abstraction import ControlProblem, ElementGraph, resolve_model
+from .abstraction import HAS_ATTR, ControlProblem, ElementGraph, resolve_model
 from .expr import Expr
 from .instantiate import InstanceMap, InstantiatedProblem
 
@@ -126,30 +127,19 @@ class Subproblem:
     dual: DualProblem | None = None
 
 
-def _primal_bases(term: Expr, graph: ElementGraph) -> list[tuple[str, int | None]]:
-    out = []
-    for name in sorted(ex.free_vars(term)):
-        base, idx = _split_name(name)
-        if base == LBD:
-            continue
-        out.append((base, idx))
-    return out
-
-
-def _split_name(name: str) -> tuple[str, int | None]:
-    base, _, tail = name.rpartition("_")
-    if base and tail.isdigit():
-        return base, int(tail)
-    return name, None
+def _primal_bases(term: Expr) -> list[tuple[str, int | None]]:
+    return [pair for pair in term.var_pairs if pair[0] != LBD]
 
 
 def _lbd_indices(term: Expr) -> list[int]:
-    out = []
-    for name in ex.free_vars(term):
-        base, idx = _split_name(name)
-        if base == LBD and idx is not None:
-            out.append(idx)
-    return sorted(out)
+    return sorted(i for base, i in term.var_pairs if base == LBD and i is not None)
+
+
+def _owned_and_foreign(terms: list[Expr]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Sorted names of the terms' primal variables, and of their duals."""
+    owned = {ex.var_name(b, i) for t in terms for b, i in _primal_bases(t)}
+    foreign = {ex.var_name(LBD, j) for t in terms for j in _lbd_indices(t)}
+    return tuple(sorted(owned)), tuple(sorted(foreign))
 
 
 def split_by_layer(dp: DualProblem, graph: ElementGraph,
@@ -161,7 +151,7 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
     buckets: dict[str, list[Expr]] = {}
     residual: list[Expr] = []
     for term in ex.level1_terms(dp.dual):
-        primal = _primal_bases(term, graph)
+        primal = _primal_bases(term)
         layers = {graph.element(b).layer for b, _ in primal}
         if len(layers) > 1:
             raise AmbiguousLayer(f"term {ex.render(term)} mixes layers {layers}")
@@ -174,7 +164,7 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
             continue
         rhs_layers = set()
         for j in lbds:
-            for b, _ in _primal_bases(dp.registry[j].rhs, graph):
+            for b, _ in _primal_bases(dp.registry[j].rhs):
                 rhs_layers.add(graph.element(b).layer)
         if len(rhs_layers) > 1:
             raise AmbiguousLayer(f"term {ex.render(term)}: rhs spans {rhs_layers}")
@@ -184,48 +174,43 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
             residual.append(term)  # constant-rhs lambda term
     subs = {}
     for layer, terms in buckets.items():
-        owned = tuple(sorted({ex.var_name(b, i) for t in terms
-                              for b, i in _primal_bases(t, graph)}))
-        foreign = tuple(sorted({ex.var_name(LBD, j) for t in terms
-                                for j in _lbd_indices(t)}))
-        subs[layer] = Subproblem(layer, ex.add(*terms), "max", owned, foreign,
-                                 dual=dp)
+        subs[layer] = Subproblem(layer, ex.add(*terms), "max",
+                                 *_owned_and_foreign(terms), dual=dp)
     return subs, residual
 
 
-def _entity_kind(graph: ElementGraph, base: str) -> str:
-    holders = [s for (s, lbl, d) in graph.edges
-               if lbl == "has-attribute" and d == base]
-    if len(holders) == 1:
-        return graph.element(holders[0]).entity
-    raise AmbiguousEntity(f"{base} has {len(holders)} holders")
+def _entity_kinds(graph: ElementGraph) -> Callable[[str], str]:
+    """The entity kind of a base: the entity of its one has-attribute
+    holder.  The holders are read from graph.edges as they stand now."""
+    holders: dict[str, list[str]] = {}
+    for s, lbl, d in graph.edges:
+        if lbl == HAS_ATTR:
+            holders.setdefault(d, []).append(s)
+
+    def kind_of(base: str) -> str:
+        found = holders.get(base, ())
+        if len(found) == 1:
+            return graph.element(found[0]).entity
+        raise AmbiguousEntity(f"{base} has {len(found)} holders")
+
+    return kind_of
 
 
 def split_by_entity(sub: Subproblem, graph: ElementGraph) -> list[Subproblem]:
     """Group a layer subproblem's terms by the entity index of their primal
     variable."""
+    kind_of = _entity_kinds(graph)
     groups: dict[tuple[str, int], list[Expr]] = {}
-    order: list[tuple[str, int]] = []
     for term in ex.level1_terms(sub.objective):
-        entities = {(b, i) for b, i in _primal_bases(term, graph) if i is not None}
-        keys = {(_entity_kind(graph, b), i) for b, i in entities}
+        keys = {(kind_of(b), i) for b, i in _primal_bases(term) if i is not None}
         if len(keys) != 1:
             raise AmbiguousEntity(
                 f"term {ex.render(term)} references entities {sorted(keys)}")
-        key = next(iter(keys))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(term)
+        groups.setdefault(next(iter(keys)), []).append(term)
     out = []
-    for kind, idx in order:
-        terms = groups[(kind, idx)]
-        owned = tuple(sorted({ex.var_name(b, i) for t in terms
-                              for b, i in _primal_bases(t, graph)}))
-        foreign = tuple(sorted({ex.var_name(LBD, j) for t in terms
-                                for j in _lbd_indices(t)}))
-        out.append(Subproblem(sub.layer, ex.add(*terms), sub.sense, owned,
-                              foreign, kind, idx, sub.dual))
+    for (kind, idx), terms in groups.items():
+        out.append(Subproblem(sub.layer, ex.add(*terms), sub.sense,
+                              *_owned_and_foreign(terms), kind, idx, sub.dual))
     return out
 
 
@@ -249,19 +234,25 @@ class ControlProgram:
     penalty: Expr | None = None  # per-foreign-entity template (gradient/dpl)
 
 
-def _strip_entity(e: Expr, kind: str, idx: int, graph: ElementGraph) -> Expr:
+def _lift_term(e: Expr, kind_of: Callable[[str], str], kind: str, idx: int,
+               duals: dict[int, Expr]) -> Expr:
+    """e with the entity's own variables unindexed and each lbd_j in duals
+    replaced, in one rewrite; unchanged subtrees come back as they are."""
     if e.kind == "var":
-        if e.name != LBD and e.index == idx and _entity_kind(graph, e.name) == kind:
+        if e.name == LBD:
+            return duals.get(e.index, e)
+        if e.index == idx and kind_of(e.name) == kind:
             return ex.var(e.name, None)
         return e
     if not e.children:
         return e
-    return Expr(e.kind, tuple(_strip_entity(c, kind, idx, graph) for c in e.children),
-                e.value, e.name, e.index)
+    children = tuple(_lift_term(c, kind_of, kind, idx, duals) for c in e.children)
+    if children == e.children:
+        return e
+    return Expr(e.kind, children, e.value, e.name, e.index)
 
 
-def _sub_lbd(e: Expr, j: int, repl: Expr) -> Expr:
-    return ex.substitute(e, {ex.var_name(LBD, j): repl})
+_SIGMA = ex.var(LBD, "sigma")
 
 
 def lift_to_abstract(sub: Subproblem, m: InstanceMap) -> ControlProgram:
@@ -271,30 +262,24 @@ def lift_to_abstract(sub: Subproblem, m: InstanceMap) -> ControlProgram:
         raise NoMatchingElement("only entity subproblems lift")
     graph = sub.dual.inst.problem.graph
     kind, idx = sub.entity_kind, sub.entity_index
+    kind_of = _entity_kinds(graph)
 
     # group lambda occurrences by structural shape after index erasure
     groups: dict[str, list[tuple[int, Expr]]] = {}
-    order: list[str] = []
-    plain: list[Expr] = []
+    template_terms: list[Expr] = []
     for term in ex.level1_terms(sub.objective):
-        stripped = _strip_entity(term, kind, idx, graph)
-        lbds = _lbd_indices(stripped)
+        lbds = _lbd_indices(term)
         if not lbds:
-            plain.append(stripped)
+            template_terms.append(_lift_term(term, kind_of, kind, idx, {}))
             continue
         if len(lbds) != 1:
             raise NoMatchingElement(f"term {ex.render(term)} has {len(lbds)} duals")
         j = lbds[0]
-        shape = ex.render(_sub_lbd(stripped, j, ex.var(LBD, "sigma")))
-        if shape not in groups:
-            groups[shape] = []
-            order.append(shape)
-        groups[shape].append((j, stripped))
+        shape = ex.render(_lift_term(term, kind_of, kind, idx, {j: _SIGMA}))
+        groups.setdefault(shape, []).append((j, term))
 
-    template_terms = list(plain)
     rules: list[CollectionRule] = []
-    for shape in order:
-        entries = groups[shape]
+    for entries in groups.values():
         indices = sorted(j for j, _ in entries)
         families = {sub.dual.registry[j].family for j in indices}
         if len(families) != 1:
@@ -303,8 +288,8 @@ def lift_to_abstract(sub: Subproblem, m: InstanceMap) -> ControlProgram:
         family = next(iter(families))
         members = sorted({sub.dual.registry[j].member for j in indices})
         rule, lam = _identify_collection(sub, m, graph, indices, members, family)
-        _, sample = entries[0]
-        template_terms.append(_sub_lbd(sample, entries[0][0], lam))
+        j, sample = entries[0]
+        template_terms.append(_lift_term(sample, kind_of, kind, idx, {j: lam}))
         rules.append(rule)
 
     objective = ex.add(*template_terms)
@@ -400,10 +385,12 @@ def reinstantiate(prog: ControlProgram, m: InstanceMap, entity_index: int,
     e = ex.substitute(e, subs)
     e = _distribute(e)
     # restore the entity index on unindexed primal variables
+    kind_of = _entity_kinds(graph)
+
     def _reindex(x: Expr) -> Expr:
         if x.kind == "var" and x.name != LBD and x.index is None \
                 and x.name in graph.elements \
-                and _entity_kind(graph, x.name) == prog.entity_kind:
+                and kind_of(x.name) == prog.entity_kind:
             return ex.var(x.name, entity_index)
         if not x.children:
             return x

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 Env = dict[str, float]
@@ -78,6 +79,27 @@ class Expr:
 
     def __str__(self) -> str:
         return render(self)
+
+    @cached_property
+    def var_pairs(self) -> frozenset[tuple[str, int | None]]:
+        """(base, index) of every variable in the tree, found once per
+        node, on first use.  A symbolic index counts as None, as var_name
+        renders it.  A node whose variables all come from one child shares
+        that child's set."""
+        if self.kind == "var":
+            index = self.index if isinstance(self.index, int) else None
+            return frozenset(((self.name, index),))
+        out = _NO_PAIRS
+        for c in self.children:
+            pairs = c.var_pairs
+            if not out:
+                out = pairs
+            elif pairs and pairs is not out:
+                out = out | pairs
+        return out
+
+
+_NO_PAIRS: frozenset[tuple[str, int | None]] = frozenset()
 
 
 def const(v: float) -> Expr:
@@ -461,12 +483,7 @@ def level1_terms(e: Expr) -> list[Expr]:
 
 def free_vars(e: Expr) -> set[str]:
     """Canonical identifiers of every variable occurring in e."""
-    if e.kind == "var":
-        return {var_name(e.name, e.index)}
-    out: set[str] = set()
-    for c in e.children:
-        out |= free_vars(c)
-    return out
+    return {var_name(base, index) for base, index in e.var_pairs}
 
 
 def node_names(e: Expr, kind: str) -> set[str]:

@@ -80,13 +80,20 @@ class InstanceConfig:
 _FNV_BASIS = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# a zero byte only multiplies by the prime, so a member below 256 is its
+# one byte followed by one multiplication for the seven zero high bytes
+_FNV_PRIME_8 = pow(_FNV_PRIME, 8, _MASK64 + 1)
 
 
 def hash_id(instance) -> int:
     h = _FNV_BASIS
     for member in sorted(instance):
-        for b in int(member).to_bytes(8, "little"):
-            h = ((h ^ b) * _FNV_PRIME) & _MASK64
+        member = int(member)
+        if 0 <= member < 256:
+            h = ((h ^ member) * _FNV_PRIME_8) & _MASK64
+        else:
+            for b in member.to_bytes(8, "little"):
+                h = ((h ^ b) * _FNV_PRIME) & _MASK64
     return h
 
 
@@ -161,7 +168,9 @@ def check_rules(instances: dict[int, tuple[int, ...]], n_lcl: int | None = None)
 
 def _sample_family(name: str, holder_members: tuple[int, ...],
                    mother: tuple[int, ...], cfg: InstanceConfig,
-                   rng: random.Random) -> dict[int, tuple[int, ...]]:
+                   rng: random.Random,
+                   ) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
+    """The sampled instance of every holder member, and its hash id."""
     if len(holder_members) > math.comb(len(mother), cfg.n_lcl):
         raise CapacityExceeded(
             f"{name}: {len(holder_members)} instances requested, only "
@@ -169,19 +178,22 @@ def _sample_family(name: str, holder_members: tuple[int, ...],
     taken: set[tuple[int, ...]] = set()
     taken_hashes: set[int] = set()
     out: dict[int, tuple[int, ...]] = {}
+    hashes: dict[int, int] = {}
     for m in holder_members:
         for _ in range(cfg.max_retries):
             cand = sample_local(mother, cfg, rng)
+            h = hash_id(cand)
             # hash id is the fast filter; tuple equality is the ground truth
-            if hash_id(cand) not in taken_hashes and cand not in taken:
+            if h not in taken_hashes and cand not in taken:
                 break
         else:
             raise RetryExhausted(f"{name}: duplicate collisions exceeded "
                                  f"{cfg.max_retries} retries for holder {m}")
         taken.add(cand)
-        taken_hashes.add(hash_id(cand))
+        taken_hashes.add(h)
         out[m] = cand
-    return out
+        hashes[m] = h
+    return out, hashes
 
 
 def invert_map(imap: InstanceMap, from_element: str, to_element: str,
@@ -311,12 +323,13 @@ def instantiate_problem(problem: ControlProblem, cfg: InstanceConfig,
         mother = g.element(name).mother
         if preset and name in preset:
             instances = {k: tuple(sorted(v)) for k, v in preset[name].items()}
+            hashes = {}
             check_rules(instances)
         else:
-            instances = _sample_family(name, imap.glb[holder], imap.glb[mother],
-                                       cfg, rng)
+            instances, hashes = _sample_family(name, imap.glb[holder],
+                                               imap.glb[mother], cfg, rng)
             check_rules(instances, cfg.n_lcl)
-        imap.lcl[name] = LocalFamily(name, holder, mother, instances)
+        imap.lcl[name] = LocalFamily(name, holder, mother, instances, hashes)
 
     # derive duals of sampled families wherever the graph names them
     for name in list(imap.lcl):

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import netnum
-from netnum import cli
+from netnum import abstraction, cli, decompose, expr, instantiate
 
 SRC = Path(netnum.__file__).parent.parent
 DATA = Path(netnum.__file__).parent / "data"
@@ -327,3 +328,65 @@ def test_bad_run_options_name_stage(tmp_path, capsys, flag, value, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == f"[simulate] {message}\n"
+
+
+# sha256 of dump_dual followed by every layer's dump_program, over
+# instantiation seeds 0-15, per shipped problem; a change to any
+# design-time stage that alters a dual or a template shows here.
+PINNED_DESIGN = {
+    "jocp.ncp": "52b7861ced6693f66fcd407c76b01c5515109e188001f0ba50c3d78f2be6a2c3",
+    "jocp_log.ncp": "09512dd54ae32ea42470c39eec2b6d32e9ca56939497f094ec3c8d3c2f3818ed",
+    "jocp_log_powercap.ncp": "09512dd54ae32ea42470c39eec2b6d32e9ca56939497f094ec3c8d3c2f3818ed",
+    "powermin.ncp": "48cabd594cf73d14bdfc534bcdd1d2bfad5b3c82a3a02612f436e124d86d279a",
+}
+
+
+@pytest.mark.parametrize("problem, digest", sorted(PINNED_DESIGN.items()))
+def test_pinned_design_time_digests(problem, digest):
+    parsed = abstraction.parse_problem((PROBLEMS / problem).read_text())
+    h = hashlib.sha256()
+    for seed in range(16):
+        programs, dp, _ = cli.build_programs(parsed, instantiate.InstanceConfig(seed=seed))
+        h.update(decompose.dump_dual(dp).encode())
+        for layer in sorted(programs):
+            h.update(decompose.dump_program(programs[layer]).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("layer", ["transport", "physical"])
+@pytest.mark.parametrize("field", ["objective", "collect"])
+def test_lift_compares_every_entity(monkeypatch, tmp_path, capsys, layer, field):
+    problem = abstraction.parse_problem((PROBLEMS / "jocp_log.ncp").read_text())
+    lift = decompose.lift_to_abstract
+    lifted = []
+
+    def recorded(sub, m):
+        lifted.append((sub.layer, sub.entity_index))
+        return lift(sub, m)
+
+    monkeypatch.setattr(decompose, "lift_to_abstract", recorded)
+    cli.build_programs(problem)
+    assert sorted(lifted) == sorted((lr, i) for lr in ("physical", "transport")
+                                    for i in range(20))
+    # only the last entity of the layer to be lifted lifts differently
+    last = [i for lr, i in lifted if lr == layer][-1]
+
+    def skewed(sub, m):
+        prog = lift(sub, m)
+        if sub.layer == layer and sub.entity_index == last:
+            if field == "objective":
+                return replace(prog, objective=expr.add(prog.objective, expr.ONE))
+            return replace(prog, collect=prog.collect[::-1] + prog.collect[:1])
+        return prog
+
+    monkeypatch.setattr(decompose, "lift_to_abstract", skewed)
+    with pytest.raises(cli.CliError) as err:
+        cli.build_programs(problem)
+    assert err.value.stage == "lift" and str(err.value) == \
+        f"[lift] {layer}: entity templates differ"
+    rc = run_cli(["run", "--problem", PROBLEMS / "jocp_log.ncp",
+                  "--scenario", SCENARIOS / "s1.cfg", "--duration", "30",
+                  "--out", tmp_path])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"[decompose] [lift] {layer}: entity templates differ\n"

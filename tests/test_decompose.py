@@ -137,6 +137,27 @@ def test_split_by_entity_single_entity_identity(toy_inst):
     assert len(again) == 1 and again[0].objective == flows[0].objective
 
 
+def test_two_holders_make_an_entity_ambiguous(toy_inst):
+    # both ways of giving sesrate a second has-attribute holder, each made
+    # after a split and a lift that saw one holder
+    inst, imap = toy_inst
+    for second_holder in ("add_edge", "assign_edges"):
+        dp = copy.deepcopy(dc.dualize(inst))
+        graph = dp.inst.problem.graph
+        layers, _ = dc.split_by_layer(dp, graph)
+        sessions = dc.split_by_entity(layers["transport"], graph)
+        assert len(sessions) == 3
+        dc.lift_to_abstract(sessions[0], imap)
+        if second_holder == "add_edge":
+            graph.add_edge("Link", ab.HAS_ATTR, "sesrate")
+        else:
+            graph.edges = graph.edges | {("Link", ab.HAS_ATTR, "sesrate")}
+        with pytest.raises(dc.AmbiguousEntity, match="sesrate has 2 holders"):
+            dc.split_by_entity(layers["transport"], graph)
+        with pytest.raises(dc.AmbiguousEntity, match="sesrate has 2 holders"):
+            dc.lift_to_abstract(sessions[0], imap)
+
+
 def test_session4_subproblem_renders_exactly(jocp_inst):
     inst, _ = jocp_inst
     dp = dc.dualize(inst)

@@ -185,6 +185,24 @@ def test_free_vars():
     assert ex.free_vars(ex.add(ex.var("x"), ex.var("x"))) == {"x"}
 
 
+def test_var_pairs_render_like_var_name():
+    # a symbolic index counts as unindexed, as var_name renders it
+    e = ex.add(ex.var("x", 3), ex.mul(ex.var("lbd", "seslnk"), ex.var("lbd")),
+               ex.log2(ex.var("lnkgain_itf", 12)))
+    assert e.var_pairs == {("x", 3), ("lbd", None), ("lnkgain_itf", 12)}
+    assert ex.free_vars(e) == {"x_03", "lbd", "lnkgain_itf_12"}
+    assert ex.const(2.0).var_pairs == frozenset()
+
+
+def test_var_pairs_leave_equality_and_hash_alone():
+    def build():
+        return ex.mul(ex.const(2.0), ex.neg(ex.var("x", 1)))
+    a, b = build(), build()
+    assert a.var_pairs is a.var_pairs
+    assert a.children[1].var_pairs is a.children[1].children[0].var_pairs
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 def test_node_names():
     e = ex.add(ex.var("x", 3), ex.bigsum("seslnk", ex.mul(ex.var("lbd", "seslnk"),
                                                           ex.var("x"))))

@@ -69,6 +69,27 @@ def test_hash_id_fixed_vectors():
     assert it.hash_id((1, 2, 3)) == 0xDA2BFB225E0D1F05
 
 
+def _hash_id_bytewise(instance):
+    # FNV-1a over each sorted member's 8 little-endian bytes, one at a time
+    h = 0xCBF29CE484222325
+    for member in sorted(instance):
+        for b in member.to_bytes(8, "little"):
+            h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def test_hash_id_matches_bytewise_reference():
+    rng = random.Random(5)
+    for _ in range(3000):
+        top = rng.choice((20, 256, 257, 70_000, 1 << 40, 1 << 62))
+        instance = tuple(rng.sample(range(top), rng.randint(0, 10)))
+        assert it.hash_id(instance) == _hash_id_bytewise(instance), instance
+    for edge in ((0,), (255,), (256,), (255, 256), ((1 << 64) - 1,), (0, 1 << 56)):
+        assert it.hash_id(edge) == _hash_id_bytewise(edge), edge
+    with pytest.raises(OverflowError):
+        it.hash_id((-1,))
+
+
 def test_hash_id_separates_all_small_subsets():
     sets = []
     for k in (1, 2, 3):
