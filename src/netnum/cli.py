@@ -142,6 +142,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if spec.dump_dual:
         (out / "dual.txt").write_text(decompose.dump_dual(dp))
+    del dp   # the simulation reads only the programs
     if spec.dump_programs:
         text = "".join(f"# {layer}\n{decompose.dump_program(prog)}\n"
                        for layer, prog in sorted(programs.items()))

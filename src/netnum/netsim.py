@@ -28,21 +28,15 @@ Model notes:
     generated function that computes each decision-invariant value once
     per solve).  Boxes and the slot/hop-to-index maps stay with each
     entity's solver.
-  - Physical-layer work is redone only where its inputs changed, and
-    gives the same floats: each epoch folds every link's interference
-    once, and a power that moves refolds only the sums that read it; a
-    link's capacity is recomputed only while it is inactive or when its
-    power, interference, channel values or the capacity model differ from
-    what it was computed for; a link solve that left the power at its
-    anchor is kept, and the next solve with bit-for-bit the same
-    parameters returns its decision without running.
-  - Transport-side bookkeeping follows the same rule: each family keeps
-    its clipped slacks with their inputs (masked rates, capacities,
-    powers, done flags and slack_clip), and sum_utility its value with
-    its inputs (each session's done flag and throughput, each link's
-    active flag and gain, the utility and its sense); both are recomputed
-    only when those differ bit for bit.  The dual step itself runs every
-    epoch.  All of it is read from the live fields on every step.
+  - Work is redone only when what it reads changes, with the same floats:
+    each such site keeps its last value in a Kept, keyed by its inputs
+    packed as doubles, and reuses it while they repeat bit for bit (the
+    interference, each link's capacity, a link solve that left its power
+    at the anchor, the slacks, the throughputs, the traced utility).
+    Where most joint epochs change one input list (powers, capacities),
+    it is compared before the rest is packed.  A moved power refolds
+    only the interference sums that read it.  The dual step, the packets
+    sent and the drain run every epoch.
 """
 
 from __future__ import annotations
@@ -92,6 +86,23 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+class Kept:
+    """The last value computed at one site, and its key: the `count`
+    inputs it read, packed as doubles by `packer`, beside any that are
+    not numbers (compared with ==).  A site reuses `value` while the key
+    it builds equals the kept one; a None key matches nothing."""
+    __slots__ = ("packer", "key", "value")
+
+    def __init__(self, count: int):
+        self.packer = struct.Struct(f"{count}d")
+        self.key = None
+        self.value = None
+
+    def keep(self, key, value):
+        self.key, self.value = key, value
+        return value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: int = 1               # 1..5
@@ -121,12 +132,10 @@ class ScenarioConfig:
     budgets: tuple[float, ...] = () # packets per session; 0 = unlimited
 
     def __post_init__(self):
-        if self.timescale < 1:
-            raise ConfigError(f"timescale must be at least 1, got {self.timescale}")
-        if not self.phys_epoch > 0:
-            raise ConfigError(f"phys_epoch must be positive, got {self.phys_epoch}")
-        if self.packet_bits < 1:
-            raise ConfigError(f"packet_bits must be at least 1, got {self.packet_bits}")
+        # congestion_exp below 1 would lift goodput above the bottleneck share
+        for key in ("timescale", "packet_bits", "congestion_exp"):
+            if not getattr(self, key) >= 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not self.rate_min <= self.rate_max:
             raise ConfigError(f"rate_min {self.rate_min} exceeds rate_max {self.rate_max}")
         # 0 turns slack_clip and the move caps off
@@ -134,7 +143,7 @@ class ScenarioConfig:
                     "rate_move_max"):
             if not getattr(self, key) >= 0:
                 raise ConfigError(f"{key} must not be negative, got {getattr(self, key)}")
-        for key in ("rate_step", "power_step", "dual_step"):
+        for key in ("phys_epoch", "rate_step", "power_step", "dual_step"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         # rate_step, power_step, slack_clip and the move caps run at inf
@@ -149,7 +158,7 @@ class ScenarioConfig:
         for budget in self.budgets:
             if not (budget >= 0 and math.isfinite(budget)):
                 raise ConfigError(f"budgets must be finite and not negative, got {budget}")
-        chains, hops, _, _ = _scenario_shape(self)
+        chains, hops, _ = _scenario_shape(self)
         if self.band_pattern and len(self.band_pattern) != chains * hops:
             raise ConfigError(f"band_pattern has {len(self.band_pattern)} entries; "
                               f"scenario {self.scenario} has {chains * hops} links")
@@ -180,9 +189,8 @@ class Link:
     sessions: tuple[int, ...] = ()    # sessions whose path uses this link
     capacity_pps: float = 0.0
     active: bool = True
-    # what capacity_pps was computed for: everything link_capacity reads
-    # (see _measure); None while inactive or before the first measure
-    cap_inputs: tuple | None = None
+    # capacity_pps with what it was computed for (see _measure)
+    kept_capacity: Kept = field(default_factory=lambda: Kept(7))
 
     @property
     def power_linear(self) -> float:
@@ -218,10 +226,6 @@ class ConstraintFamily:
     # they were expanded for
     slack_fns: list[tuple[int, Compiled, Compiled]] = field(default_factory=list)
     slack_key: tuple[bool, ...] | None = None
-    # the clipped slacks of the last dual update, and their inputs packed
-    # by NetState.dual_packer (see _update_duals)
-    slacks: dict[int, float] = field(default_factory=dict)
-    slack_inputs: bytes = b""
 
 
 @dataclass
@@ -238,18 +242,16 @@ class NetState:
     # active links)
     utility_fn: Compiled | None = None
     utility_key: tuple[Expr, tuple[int, ...], tuple[int, ...]] | None = None
-    # sum_utility's last value, and its inputs: (utility_expr,
-    # utility_sense, the state it reads packed by utility_packer)
-    utility_value: float = 0.0
-    utility_inputs: tuple[Expr, str, bytes] | None = None
     # env names of each session's rate and each link's capacity and power
     rate_names: tuple[str, ...] = ()
     cap_names: tuple[str, ...] = ()
     pwr_names: tuple[str, ...] = ()
     dual_cfg: SolverConfig | None = None
-    # pack, as doubles, what the dual update's slacks and the utility read
-    dual_packer: struct.Struct | None = None
-    utility_packer: struct.Struct | None = None
+    # what _measure, _update_duals, _deliver and sum_utility last computed
+    kept_itfs: Kept | None = None
+    kept_slacks: Kept | None = None
+    kept_shares: Kept | None = None
+    kept_utility: Kept | None = None
     pending: list[tuple[tuple[str, int], ControlProgram]] = field(default_factory=list)
     programs: dict[tuple[str, int], ControlProgram] = field(default_factory=dict)
     graph: ElementGraph | None = None
@@ -284,27 +286,25 @@ def _chain_positions(chains: int, hops: int, hop_len: list[float],
     return pos
 
 
-def _scenario_shape(cfg: ScenarioConfig) -> tuple[int, int, int, tuple[int, ...]]:
-    """(chains, hops, bands, band pattern per link in chain-major order)."""
+def _scenario_shape(cfg: ScenarioConfig) -> tuple[int, int, tuple[int, ...]]:
+    """(chains, hops, band per link in chain-major order)."""
     s = cfg.scenario
     if s in (1, 2, 3):
         # same two-chain topology; only the band-sharing pattern differs:
         # no sharing, then parallel-paired hops, then diagonally paired
         # hops whose short cross distances give the strongest coupling
-        pattern = {1: (0, 1, 2, 3), 2: (0, 1, 0, 1), 3: (0, 1, 1, 0)}[s]
-        return 2, 2, max(pattern) + 1, pattern
+        return 2, 2, {1: (0, 1, 2, 3), 2: (0, 1, 0, 1), 3: (0, 1, 1, 0)}[s]
     if s == 4:
-        return 3, 2, 2, (0, 1, 1, 0, 0, 1)
+        return 3, 2, (0, 1, 1, 0, 0, 1)
     if s == 5:
-        per_chain = tuple(range(6))
-        return 3, 6, 6, per_chain * 3
+        return 3, 6, tuple(range(6)) * 3
     raise ConfigError(f"unknown scenario {s}; pick one of 1..5")
 
 
 def build_scenario(cfg: ScenarioConfig) -> NetState:
     """Deterministic topology for scenarios 1-5: parallel session chains
     with per-link band assignments controlling the interference level."""
-    chains, hops, _, pattern = _scenario_shape(cfg)
+    chains, hops, pattern = _scenario_shape(cfg)
     if cfg.band_pattern:
         pattern = cfg.band_pattern
     # first chain has shorter hops, so its session finds capacity cheaper
@@ -315,14 +315,13 @@ def build_scenario(cfg: ScenarioConfig) -> NetState:
 
     links: list[Link] = []
     sessions: list[Session] = []
-    per_chain = hops + 1
     for c in range(chains):
-        base = c * per_chain
+        base = c * (hops + 1)
         path = []
         for h in range(hops):
             li = len(links)
             tx, rx = base + h, base + h + 1
-            d = _dist(positions[tx], positions[rx])
+            d = math.dist(positions[tx], positions[rx])
             links.append(Link(
                 index=li, tx=tx, rx=rx, band=pattern[li],
                 bandwidth=cfg.bandwidth, gain=d ** -cfg.pathloss_exp,
@@ -335,17 +334,12 @@ def build_scenario(cfg: ScenarioConfig) -> NetState:
 
     for li in links:
         for lj in links:
-            if lj.index == li.index or lj.band != li.band:
+            # half-duplex: a node cannot jam its own reception
+            if lj.index == li.index or lj.band != li.band or lj.tx == li.rx:
                 continue
-            if lj.tx == li.rx:
-                continue  # half-duplex: a node cannot jam its own reception
-            d = _dist(positions[lj.tx], positions[li.rx])
+            d = math.dist(positions[lj.tx], positions[li.rx])
             li.cross_gain[lj.index] = d ** -cfg.pathloss_exp
     return NetState(cfg, nodes, links, sessions)
-
-
-def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +361,8 @@ def link_capacity(link: Link, net: NetState, power: float, itf: float) -> float:
 
 
 def _linear_powers(net: NetState) -> list[float]:
-    return [l.power_linear for l in net.links]
+    # Link.power_linear, without a property call per link (as in step)
+    return [db_to_linear(l.pwr_gain_db) if l.active else 0.0 for l in net.links]
 
 
 def _aggregate_interference(link: Link, net: NetState, powers: list[float]) -> float:
@@ -399,8 +394,10 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
     net.pwr_names = tuple(ex.var_name("lnkpwr", l.index) for l in net.links)
     net.dual_cfg = SolverConfig(dual_step=net.cfg.dual_step)
     ns, nl = len(net.sessions), len(net.links)
-    net.dual_packer = struct.Struct(f"{2 * ns + 2 * nl + 1}d")
-    net.utility_packer = struct.Struct(f"{2 * ns + 2 * nl}d")
+    net.kept_itfs = Kept(5 * nl + 1)
+    net.kept_slacks = Kept(2 * ns + 2 * nl + 1)
+    net.kept_shares = Kept(2 * ns + nl + 1)
+    net.kept_utility = Kept(2 * ns + 2 * nl + 1)
     for rule in problem.box_rules:
         _apply_box_rule(net, rule)
     net.graph = problem.graph
@@ -410,30 +407,24 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
 
 def _apply_box_rule(net: NetState, rule: BoxRule) -> None:
     if rule.base == "lnkpwr":
-        targets = list(range(len(net.links)))
+        attr, targets = "power_box", net.links
         if rule.owner is not None:
             holder, idx, via = rule.owner
             if holder != "netses" or via != "seslnk":
                 raise UnresolvableCollectionRule(f"box rule owner {rule.owner}")
             if idx >= len(net.sessions):
                 raise UnknownEntity(f"session {idx}")
-            targets = list(net.sessions[idx].path)
-        for li in targets:
-            lo, hi = net.links[li].power_box
-            lo = rule.lower if rule.lower is not None else lo
-            hi = rule.upper if rule.upper is not None else hi
-            net.links[li].power_box = (lo, hi)
+            targets = [net.links[li] for li in net.sessions[idx].path]
     elif rule.base == "sesrate":
-        targets = list(range(len(net.sessions)))
+        attr, targets = "rate_box", net.sessions
         if rule.owner is not None:
             raise UnresolvableCollectionRule(f"box rule owner {rule.owner}")
-        for si in targets:
-            lo, hi = net.sessions[si].rate_box
-            lo = rule.lower if rule.lower is not None else lo
-            hi = rule.upper if rule.upper is not None else hi
-            net.sessions[si].rate_box = (lo, hi)
     else:
         raise UnresolvableCollectionRule(f"box rule on {rule.base}")
+    for target in targets:
+        lo, hi = getattr(target, attr)
+        setattr(target, attr, (lo if rule.lower is None else rule.lower,
+                               hi if rule.upper is None else rule.upper))
 
 
 def install_program(net: NetState, owner: tuple[str, int],
@@ -441,24 +432,15 @@ def install_program(net: NetState, owner: tuple[str, int],
     """Queue a program for an entity; it replaces the entity's installed
     program atomically at the next epoch boundary."""
     kind, idx = owner
-    if kind == "session":
-        if idx >= len(net.sessions):
-            raise UnknownEntity(f"session {idx}")
-        for rule in prog.collect:
-            if rule.symbol == "self":
-                continue
-            if rule.symbol != "seslnk":
-                raise UnresolvableCollectionRule(
-                    f"{rule.symbol} cannot be collected by a session")
-    elif kind == "link":
-        if idx >= len(net.links):
-            raise UnknownEntity(f"link {idx}")
-        for rule in prog.collect:
-            if rule.symbol != "self":
-                raise UnresolvableCollectionRule(
-                    f"{rule.symbol} cannot be collected by a link")
-    else:
+    if kind not in ("session", "link"):
         raise UnknownEntity(f"unknown entity kind {kind}")
+    if idx >= len(net.sessions if kind == "session" else net.links):
+        raise UnknownEntity(f"{kind} {idx}")
+    collectable = ("self", "seslnk") if kind == "session" else ("self",)
+    for rule in prog.collect:
+        if rule.symbol not in collectable:
+            raise UnresolvableCollectionRule(
+                f"{rule.symbol} cannot be collected by a {kind}")
     net.pending.append((owner, prog))
     return net
 
@@ -489,30 +471,23 @@ class _EntitySolver:
     # links: each interfered neighbour j with its slot's _NEIGHBOUR_PARAMS
     # env names, slots in sorted-neighbour order
     neighbours: tuple[tuple[int, tuple[str, ...]], ...] = ()
-    # links: the parameters of the last solve, packed by `packer`, and its
-    # decision, while that solve left its anchor in place (see solve)
-    packer: struct.Struct | None = None
-    kept_params: bytes = b""
-    kept_decision: float = 0.0
+    kept: Kept | None = None   # links: see solve
 
     def solve(self, params: Env) -> float:
-        """The decision for params.  A solve that leaves the decision at
-        its anchor keeps its parameters, bit for bit; the next solve with
-        the same parameters returns the kept decision without running.
-        A solve that moves the decision keeps nothing: the next one starts
-        from the moved anchor, so its parameters differ."""
-        key = b""
-        if self.kept_params:
-            key = self.packer.pack(*params.values())
-            if key == self.kept_params:
-                return self.kept_decision
+        """The decision for params.  Only a solve that leaves the decision
+        at its anchor is kept: after a move the next solve starts from the
+        moved anchor, so its parameters differ."""
+        kept, key = self.kept, None
+        if kept.key is not None:
+            key = kept.packer.pack(*params.values())
+            if key == kept.key:
+                return kept.value
         var = self.program.var
         decision = solve_program(self.program, params, self.cfg)[var]
         if decision == params[f"{var}_anchor"]:
-            self.kept_params = key or self.packer.pack(*params.values())
-            self.kept_decision = decision
+            kept.keep(key or kept.packer.pack(*params.values()), decision)
         else:
-            self.kept_params = b""
+            kept.key = None
         return decision
 
 
@@ -592,23 +567,20 @@ def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolv
     self_family = next((r.family for r in prog.collect if r.symbol == "self"), None)
     program = _shared_program(net, "link", prog, len(neighbours))
     # _solve_power binds 8 parameters of the link's own, then its neighbours'
-    packer = struct.Struct(f"{8 + len(_NEIGHBOUR_PARAMS) * len(neighbours)}d")
-    return _EntitySolver(program, cfg, [], self_family, neighbours, packer)
+    kept = Kept(8 + len(_NEIGHBOUR_PARAMS) * len(neighbours))
+    return _EntitySolver(program, cfg, [], self_family, neighbours, kept)
 
 
 def _get_solver(net: NetState, kind: str, idx: int) -> _EntitySolver | None:
     key = (kind, idx)
-    if key in net._solvers:
-        return net._solvers[key]
-    prog = net.programs.get(key)
-    if prog is None:
-        solver = None
-    elif kind == "session":
-        solver = _session_solver(net, net.sessions[idx], prog)
-    else:
-        solver = _link_solver(net, net.links[idx], prog)
-    net._solvers[key] = solver
-    return solver
+    if key not in net._solvers:
+        prog = net.programs.get(key)
+        if kind == "session":
+            build, entity = _session_solver, net.sessions[idx]
+        else:
+            build, entity = _link_solver, net.links[idx]
+        net._solvers[key] = None if prog is None else build(net, entity, prog)
+    return net._solvers[key]
 
 
 # ---------------------------------------------------------------------------
@@ -649,26 +621,38 @@ def tail_mean(vals: list[float], what: str, tail: float = 1.0) -> float:
 
 
 def _measure(net: NetState, powers: list[float]) -> list[float]:
-    """Every link's interference under `powers`, by index.  A link's
-    capacity is recomputed only where the link is inactive, or where
-    anything link_capacity reads differs from what its capacity_pps was
-    computed for.  Comparing with == is exact here: the channel values
-    are positive, and neither a power nor a sum folded from 0 can be
-    -0.0."""
-    itfs = []
-    for link, power in zip(net.links, powers):
-        itf = _aggregate_interference(link, net, powers)
-        itfs.append(itf)
-        inputs = (power, itf, link.bandwidth, link.gain, link.noise, net.capacity)
-        if not link.active or inputs != link.cap_inputs:
-            link.capacity_pps = link_capacity(link, net, power, itf) / net.cfg.packet_bits
-            link.cap_inputs = inputs if link.active else None
+    """Every link's interference under `powers`, by index, with its
+    capacity_pps set.  A repeat of the powers, each link's active flag,
+    channel values and cross gains, packet_bits and the capacity model
+    returns a copy of the kept list; otherwise only changed capacities
+    are recomputed."""
+    kept, links, model, bits = net.kept_itfs, net.links, net.capacity, net.cfg.packet_bits
+    last = kept.value   # (powers, itfs, model) of the last call
+    same_model = last is not None and model is last[2]
+    key = None
+    if same_model and powers == last[0]:
+        values = powers + [bits]
+        for l in links:
+            values += (l.active, l.bandwidth, l.gain, l.noise)
+        # == on gains is exact: a zero's sign never reaches a sum folded from 0
+        key = (kept.packer.pack(*values), [l.cross_gain for l in links])
+        if key == kept.key:
+            return last[1][:]
+        key = (key[0], [dict(gains) for gains in key[1]])   # for in-place edits
+    itfs = [_aggregate_interference(l, net, powers) for l in links]
+    for link, power, itf in zip(links, powers, itfs):
+        own = link.kept_capacity
+        inputs = own.packer.pack(power, itf, link.active, link.bandwidth, link.gain,
+                                 link.noise, bits)
+        if inputs != own.key or not same_model:
+            own.keep(inputs, link_capacity(link, net, power, itf) / bits)
+            link.capacity_pps = own.value
+    kept.keep(key, (powers[:], itfs[:], model))
     return itfs
 
 
 def _victims(net: NetState) -> list[list[Link]]:
-    """Each link's victims, by index: the links whose interference sum
-    reads its power."""
+    """Each link's victims, by index: the links whose sums read its power."""
     victims: list[list[Link]] = [[] for _ in net.links]
     for link in net.links:
         for j in link.cross_gain:
@@ -704,12 +688,10 @@ def _compile_slacks(net: NetState, fam: ConstraintFamily,
     """Each member's rhs and lhs, its sums expanded over the sessions that
     have not finished, compiled."""
     fns = []
-    members = (range(len(net.links)) if fam.entity == "link"
-               else range(len(net.sessions)))
-    for m in members:
+    for m in range(len(net.links if fam.entity == "link" else net.sessions)):
         if fam.entity == "link":
-            sharing = [si for si in net.links[m].sessions if not net.sessions[si].done]
-            bindings = {"lnkses": sharing}
+            bindings = {"lnkses": [si for si in net.links[m].sessions
+                                   if not net.sessions[si].done]}
         else:
             bindings = {"seslnk": list(net.sessions[m].path)}
         lhs = ex.expand_sums(ex.bind_index(fam.lhs, fam.holder, m), bindings)
@@ -719,31 +701,30 @@ def _compile_slacks(net: NetState, fam: ConstraintFamily,
 
 
 def _update_duals(net: NetState, powers: list[float]) -> None:
-    """One dual step for every family.  A family's slacks are recomputed
-    only when what they read differs, bit for bit, from what they were
-    computed for: the masked rates, the capacities, `powers`, the done
-    flags the compiled slacks were expanded for, and slack_clip."""
-    sessions = net.sessions
+    """One dual step for every family, on slacks reused while the
+    families, masked rates, capacities, `powers`, done flags and
+    slack_clip repeat."""
+    sessions, kept = net.sessions, net.kept_slacks
     values = [0.0 if s.done else s.rate for s in sessions]
     values += [l.capacity_pps for l in net.links]
     values += powers
     values += [s.done for s in sessions]
     values.append(net.cfg.slack_clip)
-    inputs = net.dual_packer.pack(*values)
-    env = None
-    for fam in net.families:
-        if fam.slack_inputs != inputs:
-            if env is None:
-                env = _runtime_bindings(net, powers)
-            fam.slacks = _family_slacks(net, fam, env)
-            fam.slack_inputs = inputs
+    key = (kept.packer.pack(*values), *net.families)
+    if key != kept.key:
+        env = _runtime_bindings(net, powers)
+        kept.keep(key, [_family_slacks(net, fam, env) for fam in net.families])
+    for fam, slacks in zip(net.families, kept.value):
         fam.prev = fam.duals
-        fam.duals = dual_update(fam.duals, fam.slacks, net.dual_cfg)
+        fam.duals = dual_update(fam.duals, slacks, net.dual_cfg)
 
 
 def _link_family(net: NetState) -> ConstraintFamily | None:
     """The first family over links: its duals price link capacity."""
-    return next((f for f in net.families if f.entity == "link"), None)
+    for fam in net.families:   # a loop, not a generator: every link solve asks
+        if fam.entity == "link":
+            return fam
+    return None
 
 
 def _solve_power(net: NetState, link: Link, powers: list[float],
@@ -758,8 +739,7 @@ def _solve_power(net: NetState, link: Link, powers: list[float],
     env: Env = {
         "freq": link.bandwidth, "lnkgain": link.gain, "lnknoise": link.noise,
         "lnkgain_itf": 1.0, "itfpwr": itfs[link.index],
-        "pwrgain_anchor": link.pwr_gain_db,
-        "lnkpwr_anchor": own,
+        "pwrgain_anchor": link.pwr_gain_db, "lnkpwr_anchor": own,
         "lbd": _self_lambda(net, solver, link.index),
     }
     if solver.neighbours:
@@ -796,15 +776,16 @@ def _solve_rate(net: NetState, s: Session) -> None:
     s.rate = decision["sesrate"]
 
 
-def _deliver(net: NetState) -> None:
+def _shares(net: NetState) -> list[float]:
+    """Each session's throughput, by index: its rate scaled by the worst
+    proportional capacity share along its path (0.0 once done)."""
     demand: dict[int, float] = {}
     for s in net.sessions:
-        if s.done:
-            s.throughput = 0.0
-            continue
-        for li in s.path:
-            demand[li] = demand.get(li, 0.0) + s.rate
-    for s in net.sessions:
+        if not s.done:
+            for li in s.path:
+                demand[li] = demand.get(li, 0.0) + s.rate
+    throughputs = [0.0] * len(net.sessions)
+    for i, s in enumerate(net.sessions):
         if s.done:
             continue
         share = 1.0
@@ -814,19 +795,38 @@ def _deliver(net: NetState) -> None:
                 share = min(share, cap / demand[li])
         # overloading a link wastes goodput on retransmissions: the share
         # factor collapses with the overload ratio (reliable transport)
-        s.throughput = s.rate * min(1.0, share) ** net.cfg.congestion_exp
+        throughput = s.rate * min(1.0, share) ** net.cfg.congestion_exp
         # conservation: never beyond the bottleneck's proportional share
         for li in s.path:
             cap = net.links[li].capacity_pps
-            if demand[li] > 0 and not s.throughput <= cap * s.rate / demand[li] + 1e-9:
-                raise NetsimError(f"session {s.index}: throughput {s.throughput!r} "
+            if demand[li] > 0 and not throughput <= cap * s.rate / demand[li] + 1e-9:
+                raise NetsimError(f"session {s.index}: throughput {throughput!r} "
                                   f"breaks conservation on link {li}")
-        if s.budget > 0:
-            s.sent += s.throughput * net.cfg.phys_epoch
+        throughputs[i] = throughput
+    return throughputs
+
+
+def _deliver(net: NetState) -> None:
+    """Set every session's throughput, reused while the capacities, rates,
+    done flags and congestion_exp repeat, and account what it sent
+    against its budget."""
+    sessions, kept = net.sessions, net.kept_shares
+    caps = [l.capacity_pps for l in net.links]
+    key = None
+    if kept.value is not None and caps == kept.value[0]:
+        values = caps + [s.rate for s in sessions]
+        values += [s.done for s in sessions]
+        values.append(net.cfg.congestion_exp)
+        key = kept.packer.pack(*values)
+    if key is None or key != kept.key:
+        kept.keep(key, (caps, _shares(net)))
+    for s, throughput in zip(sessions, kept.value[1]):
+        s.throughput = throughput
+        if s.budget > 0 and not s.done:
+            s.sent += throughput * net.cfg.phys_epoch
             if s.sent >= s.budget:
                 s.done = True
-                for li in s.path:
-                    link = net.links[li]
+                for link in (net.links[li] for li in s.path):
                     if all(net.sessions[u].done for u in link.sessions):
                         link.active = False
 
@@ -839,30 +839,29 @@ def sum_utility(net: NetState) -> float:
     for, bit for bit."""
     if net.utility_expr is None:
         return 0.0
-    sessions, links = net.sessions, net.links
+    sessions, links, kept = net.sessions, net.links, net.kept_utility
     values = [s.throughput for s in sessions]
     values += [l.pwr_gain_db for l in links]
     values += [s.done for s in sessions]
     values += [l.active for l in links]
-    inputs = (net.utility_expr, net.utility_sense, net.utility_packer.pack(*values))
-    if inputs == net.utility_inputs:
-        return net.utility_value
-    key = (net.utility_expr, tuple(s.index for s in sessions if not s.done),
-           tuple(l.index for l in links if l.active))
-    if net.utility_key != key:
-        _, live_s, live_l = key
+    values.append(net.utility_sense == "max")
+    key = (net.utility_expr, kept.packer.pack(*values))
+    if key == kept.key:
+        return kept.value
+    topology = (net.utility_expr, tuple(s.index for s in sessions if not s.done),
+                tuple(l.index for l in links if l.active))
+    if net.utility_key != topology:
+        _, live_s, live_l = topology
         e = ex.expand_sums(net.utility_expr, {"netses": live_s, "netlnk": live_l})
         net.utility_fn = ex.compile_expr(e)
-        net.utility_key = key
+        net.utility_key = topology
     env: Env = {}
     for name, s in zip(net.rate_names, sessions):
         env[name] = max(s.throughput, 1e-6)
     for name, l in zip(net.pwr_names, links):
         env[name] = l.power_linear
     val = net.utility_fn(env)
-    net.utility_value = val if net.utility_sense == "max" else -val
-    net.utility_inputs = inputs
-    return net.utility_value
+    return kept.keep(key, val if net.utility_sense == "max" else -val)
 
 
 def _record(net: NetState, trace: Trace) -> None:
@@ -893,7 +892,7 @@ def step(net: NetState, scheme: str = "joint") -> NetState:
         victims = None   # built when a power first moves
         for link in net.links:
             _solve_power(net, link, powers, itfs)
-            power = link.power_linear
+            power = db_to_linear(link.pwr_gain_db) if link.active else 0.0
             if power != powers[link.index]:
                 powers[link.index] = power
                 # refold only the sums that read this power

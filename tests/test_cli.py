@@ -159,6 +159,10 @@ def test_scenario_file_error_names_stage(tmp_path, capsys):
             ("rate_max = inf\n", "rate_max must be finite, got inf"),
             ("dual_step = inf\n", "dual_step must be finite, got inf"),
             ("phys_epoch = inf\n", "phys_epoch must be finite, got inf"),
+            ("congestion_exp = nan\n", "congestion_exp must be at least 1, got nan"),
+            ("congestion_exp = 0.5\n", "congestion_exp must be at least 1, got 0.5"),
+            ("congestion_exp = 0\n", "congestion_exp must be at least 1, got 0.0"),
+            ("congestion_exp = -1\n", "congestion_exp must be at least 1, got -1.0"),
     ]:
         bad.write_text(text)
         rc = run_cli(["run", "--problem", PROBLEMS / "jocp.ncp",
@@ -301,9 +305,7 @@ def test_python_dash_m_runs_the_cli():
     # the problem's rate floor (4 packets/s) empties the scenario's rate
     # box: the transport solver refuses it
     ("powermin.ncp", "rate_max = 3\n", "box lower 4.0 exceeds upper 3.0"),
-    # goodput turns nan under overload: the conservation check fails
-    ("jocp_log.ncp", "congestion_exp = nan\n", "breaks conservation"),
-], ids=["empty-rate-box", "nan-congestion"])
+], ids=["empty-rate-box"])
 def test_simulation_error_names_stage(tmp_path, capsys, problem, settings, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scenario = 2\n" + settings)

@@ -239,6 +239,16 @@ def test_throughput_never_exceeds_bottleneck_share():
                     assert s.throughput <= cap * s.rate / demand[li] + 1e-9
 
 
+@pytest.mark.parametrize("exponent", [math.nan, 0.5])
+def test_conservation_breach_raises(exponent):
+    # ScenarioConfig refuses such an exponent; it is set past that check,
+    # so that the simulator's own check is what fails
+    net, _, _ = deploy(scenario=2)
+    object.__setattr__(net.cfg, "congestion_exp", exponent)
+    with pytest.raises(ns.NetsimError, match="breaks conservation"):
+        ns.run(net, 30, "joint")
+
+
 def test_cross_gain_ablation_decouples_sessions():
     rates = []
     for forced_power in (0.0, 30.0):
@@ -503,6 +513,7 @@ def test_interference_and_capacity_follow_state_set_by_hand(monkeypatch):
 def test_interference_and_capacity_follow_emptied_cross_gains(monkeypatch, emptied):
     epochs = check_links_every_phase(monkeypatch)
     net, _, _ = deploy(scenario=3, seed=6)
+    heard = dict(net.links[emptied[0]].cross_gain)
     for li in emptied:
         net.links[li].cross_gain = {}
     if len(emptied) == 1:
@@ -510,7 +521,14 @@ def test_interference_and_capacity_follow_emptied_cross_gains(monkeypatch, empti
         # victims are not its interferers
         assert any(emptied[0] in l.cross_gain for l in net.links)
     ns.run(net, 120, "joint")
-    for _ in range(60):
+    for epoch in range(60):
+        # rate-only moves no power, so these are the only changes that
+        # the next measure sees: a rebinding, then an edit in place
+        if epoch == 20:
+            net.links[emptied[0]].cross_gain = heard
+        if epoch == 40:
+            for j in heard:
+                heard[j] *= 4.0
         ns.step(net, "rate-only")
     assert epochs == list(range(180))
 
@@ -537,9 +555,8 @@ def test_capacity_recomputed_only_where_its_inputs_change(monkeypatch):
     per_epoch = [calls.count(e) for e in range(360)]
     # powers stay fixed: the first epoch computes the four capacities, and
     # the next change is the drain of session 1 (links 2 and 3), which
-    # changes the interference on links 0 and 1; from then on the two
-    # inactive links are recomputed (to 0.0) each epoch
-    assert per_epoch == [4] + [0] * d + [4] + [2] * (358 - d)
+    # deactivates them and changes the interference on links 0 and 1
+    assert per_epoch == [4] + [0] * d + [4] + [0] * (358 - d)
 
     calls.clear()
     net, _, _ = deploy(scenario=5, seed=0)
@@ -745,9 +762,9 @@ def test_slacks_evaluated_only_where_their_inputs_change(monkeypatch):
         return family_slacks(net, fam, env)
 
     def tagged_record(net, trace):
-        kept = net.utility_inputs
+        kept = net.kept_utility.key
         record(net, trace)
-        if net.utility_inputs is not kept:
+        if net.kept_utility.key is not kept:
             utility_epochs.append(net.epoch - 1)
 
     def tagged_step(net, scheme):
@@ -770,6 +787,92 @@ def test_slacks_evaluated_only_where_their_inputs_change(monkeypatch):
     # throughput follows the rates in the epoch they move; the drained
     # session's is zeroed in the epoch after its drain
     assert utility_epochs == sorted({d, d + 1, *range(0, 1500, 30)})
+
+
+def test_interference_and_shares_computed_only_where_their_inputs_change(monkeypatch):
+    # the benchmark's rate-only drain run
+    problem = ab.parse_problem((DATA / "problems" / "jocp_log.ncp").read_text())
+    programs, _, _ = cli.build_programs(problem)
+    cfg = ns.load_scenario((ROOT / "perfbench" / "s5_drain.cfg").read_text())
+    net = cli.deploy(problem, programs, cfg)
+    fold_epochs, share_epochs, drains = [], [], []
+    fold, shares, step = ns._aggregate_interference, ns._shares, ns.step
+
+    def counted_fold(link, net, powers):
+        fold_epochs.append(net.epoch)
+        return fold(link, net, powers)
+
+    def counted_shares(net):
+        share_epochs.append(net.epoch)
+        return shares(net)
+
+    def tagged_step(net, scheme):
+        live = sum(not s.done for s in net.sessions)
+        step(net, scheme)
+        if sum(not s.done for s in net.sessions) < live:
+            drains.append(net.epoch - 1)
+
+    monkeypatch.setattr(ns, "_aggregate_interference", counted_fold)
+    monkeypatch.setattr(ns, "_shares", counted_shares)
+    monkeypatch.setattr(ns, "step", tagged_step)
+    ns.run(net, 1500, "rate-only")
+    d, = drains
+    assert d == 474
+    # a changed input is computed afresh, and kept with its packed key on
+    # the next epoch that repeats it: the powers (and so the interference)
+    # change only when the drain deactivates six links, and the capacities
+    # the shares read with them; rates move in every 30th epoch
+    assert sorted(set(fold_epochs)) == [0, 1, d + 1, d + 2]
+    assert len(fold_epochs) == 4 * len(net.links)
+    assert share_epochs == sorted({0, 1, d + 1, d + 2, *range(30, 1500, 30)})
+
+
+def fresh_throughputs(net):
+    """Each session's throughput from the live rates, done flags and
+    capacities, computed afresh: the reference for the kept shares."""
+    demand = {}
+    for s in net.sessions:
+        if not s.done:
+            for li in s.path:
+                demand[li] = demand.get(li, 0.0) + s.rate
+    throughputs = []
+    for s in net.sessions:
+        share = 1.0
+        for li in s.path:
+            if not s.done and demand[li] > 0:
+                share = min(share, net.links[li].capacity_pps / demand[li])
+        throughputs.append(0.0 if s.done
+                           else s.rate * min(1.0, share) ** net.cfg.congestion_exp)
+    return throughputs
+
+
+def test_throughputs_follow_state_set_by_hand(monkeypatch):
+    epochs, shares = [], ns._shares
+    monkeypatch.setattr(ns, "_shares", lambda net: epochs.append(net.epoch) or shares(net))
+    # a budget no run exhausts, so that session 1 accounts what it sends
+    net, _, _ = deploy(scenario=2, seed=3, budgets=(0.0, 1e12))
+    ns.run(net, 62, "rate-only")
+    s, link = net.sessions[1], net.links[2]
+    # the capacity cut overloads link 2, so that the exponent matters
+    edits = [(s, "rate", 8.0), (link, "capacity_pps", 2.0),
+             (s, "done", True), (s, "done", False),
+             (net, "cfg", dataclasses.replace(net.cfg, congestion_exp=3.0)),
+             (net, "cfg", dataclasses.replace(net.cfg, congestion_exp=2.0))]
+    # each edit is the only change the next epoch's delivery sees: the
+    # next rate solve is in epoch 90, and rate-only moves no power
+    for obj, attr, value in edits:
+        setattr(obj, attr, value)
+        first = net.epoch
+        for _ in range(3):
+            sent = s.sent
+            ns.step(net, "rate-only")
+            assert [x.throughput.hex() for x in net.sessions] \
+                == [x.hex() for x in fresh_throughputs(net)]
+            if not s.done:
+                assert s.sent.hex() == (sent + s.throughput * net.cfg.phys_epoch).hex()
+        assert first in epochs and first + 2 not in epochs
+    assert (link.capacity_pps, s.rate) == (2.0, 8.0)
+    assert net.epoch == 62 + 3 * len(edits) < 90
 
 
 def test_slacks_and_utility_compile_once_per_topology(monkeypatch):

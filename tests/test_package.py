@@ -1,6 +1,9 @@
 import ast
+import copy
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +64,33 @@ def test_benchmark_tracer_wraps_every_name_it_patches(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # one constraint family: one dual step per epoch
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, 1.0]
+
+
+def module_containers():
+    """Every module-level dict, list and set of the netnum modules, deep
+    copied, by (module, name)."""
+    for info in pkgutil.iter_modules(netnum.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"netnum.{info.name}")
+    return {(name, attr): copy.deepcopy(value)
+            for name, mod in sorted(sys.modules.items())
+            if name == "netnum" or name.startswith("netnum.")
+            for attr, value in vars(mod).items()
+            if isinstance(value, (dict, list, set)) and not attr.startswith("__")}
+
+
+def test_runs_leave_module_level_containers_unchanged(tmp_path):
+    # reuse state lives on the simulator's objects, never in a
+    # module-global cache: no run may add to, drop from or change one
+    from netnum import cli
+    before = module_containers()
+    data = SRC / "data"
+    root = Path(__file__).resolve().parent.parent
+    for problem, scenario, scheme, duration in [
+            ("jocp_log.ncp", data / "scenarios" / "s5.cfg", "joint", "60"),
+            ("jocp_log.ncp", root / "perfbench" / "s5_drain.cfg", "rate-only", "600")]:
+        code = cli.main(["run", "--problem", str(data / "problems" / problem),
+                         "--scenario", str(scenario), "--scheme", scheme,
+                         "--duration", duration, "--out", str(tmp_path)])
+        assert code == 0
+    assert module_containers() == before
