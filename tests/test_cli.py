@@ -301,19 +301,23 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("usage: netnum")
 
 
-@pytest.mark.parametrize("problem, settings, message", [
+@pytest.mark.parametrize("problem, settings, stage, message", [
     # the problem's rate floor (4 packets/s) empties the scenario's rate
     # box: the transport solver refuses it
-    ("powermin.ncp", "rate_max = 3\n", "box lower 4.0 exceeds upper 3.0"),
-], ids=["empty-rate-box"])
-def test_simulation_error_names_stage(tmp_path, capsys, problem, settings, message):
+    ("powermin.ncp", "rate_max = 3\n", "simulate", "box lower 4.0 exceeds upper 3.0"),
+    # a nan goodput exponent would break conservation under overload; the
+    # scenario loader refuses it before any epoch runs
+    ("jocp_log.ncp", "congestion_exp = nan\n", "scenario",
+     "congestion_exp must be at least 1, got nan"),
+], ids=["empty-rate-box", "nan-congestion"])
+def test_simulation_error_names_stage(tmp_path, capsys, problem, settings, stage, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scenario = 2\n" + settings)
     rc = run_cli(["run", "--problem", PROBLEMS / problem,
                   "--scenario", cfg, "--duration", "30", "--out", tmp_path])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("[simulate] ") and message in err
+    assert err.startswith(f"[{stage}] ") and message in err
 
 
 @pytest.mark.parametrize("flag, value, message", [
