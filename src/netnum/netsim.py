@@ -32,11 +32,20 @@ Model notes:
     each such site keeps its last value in a Kept, keyed by its inputs
     packed as doubles, and reuses it while they repeat bit for bit (the
     interference, each link's capacity, a link solve that left its power
-    at the anchor, the slacks, the throughputs, the traced utility).
-    Where most joint epochs change one input list (powers, capacities),
-    it is compared before the rest is packed.  A moved power refolds
-    only the interference sums that read it.  The dual step, the packets
-    sent and the drain run every epoch.
+    at the anchor, the whole power pass once every solve in it did, the
+    slacks, the throughputs, the traced utility).  Where most joint
+    epochs change one input list (powers, capacities), it is compared
+    before the rest is packed.  A moved power refolds only the
+    interference sums that read it.  The dual step, the packets sent and
+    the drain run every epoch.
+  - ScenarioConfig is read at three times.  build_scenario reads the
+    topology, channel, box and budget keys, and run the seed.  Each step
+    reads net.cfg's dual_step, slack_clip, congestion_exp, packet_bits
+    (capacities), phys_epoch and timescale, so replacing net.cfg
+    mid-run changes them from the next step.  A solver reads the solver
+    steps, iteration counts and move caps, and a link solver packet_bits
+    (its objective's units), when it is built: on first use, and again
+    only after install_program.
 """
 
 from __future__ import annotations
@@ -246,12 +255,14 @@ class NetState:
     rate_names: tuple[str, ...] = ()
     cap_names: tuple[str, ...] = ()
     pwr_names: tuple[str, ...] = ()
-    dual_cfg: SolverConfig | None = None
-    # what _measure, _update_duals, _deliver and sum_utility last computed
+    dual_cfg: SolverConfig | None = None   # rebuilt when cfg.dual_step changes
+    # what _measure, _update_duals, _deliver and sum_utility last computed,
+    # and the key of the last power pass that only kept decisions
     kept_itfs: Kept | None = None
     kept_slacks: Kept | None = None
     kept_shares: Kept | None = None
     kept_utility: Kept | None = None
+    kept_power: Kept | None = None
     pending: list[tuple[tuple[str, int], ControlProgram]] = field(default_factory=list)
     programs: dict[tuple[str, int], ControlProgram] = field(default_factory=dict)
     graph: ElementGraph | None = None
@@ -398,6 +409,7 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
     net.kept_slacks = Kept(2 * ns + 2 * nl + 1)
     net.kept_shares = Kept(2 * ns + nl + 1)
     net.kept_utility = Kept(2 * ns + 2 * nl + 1)
+    net.kept_power = Kept(nl)   # pwr_gain_db, then each link family's prev duals
     for rule in problem.box_rules:
         _apply_box_rule(net, rule)
     net.graph = problem.graph
@@ -460,7 +472,7 @@ def _apply_pending(net: NetState) -> None:
 # ---------------------------------------------------------------------------
 # per-entity solvers over compiled programs shared per shape
 
-@dataclass
+@dataclass(eq=False)   # a solver is equal only to itself (see _power_key)
 class _EntitySolver:
     program: CompiledProgram   # shared by the entities of the same shape
     cfg: SolverConfig          # the entity's own box
@@ -523,8 +535,7 @@ def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntityS
         else:
             lam_sources.extend((rule.family, ex.var_name("lbd", hop), li)
                                for hop, li in enumerate(s.path))
-    cfg = SolverConfig(step=net.cfg.rate_step, dual_step=net.cfg.dual_step,
-                       max_iters=net.cfg.rate_iters, tol=1e-9,
+    cfg = SolverConfig(step=net.cfg.rate_step, max_iters=net.cfg.rate_iters, tol=1e-9,
                        boxes={"sesrate": s.rate_box},
                        max_move=net.cfg.rate_move_max)
     program = _shared_program(net, "session", prog, len(s.path))
@@ -560,8 +571,7 @@ def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolv
     interfered = sorted(link.cross_gain) if prog.penalty is not None else []
     neighbours = tuple((j, tuple(f"{v}@{slot}" for v in _NEIGHBOUR_PARAMS))
                        for slot, j in enumerate(interfered))
-    cfg = SolverConfig(step=net.cfg.power_step, dual_step=net.cfg.dual_step,
-                       max_iters=net.cfg.power_iters, tol=1e-9,
+    cfg = SolverConfig(step=net.cfg.power_step, max_iters=net.cfg.power_iters, tol=1e-9,
                        boxes={"pwrgain": link.power_box},
                        max_move=net.cfg.power_move_max)
     self_family = next((r.family for r in prog.collect if r.symbol == "self"), None)
@@ -701,10 +711,12 @@ def _compile_slacks(net: NetState, fam: ConstraintFamily,
 
 
 def _update_duals(net: NetState, powers: list[float]) -> None:
-    """One dual step for every family, on slacks reused while the
-    families, masked rates, capacities, `powers`, done flags and
-    slack_clip repeat."""
+    """One dual step for every family, of net.cfg.dual_step, on slacks
+    reused while the families, masked rates, capacities, `powers`, done
+    flags and slack_clip repeat."""
     sessions, kept = net.sessions, net.kept_slacks
+    if net.dual_cfg.dual_step != net.cfg.dual_step:   # net.cfg was replaced
+        net.dual_cfg = SolverConfig(dual_step=net.cfg.dual_step)
     values = [0.0 if s.done else s.rate for s in sessions]
     values += [l.capacity_pps for l in net.links]
     values += powers
@@ -756,6 +768,53 @@ def _solve_power(net: NetState, link: Link, powers: list[float],
             other = itfs[j] - back * own
             env[noise] = lj.noise + max(0.0, other)
     link.pwr_gain_db = solver.solve(env)
+
+
+def _power_key(net: NetState) -> list:
+    """What a power pass reads beyond the kept key of this epoch's
+    _measure (the powers, active flags, channel values, cross gains and
+    packet_bits): every link's pwr_gain_db and every link family's prev
+    dual by link, packed (so -0.0 and 0.0 differ), and the solvers."""
+    pack, links = net.kept_power.packer.pack, net.links
+    key = [net.kept_itfs.key, pack(*[l.pwr_gain_db for l in links])]
+    for fam in net.families:
+        if fam.entity == "link":
+            prices = fam.prev.values
+            key.append(pack(*[prices.get(i, 0.0) for i in range(len(links))]))
+    key.append(list(net._solvers.values()))
+    return key
+
+
+def _power_pass(net: NetState, powers: list[float], itfs: list[float]) -> None:
+    """Solve every link's power program in index order; each solve sees
+    the powers and interference the earlier ones left.  A pass in which
+    every active link's solve kept its decision moved no power, and keeps
+    its key (built only when _measure built one, i.e. the powers
+    repeated); a pass whose key equals it would only reuse those
+    decisions, and is skipped."""
+    kept, key = net.kept_power, None
+    if net.kept_itfs.key is not None:
+        key = _power_key(net)
+        if key == kept.key:
+            return
+    victims = None   # built when a power first moves
+    for link in net.links:
+        _solve_power(net, link, powers, itfs)
+        power = db_to_linear(link.pwr_gain_db) if link.active else 0.0
+        if power != powers[link.index]:
+            powers[link.index] = power
+            # refold only the sums that read this power
+            if victims is None:
+                victims = _victims(net)
+            for victim in victims[link.index]:
+                itfs[victim.index] = _aggregate_interference(victim, net, powers)
+    if key is not None:
+        for link in net.links:
+            solver = net._solvers[("link", link.index)]
+            if link.active and solver is not None and solver.kept.key is None:
+                key = None   # this solve moved its decision
+                break
+    kept.key = key
 
 
 def _self_lambda(net: NetState, solver: _EntitySolver, member: int) -> float:
@@ -881,7 +940,11 @@ def _record(net: NetState, trace: Trace) -> None:
 def step(net: NetState, scheme: str = "joint") -> NetState:
     """Advance one physical epoch: measure capacities, update duals, run
     the physical-layer programs, run the transport programs every
-    timescale-th epoch, then account delivered traffic."""
+    timescale-th epoch, then account delivered traffic.  The physical
+    pass is skipped when it would only reuse the decisions of the last
+    one (see _power_pass).  net.cfg's dual_step, slack_clip,
+    congestion_exp, packet_bits, phys_epoch and timescale are read on
+    every step; the solver keys once per solver (see the module notes)."""
     if net.capacity is None:
         raise NetsimError("install_problem must run before step")
     _apply_pending(net)
@@ -889,17 +952,7 @@ def step(net: NetState, scheme: str = "joint") -> NetState:
     itfs = _measure(net, powers)
     _update_duals(net, powers)
     if scheme in ("joint", "power-only"):
-        victims = None   # built when a power first moves
-        for link in net.links:
-            _solve_power(net, link, powers, itfs)
-            power = db_to_linear(link.pwr_gain_db) if link.active else 0.0
-            if power != powers[link.index]:
-                powers[link.index] = power
-                # refold only the sums that read this power
-                if victims is None:
-                    victims = _victims(net)
-                for victim in victims[link.index]:
-                    itfs[victim.index] = _aggregate_interference(victim, net, powers)
+        _power_pass(net, powers, itfs)
     if scheme in ("joint", "rate-only") and net.epoch % net.cfg.timescale == 0:
         for s in net.sessions:
             _solve_rate(net, s)

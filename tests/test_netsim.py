@@ -450,6 +450,79 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     solver = ns._get_solver(net, "link", 0)
     assert swapped.hex() == solve_program(solver.program, runs[3], solver.cfg)["pwrgain"].hex()
 
+    # a whole power pass is skipped while it would only reuse decisions;
+    # each edit below, made after a skipped pass, makes the next one run.
+    # powermin leaves every power at 0 dB, and the duals at 0.
+    net, _, _ = deploy((DATA / "problems" / "powermin.ncp").read_text(), scenario=2, seed=1)
+    passes, solve_power = [], ns._solve_power
+    monkeypatch.setattr(ns, "_solve_power", lambda net, *args: passes.append(net.epoch)
+                        or solve_power(net, *args))
+    cap, j = ns._link_family(net), min(net.links[0].cross_gain)
+    victim = next(l for l in net.links if l.cross_gain)
+
+    def reinstall():
+        ns.install_program(net, ("link", 0), net.programs[("link", 0)])
+
+    def moved_and_set_back():
+        # a pass that moves a power keeps no key, even one the next pass's
+        # inputs repeat
+        start = net.links[0].pwr_gain_db
+        cap.duals.values[0] = 5.0
+        ns.step(net, "joint")
+        assert net.links[0].pwr_gain_db > start
+        net.links[0].pwr_gain_db = start
+        cap.duals.values[0] = 5.0
+
+    # each by the least step that changes bits, so that the net settles again
+    edits = [lambda: cap.duals.values.__setitem__(0, -0.0),
+             lambda: setattr(net.links[j], "noise", math.nextafter(net.links[j].noise, 1.0)),
+             # the same linear power, not the same bits
+             lambda: setattr(net.links[0], "pwr_gain_db", -0.0),
+             lambda: victim.cross_gain.update(
+                 {k: math.nextafter(g, 1.0) for k, g in victim.cross_gain.items()}),
+             # the same program: only the solver is new
+             reinstall, moved_and_set_back]
+    ns.run(net, 100, "joint")
+    for edit in edits:
+        for _ in range(100):
+            ns.step(net, "joint")
+            if passes[-1] != net.epoch - 1:
+                break
+        assert passes[-1] < net.epoch - 1
+        assert cap.duals.values[0] == 0.0 and net.links[0].pwr_gain_db == 0.0
+        edit()
+        ns.step(net, "joint")
+        assert passes.count(net.epoch - 1) == len(net.links)
+
+
+@pytest.mark.parametrize("problem, skipped", [("jocp_log.ncp", 173), ("powermin.ncp", 233)])
+def test_skipped_power_passes_match_fresh_solves(monkeypatch, problem, skipped):
+    net = deploy_file(problem, "s5.cfg", seed=0)
+    solve_power, deliver = ns._solve_power, ns._deliver
+    solved, checked = set(), []
+    monkeypatch.setattr(ns, "_solve_power", lambda net, *args: solved.add(net.epoch)
+                        or solve_power(net, *args))
+
+    def checked_deliver(net):
+        # after the epoch's power pass: no power moved since _measure
+        if net.epoch not in solved:
+            checked.append(net.epoch)
+            powers = ns._linear_powers(net)
+            itfs = [ns._aggregate_interference(l, net, powers) for l in net.links]
+            for link in net.links:
+                solver, bound = ns._get_solver(net, "link", link.index), []
+                with monkeypatch.context() as m:
+                    m.setattr(solver, "solve", lambda params: bound.append(dict(params))
+                              or link.pwr_gain_db)
+                    solve_power(net, link, powers, itfs)
+                fresh = ns.solve_program(solver.program, bound[0], solver.cfg)["pwrgain"]
+                assert fresh.hex() == link.pwr_gain_db.hex()
+        deliver(net)
+
+    monkeypatch.setattr(ns, "_deliver", checked_deliver)
+    ns.run(net, 360, "joint")
+    assert len(checked) == skipped
+
 
 def check_links_every_phase(monkeypatch):
     """Check, each time _measure or _solve_power runs, that every link's
@@ -671,7 +744,8 @@ def check_duals_and_utility_every_epoch(monkeypatch):
     def checked_update_duals(net, powers):
         assert powers == ns._linear_powers(net)
         env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
-        want = [ns.dual_update(fam.duals, interpreted_slacks(net, fam, env), net.dual_cfg)
+        cfg = ns.SolverConfig(dual_step=net.cfg.dual_step)
+        want = [ns.dual_update(fam.duals, interpreted_slacks(net, fam, env), cfg)
                 for fam in net.families]
         update_duals(net, powers)
         assert [bits(fam.duals.values) for fam in net.families] \
@@ -720,6 +794,7 @@ def test_duals_and_utility_follow_state_set_by_hand(monkeypatch, problem, extra)
              (s, "rate", 0.0), (s, "done", True), (s, "done", False),
              (net, "cfg", dataclasses.replace(net.cfg, slack_clip=5.0)),
              (net, "cfg", dataclasses.replace(net.cfg, slack_clip=0.0)),
+             (net, "cfg", dataclasses.replace(net.cfg, dual_step=0.5)),
              (net, "utility_sense", flipped), (net, "utility_sense", sense)]
     # each edit is the only change the next epoch's dual update sees: the
     # last rate solve ran in epoch 60 and reached the duals in epoch 61,

@@ -386,7 +386,8 @@ def test_fused_solver_matches_the_generic_loop(monkeypatch, problem):
         programs, _, _ = cli.build_programs(parsed)
         cfg = netsim.load_scenario((DATA / "scenarios" / scenario).read_text())
         netsim.run(cli.deploy(parsed, programs, cfg), duration, "joint")
-    # solves run plus solves reused: one per link and epoch
+    # solves run plus solves reused: one per link and epoch, since no
+    # power pass of these runs is skipped
     assert link_solves == 90 * 4 + 90 * 6 + 60 * 18
     assert 0 < solved["pwrgain"] <= link_solves
     if problem == "jocp_log.ncp":
