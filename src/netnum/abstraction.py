@@ -55,6 +55,7 @@ class ParseError(AbstractionError):
 
 @dataclass(frozen=True)
 class Element:
+    """One element of the problem's graph: its kind, entity, layer and model."""
     name: str
     kind: str                  # "primitive" | "virtual"
     entity: str                # "node" | "link" | "session" | "attribute" | "set"
@@ -67,6 +68,7 @@ class Element:
 
 @dataclass
 class ElementGraph:
+    """The problem's elements by name, and the labelled edges between them."""
     elements: dict[str, Element] = field(default_factory=dict)
     edges: set[tuple[str, str, str]] = field(default_factory=set)  # (src, label, dst)
 
@@ -227,6 +229,7 @@ Quant = str  # "all" | "every" | "none" | decimal string of a member index
 
 @dataclass(frozen=True)
 class VarSpec:
+    """A problem variable: the element path it reads and its quantifiers."""
     name: str
     path: tuple[str, ...]
     quant: tuple[Quant, ...]
@@ -278,6 +281,7 @@ def validate_varspec(graph: ElementGraph, spec: VarSpec) -> None:
 
 @dataclass(frozen=True)
 class Constraint:
+    """One parsed constraint lhs <= rhs, with the element it is held by."""
     lhs: Expr
     rhs: Expr
     holder: str | None  # global element enumerated by an `every` quantifier
@@ -299,6 +303,7 @@ class BoxRule:
 
 @dataclass
 class ControlProblem:
+    """A parsed problem file: graph, variables, utility, constraints and rules."""
     graph: ElementGraph
     varspecs: dict[str, VarSpec]
     utility: Expr

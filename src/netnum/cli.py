@@ -32,6 +32,7 @@ class SchemaMismatch(CliError):
 
 @dataclass
 class ExperimentSpec:
+    """The options of one `netnum run`."""
     problem_path: Path
     scenario_path: Path
     scheme: str = "joint"
@@ -82,25 +83,16 @@ def deploy(problem: abstraction.ControlProblem,
 
 
 def _summary(net: netsim.NetState, trace: netsim.Trace) -> tuple[str, float]:
-    """summary.txt, from one pass over the trace, and its final utility."""
-    utility: list[float] = []
-    power: list[float] = []
-    throughput: dict[int, list[float]] = {s.index: [] for s in net.sessions}
-    for _, kind, eid, metric, value in trace.rows:
-        if kind == "link":
-            continue
-        if kind == "node" and metric == "power_gain_db":
-            power.append(value)
-        elif kind == "session" and metric == "throughput_pps":
-            throughput[eid].append(value)
-        elif kind == "net" and metric == "sum_utility":
-            utility.append(value)
-    final = netsim.tail_mean(utility, "net/sum_utility", tail=0.3)
+    """summary.txt, from the trace's series, and its final utility."""
+    final = netsim.tail_mean(trace.values("net", "sum_utility"), "net/sum_utility",
+                             tail=0.3)
     lines = ["summary", f"final_sum_utility\t{final!r}"]
     for s in net.sessions:
-        m = netsim.tail_mean(throughput[s.index], "session/throughput_pps")
+        m = netsim.tail_mean(trace.values("session", "throughput_pps", s.index),
+                             "session/throughput_pps")
         lines.append(f"session_{s.index}_mean_throughput_pps\t{m!r}")
     # nan when every link went inactive before the first record
+    power = trace.values("node", "power_gain_db")
     m = netsim.tail_mean(power, "node/power_gain_db") if power else math.nan
     lines.append(f"mean_power_gain_db\t{m!r}")
     return "\n".join(lines) + "\n", final
@@ -190,7 +182,8 @@ def _load_trace(path: Path) -> list[tuple[float, str, int, str, float]]:
 
 def compare_runs(path_a: Path, path_b: Path) -> str:
     """Per-metric deltas and orderings between two runs of the same schema."""
-    a, b = netsim.Trace(_load_trace(path_a)), netsim.Trace(_load_trace(path_b))
+    a = netsim.Trace.from_rows(_load_trace(path_a))
+    b = netsim.Trace.from_rows(_load_trace(path_b))
     metrics_a = {(k, m) for (_, k, _, m, _) in a.rows}
     metrics_b = {(k, m) for (_, k, _, m, _) in b.rows}
     if metrics_a != metrics_b:

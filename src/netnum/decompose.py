@@ -52,6 +52,7 @@ class NotDifferentiable(DecomposeError):
 
 @dataclass(frozen=True)
 class DualVar:
+    """One dual variable: its name, family, holder member and constraint."""
     name: str          # lbd_NN
     index: int
     family: int        # ordinal of the originating abstract constraint
@@ -64,6 +65,7 @@ class DualVar:
 
 @dataclass
 class DualProblem:
+    """The dualized problem: its Lagrangian and the registry of its duals."""
     dual: Expr
     registry: list[DualVar]
     sense: str                      # sense of the original problem
@@ -117,6 +119,7 @@ def _term_times(t: Expr, lam: Expr) -> Expr:
 
 @dataclass
 class Subproblem:
+    """One layer's or entity's share of the dual, and the variables it owns."""
     layer: str
     objective: Expr
     sense: str
@@ -216,6 +219,7 @@ def split_by_entity(sub: Subproblem, graph: ElementGraph) -> list[Subproblem]:
 
 @dataclass(frozen=True)
 class CollectionRule:
+    """Which constraint family's duals a program collects, and under what name."""
     symbol: str   # local element name, or "self" for the entity's own dual
     family: int   # ordinal of the abstract constraint supplying the values
 

@@ -69,6 +69,7 @@ _FUNC_EVAL: dict[str, Callable[[float], float]] = {
 
 @dataclass(frozen=True)
 class Expr:
+    """An immutable expression node: its kind, children and payload."""
     kind: str
     children: tuple["Expr", ...] = ()
     value: float = 0.0

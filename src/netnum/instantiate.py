@@ -55,6 +55,7 @@ class NotDual(InstantiateError):
 
 @dataclass(frozen=True)
 class InstanceConfig:
+    """Cardinalities and the seed of one instantiation."""
     n_glb: int = 20
     n_lcl: int = 10
     seed: int = 0
@@ -116,6 +117,7 @@ def sample_local(mother: tuple[int, ...], cfg: InstanceConfig,
 
 @dataclass
 class LocalFamily:
+    """The sampled members of one local element, keyed by holder member."""
     name: str
     holder: str   # global element whose members key the instances
     mother: str   # global element the members are drawn from
@@ -130,6 +132,7 @@ class LocalFamily:
 
 @dataclass
 class InstanceMap:
+    """The members of every global element and the local families."""
     glb: dict[str, tuple[int, ...]] = field(default_factory=dict)
     lcl: dict[str, LocalFamily] = field(default_factory=dict)
 
@@ -244,6 +247,7 @@ def _holder_global(problem: ControlProblem, local_name: str) -> str:
 
 @dataclass(frozen=True)
 class InstConstraint:
+    """One constraint expanded for a holder member, with its label."""
     lhs: Expr
     rhs: Expr
     label: str  # e.g. "netlnk_03" for the per-member expansion
@@ -251,6 +255,7 @@ class InstConstraint:
 
 @dataclass
 class InstantiatedProblem:
+    """A problem over concrete members: utility, constraints, decisions, boxes."""
     problem: ControlProblem
     utility: Expr
     sense: str

@@ -38,6 +38,11 @@ Model notes:
     before the rest is packed.  A moved power refolds only the
     interference sums that read it.  The dual step, the packets sent and
     the drain run every epoch.
+  - The trace is kept by epoch: a flat list of values, and a Layout of
+    their rows shared by every epoch with the same active links.  Its CSV
+    reuses a series' last line only for the same value object, or an
+    equal non-zero one of the same type, so the bytes match a writer
+    that formats every row.
   - ScenarioConfig is read at three times.  build_scenario reads the
     topology, channel, box and budget keys, and run the seed.  Each step
     reads net.cfg's dual_step, slack_clip, congestion_exp, packet_bits
@@ -50,6 +55,7 @@ Model notes:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import struct
@@ -114,6 +120,7 @@ class Kept:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """The keys of a scenario file (see the module notes for when each is read)."""
     scenario: int = 1               # 1..5
     seed: int = 0
     bandwidth: float = 200e3        # Hz per band
@@ -179,12 +186,14 @@ class ScenarioConfig:
 
 @dataclass
 class Node:
+    """A node and its position in metres."""
     index: int
     pos: tuple[float, float]
 
 
 @dataclass
 class Link:
+    """A directed link: its channel, its power decision and what is kept for it."""
     index: int
     tx: int
     rx: int
@@ -208,6 +217,7 @@ class Link:
 
 @dataclass
 class Session:
+    """A session: its path, rate decision, budget and delivered traffic."""
     index: int
     src: int
     dst: int
@@ -239,6 +249,7 @@ class ConstraintFamily:
 
 @dataclass
 class NetState:
+    """The whole simulated network, its installed problem and its kept values."""
     cfg: ScenarioConfig
     nodes: list[Node]
     links: list[Link]
@@ -474,6 +485,7 @@ def _apply_pending(net: NetState) -> None:
 
 @dataclass(eq=False)   # a solver is equal only to itself (see _power_key)
 class _EntitySolver:
+    """One entity's solver: the shared compiled program and the entity's wiring."""
     program: CompiledProgram   # shared by the entities of the same shape
     cfg: SolverConfig          # the entity's own box
     # sessions: (family ordinal, env name, link) per collected dual, the
@@ -596,28 +608,92 @@ def _get_solver(net: NetState, kind: str, idx: int) -> _EntitySolver | None:
 # ---------------------------------------------------------------------------
 # the event loop
 
-@dataclass
-class Trace:
-    rows: list[tuple[float, str, int, str, float]] = field(default_factory=list)
+class Layout:
+    """The rows of one recorded epoch: each value's (kind, eid, metric)
+    key, and its CSV head "kind,eid,metric,", formatted once."""
+    __slots__ = ("keys", "heads")
 
-    def record(self, t: float, kind: str, eid: int, metric: str, value: float):
-        self.rows.append((t, kind, eid, metric, value))
+    def __init__(self, keys):
+        self.keys = tuple(keys)
+        self.heads = tuple(f"{k},{e},{m}," for k, e, m in self.keys)
+
+
+class Trace:
+    """A run's records, stored by epoch as (t, layout, values): `values`
+    is that epoch's flat list, in the order of `layout.keys`.  Epochs
+    whose layout inputs repeat share one Layout; `layouts` keeps them,
+    keyed by those inputs (see _record).  `rows` is the derived view of
+    (t, kind, eid, metric, value) records, in recording order; `series`,
+    `values` and `mean` read one series through the layouts instead."""
+    __slots__ = ("epochs", "layouts")
+
+    def __init__(self):
+        self.epochs: list[tuple[float, Layout, list[float]]] = []
+        self.layouts: dict = {}
+
+    @classmethod
+    def from_rows(cls, rows) -> Trace:
+        """A trace of the given records; consecutive rows whose times
+        print alike form one epoch."""
+        trace = cls()
+        for _, group in itertools.groupby(rows, key=lambda row: repr(row[0])):
+            group = list(group)
+            keys = tuple((k, e, m) for (_, k, e, m, _) in group)
+            layout = trace.layouts.get(keys)
+            if layout is None:
+                layout = trace.layouts[keys] = Layout(keys)
+            trace.epochs.append((group[0][0], layout, [row[4] for row in group]))
+        return trace
+
+    @property
+    def rows(self) -> list[tuple[float, str, int, str, float]]:
+        return [(t, k, e, m, v) for t, layout, values in self.epochs
+                for (k, e, m), v in zip(layout.keys, values)]
+
+    def _select(self, kind: str, metric: str, eid: int | None):
+        """(t, value) of each matching row, in row order; an eid of None
+        matches every entity.  Each layout is searched once."""
+        picks: dict[Layout, list[int]] = {}
+        for t, layout, values in self.epochs:
+            idx = picks.get(layout)
+            if idx is None:
+                idx = picks[layout] = [
+                    i for i, (k, e, m) in enumerate(layout.keys)
+                    if k == kind and m == metric and (eid is None or e == eid)]
+            for i in idx:
+                yield t, values[i]
 
     def series(self, kind: str, eid: int, metric: str) -> list[tuple[float, float]]:
-        return [(t, v) for (t, k, e, m, v) in self.rows
-                if k == kind and e == eid and m == metric]
+        return list(self._select(kind, metric, eid))
+
+    def values(self, kind: str, metric: str, eid: int | None = None) -> list[float]:
+        return [v for _, v in self._select(kind, metric, eid)]
 
     def mean(self, kind: str, metric: str, eid: int | None = None,
              tail: float = 1.0) -> float:
-        vals = [v for (t, k, e, m, v) in self.rows
-                if k == kind and m == metric and (eid is None or e == eid)]
-        return tail_mean(vals, f"{kind}/{metric}", tail)
+        return tail_mean(self.values(kind, metric, eid), f"{kind}/{metric}", tail)
 
     def to_csv(self) -> str:
-        lines = ["time,entity_kind,entity_id,metric,value"]
-        for (t, k, e, m, v) in self.rows:
-            lines.append(f"{t!r},{k},{e},{m},{v!r}")
-        return "\n".join(lines) + "\n"
+        """The trace as CSV, one line per row.  Where an epoch has the
+        layout of the one before, a series keeps its last line while its
+        value is the same object, or an equal non-zero one of the same
+        type: those print alike, where == alone would not (0.0 == -0.0,
+        1 == 1.0)."""
+        out = ["time,entity_kind,entity_id,metric,value"]
+        last_layout, last_values, lines = None, (), ()
+        for t, layout, values in self.epochs:
+            if layout is last_layout:
+                lines = [line if v is u or (v == u and v and type(v) is type(u))
+                         else head + repr(v)
+                         for head, v, u, line in zip(layout.heads, values,
+                                                     last_values, lines)]
+            else:
+                lines = [head + repr(v) for head, v in zip(layout.heads, values)]
+            stamp = f"\n{t!r},"
+            out.append(stamp + stamp.join(lines))
+            last_layout, last_values = layout, values
+        out.append("\n")
+        return "".join(out)
 
 
 def tail_mean(vals: list[float], what: str, tail: float = 1.0) -> float:
@@ -923,18 +999,36 @@ def sum_utility(net: NetState) -> float:
     return kept.keep(key, val if net.utility_sense == "max" else -val)
 
 
+def _layout(net: NetState) -> Layout:
+    """The rows _record writes for net's live active flags."""
+    keys = [("session", s.index, "throughput_pps") for s in net.sessions]
+    for link in net.links:
+        if link.active:
+            keys.append(("node", link.tx, "power_gain_db"))
+        keys.append(("link", link.index, "lambda"))
+    keys.append(("net", 0, "sum_utility"))
+    return Layout(keys)
+
+
 def _record(net: NetState, trace: Trace) -> None:
+    """Append this epoch's values to trace: each session's throughput,
+    then for each link its node's power (while active) and its lambda,
+    then the utility.  A trace records one network, so its layout follows
+    from the links' active flags alone."""
     t = net.clock
     cap = _link_family(net)
     lams = {} if cap is None else cap.duals.values
-    add = trace.rows.append
-    for s in net.sessions:
-        add((t, "session", s.index, "throughput_pps", s.throughput))
+    values = [s.throughput for s in net.sessions]
     for link in net.links:
         if link.active:
-            add((t, "node", link.tx, "power_gain_db", link.pwr_gain_db))
-        add((t, "link", link.index, "lambda", lams.get(link.index, 0.0)))
-    add((t, "net", 0, "sum_utility", sum_utility(net)))
+            values.append(link.pwr_gain_db)
+        values.append(lams.get(link.index, 0.0))
+    values.append(sum_utility(net))
+    active = tuple([link.active for link in net.links])
+    layout = trace.layouts.get(active)
+    if layout is None:
+        layout = trace.layouts[active] = _layout(net)
+    trace.epochs.append((t, layout, values))
 
 
 def step(net: NetState, scheme: str = "joint") -> NetState:

@@ -39,6 +39,7 @@ class InfeasibleEverywhere(SolveError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Steps, iteration limits, tolerance and boxes of a solve."""
     step: float = 0.05
     dual_step: float = 0.05
     max_iters: int = 500
@@ -258,6 +259,7 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
 
 @dataclass
 class DualState:
+    """Dual values, non-negative, and the number of steps taken."""
     # keyed by dual name, or by member index for a runtime constraint family
     values: dict[str | int, float] = field(default_factory=dict)
     step: int = 0
@@ -350,6 +352,7 @@ def centralized_oracle(inst: InstantiatedProblem, resolution: float,
 
 @dataclass
 class LoopResult:
+    """The outcome of dual_loop: averaged and last decisions, duals and utility."""
     decisions: dict[str, float]       # running-average (ergodic) decision
     last: dict[str, float]            # final iterate
     duals: DualState

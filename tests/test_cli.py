@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import netnum
-from netnum import abstraction, cli, decompose, expr, instantiate
+from netnum import abstraction, cli, decompose, expr, instantiate, netsim
 
 SRC = Path(netnum.__file__).parent.parent
 DATA = Path(netnum.__file__).parent / "data"
@@ -105,6 +105,26 @@ def test_compare_trace_with_itself(tmp_path, capsys):
     assert lines[0].startswith("compare ")
     for line in lines[1:]:
         assert "delta=0.0" in line and line.endswith("A=B")
+
+
+def test_written_trace_reads_back_as_its_rows(tmp_path, capsys):
+    # session 1 drains mid-run, so the rows of an epoch change
+    problem = abstraction.parse_problem((PROBLEMS / "jocp_log.ncp").read_text())
+    programs, _, _ = cli.build_programs(problem)
+    cfg = netsim.load_scenario((SCENARIOS / "s2_drain.cfg").read_text())
+    net = cli.deploy(problem, programs, replace(cfg, seed=0))
+    trace = netsim.run(net, 360, "rate-only")
+    assert len(trace.layouts) == 2
+    path = tmp_path / "trace.csv"
+    path.write_text(trace.to_csv())
+    assert cli._load_trace(path) == trace.rows
+    rc = run_cli(["compare", path, path])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[0] for line in lines[1:]] == [
+        "link/lambda", "net/sum_utility", "node/power_gain_db", "session/throughput_pps"]
+    for line in lines[1:]:
+        assert "\tdelta=0.0\t" in line and line.endswith("\tA=B")
 
 
 def test_compare_schema_mismatch(tmp_path, capsys):

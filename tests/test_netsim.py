@@ -91,9 +91,8 @@ def test_interference_and_trace_means_fold_left_from_zero():
     link.cross_gain = {1: 1.0, 2: 1.0, 3: 1.0}
     itf = ns._aggregate_interference(link, net, [0.0, 1e16, 1.0, -1e16])
     assert repr(itf) == "0.0"
-    trace = ns.Trace()
-    for t, v in enumerate((1e16, 1.0, -1e16)):
-        trace.record(float(t), "net", 0, "sum_utility", v)
+    trace = ns.Trace.from_rows((float(t), "net", 0, "sum_utility", v)
+                               for t, v in enumerate((1e16, 1.0, -1e16)))
     assert repr(trace.mean("net", "sum_utility")) == "0.0"
 
 
@@ -754,7 +753,8 @@ def check_duals_and_utility_every_epoch(monkeypatch):
 
     def checked_record(net, trace):
         record(net, trace)
-        assert trace.rows[-1][4].hex() == interpreted_utility(net).hex()
+        _, _, values = trace.epochs[-1]
+        assert values[-1].hex() == interpreted_utility(net).hex()
 
     monkeypatch.setattr(ns, "_update_duals", checked_update_duals)
     monkeypatch.setattr(ns, "_record", checked_record)
@@ -1007,3 +1007,106 @@ def test_scenario_loader():
 def test_transport_epoch_is_timescale_multiple():
     cfg = ns.ScenarioConfig(phys_epoch=2.0, timescale=30)
     assert cfg.transport_epoch == 60.0
+
+
+# The trace as it was recorded and written one row at a time, kept here
+# as the reference for Trace's by-epoch storage.
+def reference_record(net, rows):
+    t = net.clock
+    cap = ns._link_family(net)
+    lams = {} if cap is None else cap.duals.values
+    add = rows.append
+    for s in net.sessions:
+        add((t, "session", s.index, "throughput_pps", s.throughput))
+    for link in net.links:
+        if link.active:
+            add((t, "node", link.tx, "power_gain_db", link.pwr_gain_db))
+        add((t, "link", link.index, "lambda", lams.get(link.index, 0.0)))
+    add((t, "net", 0, "sum_utility", ns.sum_utility(net)))
+
+
+def reference_csv(rows):
+    lines = ["time,entity_kind,entity_id,metric,value"]
+    for (t, k, e, m, v) in rows:
+        lines.append(f"{t!r},{k},{e},{m},{v!r}")
+    return "\n".join(lines) + "\n"
+
+
+def hexed(rows):
+    return [(t.hex(), k, e, m, v.hex()) for (t, k, e, m, v) in rows]
+
+
+def step_and_record(net, scheme, epochs, trace):
+    for _ in range(epochs):
+        ns.step(net, scheme)
+        ns._record(net, trace)
+
+
+def edited_joint_run():
+    net, _, _ = deploy(scenario=2, seed=3)
+    trace = ns.run(net, 40, "joint")
+    net.links[2].active = False
+    step_and_record(net, "joint", 5, trace)
+    net.links[2].active = True
+    step_and_record(net, "joint", 5, trace)
+    other = ab.parse_problem((DATA / "problems" / "powermin.ncp").read_text())
+    ns.install_problem(net, other)
+    step_and_record(net, "joint", 40, trace)
+    return net, trace
+
+
+def drain_run():
+    # session 1 drains at t = 196, and links 2 and 3 go inactive
+    net = deploy_file("jocp_log.ncp", "s2_drain.cfg", seed=0)
+    return net, ns.run(net, 360, "rate-only")
+
+
+def all_inactive_run():
+    net, _, _ = deploy(scenario=2, budgets=(1.0, 1.0))
+    return net, ns.run(net, 30, "joint")
+
+
+@pytest.mark.parametrize("run, layouts", [
+    (edited_joint_run, 2), (drain_run, 2), (all_inactive_run, 1)])
+def test_trace_matches_the_row_by_row_recorder(monkeypatch, run, layouts):
+    rows, record = [], ns._record
+
+    def both(net, trace):
+        record(net, trace)
+        reference_record(net, rows)
+
+    monkeypatch.setattr(ns, "_record", both)
+    net, trace = run()
+    assert hexed(trace.rows) == hexed(rows)
+    assert trace.to_csv() == reference_csv(rows)
+    for kind, eid, metric in {(k, e, m) for (_, k, e, m, _) in rows}:
+        want = [(t, v) for (t, k, e, m, v) in rows if (k, e, m) == (kind, eid, metric)]
+        assert [(t.hex(), v.hex()) for t, v in trace.series(kind, eid, metric)] \
+            == [(t.hex(), v.hex()) for t, v in want]
+        assert [v.hex() for v in trace.values(kind, metric)] \
+            == [v.hex() for (_, k, _, m, v) in rows if (k, m) == (kind, metric)]
+    assert len(trace.layouts) == layouts
+    assert trace.layouts[tuple(l.active for l in net.links)] is trace.epochs[-1][1]
+
+
+def test_trace_csv_edge_values():
+    a, b = float("2.5"), float("2.5")
+    assert a is not b
+    nan, inf = float("nan"), float("inf")
+    series = [0.0, -0.0, 0.0, a, b, 1, 1.0, nan, nan, inf, -inf, -inf, 0.0, -0.0]
+    rows = []
+    for t, v in enumerate(series):
+        rows.append((float(t), "net", 0, "sum_utility", v))
+        rows.append((float(t), "link", 1, "lambda", 0.0 if t % 2 else -0.0))
+        if t in (5, 6, 11):   # the layout changes and changes back
+            rows.append((float(t), "node", 3, "power_gain_db", v))
+    trace = ns.Trace.from_rows(rows)
+    assert len(trace.epochs) == len(series) and len(trace.layouts) == 2
+    assert [repr(r) for r in trace.rows] == [repr(r) for r in rows]
+    assert trace.to_csv() == reference_csv(rows)
+    lines = trace.to_csv().splitlines()
+    assert lines[1:8:2] == ["0.0,net,0,sum_utility,0.0", "1.0,net,0,sum_utility,-0.0",
+                            "2.0,net,0,sum_utility,0.0", "3.0,net,0,sum_utility,2.5"]
+    empty = "time,entity_kind,entity_id,metric,value\n"
+    assert ns.Trace().to_csv() == empty
+    assert ns.Trace.from_rows([]).to_csv() == empty
