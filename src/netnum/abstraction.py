@@ -434,7 +434,10 @@ class _ExprParser:
         t = self.peek()
         if t.kind == "num":
             self.take("num")
-            return ex.const(float(t.text))
+            try:
+                return ex.const(float(t.text))
+            except ex.DomainError:
+                raise ParseError(f"literal {t.text} is not finite", self.line, t.col) from None
         if t.kind == "(":
             self.take("(")
             e = self.expr()

@@ -5,11 +5,13 @@ The dual of an instantiated problem absorbs each constraint j with a
 multiplier lbd_NN, distributing it over the constraint's additive terms
 so every level-1 term of the dual is either a utility term or a
 (primal term x lambda) product.  Splitting walks those terms: first by
-the protocol layer of the primal variable, then by its entity index.
+the protocol layer of the primal variable, then by its entity index; a
+subproblem's owned and foreign variables are read off its objective.
 Each per-entity subproblem is then lifted back to an abstract template
 by erasing the entity index and recognizing its lambda index set as the
 instance of one local set element -- the element the entity must collect
-dual values from at run time.
+dual values from at run time.  The lift rewrites each term once, and
+finds the decision by walking the graph's models, not by resolving them.
 """
 
 from __future__ import annotations
@@ -123,11 +125,19 @@ class Subproblem:
     layer: str
     objective: Expr
     sense: str
-    owned: tuple[str, ...]
-    foreign: tuple[str, ...]
     entity_kind: str | None = None
     entity_index: int | None = None
     dual: DualProblem | None = None
+
+    @property
+    def owned(self) -> tuple[str, ...]:
+        """Sorted names of the objective's primal variables."""
+        return tuple(sorted({ex.var_name(*p) for p in _primal_bases(self.objective)}))
+
+    @property
+    def foreign(self) -> tuple[str, ...]:
+        """Sorted names of the objective's duals."""
+        return tuple(sorted(ex.var_name(LBD, j) for j in _lbd_indices(self.objective)))
 
 
 def _primal_bases(term: Expr) -> list[tuple[str, int | None]]:
@@ -136,13 +146,6 @@ def _primal_bases(term: Expr) -> list[tuple[str, int | None]]:
 
 def _lbd_indices(term: Expr) -> list[int]:
     return sorted(i for base, i in term.var_pairs if base == LBD and i is not None)
-
-
-def _owned_and_foreign(terms: list[Expr]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Sorted names of the terms' primal variables, and of their duals."""
-    owned = {ex.var_name(b, i) for t in terms for b, i in _primal_bases(t)}
-    foreign = {ex.var_name(LBD, j) for t in terms for j in _lbd_indices(t)}
-    return tuple(sorted(owned)), tuple(sorted(foreign))
 
 
 def split_by_layer(dp: DualProblem, graph: ElementGraph,
@@ -165,10 +168,8 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
         if not lbds:
             residual.append(term)
             continue
-        rhs_layers = set()
-        for j in lbds:
-            for b, _ in _primal_bases(dp.registry[j].rhs):
-                rhs_layers.add(graph.element(b).layer)
+        rhs_layers = {graph.element(b).layer
+                      for j in lbds for b, _ in _primal_bases(dp.registry[j].rhs)}
         if len(rhs_layers) > 1:
             raise AmbiguousLayer(f"term {ex.render(term)}: rhs spans {rhs_layers}")
         if rhs_layers:
@@ -177,8 +178,7 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
             residual.append(term)  # constant-rhs lambda term
     subs = {}
     for layer, terms in buckets.items():
-        subs[layer] = Subproblem(layer, ex.add(*terms), "max",
-                                 *_owned_and_foreign(terms), dual=dp)
+        subs[layer] = Subproblem(layer, ex.add(*terms), "max", dual=dp)
     return subs, residual
 
 
@@ -212,8 +212,8 @@ def split_by_entity(sub: Subproblem, graph: ElementGraph) -> list[Subproblem]:
         groups.setdefault(next(iter(keys)), []).append(term)
     out = []
     for (kind, idx), terms in groups.items():
-        out.append(Subproblem(sub.layer, ex.add(*terms), sub.sense,
-                              *_owned_and_foreign(terms), kind, idx, sub.dual))
+        out.append(Subproblem(sub.layer, ex.add(*terms), sub.sense, kind, idx,
+                              sub.dual))
     return out
 
 
@@ -238,20 +238,15 @@ class ControlProgram:
     penalty: Expr | None = None  # per-foreign-entity template (gradient/dpl)
 
 
-def _lift_term(e: Expr, kind_of: Callable[[str], str], kind: str, idx: int,
-               duals: dict[int, Expr]) -> Expr:
-    """e with the entity's own variables unindexed and each lbd_j in duals
-    replaced, in one rewrite; unchanged subtrees come back as they are."""
+def _replace_vars(e: Expr, subs: dict[tuple[str, int | str | None], Expr]) -> Expr:
+    """e with every variable whose (base, index) is in subs replaced, in
+    one rewrite; unchanged subtrees come back as they are."""
     if e.kind == "var":
-        if e.name == LBD:
-            return duals.get(e.index, e)
-        if e.index == idx and kind_of(e.name) == kind:
-            return ex.var(e.name, None)
-        return e
+        return subs.get((e.name, e.index), e)
     if not e.children:
         return e
-    children = tuple(_lift_term(c, kind_of, kind, idx, duals) for c in e.children)
-    if children == e.children:
+    children = tuple(_replace_vars(c, subs) for c in e.children)
+    if all(c is old for c, old in zip(children, e.children)):
         return e
     return Expr(e.kind, children, e.value, e.name, e.index)
 
@@ -268,23 +263,28 @@ def lift_to_abstract(sub: Subproblem, m: InstanceMap) -> ControlProgram:
     kind, idx = sub.entity_kind, sub.entity_index
     kind_of = _entity_kinds(graph)
 
-    # group lambda occurrences by structural shape after index erasure
-    groups: dict[str, list[tuple[int, Expr]]] = {}
+    # the entity's own variables lose their index and each dual becomes
+    # sigma, so a term with one dual lifts to its shape
+    own = sorted(b for b, i in sub.objective.var_pairs if i == idx and b != LBD)
+    erase = {(b, idx): ex.var(b, None) for b in own if kind_of(b) == kind}
+    erase.update(((LBD, j), _SIGMA) for j in _lbd_indices(sub.objective))
+
+    # group terms by shape; a group's first shape becomes its template term
+    groups: dict[str, tuple[Expr, list[int]]] = {}
     template_terms: list[Expr] = []
     for term in ex.level1_terms(sub.objective):
         lbds = _lbd_indices(term)
         if not lbds:
-            template_terms.append(_lift_term(term, kind_of, kind, idx, {}))
+            template_terms.append(_replace_vars(term, erase))
             continue
         if len(lbds) != 1:
             raise NoMatchingElement(f"term {ex.render(term)} has {len(lbds)} duals")
-        j = lbds[0]
-        shape = ex.render(_lift_term(term, kind_of, kind, idx, {j: _SIGMA}))
-        groups.setdefault(shape, []).append((j, term))
+        shape = _replace_vars(term, erase)
+        groups.setdefault(ex.render(shape), (shape, []))[1].append(lbds[0])
 
     rules: list[CollectionRule] = []
-    for entries in groups.values():
-        indices = sorted(j for j, _ in entries)
+    for shape, indices in groups.values():
+        indices.sort()
         families = {sub.dual.registry[j].family for j in indices}
         if len(families) != 1:
             raise NoMatchingElement(
@@ -292,8 +292,7 @@ def lift_to_abstract(sub: Subproblem, m: InstanceMap) -> ControlProgram:
         family = next(iter(families))
         members = sorted({sub.dual.registry[j].member for j in indices})
         rule, lam = _identify_collection(sub, m, graph, indices, members, family)
-        j, sample = entries[0]
-        template_terms.append(_lift_term(sample, kind_of, kind, idx, {j: lam}))
+        template_terms.append(_replace_vars(shape, {(LBD, _SIGMA.index): lam}))
         rules.append(rule)
 
     objective = ex.add(*template_terms)
@@ -344,11 +343,21 @@ def _decision_base(objective: Expr, graph: ElementGraph) -> str:
         return direct[0]
     for b in sorted(bases):
         if b in graph.elements and graph.element(b).model is not None:
-            inner = {n for n in ex.free_vars(resolve_model(graph, b))
+            inner = {n for n in _model_leaves(graph, b)
                      if n in graph.elements and graph.element(n).ctrl}
             if inner:
                 return sorted(inner)[0]
     raise NoMatchingElement(f"no decision variable in template over {sorted(bases)}")
+
+
+def _model_leaves(graph: ElementGraph, name: str) -> set[str]:
+    """The free variables of resolve_model(graph, name), found by walking
+    the models down to their unmodelled variables."""
+    leaves = set()
+    for v in ex.free_vars(graph.element(name).model):
+        modelled = v in graph.elements and graph.elements[v].model is not None
+        leaves |= _model_leaves(graph, v) if modelled else {v}
+    return leaves
 
 
 def _distribute(e: Expr) -> Expr:
@@ -377,30 +386,21 @@ def reinstantiate(prog: ControlProgram, m: InstanceMap, entity_index: int,
     exact inverse of lift_to_abstract for every shipped family."""
     graph = dp.inst.problem.graph
     bindings = {}
-    subs: dict[str, Expr] = {}
+    subs: dict[tuple[str, int | str | None], Expr] = {}
     for rule in prog.collect:
         lbd_of = {dv.member: dv.index for dv in dp.registry if dv.family == rule.family}
         if rule.symbol == "self":
-            subs[LBD] = ex.var(LBD, lbd_of[entity_index])
+            subs[(LBD, "self")] = ex.var(LBD, lbd_of[entity_index])
         else:
             fam = m.family(rule.symbol)
             bindings[rule.symbol] = [lbd_of[j] for j in fam.instances[entity_index]]
-    e = ex.expand_sums(prog.objective, bindings)
-    e = ex.substitute(e, subs)
-    e = _distribute(e)
+    e = _distribute(ex.expand_sums(prog.objective, bindings))
     # restore the entity index on unindexed primal variables
     kind_of = _entity_kinds(graph)
-
-    def _reindex(x: Expr) -> Expr:
-        if x.kind == "var" and x.name != LBD and x.index is None \
-                and x.name in graph.elements \
-                and kind_of(x.name) == prog.entity_kind:
-            return ex.var(x.name, entity_index)
-        if not x.children:
-            return x
-        return Expr(x.kind, tuple(_reindex(c) for c in x.children),
-                    x.value, x.name, x.index)
-    return _reindex(e)
+    subs.update(((b, None), ex.var(b, entity_index)) for b, i in e.var_pairs
+                if b != LBD and i is None and b in graph.elements
+                and kind_of(b) == prog.entity_kind)
+    return _replace_vars(e, subs)
 
 
 def penalize(prog: ControlProgram, mode: str, graph: ElementGraph) -> ControlProgram:
@@ -422,8 +422,7 @@ def penalize(prog: ControlProgram, mode: str, graph: ElementGraph) -> ControlPro
     if alias is None:
         return replace(prog, mode=mode, penalty=None)
     coupled = [el.name for el in graph.elements.values()
-               if el.model is not None
-               and alias in ex.free_vars(resolve_model(graph, el.name))]
+               if el.model is not None and alias in _model_leaves(graph, el.name)]
     if not coupled:
         return replace(prog, mode=mode, penalty=None)
     model = resolve_model(graph, sorted(coupled)[0])

@@ -171,6 +171,16 @@ class ScenarioConfig:
             value = getattr(self, key)
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{key} must be positive and finite, got {value}")
+        try:
+            db_to_linear(self.max_gain_db)
+        except OverflowError:
+            raise ConfigError(f"max_gain_db {self.max_gain_db} overflows a float") from None
+        # no two nodes are closer than the shortest hop or the chain spacing
+        shortest = min(self.hop_short, self.hop_long, self.chain_spacing)
+        try:
+            shortest ** -self.pathloss_exp
+        except OverflowError:
+            raise ConfigError(f"channel gain over {shortest} m overflows a float") from None
         for budget in self.budgets:
             if not (budget >= 0 and math.isfinite(budget)):
                 raise ConfigError(f"budgets must be finite and not negative, got {budget}")

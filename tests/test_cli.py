@@ -340,6 +340,32 @@ def test_simulation_error_names_stage(tmp_path, capsys, problem, settings, stage
     assert err.startswith(f"[{stage}] ") and message in err
 
 
+@pytest.mark.parametrize("problem_text, settings, stage, message", [
+    # a literal beyond the float range: the parser names it
+    ("constraint sum(wos_y) <= 1e400*wos_z", "", "parse",
+     "literal 1e400 is not finite"),
+    # 1e-300 m hops: d ** -pathloss_exp overflows while the channel is built
+    (None, "hop_short = 1e-300\n", "scenario",
+     "channel gain over 1e-300 m overflows a float"),
+    # the top of the power box overflows db_to_linear during the run
+    (None, "max_gain_db = 1e308\n", "scenario", "max_gain_db 1e+308 overflows a float"),
+], ids=["literal-1e400", "hop-short-1e-300", "max-gain-db-1e308"])
+def test_overflowing_input_names_stage(tmp_path, capsys, problem_text, settings, stage,
+                                       message):
+    problem = tmp_path / "problem.ncp"
+    text = (PROBLEMS / "jocp_log.ncp").read_text()
+    if problem_text is not None:
+        text = text.replace("constraint sum(wos_y) <= wos_z", problem_text)
+    problem.write_text(text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("scenario = 2\n" + settings)
+    rc = run_cli(["run", "--problem", problem, "--scenario", cfg,
+                  "--duration", "60", "--out", tmp_path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"[{stage}] ") and message in err, err
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--seeds", "0", "--seeds must be at least 1, got 0"),
     ("--seeds", "-2", "--seeds must be at least 1, got -2"),
@@ -377,6 +403,34 @@ def test_pinned_design_time_digests(problem, digest):
         for layer in sorted(programs):
             h.update(decompose.dump_program(programs[layer]).encode())
     assert h.hexdigest() == digest
+
+
+def test_design_time_resolves_fewer_models_than_entities(monkeypatch):
+    # the lift finds each entity's decision by walking the graph's models,
+    # so resolving a model is no per-entity cost
+    problem = abstraction.parse_problem((PROBLEMS / "jocp_log.ncp").read_text())
+    resolve, lift = abstraction.resolve_model, decompose.lift_to_abstract
+    calls, lifted = [], []
+
+    def counted(graph, name):
+        calls.append(name)
+        return resolve(graph, name)
+
+    for module in (abstraction, decompose):
+        if hasattr(module, "resolve_model"):
+            monkeypatch.setattr(module, "resolve_model", counted)
+    monkeypatch.setattr(decompose, "lift_to_abstract",
+                        lambda sub, m: lifted.append(sub) or lift(sub, m))
+    counts = []
+    for n_glb in (20, 8):
+        calls.clear()
+        lifted.clear()
+        programs, _, _ = cli.build_programs(
+            problem, instantiate.InstanceConfig(n_glb=n_glb, n_lcl=4))
+        assert len(lifted) == 2 * n_glb
+        assert programs["physical"].decision == "lnkpwr"
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 8
 
 
 @pytest.mark.parametrize("layer", ["transport", "physical"])

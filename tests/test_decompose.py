@@ -1,5 +1,6 @@
 import copy
 import random
+from pathlib import Path
 
 import pytest
 
@@ -329,6 +330,34 @@ def test_duals_never_owned(toy_inst, jocp_inst):
             for e in dc.split_by_entity(sub, inst.problem.graph):
                 assert not any(v.startswith("lbd") for v in e.owned)
                 assert all(v.startswith("lbd") for v in e.foreign)
+
+
+def _sorted_names_term_by_term(terms):
+    """Sorted names of the terms' primal variables, and of their duals."""
+    owned = {ex.var_name(b, i) for t in terms for b, i in t.var_pairs if b != dc.LBD}
+    foreign = {ex.var_name(b, i) for t in terms for b, i in t.var_pairs
+               if b == dc.LBD and i is not None}
+    return tuple(sorted(owned)), tuple(sorted(foreign))
+
+
+SHIPPED = sorted((Path(ab.__file__).parent / "data" / "problems").glob("*.ncp"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.name for p in SHIPPED])
+def test_owned_and_foreign_match_the_terms(toy_inst, path):
+    # owned/foreign are read off the objective's variable pairs; they must
+    # name the same variables as the terms the split put into it
+    problem = ab.parse_problem(path.read_text())
+    insts = [toy_inst] + [it.instantiate_problem(problem, it.InstanceConfig(seed=seed))
+                          for seed in range(16)]
+    for inst, _ in insts:
+        layers, _ = dc.split_by_layer(dc.dualize(inst), inst.problem.graph)
+        for sub in layers.values():
+            subs = [sub] + dc.split_by_entity(sub, inst.problem.graph)
+            for s in subs:
+                terms = ex.level1_terms(s.objective)
+                assert (s.owned, s.foreign) == _sorted_names_term_by_term(terms)
+            assert len(subs) > 1
 
 
 def test_dump_dual_layout(toy_inst):
