@@ -340,7 +340,8 @@ class _Tok:
         self.col = col
 
 
-def _tokenize(text: str, line: int) -> list[_Tok]:
+def _tokenize(text: str, line: int, col: int = 0) -> list[_Tok]:
+    """The tokens of text, which starts at column `col` of its line."""
     toks: list[_Tok] = []
     i = 0
     while i < len(text):
@@ -352,24 +353,24 @@ def _tokenize(text: str, line: int) -> list[_Tok]:
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(_Tok("ident", text[i:j], i))
+            toks.append(_Tok("ident", text[i:j], col + i))
             i = j
         elif c.isdigit() or (c == "." and i + 1 < len(text) and text[i + 1].isdigit()):
             j = i
             while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
                                      or (text[j] in "+-" and text[j - 1] in "eE")):
                 j += 1
-            toks.append(_Tok("num", text[i:j], i))
+            toks.append(_Tok("num", text[i:j], col + i))
             i = j
         elif text[i:i + 2] in ("<=", ">="):
-            toks.append(_Tok("rel", text[i:i + 2], i))
+            toks.append(_Tok("rel", text[i:i + 2], col + i))
             i += 2
         elif c in "+-*/(),":
-            toks.append(_Tok(c, c, i))
+            toks.append(_Tok(c, c, col + i))
             i += 1
         else:
-            raise ParseError(f"unexpected character {c!r}", line, i)
-    toks.append(_Tok("end", "", len(text)))
+            raise ParseError(f"unexpected character {c!r}", line, col + i)
+    toks.append(_Tok("end", "", col + len(text.rstrip())))
     return toks
 
 
@@ -506,10 +507,11 @@ def _mentions(e: Expr, base: str, sym: str) -> bool:
 
 
 def compose(template: str, specs: dict[str, VarSpec],
-            graph: ElementGraph, line: int = 1) -> Expr:
-    """Build an Expr from template text; named variables expand to their
-    quantified element paths (big-sums over the sets named by `all`)."""
-    toks = _tokenize(template, line)
+            graph: ElementGraph, line: int = 1, col: int = 0) -> Expr:
+    """Build an Expr from template text, which starts at column `col` of
+    its line; named variables expand to their quantified element paths
+    (big-sums over the sets named by `all`)."""
+    toks = _tokenize(template, line, col)
     return _ExprParser(toks, specs, graph, line).parse()
 
 
@@ -575,10 +577,14 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
     cstr_srcs: list[str] = []
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0]
+        line = body.strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
+        # where rest starts in the line, so that errors count columns from there
+        col = len(body) - len(body.lstrip()) + len(head) + 1
+        col += len(rest) - len(rest.lstrip())
         rest = rest.strip()
         if head == "network":
             network = rest or "adhoc"
@@ -611,7 +617,7 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
                 raise ParseError("utility takes max|min <expr>", lineno)
             sense = s
             utility_src = template.strip()
-            utility = compose(utility_src, specs, g, lineno)
+            utility = compose(template, specs, g, lineno, col + len(s) + 1)
         elif head == "constraint":
             for rel in ("<=", ">="):
                 if rel in rest:
@@ -619,9 +625,10 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
                     break
             else:
                 raise ParseError("constraint needs <= or >=", lineno)
-            lp = _ExprParser(_tokenize(lhs_txt.strip(), lineno), specs, g, lineno)
+            lp = _ExprParser(_tokenize(lhs_txt, lineno, col), specs, g, lineno)
             lhs = lp.parse()
-            rp = _ExprParser(_tokenize(rhs_txt.strip(), lineno), specs, g, lineno)
+            rhs_col = col + len(lhs_txt) + len(rel)
+            rp = _ExprParser(_tokenize(rhs_txt, lineno, rhs_col), specs, g, lineno)
             rhs = rp.parse()
             used = lp.used | rp.used
             lowered = _lower_box(lhs, rel, rhs, lp.used | rp.used, specs)

@@ -346,11 +346,14 @@ def instantiate_problem(problem: ControlProblem, cfg: InstanceConfig,
                 imap.lcl[el.name] = invert_map(imap, name, el.name)
 
     glb_bindings = {name: list(seq) for name, seq in imap.glb.items()}
-    utility = ex.expand_sums(problem.utility, glb_bindings)
-
     constraints: list[InstConstraint] = []
-    for c in problem.constraints:
-        constraints.extend(_expand_constraint(c, imap, glb_bindings, g))
+    try:
+        utility = ex.expand_sums(problem.utility, glb_bindings)
+        for c in problem.constraints:
+            constraints.extend(_expand_constraint(c, imap, glb_bindings, g))
+    except ex.UnboundIndexSet as err:
+        raise NotGlobal(f"sum over local set {err.symbol} outside a constraint "
+                        f"over its holder") from None
 
     decision_vars, boxes = _decision_registry(problem, imap)
     inst = InstantiatedProblem(problem, utility, problem.sense, constraints,

@@ -19,15 +19,14 @@ Model notes:
     the compiled functions are kept with the session done flags (and, for
     the utility, the active links) they were expanded for, and rebuilt
     when those differ from the live state.
-  - Solvers are compiled once per (installed program, shape), on the
-    first step: a link program names each interfered neighbour's
-    parameters by slot (sorted-neighbour order) and a session program
-    names its path's duals by hop, so every link with the same neighbour
-    count, and every session with the same path length, runs one compiled
-    program (solve.compile_program: the ascent loop fused into one
-    generated function that computes each decision-invariant value once
-    per solve).  Boxes and the slot/hop-to-index maps stay with each
-    entity's solver.
+  - Solvers are compiled on first use, once per (installed program,
+    shape): a link program names each interfered neighbour's parameters
+    by slot (sorted-neighbour order) and a session program its path's
+    duals by hop, so every link with the same neighbour count, and every
+    session with the same path length, runs one compiled program (the
+    ascent loop fused into one generated function, see
+    solve.compile_program).  Boxes and the slot/hop-to-index maps stay
+    with each entity's solver.
   - Work is redone only when what it reads changes, with the same floats:
     each such site keeps its last value in a Kept, keyed by its inputs
     packed as doubles, and reuses it while they repeat bit for bit (the
@@ -43,14 +42,10 @@ Model notes:
     reuses a series' last line only for the same value object, or an
     equal non-zero one of the same type, so the bytes match a writer
     that formats every row.
-  - ScenarioConfig is read at three times.  build_scenario reads the
-    topology, channel, box and budget keys, and run the seed.  Each step
-    reads net.cfg's dual_step, slack_clip, congestion_exp, packet_bits
-    (capacities), phys_epoch and timescale, so replacing net.cfg
-    mid-run changes them from the next step.  A solver reads the solver
-    steps, iteration counts and move caps, and a link solver packet_bits
-    (its objective's units), when it is built: on first use, and again
-    only after install_program.
+  - _derive builds all a step derives from net.cfg, net.capacity and the
+    installed problem (the dual step, every Kept, the solvers): in
+    install_problem, and at the first step after either is replaced.
+    build_scenario and run read their keys once, each step the rest.
 """
 
 from __future__ import annotations
@@ -63,13 +58,14 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, get_args, get_origin, get_type_hints
 
 from . import expr as ex
-from .abstraction import BoxRule, ControlProblem, ElementGraph, resolve_model
+from .abstraction import BoxRule, ControlProblem, resolve_model
 from .decompose import ControlProgram
 from .expr import Env, Expr
 from .solve import (CompiledProgram, DualState, SolverConfig, clip, compile_program,
                     dual_update, solve_program)
 
-SCHEMES = ("joint", "rate-only", "power-only", "no-control", "best-response")
+SCHEMES = ("joint", "rate-only", "power-only", "no-control")
+MAX_EPOCHS = 10**6   # a run's trace keeps every epoch in memory
 
 Compiled = Callable[[Env], float]   # an Expr compiled by expr.compile_expr
 
@@ -172,15 +168,17 @@ class ScenarioConfig:
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{key} must be positive and finite, got {value}")
         try:
-            db_to_linear(self.max_gain_db)
+            power = db_to_linear(self.max_gain_db)
         except OverflowError:
             raise ConfigError(f"max_gain_db {self.max_gain_db} overflows a float") from None
         # no two nodes are closer than the shortest hop or the chain spacing
         shortest = min(self.hop_short, self.hop_long, self.chain_spacing)
         try:
-            shortest ** -self.pathloss_exp
+            gain = shortest ** -self.pathloss_exp
         except OverflowError:
             raise ConfigError(f"channel gain over {shortest} m overflows a float") from None
+        if not math.isfinite(power * gain / self.noise):
+            raise ConfigError(f"SNR at max_gain_db over {shortest} m overflows a float")
         for budget in self.budgets:
             if not (budget >= 0 and math.isfinite(budget)):
                 raise ConfigError(f"budgets must be finite and not negative, got {budget}")
@@ -217,8 +215,7 @@ class Link:
     sessions: tuple[int, ...] = ()    # sessions whose path uses this link
     capacity_pps: float = 0.0
     active: bool = True
-    # capacity_pps with what it was computed for (see _measure)
-    kept_capacity: Kept = field(default_factory=lambda: Kept(7))
+    kept_capacity: Kept | None = None   # capacity_pps and its inputs (see _measure)
 
     @property
     def power_linear(self) -> float:
@@ -268,15 +265,19 @@ class NetState:
     families: list[ConstraintFamily] = field(default_factory=list)
     utility_expr: Expr | None = None
     utility_sense: str = "max"
-    # utility_expr expanded and compiled for (utility_expr, live sessions,
-    # active links)
+    # utility_expr compiled for (utility_expr, live sessions, active links)
     utility_fn: Compiled | None = None
     utility_key: tuple[Expr, tuple[int, ...], tuple[int, ...]] | None = None
     # env names of each session's rate and each link's capacity and power
     rate_names: tuple[str, ...] = ()
     cap_names: tuple[str, ...] = ()
     pwr_names: tuple[str, ...] = ()
-    dual_cfg: SolverConfig | None = None   # rebuilt when cfg.dual_step changes
+    pending: list[tuple[tuple[str, int], ControlProgram]] = field(default_factory=list)
+    programs: dict[tuple[str, int], ControlProgram] = field(default_factory=dict)
+    capacity_model: Expr | None = None   # the problem's lnkcap model, bits/s
+    capacity: Compiled | None = None     # capacity_model compiled
+    derived_for: tuple[ScenarioConfig, Compiled] | None = None   # see _derive
+    dual_cfg: SolverConfig | None = None
     # what _measure, _update_duals, _deliver and sum_utility last computed,
     # and the key of the last power pass that only kept decisions
     kept_itfs: Kept | None = None
@@ -284,15 +285,11 @@ class NetState:
     kept_shares: Kept | None = None
     kept_utility: Kept | None = None
     kept_power: Kept | None = None
-    pending: list[tuple[tuple[str, int], ControlProgram]] = field(default_factory=list)
-    programs: dict[tuple[str, int], ControlProgram] = field(default_factory=dict)
-    graph: ElementGraph | None = None
-    capacity: Compiled | None = None   # lnkcap model, bits/s
     # (kind, index) -> solver built from the installed program on first use
     _solvers: dict[tuple[str, int], _EntitySolver | None] = field(default_factory=dict)
     # (kind, id(program), shape) -> (program, its compiled solver program),
-    # shared by every entity of that kind running that program with that
-    # shape; the entry holds the program, so no other program has its id
+    # shared by the entities running it with that shape; holding the
+    # program keeps its id from being reused
     _shared: dict[tuple[str, int, int], tuple[ControlProgram, CompiledProgram]] = \
         field(default_factory=dict)
 
@@ -424,23 +421,38 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
     net.rate_names = tuple(ex.var_name("sesrate", s.index) for s in net.sessions)
     net.cap_names = tuple(ex.var_name("lnkcap", l.index) for l in net.links)
     net.pwr_names = tuple(ex.var_name("lnkpwr", l.index) for l in net.links)
-    net.dual_cfg = SolverConfig(dual_step=net.cfg.dual_step)
-    ns, nl = len(net.sessions), len(net.links)
-    net.kept_itfs = Kept(5 * nl + 1)
-    net.kept_slacks = Kept(2 * ns + 2 * nl + 1)
-    net.kept_shares = Kept(2 * ns + nl + 1)
-    net.kept_utility = Kept(2 * ns + 2 * nl + 1)
-    net.kept_power = Kept(nl)   # pwr_gain_db, then each link family's prev duals
     for rule in problem.box_rules:
         _apply_box_rule(net, rule)
-    net.graph = problem.graph
-    net.capacity = ex.compile_expr(resolve_model(problem.graph, "lnkcap"))
+    net.capacity_model = resolve_model(problem.graph, "lnkcap")
+    net.capacity = ex.compile_expr(net.capacity_model)
+    _derive(net)
     return net
+
+
+def _derive(net: NetState) -> None:
+    """Rebuild the dual step's config, every Kept and the solvers (see step)."""
+    ns, nl = len(net.sessions), len(net.links)
+    net.dual_cfg = SolverConfig(dual_step=net.cfg.dual_step)
+    net.kept_itfs = Kept(5 * nl)
+    net.kept_slacks = Kept(2 * ns + 2 * nl)
+    net.kept_shares = Kept(2 * ns + nl)
+    net.kept_utility = Kept(2 * ns + 2 * nl + 1)
+    net.kept_power = Kept(nl)   # pwr_gain_db, then each link family's prev duals
+    for link in net.links:
+        link.kept_capacity = Kept(6)
+    net._solvers.clear()
+    net._shared.clear()
+    net.derived_for = (net.cfg, net.capacity)
 
 
 def _apply_box_rule(net: NetState, rule: BoxRule) -> None:
     if rule.base == "lnkpwr":
         attr, targets = "power_box", net.links
+        top = max(b for b in (rule.lower, rule.upper, 0.0) if b is not None)
+        try:
+            db_to_linear(top)
+        except OverflowError:
+            raise DomainError(f"power bound {top!r} dB overflows a float") from None
         if rule.owner is not None:
             holder, idx, via = rule.owner
             if holder != "netses" or via != "seslnk":
@@ -498,8 +510,7 @@ class _EntitySolver:
     """One entity's solver: the shared compiled program and the entity's wiring."""
     program: CompiledProgram   # shared by the entities of the same shape
     cfg: SolverConfig          # the entity's own box
-    # sessions: (family ordinal, env name, link) per collected dual, the
-    # names by hop position
+    # sessions: (family ordinal, env name by hop, link) per collected dual
     lam_sources: list[tuple[int, str, int]]
     self_family: int | None = None
     # links: each interfered neighbour j with its slot's _NEIGHBOUR_PARAMS
@@ -558,8 +569,7 @@ def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntityS
             lam_sources.extend((rule.family, ex.var_name("lbd", hop), li)
                                for hop, li in enumerate(s.path))
     cfg = SolverConfig(step=net.cfg.rate_step, max_iters=net.cfg.rate_iters, tol=1e-9,
-                       boxes={"sesrate": s.rate_box},
-                       max_move=net.cfg.rate_move_max)
+                       boxes={"sesrate": s.rate_box}, max_move=net.cfg.rate_move_max)
     program = _shared_program(net, "session", prog, len(s.path))
     return _EntitySolver(program, cfg, lam_sources, self_family)
 
@@ -571,7 +581,7 @@ _NEIGHBOUR_PARAMS = ("lbd_itf", "itf_freq", "itf_lnkpwr", "itf_lnkgain",
 
 def _link_program(net: NetState, prog: ControlProgram, slots: int) -> CompiledProgram:
     # capacity in packets/s so the objective shares the dual's units
-    model = ex.div(resolve_model(net.graph, "lnkcap"), ex.const(net.cfg.packet_bits))
+    model = ex.div(net.capacity_model, ex.const(net.cfg.packet_bits))
     objective = ex.substitute(prog.objective, {"lnkcap": model})
     objective = ex.substitute(objective, {"lnkpwr": DB_TO_LINEAR})
     if prog.penalty is not None:
@@ -594,8 +604,7 @@ def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolv
     neighbours = tuple((j, tuple(f"{v}@{slot}" for v in _NEIGHBOUR_PARAMS))
                        for slot, j in enumerate(interfered))
     cfg = SolverConfig(step=net.cfg.power_step, max_iters=net.cfg.power_iters, tol=1e-9,
-                       boxes={"pwrgain": link.power_box},
-                       max_move=net.cfg.power_move_max)
+                       boxes={"pwrgain": link.power_box}, max_move=net.cfg.power_move_max)
     self_family = next((r.family for r in prog.collect if r.symbol == "self"), None)
     program = _shared_program(net, "link", prog, len(neighbours))
     # _solve_power binds 8 parameters of the link's own, then its neighbours'
@@ -607,11 +616,9 @@ def _get_solver(net: NetState, kind: str, idx: int) -> _EntitySolver | None:
     key = (kind, idx)
     if key not in net._solvers:
         prog = net.programs.get(key)
-        if kind == "session":
-            build, entity = _session_solver, net.sessions[idx]
-        else:
-            build, entity = _link_solver, net.links[idx]
-        net._solvers[key] = None if prog is None else build(net, entity, prog)
+        build, entities = ((_session_solver, net.sessions) if kind == "session"
+                           else (_link_solver, net.links))
+        net._solvers[key] = None if prog is None else build(net, entities[idx], prog)
     return net._solvers[key]
 
 
@@ -718,16 +725,14 @@ def tail_mean(vals: list[float], what: str, tail: float = 1.0) -> float:
 
 def _measure(net: NetState, powers: list[float]) -> list[float]:
     """Every link's interference under `powers`, by index, with its
-    capacity_pps set.  A repeat of the powers, each link's active flag,
-    channel values and cross gains, packet_bits and the capacity model
-    returns a copy of the kept list; otherwise only changed capacities
-    are recomputed."""
-    kept, links, model, bits = net.kept_itfs, net.links, net.capacity, net.cfg.packet_bits
-    last = kept.value   # (powers, itfs, model) of the last call
-    same_model = last is not None and model is last[2]
+    capacity_pps set.  A repeat of the powers, and of each link's active
+    flag, channel values and cross gains, returns a copy of the kept
+    list; otherwise only changed capacities are recomputed."""
+    kept, links, bits = net.kept_itfs, net.links, net.cfg.packet_bits
+    last = kept.value   # (powers, itfs) of the last call
     key = None
-    if same_model and powers == last[0]:
-        values = powers + [bits]
+    if last is not None and powers == last[0]:
+        values = powers[:]
         for l in links:
             values += (l.active, l.bandwidth, l.gain, l.noise)
         # == on gains is exact: a zero's sign never reaches a sum folded from 0
@@ -739,11 +744,11 @@ def _measure(net: NetState, powers: list[float]) -> list[float]:
     for link, power, itf in zip(links, powers, itfs):
         own = link.kept_capacity
         inputs = own.packer.pack(power, itf, link.active, link.bandwidth, link.gain,
-                                 link.noise, bits)
-        if inputs != own.key or not same_model:
+                                 link.noise)
+        if inputs != own.key:
             own.keep(inputs, link_capacity(link, net, power, itf) / bits)
             link.capacity_pps = own.value
-    kept.keep(key, (powers[:], itfs[:], model))
+    kept.keep(key, (powers[:], itfs[:]))
     return itfs
 
 
@@ -798,17 +803,14 @@ def _compile_slacks(net: NetState, fam: ConstraintFamily,
 
 def _update_duals(net: NetState, powers: list[float]) -> None:
     """One dual step for every family, of net.cfg.dual_step, on slacks
-    reused while the families, masked rates, capacities, `powers`, done
-    flags and slack_clip repeat."""
+    reused while the masked rates, capacities, `powers` and done flags
+    repeat."""
     sessions, kept = net.sessions, net.kept_slacks
-    if net.dual_cfg.dual_step != net.cfg.dual_step:   # net.cfg was replaced
-        net.dual_cfg = SolverConfig(dual_step=net.cfg.dual_step)
     values = [0.0 if s.done else s.rate for s in sessions]
     values += [l.capacity_pps for l in net.links]
     values += powers
     values += [s.done for s in sessions]
-    values.append(net.cfg.slack_clip)
-    key = (kept.packer.pack(*values), *net.families)
+    key = kept.packer.pack(*values)
     if key != kept.key:
         env = _runtime_bindings(net, powers)
         kept.keep(key, [_family_slacks(net, fam, env) for fam in net.families])
@@ -858,9 +860,9 @@ def _solve_power(net: NetState, link: Link, powers: list[float],
 
 def _power_key(net: NetState) -> list:
     """What a power pass reads beyond the kept key of this epoch's
-    _measure (the powers, active flags, channel values, cross gains and
-    packet_bits): every link's pwr_gain_db and every link family's prev
-    dual by link, packed (so -0.0 and 0.0 differ), and the solvers."""
+    _measure (the powers, active flags, channel values and cross gains):
+    every link's pwr_gain_db and every link family's prev dual by link,
+    packed (so -0.0 and 0.0 differ), and the solvers."""
     pack, links = net.kept_power.packer.pack, net.links
     key = [net.kept_itfs.key, pack(*[l.pwr_gain_db for l in links])]
     for fam in net.families:
@@ -952,16 +954,14 @@ def _shares(net: NetState) -> list[float]:
 
 
 def _deliver(net: NetState) -> None:
-    """Set every session's throughput, reused while the capacities, rates,
-    done flags and congestion_exp repeat, and account what it sent
-    against its budget."""
+    """Set every session's throughput, reused while the capacities, rates
+    and done flags repeat, and account what it sent against its budget."""
     sessions, kept = net.sessions, net.kept_shares
     caps = [l.capacity_pps for l in net.links]
     key = None
     if kept.value is not None and caps == kept.value[0]:
         values = caps + [s.rate for s in sessions]
         values += [s.done for s in sessions]
-        values.append(net.cfg.congestion_exp)
         key = kept.packer.pack(*values)
     if key is None or key != kept.key:
         kept.keep(key, (caps, _shares(net)))
@@ -980,8 +980,8 @@ def sum_utility(net: NetState) -> float:
     """The problem utility evaluated on achieved throughput (packets/s)
     and live powers, in maximize sense.  The value is kept, and returned
     again while every session's (done, throughput), every link's (active,
-    pwr_gain_db), the utility and its sense are what it was computed
-    for, bit for bit."""
+    pwr_gain_db) and the utility's sense are what it was computed for,
+    bit for bit."""
     if net.utility_expr is None:
         return 0.0
     sessions, links, kept = net.sessions, net.links, net.kept_utility
@@ -990,7 +990,7 @@ def sum_utility(net: NetState) -> float:
     values += [s.done for s in sessions]
     values += [l.active for l in links]
     values.append(net.utility_sense == "max")
-    key = (net.utility_expr, kept.packer.pack(*values))
+    key = kept.packer.pack(*values)
     if key == kept.key:
         return kept.value
     topology = (net.utility_expr, tuple(s.index for s in sessions if not s.done),
@@ -1046,11 +1046,12 @@ def step(net: NetState, scheme: str = "joint") -> NetState:
     the physical-layer programs, run the transport programs every
     timescale-th epoch, then account delivered traffic.  The physical
     pass is skipped when it would only reuse the decisions of the last
-    one (see _power_pass).  net.cfg's dual_step, slack_clip,
-    congestion_exp, packet_bits, phys_epoch and timescale are read on
-    every step; the solver keys once per solver (see the module notes)."""
-    if net.capacity is None:
+    one (see _power_pass).  A replaced net.cfg or net.capacity takes
+    effect in full at the next step (see _derive)."""
+    if net.derived_for is None:
         raise NetsimError("install_problem must run before step")
+    if net.derived_for[0] is not net.cfg or net.derived_for[1] is not net.capacity:
+        _derive(net)
     _apply_pending(net)
     powers = _linear_powers(net)
     itfs = _measure(net, powers)
@@ -1077,21 +1078,20 @@ def step(net: NetState, scheme: str = "joint") -> NetState:
 def run(net: NetState, duration: float, scheme: str = "joint") -> Trace:
     """Run for `duration` seconds; the scheme gates which layers' programs
     execute.  Initial operating points are drawn from the scenario seed."""
-    if duration <= 0:
-        raise ConfigError("duration must be positive")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
     ratio = duration / net.cfg.phys_epoch
     if not math.isfinite(ratio) or round(ratio) < 1:
         raise ConfigError(f"duration must be finite and last at least one "
                           f"{net.cfg.phys_epoch!r} s epoch, got {duration!r}")
+    if round(ratio) > MAX_EPOCHS:
+        raise ConfigError(f"duration {duration!r} s is {ratio:.3g} epochs of "
+                          f"{net.cfg.phys_epoch!r} s; a run takes at most {MAX_EPOCHS}")
     rng = random.Random(net.cfg.seed)
     for s in net.sessions:
-        lo, hi = s.rate_box
-        s.rate = hi if scheme == "best-response" else rng.uniform(lo, hi)
+        s.rate = rng.uniform(*s.rate_box)
     for link in net.links:
-        lo, hi = link.power_box
-        link.pwr_gain_db = hi if scheme == "best-response" else rng.uniform(lo, hi)
+        link.pwr_gain_db = rng.uniform(*link.power_box)
     trace = Trace()
     for _ in range(round(ratio)):
         step(net, scheme)

@@ -185,3 +185,25 @@ def test_all_quantified_variable_must_sit_under_sum():
            "utility max wos_x\ndecompose cross=dual dist=dpl\n")
     with pytest.raises(ab.ValidationError):
         ab.parse_problem(src)
+
+
+@pytest.mark.parametrize("old, new, where, message", [
+    ("constraint sum(wos_y) <= wos_z", "constraint sum(wos_y) <= 2*foo",
+     "line 9, col 27", "undeclared variable 'foo'"),
+    ("constraint sum(wos_y) <= wos_z", "constraint sum(wos_y) <= 1e400*wos_z",
+     "line 9, col 25", "literal 1e400 is not finite"),
+    ("constraint sum(wos_y) <= wos_z", "  constraint  sum(foo) <= wos_z",
+     "line 9, col 18", "undeclared variable 'foo'"),
+    ("constraint sum(wos_y) <= wos_z", "constraint sum(wos_y) <= wos_z $",
+     "line 9, col 31", "unexpected character '$'"),
+    ("constraint sum(wos_y) <= wos_z", "constraint sum(wos_y) <= ",
+     "line 9, col 24", "expected expression, got 'end of line'"),
+    ("utility max sum(log(wos_x))", "utility max sum(log(foo))",
+     "line 8, col 20", "undeclared variable 'foo'"),
+], ids=["rhs-undeclared", "rhs-literal", "indented", "bad-character", "rhs-missing",
+        "utility-undeclared"])
+def test_parse_error_columns_count_from_the_line_start(old, new, where, message):
+    assert old in JOCP_LOG
+    with pytest.raises(ab.ParseError) as err:
+        ab.parse_problem(JOCP_LOG.replace(old, new))
+    assert str(err.value) == f"{where}: {message}"

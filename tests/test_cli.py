@@ -349,7 +349,11 @@ def test_simulation_error_names_stage(tmp_path, capsys, problem, settings, stage
      "channel gain over 1e-300 m overflows a float"),
     # the top of the power box overflows db_to_linear during the run
     (None, "max_gain_db = 1e308\n", "scenario", "max_gain_db 1e+308 overflows a float"),
-], ids=["literal-1e400", "hop-short-1e-300", "max-gain-db-1e308"])
+    # 1e-102 m hops: the channel gain (about 1e306) is finite, but the SNR
+    # at the top of the power box is not
+    (None, "hop_short = 1e-102\n", "scenario",
+     "SNR at max_gain_db over 1e-102 m overflows a float"),
+], ids=["literal-1e400", "hop-short-1e-300", "max-gain-db-1e308", "snr-hop-short-1e-102"])
 def test_overflowing_input_names_stage(tmp_path, capsys, problem_text, settings, stage,
                                        message):
     problem = tmp_path / "problem.ncp"

@@ -143,14 +143,6 @@ def test_run_is_bit_deterministic():
     assert traces[0] == traces[1]
 
 
-def test_best_response_holds_max_rate_and_power():
-    net, _, _ = deploy(scenario=2, seed=1)
-    trace = ns.run(net, 90, "best-response")
-    powers = {v for (_, k, _, m, v) in trace.rows if m == "power_gain_db"}
-    assert powers == {30.0}
-    assert all(s.rate == s.rate_box[1] for s in net.sessions)
-
-
 def test_no_control_keeps_rates_and_powers_constant():
     net, _, _ = deploy(scenario=2, seed=1)
     ns.run(net, 90, "no-control")
@@ -402,6 +394,45 @@ def deploy_file(problem, scenario, **cfg_kw):
     programs, _, _ = cli.build_programs(problem)
     cfg = ns.load_scenario((DATA / "scenarios" / scenario).read_text())
     return cli.deploy(problem, programs, dataclasses.replace(cfg, **cfg_kw))
+
+
+def copy_operating_point(src, dst):
+    """Set dst's epoch, decisions, traffic, flags and duals to src's."""
+    dst.epoch = src.epoch
+    for a, b in zip(src.sessions, dst.sessions):
+        b.rate, b.sent, b.done, b.throughput = a.rate, a.sent, a.done, a.throughput
+    for a, b in zip(src.links, dst.links):
+        b.pwr_gain_db, b.active, b.capacity_pps = a.pwr_gain_db, a.active, a.capacity_pps
+    for a, b in zip(src.families, dst.families):
+        b.duals = ns.DualState(dict(a.duals.values), a.duals.step)
+        b.prev = ns.DualState(dict(a.prev.values), a.prev.step)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("packet_bits", 4096), ("power_step", 30.0), ("power_iters", 7),
+    ("power_move_max", 0.25), ("rate_step", 12.5), ("rate_iters", 4),
+    ("rate_move_max", 1.5)])
+def test_replaced_config_takes_effect_at_next_step(key, value):
+    net = deploy_file("jocp_log.ncp", "s2.cfg", seed=0)
+    ns.run(net, 30, "joint")
+    net.cfg = dataclasses.replace(net.cfg, **{key: value})
+    # solvers built afresh for the new config, at the same operating point
+    fresh = deploy_file("jocp_log.ncp", "s2.cfg", seed=0, **{key: value})
+    copy_operating_point(net, fresh)
+    # epoch 30 runs both layers' solvers
+    for n in (net, fresh):
+        ns.step(n, "joint")
+    for kind, entities in (("link", net.links), ("session", net.sessions)):
+        for e in entities:
+            got, want = ns._get_solver(net, kind, e.index), ns._get_solver(fresh, kind, e.index)
+            assert got.program.prog.objective == want.program.prog.objective
+            assert got.cfg == want.cfg
+    assert len(net._solvers) == len(net.links) + len(net.sessions)
+    assert [l.pwr_gain_db.hex() for l in net.links] \
+        == [l.pwr_gain_db.hex() for l in fresh.links]
+    assert [s.rate.hex() for s in net.sessions] == [s.rate.hex() for s in fresh.sessions]
+    assert [l.capacity_pps.hex() for l in net.links] \
+        == [l.capacity_pps.hex() for l in fresh.links]
 
 
 def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
@@ -928,9 +959,11 @@ def test_throughputs_follow_state_set_by_hand(monkeypatch):
     net, _, _ = deploy(scenario=2, seed=3, budgets=(0.0, 1e12))
     ns.run(net, 62, "rate-only")
     s, link = net.sessions[1], net.links[2]
-    # the capacity cut overloads link 2, so that the exponent matters
+    # the capacity cut overloads link 2; a replaced config measures the
+    # capacities again, so the rate overloads it there, and the exponent
+    # matters
     edits = [(s, "rate", 8.0), (link, "capacity_pps", 2.0),
-             (s, "done", True), (s, "done", False),
+             (s, "done", True), (s, "done", False), (s, "rate", 1000.0),
              (net, "cfg", dataclasses.replace(net.cfg, congestion_exp=3.0)),
              (net, "cfg", dataclasses.replace(net.cfg, congestion_exp=2.0))]
     # each edit is the only change the next epoch's delivery sees: the
@@ -946,7 +979,7 @@ def test_throughputs_follow_state_set_by_hand(monkeypatch):
             if not s.done:
                 assert s.sent.hex() == (sent + s.throughput * net.cfg.phys_epoch).hex()
         assert first in epochs and first + 2 not in epochs
-    assert (link.capacity_pps, s.rate) == (2.0, 8.0)
+    assert 2.0 < link.capacity_pps < s.rate == 1000.0
     assert net.epoch == 62 + 3 * len(edits) < 90
 
 
