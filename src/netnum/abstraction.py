@@ -16,7 +16,7 @@ graph and parsed from a line-oriented DSL (grammar in parse_problem).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import expr as ex
 from .expr import Expr
@@ -53,8 +53,7 @@ class ParseError(AbstractionError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """One element of the problem's graph: its kind, entity, layer and model."""
     name: str
     kind: str                  # "primitive" | "virtual"
@@ -66,11 +65,13 @@ class Element:
     model: Expr | None = None  # "is function of" elements
 
 
-@dataclass
 class ElementGraph:
     """The problem's elements by name, and the labelled edges between them."""
-    elements: dict[str, Element] = field(default_factory=dict)
-    edges: set[tuple[str, str, str]] = field(default_factory=set)  # (src, label, dst)
+    __slots__ = ("elements", "edges")
+
+    def __init__(self) -> None:
+        self.elements: dict[str, Element] = {}
+        self.edges: set[tuple[str, str, str]] = set()   # (src, label, dst)
 
     def element(self, name: str) -> Element:
         try:
@@ -227,8 +228,7 @@ def resolve_model(graph: ElementGraph, name: str) -> Expr:
 Quant = str  # "all" | "every" | "none" | decimal string of a member index
 
 
-@dataclass(frozen=True)
-class VarSpec:
+class VarSpec(NamedTuple):
     """A problem variable: the element path it reads and its quantifiers."""
     name: str
     path: tuple[str, ...]
@@ -279,8 +279,7 @@ def validate_varspec(graph: ElementGraph, spec: VarSpec) -> None:
             raise ValidationError(f"{spec.name}: quantifier on non-set element {elname}")
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """One parsed constraint lhs <= rhs, with the element it is held by."""
     lhs: Expr
     rhs: Expr
@@ -288,8 +287,7 @@ class Constraint:
     src: str = ""
 
 
-@dataclass(frozen=True)
-class BoxRule:
+class BoxRule(NamedTuple):
     """A bound on every matching instance of a terminal attribute.
 
     owner narrows the match: ("netses", 0, "seslnk") bounds the attribute
@@ -301,8 +299,7 @@ class BoxRule:
     owner: tuple[str, int, str] | None = None
 
 
-@dataclass
-class ControlProblem:
+class ControlProblem(NamedTuple):
     """A parsed problem file: graph, variables, utility, constraints and rules."""
     graph: ElementGraph
     varspecs: dict[str, VarSpec]
@@ -310,10 +307,10 @@ class ControlProblem:
     sense: str                      # "max" | "min"
     constraints: list[Constraint]
     box_rules: list[BoxRule]
-    protocols: dict[str, str] = field(default_factory=dict)
-    directive: tuple[str, str] = ("dual", "dpl")
-    network: str = "adhoc"
-    source_lines: dict[str, list[str]] = field(default_factory=dict)
+    protocols: dict[str, str]
+    directive: tuple[str, str]      # (cross-layer method, distributed method)
+    network: str
+    source_lines: dict[str, list[str]]
 
     def control_specs(self) -> list[VarSpec]:
         return [s for s in self.varspecs.values()

@@ -13,7 +13,6 @@ import argparse
 import math
 import statistics
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import abstraction, decompose, expr, instantiate, netsim, solve
@@ -28,21 +27,6 @@ class CliError(Exception):
 class SchemaMismatch(CliError):
     def __init__(self, message: str):
         super().__init__("compare", message)
-
-
-@dataclass
-class ExperimentSpec:
-    """The options of one `netnum run`."""
-    problem_path: Path
-    scenario_path: Path
-    scheme: str = "joint"
-    duration: float = 1500.0
-    seed: int | None = None
-    out_dir: Path = Path("out")
-    dump_dual: bool = False
-    dump_programs: bool = False
-    dump_instances: bool = False
-    seeds: int = 1
 
 
 def build_programs(problem: abstraction.ControlProblem,
@@ -98,31 +82,31 @@ def _summary(net: netsim.NetState, trace: netsim.Trace) -> tuple[str, float]:
     return "\n".join(lines) + "\n", final
 
 
-def run_experiment(spec: ExperimentSpec) -> int:
-    if spec.seeds < 1:
-        print(f"[simulate] --seeds must be at least 1, got {spec.seeds}", file=sys.stderr)
+def run_experiment(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        print(f"[simulate] --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
         return 2
     try:
-        source = spec.problem_path.read_text()
+        source = args.problem.read_text()
     except OSError as err:
         print(f"[load] cannot read problem file: {err}", file=sys.stderr)
         return 2
     try:
-        scenario_text = spec.scenario_path.read_text()
+        scenario_text = args.scenario.read_text()
     except OSError as err:
         print(f"[load] cannot read scenario file: {err}", file=sys.stderr)
         return 2
     try:
         problem = abstraction.parse_problem(source)
     except abstraction.AbstractionError as err:
-        print(f"[parse] {spec.problem_path}: {err}", file=sys.stderr)
+        print(f"[parse] {args.problem}: {err}", file=sys.stderr)
         return 2
     try:
         scn = netsim.load_scenario(scenario_text)
-        if spec.seed is not None:
-            scn = replace(scn, seed=spec.seed)
+        if args.seed is not None:
+            scn = scn._replace(seed=args.seed)
     except netsim.ConfigError as err:
-        print(f"[scenario] {spec.scenario_path}: {err}", file=sys.stderr)
+        print(f"[scenario] {args.scenario}: {err}", file=sys.stderr)
         return 2
     try:
         programs, dp, imap = build_programs(problem)
@@ -130,27 +114,27 @@ def run_experiment(spec: ExperimentSpec) -> int:
         print(f"[decompose] {err}", file=sys.stderr)
         return 2
 
-    out = spec.out_dir
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    if spec.dump_dual:
+    if args.dump_dual:
         (out / "dual.txt").write_text(decompose.dump_dual(dp))
     del dp   # the simulation reads only the programs
-    if spec.dump_programs:
+    if args.dump_programs:
         text = "".join(f"# {layer}\n{decompose.dump_program(prog)}\n"
                        for layer, prog in sorted(programs.items()))
         (out / "programs.txt").write_text(text)
-    if spec.dump_instances:
+    if args.dump_instances:
         text = "".join(instantiate.dump_table(imap, name) + "\n"
                        for name in sorted(imap.lcl))
         (out / "instances.txt").write_text(text)
 
     utilities = []
     try:
-        for k in range(spec.seeds):
-            run_cfg = replace(scn, seed=scn.seed + k)
+        for k in range(args.seeds):
+            run_cfg = scn._replace(seed=scn.seed + k)
             net = deploy(problem, programs, run_cfg)
-            trace = netsim.run(net, spec.duration, spec.scheme)
-            suffix = f"_s{run_cfg.seed}" if spec.seeds > 1 else ""
+            trace = netsim.run(net, args.duration, args.scheme)
+            suffix = f"_s{run_cfg.seed}" if args.seeds > 1 else ""
             (out / f"trace{suffix}.csv").write_text(trace.to_csv())
             summary, utility = _summary(net, trace)
             (out / f"summary{suffix}.txt").write_text(summary)
@@ -158,10 +142,10 @@ def run_experiment(spec: ExperimentSpec) -> int:
     except (netsim.NetsimError, solve.SolveError, expr.ExprError) as err:
         print(f"[simulate] {err}", file=sys.stderr)
         return 2
-    if spec.seeds > 1:
+    if args.seeds > 1:
         (out / "summary.txt").write_text(
             "sweep_mean_sum_utility\t{!r}\nruns\t{}\n".format(
-                statistics.mean(utilities), spec.seeds))
+                statistics.mean(utilities), args.seeds))
     print(f"wrote {out}/trace*.csv (sum utility {utilities[0]!r})")
     return 0
 
@@ -227,13 +211,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        spec = ExperimentSpec(
-            problem_path=args.problem, scenario_path=args.scenario,
-            scheme=args.scheme, duration=args.duration, seed=args.seed,
-            out_dir=args.out, dump_dual=args.dump_dual,
-            dump_programs=args.dump_programs,
-            dump_instances=args.dump_instances, seeds=args.seeds)
-        return run_experiment(spec)
+        return run_experiment(args)
     if args.command == "compare":
         try:
             report = compare_runs(args.trace_a, args.trace_b)

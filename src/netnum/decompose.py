@@ -16,8 +16,7 @@ finds the decision by walking the graph's models, not by resolving them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import expr as ex
 from .abstraction import HAS_ATTR, ControlProblem, ElementGraph, resolve_model
@@ -52,8 +51,7 @@ class NotDifferentiable(DecomposeError):
     pass
 
 
-@dataclass(frozen=True)
-class DualVar:
+class DualVar(NamedTuple):
     """One dual variable: its name, family, holder member and constraint."""
     name: str          # lbd_NN
     index: int
@@ -65,8 +63,7 @@ class DualVar:
     rhs: Expr
 
 
-@dataclass
-class DualProblem:
+class DualProblem(NamedTuple):
     """The dualized problem: its Lagrangian and the registry of its duals."""
     dual: Expr
     registry: list[DualVar]
@@ -119,8 +116,7 @@ def _term_times(t: Expr, lam: Expr) -> Expr:
     return ex.mul(t, lam)
 
 
-@dataclass
-class Subproblem:
+class Subproblem(NamedTuple):
     """One layer's or entity's share of the dual, and the variables it owns."""
     layer: str
     objective: Expr
@@ -217,15 +213,13 @@ def split_by_entity(sub: Subproblem, graph: ElementGraph) -> list[Subproblem]:
     return out
 
 
-@dataclass(frozen=True)
-class CollectionRule:
+class CollectionRule(NamedTuple):
     """Which constraint family's duals a program collects, and under what name."""
     symbol: str   # local element name, or "self" for the entity's own dual
     family: int   # ordinal of the abstract constraint supplying the values
 
 
-@dataclass(frozen=True)
-class ControlProgram:
+class ControlProgram(NamedTuple):
     """A lifted per-entity subproblem template plus the identity of the
     dual coefficients it must collect at run time."""
     layer: str
@@ -416,15 +410,15 @@ def penalize(prog: ControlProgram, mode: str, graph: ElementGraph) -> ControlPro
     if mode not in PENALIZATION_MODES:
         raise DecomposeError(f"unknown penalization mode {mode!r}")
     if mode == "best_response":
-        return replace(prog, mode=mode, penalty=None)
+        return prog._replace(mode=mode, penalty=None)
     alias = next((a for a, own in FOREIGN_ALIASES.items() if own == prog.decision),
                  None)
     if alias is None:
-        return replace(prog, mode=mode, penalty=None)
+        return prog._replace(mode=mode, penalty=None)
     coupled = [el.name for el in graph.elements.values()
                if el.model is not None and alias in _model_leaves(graph, el.name)]
     if not coupled:
-        return replace(prog, mode=mode, penalty=None)
+        return prog._replace(mode=mode, penalty=None)
     model = resolve_model(graph, sorted(coupled)[0])
     try:
         deriv = ex.differentiate(model, alias)
@@ -440,7 +434,7 @@ def penalize(prog: ControlProgram, mode: str, graph: ElementGraph) -> ControlPro
                if v != f"{prog.decision}_anchor"}
     deriv_at_anchor = ex.substitute(deriv_at_anchor, foreign)
     penalty = ex.mul(ex.var("lbd_itf"), deriv_at_anchor, ex.sub(own, anchor))
-    return replace(prog, mode=mode, penalty=penalty)
+    return prog._replace(mode=mode, penalty=penalty)
 
 
 def dump_dual(dp: DualProblem) -> str:

@@ -25,9 +25,8 @@ predictable.  No general simplification is attempted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 Env = dict[str, float]
 
@@ -67,23 +66,19 @@ _FUNC_EVAL: dict[str, Callable[[float], float]] = {
 }
 
 
-@dataclass(frozen=True, init=False)
-class Expr:
-    """An immutable expression node: its kind, children and payload."""
+class _ExprFields(NamedTuple):
     kind: str
     children: tuple["Expr", ...] = ()
     value: float = 0.0
     # var: base name; func: function name; bigsum: index-set symbol
     name: str = ""
     # var only: None | int (concrete) | str (symbolic, bound by a bigsum)
-    index: int | str | None = field(default=None)
+    index: int | str | None = None
 
-    def __init__(self, kind: str, children: tuple["Expr", ...] = (), value: float = 0.0,
-                 name: str = "", index: int | str | None = None) -> None:
-        # twice as fast as the generated one, which calls object.__setattr__
-        d = self.__dict__
-        d["kind"], d["children"], d["value"], d["name"], d["index"] = \
-            kind, children, value, name, index
+
+class Expr(_ExprFields):
+    """An immutable expression node: its kind, children and payload are a
+    NamedTuple's fields; the subclass adds the dict var_pairs is kept in."""
 
     def __str__(self) -> str:
         return render(self)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import expr as ex
 from .abstraction import Constraint, ControlProblem, MEMBER
@@ -53,20 +53,32 @@ class NotDual(InstantiateError):
     pass
 
 
-@dataclass(frozen=True)
-class InstanceConfig:
-    """Cardinalities and the seed of one instantiation."""
+class _InstanceFields(NamedTuple):
     n_glb: int = 20
     n_lcl: int = 10
     seed: int = 0
     max_retries: int = 1000
 
-    def __post_init__(self):
+
+class InstanceConfig(_InstanceFields):
+    """Cardinalities and the seed of one instantiation, checked when built
+    and when replaced."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> InstanceConfig:
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    def _replace(self, **changes) -> InstanceConfig:
+        # the tuple's own _replace builds through _make, which skips __new__
+        return super()._replace(**changes)._checked()
+
+    def _checked(self) -> InstanceConfig:
         if self.n_glb < 1 or self.n_lcl < 1:
             raise CardinalityError("cardinalities must be positive")
         if self.n_lcl > self.n_glb:
             raise CardinalityError(
                 f"local cardinality {self.n_lcl} exceeds global {self.n_glb}")
+        return self
 
     @property
     def capacity(self) -> int:
@@ -115,26 +127,23 @@ def sample_local(mother: tuple[int, ...], cfg: InstanceConfig,
     return tuple(sorted(rng.sample(mother, cfg.n_lcl)))
 
 
-@dataclass
-class LocalFamily:
-    """The sampled members of one local element, keyed by holder member."""
+class LocalFamily(NamedTuple):
+    """The members of one local element by holder member, and their hash ids."""
     name: str
     holder: str   # global element whose members key the instances
     mother: str   # global element the members are drawn from
     instances: dict[int, tuple[int, ...]]
-    hashes: dict[int, int] = field(default_factory=dict)
+    hashes: dict[int, int]
     derived: bool = False
 
-    def __post_init__(self):
-        if not self.hashes:
-            self.hashes = {k: hash_id(v) for k, v in self.instances.items()}
 
-
-@dataclass
 class InstanceMap:
     """The members of every global element and the local families."""
-    glb: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    lcl: dict[str, LocalFamily] = field(default_factory=dict)
+    __slots__ = ("glb", "lcl")
+
+    def __init__(self) -> None:
+        self.glb: dict[str, tuple[int, ...]] = {}
+        self.lcl: dict[str, LocalFamily] = {}
 
     def family(self, name: str) -> LocalFamily:
         try:
@@ -209,12 +218,10 @@ def invert_map(imap: InstanceMap, from_element: str, to_element: str,
     holders = imap.glb.get(src.mother)
     if holders is None:
         raise NotDual(f"mother {src.mother} of {from_element} is not instantiated")
-    fam = LocalFamily(
-        name=to_element, holder=src.mother, mother=src.holder,
-        instances={k: tuple(sorted(j for j, inst in src.instances.items() if k in inst))
-                   for k in holders},
-        derived=True)
-    return fam
+    instances = {k: tuple(sorted(j for j, inst in src.instances.items() if k in inst))
+                 for k in holders}
+    hashes = {k: hash_id(v) for k, v in instances.items()}
+    return LocalFamily(to_element, src.mother, src.holder, instances, hashes, derived=True)
 
 
 def _check_dual(imap: InstanceMap, from_element: str, to_element: str,
@@ -245,16 +252,14 @@ def _holder_global(problem: ControlProblem, local_name: str) -> str:
     raise InstantiateError(f"no global family over {prim}")
 
 
-@dataclass(frozen=True)
-class InstConstraint:
+class InstConstraint(NamedTuple):
     """One constraint expanded for a holder member, with its label."""
     lhs: Expr
     rhs: Expr
     label: str  # e.g. "netlnk_03" for the per-member expansion
 
 
-@dataclass
-class InstantiatedProblem:
+class InstantiatedProblem(NamedTuple):
     """A problem over concrete members: utility, constraints, decisions, boxes."""
     problem: ControlProblem
     utility: Expr
@@ -328,8 +333,8 @@ def instantiate_problem(problem: ControlProblem, cfg: InstanceConfig,
         mother = g.element(name).mother
         if preset and name in preset:
             instances = {k: tuple(sorted(v)) for k, v in preset[name].items()}
-            hashes = {}
             check_rules(instances)
+            hashes = {k: hash_id(v) for k, v in instances.items()}
         else:
             instances, hashes = _sample_family(name, imap.glb[holder],
                                                imap.glb[mother], cfg, rng)

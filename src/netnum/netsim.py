@@ -46,6 +46,9 @@ Model notes:
     installed problem (the dual step, every Kept, the solvers): in
     install_problem, and at the first step after either is replaced.
     build_scenario and run read their keys once, each step the rest.
+  - Values are NamedTuples (ScenarioConfig, Node); what a step reads or
+    rewrites is a plain class (Link, Session, NetState, the solvers),
+    for cheaper attribute reads, and equals only itself.
 """
 
 from __future__ import annotations
@@ -54,8 +57,7 @@ import itertools
 import math
 import random
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from . import expr as ex
 from .abstraction import BoxRule, ControlProblem, resolve_model
@@ -114,9 +116,7 @@ class Kept:
         return value
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """The keys of a scenario file (see the module notes for when each is read)."""
+class _ScenarioFields(NamedTuple):
     scenario: int = 1               # 1..5
     seed: int = 0
     bandwidth: float = 200e3        # Hz per band
@@ -143,7 +143,20 @@ class ScenarioConfig:
     band_pattern: tuple[int, ...] = ()
     budgets: tuple[float, ...] = () # packets per session; 0 = unlimited
 
-    def __post_init__(self):
+
+class ScenarioConfig(_ScenarioFields):
+    """The keys of a scenario file (see the module notes for when each is
+    read), checked when built and when replaced."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ScenarioConfig:
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    def _replace(self, **changes) -> ScenarioConfig:
+        # the tuple's own _replace builds through _make, which skips __new__
+        return super()._replace(**changes)._checked()
+
+    def _checked(self) -> ScenarioConfig:
         # congestion_exp below 1 would lift goodput above the bottleneck share
         for key in ("timescale", "packet_bits", "congestion_exp"):
             if not getattr(self, key) >= 1:
@@ -186,112 +199,111 @@ class ScenarioConfig:
         if self.band_pattern and len(self.band_pattern) != chains * hops:
             raise ConfigError(f"band_pattern has {len(self.band_pattern)} entries; "
                               f"scenario {self.scenario} has {chains * hops} links")
+        return self
 
     @property
     def transport_epoch(self) -> float:
         return self.timescale * self.phys_epoch
 
 
-@dataclass
-class Node:
+class Node(NamedTuple):
     """A node and its position in metres."""
     index: int
     pos: tuple[float, float]
 
 
-@dataclass
 class Link:
     """A directed link: its channel, its power decision and what is kept for it."""
-    index: int
-    tx: int
-    rx: int
-    band: int
-    bandwidth: float
-    gain: float
-    noise: float
-    cross_gain: dict[int, float] = field(default_factory=dict)
-    pwr_gain_db: float = 0.0
-    power_box: tuple[float, float] = (0.0, 30.0)
-    sessions: tuple[int, ...] = ()    # sessions whose path uses this link
-    capacity_pps: float = 0.0
-    active: bool = True
-    kept_capacity: Kept | None = None   # capacity_pps and its inputs (see _measure)
+    __slots__ = ("index", "tx", "rx", "band", "bandwidth", "gain", "noise", "cross_gain",
+                 "pwr_gain_db", "power_box", "sessions", "capacity_pps", "active",
+                 "kept_capacity")
+
+    def __init__(self, index: int, tx: int, rx: int, band: int, bandwidth: float,
+                 gain: float, noise: float, power_box: tuple[float, float],
+                 sessions: tuple[int, ...]) -> None:
+        self.index, self.tx, self.rx, self.band = index, tx, rx, band
+        self.bandwidth, self.gain, self.noise = bandwidth, gain, noise
+        self.cross_gain: dict[int, float] = {}   # interferer -> its gain at our receiver
+        self.pwr_gain_db, self.power_box = 0.0, power_box
+        self.sessions = sessions   # sessions whose path uses this link
+        self.capacity_pps = 0.0
+        self.active = True
+        self.kept_capacity: Kept | None = None   # capacity_pps and its inputs (see _measure)
 
     @property
     def power_linear(self) -> float:
         return db_to_linear(self.pwr_gain_db) if self.active else 0.0
 
 
-@dataclass
 class Session:
     """A session: its path, rate decision, budget and delivered traffic."""
-    index: int
-    src: int
-    dst: int
-    path: tuple[int, ...]
-    rate: float = 1.0
-    rate_box: tuple[float, float] = (0.05, 400.0)
-    budget: float = 0.0   # packets; 0 = unlimited
-    sent: float = 0.0
-    done: bool = False
-    throughput: float = 0.0
+    __slots__ = ("index", "src", "dst", "path", "rate", "rate_box", "budget", "sent",
+                 "done", "throughput")
+
+    def __init__(self, index: int, src: int, dst: int, path: tuple[int, ...],
+                 rate_box: tuple[float, float], budget: float) -> None:
+        self.index, self.src, self.dst, self.path = index, src, dst, path
+        self.rate = 1.0
+        self.rate_box = rate_box
+        self.budget = budget   # packets; 0 = unlimited
+        self.sent, self.done, self.throughput = 0.0, False, 0.0
 
 
-@dataclass
 class ConstraintFamily:
     """Runtime face of one abstract constraint: per-member dual variables
     plus the slack expression evaluated against live network state."""
-    ordinal: int
-    holder: str            # netlnk | netses
-    entity: str            # link | session
-    lhs: Expr
-    rhs: Expr
-    duals: DualState = field(default_factory=DualState)   # keyed by member index
-    prev: DualState = field(default_factory=DualState)    # last epoch's duals
-    # compiled (member, rhs, lhs) per member, and the session done flags
-    # they were expanded for
-    slack_fns: list[tuple[int, Compiled, Compiled]] = field(default_factory=list)
-    slack_key: tuple[bool, ...] | None = None
+    __slots__ = ("ordinal", "holder", "entity", "lhs", "rhs", "duals", "prev",
+                 "slack_fns", "slack_key")
+
+    def __init__(self, ordinal: int, holder: str, entity: str, lhs: Expr, rhs: Expr) -> None:
+        self.ordinal, self.lhs, self.rhs = ordinal, lhs, rhs
+        self.holder = holder   # netlnk | netses
+        self.entity = entity   # link | session
+        self.duals = DualState()   # keyed by member index
+        self.prev = DualState()    # last epoch's duals
+        # compiled (member, rhs, lhs) per member, and the session done flags
+        # they were expanded for
+        self.slack_fns: list[tuple[int, Compiled, Compiled]] = []
+        self.slack_key: tuple[bool, ...] | None = None
 
 
-@dataclass
 class NetState:
     """The whole simulated network, its installed problem and its kept values."""
-    cfg: ScenarioConfig
-    nodes: list[Node]
-    links: list[Link]
-    sessions: list[Session]
-    epoch: int = 0
-    families: list[ConstraintFamily] = field(default_factory=list)
-    utility_expr: Expr | None = None
-    utility_sense: str = "max"
-    # utility_expr compiled for (utility_expr, live sessions, active links)
-    utility_fn: Compiled | None = None
-    utility_key: tuple[Expr, tuple[int, ...], tuple[int, ...]] | None = None
-    # env names of each session's rate and each link's capacity and power
-    rate_names: tuple[str, ...] = ()
-    cap_names: tuple[str, ...] = ()
-    pwr_names: tuple[str, ...] = ()
-    pending: list[tuple[tuple[str, int], ControlProgram]] = field(default_factory=list)
-    programs: dict[tuple[str, int], ControlProgram] = field(default_factory=dict)
-    capacity_model: Expr | None = None   # the problem's lnkcap model, bits/s
-    capacity: Compiled | None = None     # capacity_model compiled
-    derived_for: tuple[ScenarioConfig, Compiled] | None = None   # see _derive
-    dual_cfg: SolverConfig | None = None
-    # what _measure, _update_duals, _deliver and sum_utility last computed,
-    # and the key of the last power pass that only kept decisions
-    kept_itfs: Kept | None = None
-    kept_slacks: Kept | None = None
-    kept_shares: Kept | None = None
-    kept_utility: Kept | None = None
-    kept_power: Kept | None = None
-    # (kind, index) -> solver built from the installed program on first use
-    _solvers: dict[tuple[str, int], _EntitySolver | None] = field(default_factory=dict)
-    # (kind, id(program), shape) -> (program, its compiled solver program),
-    # shared by the entities running it with that shape; holding the
-    # program keeps its id from being reused
-    _shared: dict[tuple[str, int, int], tuple[ControlProgram, CompiledProgram]] = \
-        field(default_factory=dict)
+    __slots__ = ("cfg", "nodes", "links", "sessions", "epoch", "families", "utility_expr",
+                 "utility_sense", "utility_fn", "utility_key", "rate_names", "cap_names",
+                 "pwr_names", "pending", "programs", "capacity_model", "capacity",
+                 "derived_for", "dual_cfg", "kept_itfs", "kept_slacks", "kept_shares",
+                 "kept_utility", "kept_power", "_solvers", "_shared")
+
+    def __init__(self, cfg: ScenarioConfig, nodes: list[Node], links: list[Link],
+                 sessions: list[Session]) -> None:
+        self.cfg, self.nodes, self.links, self.sessions = cfg, nodes, links, sessions
+        self.epoch = 0
+        self.families: list[ConstraintFamily] = []
+        self.utility_expr: Expr | None = None
+        self.utility_sense = "max"
+        # utility_expr compiled for (utility_expr, live sessions, active links)
+        self.utility_fn: Compiled | None = None
+        self.utility_key: tuple[Expr, tuple[int, ...], tuple[int, ...]] | None = None
+        # env names of each session's rate and each link's capacity and power
+        self.rate_names = self.cap_names = self.pwr_names = ()
+        self.pending: list[tuple[tuple[str, int], ControlProgram]] = []
+        self.programs: dict[tuple[str, int], ControlProgram] = {}
+        self.capacity_model: Expr | None = None   # the problem's lnkcap model, bits/s
+        self.capacity: Compiled | None = None     # capacity_model compiled
+        self.derived_for: tuple[ScenarioConfig, Compiled] | None = None   # see _derive
+        self.dual_cfg: SolverConfig | None = None
+        # what _measure, _update_duals, _deliver and sum_utility last
+        # computed, and the key of the last power pass that only kept
+        # decisions; all five are built by _derive
+        self.kept_itfs = self.kept_slacks = self.kept_shares = None
+        self.kept_utility = self.kept_power = None
+        # (kind, index) -> solver built from the installed program on first use
+        self._solvers: dict[tuple[str, int], _EntitySolver | None] = {}
+        # (kind, id(program), shape) -> (program, its compiled solver
+        # program), shared by the entities running it with that shape;
+        # holding the program keeps its id from being reused
+        self._shared: dict[tuple[str, int, int], tuple[ControlProgram, CompiledProgram]] = {}
 
     @property
     def clock(self) -> float:
@@ -447,7 +459,7 @@ def _derive(net: NetState) -> None:
 
 def _apply_box_rule(net: NetState, rule: BoxRule) -> None:
     if rule.base == "lnkpwr":
-        attr, targets = "power_box", net.links
+        attr, entity, targets = "power_box", "link", net.links
         top = max(b for b in (rule.lower, rule.upper, 0.0) if b is not None)
         try:
             db_to_linear(top)
@@ -461,15 +473,19 @@ def _apply_box_rule(net: NetState, rule: BoxRule) -> None:
                 raise UnknownEntity(f"session {idx}")
             targets = [net.links[li] for li in net.sessions[idx].path]
     elif rule.base == "sesrate":
-        attr, targets = "rate_box", net.sessions
+        attr, entity, targets = "rate_box", "session", net.sessions
         if rule.owner is not None:
             raise UnresolvableCollectionRule(f"box rule owner {rule.owner}")
     else:
         raise UnresolvableCollectionRule(f"box rule on {rule.base}")
     for target in targets:
         lo, hi = getattr(target, attr)
-        setattr(target, attr, (lo if rule.lower is None else rule.lower,
-                               hi if rule.upper is None else rule.upper))
+        lo = lo if rule.lower is None else rule.lower
+        hi = hi if rule.upper is None else rule.upper
+        if lo > hi:   # refused here, the same way under every scheme
+            raise ConfigError(f"{rule.base} on {entity} {target.index}: "
+                              f"box lower {lo} exceeds upper {hi}")
+        setattr(target, attr, (lo, hi))
 
 
 def install_program(net: NetState, owner: tuple[str, int],
@@ -505,18 +521,22 @@ def _apply_pending(net: NetState) -> None:
 # ---------------------------------------------------------------------------
 # per-entity solvers over compiled programs shared per shape
 
-@dataclass(eq=False)   # a solver is equal only to itself (see _power_key)
 class _EntitySolver:
-    """One entity's solver: the shared compiled program and the entity's wiring."""
-    program: CompiledProgram   # shared by the entities of the same shape
-    cfg: SolverConfig          # the entity's own box
-    # sessions: (family ordinal, env name by hop, link) per collected dual
-    lam_sources: list[tuple[int, str, int]]
-    self_family: int | None = None
-    # links: each interfered neighbour j with its slot's _NEIGHBOUR_PARAMS
-    # env names, slots in sorted-neighbour order
-    neighbours: tuple[tuple[int, tuple[str, ...]], ...] = ()
-    kept: Kept | None = None   # links: see solve
+    """One entity's solver: the shared compiled program and the entity's
+    wiring.  A solver is equal only to itself (see _power_key)."""
+
+    def __init__(self, program: CompiledProgram, cfg: SolverConfig,
+                 lam_sources: list[tuple[int, str, int]], self_family: int | None,
+                 neighbours: tuple[tuple[int, tuple[str, ...]], ...] = (),
+                 kept: Kept | None = None) -> None:
+        self.program = program   # shared by the entities of the same shape
+        self.cfg = cfg           # the entity's own box
+        # sessions: (family ordinal, env name by hop, link) per collected dual
+        self.lam_sources, self.self_family = lam_sources, self_family
+        # links: each interfered neighbour j with its slot's _NEIGHBOUR_PARAMS
+        # env names, slots in sorted-neighbour order
+        self.neighbours = neighbours
+        self.kept = kept   # links: see solve
 
     def solve(self, params: Env) -> float:
         """The decision for params.  Only a solve that leaves the decision
@@ -556,7 +576,7 @@ def _session_program(net: NetState, prog: ControlProgram, hops: int) -> Compiled
     for rule in prog.collect:
         if rule.symbol != "self":
             objective = ex.expand_sums(objective, {rule.symbol: range(hops)})
-    return compile_program(replace(prog, objective=objective))
+    return compile_program(prog._replace(objective=objective))
 
 
 def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntitySolver:
@@ -596,7 +616,7 @@ def _link_program(net: NetState, prog: ControlProgram, slots: int) -> CompiledPr
             pj = ex.substitute(pj, {"lnkpwr": DB_TO_LINEAR})
             terms.append(pj)
         objective = ex.add(*terms)
-    return compile_program(replace(prog, objective=objective, decision="pwrgain"))
+    return compile_program(prog._replace(objective=objective, decision="pwrgain"))
 
 
 def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolver:

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import expr as ex
 from .decompose import ControlProgram, DualProblem, split_by_layer, split_by_entity
@@ -37,23 +36,32 @@ class InfeasibleEverywhere(SolveError):
     pass
 
 
-@dataclass(frozen=True)
 class SolverConfig:
-    """Steps, iteration limits, tolerance and boxes of a solve."""
-    step: float = 0.05
-    dual_step: float = 0.05
-    max_iters: int = 500
-    tol: float = 1e-6
-    boxes: dict[str, tuple[float, float]] = field(default_factory=dict)
-    diminishing: bool = False   # dual step decays as step/sqrt(t)
-    max_move: float = 0.0       # per-iteration trust cap on |step*grad|; 0 = off
+    """Steps, iteration limits, tolerance and boxes of a solve, checked when
+    built and by _replace, the only way to change one; equal field by field."""
+    __slots__ = ("step", "dual_step", "max_iters", "tol", "boxes", "diminishing",
+                 "max_move")
 
-    def __post_init__(self):
-        if self.step <= 0 or self.dual_step <= 0 or self.tol <= 0:
+    def __init__(self, step: float = 0.05, dual_step: float = 0.05, max_iters: int = 500,
+                 tol: float = 1e-6, boxes: dict[str, tuple[float, float]] | None = None,
+                 diminishing: bool = False, max_move: float = 0.0) -> None:
+        self.step, self.dual_step, self.max_iters, self.tol = step, dual_step, max_iters, tol
+        self.boxes = {} if boxes is None else boxes
+        self.diminishing = diminishing   # dual step decays as step/sqrt(t)
+        self.max_move = max_move         # per-iteration trust cap on |step*grad|; 0 = off
+        if step <= 0 or dual_step <= 0 or tol <= 0:
             raise SolveError("steps and tolerance must be positive")
         for name, (lo, hi) in self.boxes.items():
             if lo > hi:
                 raise SolveError(f"{name}: box lower {lo} exceeds upper {hi}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def _replace(self, **changes) -> SolverConfig:
+        return SolverConfig(**{**{k: getattr(self, k) for k in self.__slots__}, **changes})
 
     def box(self, name: str) -> tuple[float, float]:
         for key in (name, name.rsplit("_", 1)[0]):
@@ -71,8 +79,7 @@ def clip(x: float, lo: float, hi: float) -> float:
 Fused = Callable[[Env, float, float, SolverConfig], "tuple[float, int, int] | None"]
 
 
-@dataclass(frozen=True)
-class CompiledProgram:
+class CompiledProgram(NamedTuple):
     """A control program ready to run, compiled once: the objective and
     its derivative in the program's one decision variable `var`.  A
     program solved by ascent also gets `fused`: the whole ascent loop as
@@ -257,17 +264,21 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
     return {v: x}
 
 
-@dataclass
 class DualState:
-    """Dual values, non-negative, and the number of steps taken."""
-    # keyed by dual name, or by member index for a runtime constraint family
-    values: dict[str | int, float] = field(default_factory=dict)
-    step: int = 0
+    """Dual values, non-negative, and the number of steps taken; checked
+    when built and when replaced."""
+    __slots__ = ("values", "step")
 
-    def __post_init__(self):
+    def __init__(self, values: dict[str | int, float] | None = None, step: int = 0) -> None:
+        # keyed by dual name, or by member index for a runtime constraint family
+        self.values = {} if values is None else values
+        self.step = step
         for k, v in self.values.items():
             if v < 0:
                 raise SolveError(f"dual {k} initialized negative")
+
+    def _replace(self, **changes) -> DualState:
+        return DualState(**{"values": self.values, "step": self.step, **changes})
 
 
 def dual_update(state: DualState, slacks: dict[str | int, float],
@@ -350,8 +361,7 @@ def centralized_oracle(inst: InstantiatedProblem, resolution: float,
     return best, best_val
 
 
-@dataclass
-class LoopResult:
+class LoopResult(NamedTuple):
     """The outcome of dual_loop: averaged and last decisions, duals and utility."""
     decisions: dict[str, float]       # running-average (ergodic) decision
     last: dict[str, float]            # final iterate

@@ -185,7 +185,7 @@ def test_criterion_7_behavior_modification():
         sums, disps = [], []
         for seed in range(5):
             net = cli.deploy(problem, programs,
-                             ns.ScenarioConfig(**{**scn.__dict__, "seed": seed}))
+                             ns.ScenarioConfig(**{**scn._asdict(), "seed": seed}))
             trace = ns.run(net, 900, "joint")
             thr = [trace.mean("session", "throughput_pps", s.index, tail=0.3)
                    for s in net.sessions]

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -112,7 +111,7 @@ def test_written_trace_reads_back_as_its_rows(tmp_path, capsys):
     problem = abstraction.parse_problem((PROBLEMS / "jocp_log.ncp").read_text())
     programs, _, _ = cli.build_programs(problem)
     cfg = netsim.load_scenario((SCENARIOS / "s2_drain.cfg").read_text())
-    net = cli.deploy(problem, programs, replace(cfg, seed=0))
+    net = cli.deploy(problem, programs, cfg._replace(seed=0))
     trace = netsim.run(net, 360, "rate-only")
     assert len(trace.layouts) == 2
     path = tmp_path / "trace.csv"
@@ -323,7 +322,7 @@ def test_python_dash_m_runs_the_cli():
 
 @pytest.mark.parametrize("problem, settings, stage, message", [
     # the problem's rate floor (4 packets/s) empties the scenario's rate
-    # box: the transport solver refuses it
+    # box: installing the problem's box rule refuses it
     ("powermin.ncp", "rate_max = 3\n", "simulate", "box lower 4.0 exceeds upper 3.0"),
     # a nan goodput exponent would break conservation under overload; the
     # scenario loader refuses it before any epoch runs
@@ -338,6 +337,23 @@ def test_simulation_error_names_stage(tmp_path, capsys, problem, settings, stage
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"[{stage}] ") and message in err
+
+
+@pytest.mark.parametrize("scheme", netsim.SCHEMES)
+@pytest.mark.parametrize("constraint, message", [
+    # s2's power box tops out at max_gain_db = 30
+    ("constraint 40 <= wos_p", "lnkpwr on link 0: box lower 40.0 exceeds upper 30.0"),
+    # powermin's own rate floor is 4 packets/s
+    ("constraint wos_r <= 2", "sesrate on session 0: box lower 4.0 exceeds upper 2.0"),
+], ids=["lnkpwr", "sesrate"])
+def test_empty_box_fails_alike_under_every_scheme(tmp_path, capsys, scheme, constraint,
+                                                  message):
+    problem = tmp_path / "problem.ncp"
+    problem.write_text((PROBLEMS / "powermin.ncp").read_text() + constraint + "\n")
+    rc = run_cli(["run", "--problem", problem, "--scenario", SCENARIOS / "s2.cfg",
+                  "--scheme", scheme, "--duration", "30", "--out", tmp_path])
+    assert rc == 2
+    assert capsys.readouterr().err == f"[simulate] {message}\n"
 
 
 @pytest.mark.parametrize("problem_text, settings, stage, message", [
@@ -459,8 +475,8 @@ def test_lift_compares_every_entity(monkeypatch, tmp_path, capsys, layer, field)
         prog = lift(sub, m)
         if sub.layer == layer and sub.entity_index == last:
             if field == "objective":
-                return replace(prog, objective=expr.add(prog.objective, expr.ONE))
-            return replace(prog, collect=prog.collect[::-1] + prog.collect[:1])
+                return prog._replace(objective=expr.add(prog.objective, expr.ONE))
+            return prog._replace(collect=prog.collect[::-1] + prog.collect[:1])
         return prog
 
     monkeypatch.setattr(decompose, "lift_to_abstract", skewed)

@@ -5,7 +5,6 @@ nan or inf), and each mutant goes through `netnum run` or `netnum
 compare` in-process.  Every case must exit 0, or exit 2 with an error
 that names its stage; nothing may raise out of cli.main."""
 
-import dataclasses
 import random
 import re
 from pathlib import Path
@@ -20,7 +19,7 @@ PROBLEMS = sorted((DATA / "problems").glob("*.ncp"))
 SCENARIOS = sorted((DATA / "scenarios").glob("*.cfg"))
 STAGES = ("[load] ", "[parse] ", "[scenario] ", "[decompose] ", "[simulate] ")
 VALUES = ("0", "-1", "1e308", "1e-300", "nan", "inf")
-KEYS = tuple(f.name for f in dataclasses.fields(netsim.ScenarioConfig))
+KEYS = netsim.ScenarioConfig._fields
 SEED = 6
 RUNS, COMPARES = 100, 20
 

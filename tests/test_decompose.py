@@ -111,7 +111,7 @@ def test_ambiguous_layer():
     p = ab.parse_problem(JOCP_RATE)
     inst, _ = it.instantiate_problem(p, it.InstanceConfig(3, 2, 7))
     dp = dc.dualize(inst)
-    dp.dual = ex.add(dp.dual, ex.mul(ex.var("sesrate", 0), ex.var("lnkpwr", 0)))
+    dp = dp._replace(dual=ex.add(dp.dual, ex.mul(ex.var("sesrate", 0), ex.var("lnkpwr", 0))))
     with pytest.raises(dc.AmbiguousLayer):
         dc.split_by_layer(dp, p.graph)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import statistics
 from pathlib import Path
@@ -232,10 +231,12 @@ def test_throughput_never_exceeds_bottleneck_share():
 
 @pytest.mark.parametrize("exponent", [math.nan, 0.5])
 def test_conservation_breach_raises(exponent):
-    # ScenarioConfig refuses such an exponent; it is set past that check,
-    # so that the simulator's own check is what fails
+    # ScenarioConfig refuses such an exponent; it is set past that check
+    # (_make builds the tuple without __new__), so that the simulator's own
+    # check is what fails
     net, _, _ = deploy(scenario=2)
-    object.__setattr__(net.cfg, "congestion_exp", exponent)
+    fields = {**net.cfg._asdict(), "congestion_exp": exponent}
+    net.cfg = ns.ScenarioConfig._make(fields.values())
     with pytest.raises(ns.NetsimError, match="breaks conservation"):
         ns.run(net, 30, "joint")
 
@@ -276,7 +277,7 @@ def test_program_installed_mid_run_takes_effect_at_next_step():
             ns.step(net, "rate-only")
     kept, swapped = nets
     old = swapped.programs[("session", 0)]
-    new = dataclasses.replace(old, objective=ex.neg(ex.var("sesrate")))
+    new = old._replace(objective=ex.neg(ex.var("sesrate")))
     ns.install_program(swapped, ("session", 0), new)
     assert swapped.programs[("session", 0)] is old
     assert ns._get_solver(swapped, "session", 0).program.prog.objective \
@@ -359,7 +360,7 @@ def test_program_installed_mid_run_compiles_its_own_solver(monkeypatch):
     kept, swapped = nets
     old = swapped.programs[("link", 3)]
     # the same penalties, and an own term that only pays for power
-    new = dataclasses.replace(old, objective=ex.neg(ex.var("lnkpwr")))
+    new = old._replace(objective=ex.neg(ex.var("lnkpwr")))
     for idx in (3, 9):
         ns.install_program(swapped, ("link", idx), new)
     # queued with the others, and rebuilt from the old shared program
@@ -393,7 +394,7 @@ def deploy_file(problem, scenario, **cfg_kw):
     problem = ab.parse_problem((DATA / "problems" / problem).read_text())
     programs, _, _ = cli.build_programs(problem)
     cfg = ns.load_scenario((DATA / "scenarios" / scenario).read_text())
-    return cli.deploy(problem, programs, dataclasses.replace(cfg, **cfg_kw))
+    return cli.deploy(problem, programs, cfg._replace(**cfg_kw))
 
 
 def copy_operating_point(src, dst):
@@ -415,7 +416,7 @@ def copy_operating_point(src, dst):
 def test_replaced_config_takes_effect_at_next_step(key, value):
     net = deploy_file("jocp_log.ncp", "s2.cfg", seed=0)
     ns.run(net, 30, "joint")
-    net.cfg = dataclasses.replace(net.cfg, **{key: value})
+    net.cfg = net.cfg._replace(**{key: value})
     # solvers built afresh for the new config, at the same operating point
     fresh = deploy_file("jocp_log.ncp", "s2.cfg", seed=0, **{key: value})
     copy_operating_point(net, fresh)
@@ -471,7 +472,7 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     assert [k for k in runs[2] if runs[2][k] != runs[1][k]] == [names[-1]]
     # a program installed mid-run solves afresh, from the same parameters
     old = net.programs[("link", 0)]
-    new = dataclasses.replace(old, objective=ex.neg(ex.var("lnkpwr")))
+    new = old._replace(objective=ex.neg(ex.var("lnkpwr")))
     ns.install_program(net, ("link", 0), new)
     ns._apply_pending(net)
     swapped = solve(-0.0)
@@ -823,9 +824,9 @@ def test_duals_and_utility_follow_state_set_by_hand(monkeypatch, problem, extra)
              (link, "active", False), (link, "active", True),
              # the masked rate is 0.0 either way: only the done flag differs
              (s, "rate", 0.0), (s, "done", True), (s, "done", False),
-             (net, "cfg", dataclasses.replace(net.cfg, slack_clip=5.0)),
-             (net, "cfg", dataclasses.replace(net.cfg, slack_clip=0.0)),
-             (net, "cfg", dataclasses.replace(net.cfg, dual_step=0.5)),
+             (net, "cfg", net.cfg._replace(slack_clip=5.0)),
+             (net, "cfg", net.cfg._replace(slack_clip=0.0)),
+             (net, "cfg", net.cfg._replace(dual_step=0.5)),
              (net, "utility_sense", flipped), (net, "utility_sense", sense)]
     # each edit is the only change the next epoch's dual update sees: the
     # last rate solve ran in epoch 60 and reached the duals in epoch 61,
@@ -843,7 +844,7 @@ def test_duals_and_utility_follow_state_set_by_hand(monkeypatch, problem, extra)
     ns._record(net, trace)
     assert all(v > 0 for v in net.families[-1].duals.values.values())
     # a fresh problem: new families, and another utility, then another sense
-    doubled = dataclasses.replace(parsed, utility=ex.mul(ex.const(2.0), parsed.utility))
+    doubled = parsed._replace(utility=ex.mul(ex.const(2.0), parsed.utility))
     for fresh in (doubled, other, parsed):
         ns.install_problem(net, fresh)
         assert ns.sum_utility(net).hex() == interpreted_utility(net).hex()
@@ -964,8 +965,8 @@ def test_throughputs_follow_state_set_by_hand(monkeypatch):
     # matters
     edits = [(s, "rate", 8.0), (link, "capacity_pps", 2.0),
              (s, "done", True), (s, "done", False), (s, "rate", 1000.0),
-             (net, "cfg", dataclasses.replace(net.cfg, congestion_exp=3.0)),
-             (net, "cfg", dataclasses.replace(net.cfg, congestion_exp=2.0))]
+             (net, "cfg", net.cfg._replace(congestion_exp=3.0)),
+             (net, "cfg", net.cfg._replace(congestion_exp=2.0))]
     # each edit is the only change the next epoch's delivery sees: the
     # next rate solve is in epoch 90, and rate-only moves no power
     for obj, attr, value in edits:
@@ -987,7 +988,7 @@ def test_slacks_and_utility_compile_once_per_topology(monkeypatch):
     problem = ab.parse_problem((DATA / "problems" / "jocp_log.ncp").read_text())
     programs, _, _ = cli.build_programs(problem)
     cfg = ns.load_scenario((DATA / "scenarios" / "s2_drain.cfg").read_text())
-    net = cli.deploy(problem, programs, dataclasses.replace(cfg, seed=0))
+    net = cli.deploy(problem, programs, cfg._replace(seed=0))
 
     epoch = 0          # the step running, or the one whose record is running
     compiles, drains = [], []

@@ -37,6 +37,32 @@ def test_package_has_no_assert_statements():
     assert not found
 
 
+def test_cli_starts_without_dataclasses():
+    # records are NamedTuples and plain classes: start-up execs no
+    # generated methods, and loads neither dataclasses nor what it imports
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import netnum.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if "dataclass" in n]
+    assert not found
+
+
 _TRACED_RUN = """
 import json, sys
 import tracer

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -304,8 +303,8 @@ def test_solve_skips_the_trial_when_the_step_cannot_move(monkeypatch):
         # the generic loop: without the fused function, which bypasses
         # the objective and gradient functions
         c = compile_program(prog)
-        return dataclasses.replace(
-            c, objective=counted("objective", c.objective),
+        return c._replace(
+            objective=counted("objective", c.objective),
             grad=counted("gradient", c.grad),
             fused=None)
 
@@ -358,7 +357,7 @@ def test_fused_solver_matches_the_generic_loop(monkeypatch, problem):
     def both(prog, params, cfg):
         v = prog.var
         fused = prog.fused(params, *cfg.box(v), cfg)
-        plain = generic.setdefault(id(prog), dataclasses.replace(prog, fused=None))
+        plain = generic.setdefault(id(prog), prog._replace(fused=None))
         want = solve_program(plain, params, cfg)
         assert fused is not None
         assert fused[0].hex() == want[v].hex()
@@ -443,7 +442,7 @@ def test_fused_solver_raises_as_the_generic_loop(obj, params, cfg, error, messag
     cfg = sv.SolverConfig(**{"step": 0.5, **cfg})
     assert compiled.fused(params, *cfg.box("sesrate"), cfg) is None
     raised = []
-    for prog in (dataclasses.replace(compiled, fused=None), compiled):
+    for prog in (compiled._replace(fused=None), compiled):
         with pytest.raises(Exception) as exc:
             sv.solve_program(prog, params, cfg)
         raised.append((type(exc.value), str(exc.value)))
@@ -458,7 +457,7 @@ def test_fused_solver_sums_fold_left_from_zero():
     params = {"a": 1e16, "b": 1.0, "c": -1e16, "sesrate_anchor": 3.0}
     x, _, _ = compiled.fused(params, -5.0, 5.0, cfg)
     assert x.hex() == (0.0).hex()
-    assert sv.solve_program(dataclasses.replace(compiled, fused=None), params, cfg) \
+    assert sv.solve_program(compiled._replace(fused=None), params, cfg) \
         == {"sesrate": x}
 
 
@@ -499,8 +498,8 @@ def _counted_generic(compiled):
             return fn(env)
         return evaluate
 
-    return dataclasses.replace(
-        compiled, objective=counted("objective", compiled.objective),
+    return compiled._replace(
+        objective=counted("objective", compiled.objective),
         grad=counted("gradient", compiled.grad),
         fused=None), calls
 
