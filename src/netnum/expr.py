@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 Env = dict[str, float]
 
@@ -283,6 +283,30 @@ def compile_expr(e: Expr) -> Callable[[Env], float]:
               f"        pass\n"
               f"    return _eval_expr(_expr, env)\n")
     return gen.define(source, "compiled", _eval_expr=eval_expr, _expr=e)
+
+
+def compile_slacks(pairs: Sequence[tuple[Expr, Expr]]) -> Callable[[Env], list[float]]:
+    """Compile constraints, given as (lhs, rhs) pairs, to one generated
+    function that returns each pair's rhs - lhs, in order: the floats of
+    eval_expr(rhs, env) - eval_expr(lhs, env).  As in compile_expr, each
+    variable is read once and equal subtrees, of one pair or of several,
+    are computed once.  Where the fast path raises, every pair is
+    evaluated again by eval_expr, rhs before lhs and pair by pair, so the
+    first failing side raises what it always raised."""
+    gen = SourceGen()
+    slacks = []
+    for lhs, rhs in pairs:
+        right = gen.emit(rhs)
+        left = gen.emit(lhs)
+        slacks.append(f"{right} - {left}")
+    source = (f"def slacks(env):\n"
+              f"    try:\n{gen.source(gen.reads + gen.lines, 8)}"
+              f"        return [{', '.join(slacks)}]\n"
+              f"    except {_FAST_PATH_ERRORS}:\n"
+              f"        pass\n"
+              f"    return [_eval_expr(rhs, env) - _eval_expr(lhs, env)\n"
+              f"            for lhs, rhs in _pairs]\n")
+    return gen.define(source, "slacks", _eval_expr=eval_expr, _pairs=tuple(pairs))
 
 
 class SourceGen:

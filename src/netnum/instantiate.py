@@ -128,12 +128,11 @@ def sample_local(mother: tuple[int, ...], cfg: InstanceConfig,
 
 
 class LocalFamily(NamedTuple):
-    """The members of one local element by holder member, and their hash ids."""
+    """The members of one local element by holder member."""
     name: str
     holder: str   # global element whose members key the instances
     mother: str   # global element the members are drawn from
     instances: dict[int, tuple[int, ...]]
-    hashes: dict[int, int]
     derived: bool = False
 
 
@@ -180,9 +179,8 @@ def check_rules(instances: dict[int, tuple[int, ...]], n_lcl: int | None = None)
 
 def _sample_family(name: str, holder_members: tuple[int, ...],
                    mother: tuple[int, ...], cfg: InstanceConfig,
-                   rng: random.Random,
-                   ) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
-    """The sampled instance of every holder member, and its hash id."""
+                   rng: random.Random) -> dict[int, tuple[int, ...]]:
+    """The sampled instance of every holder member."""
     if len(holder_members) > math.comb(len(mother), cfg.n_lcl):
         raise CapacityExceeded(
             f"{name}: {len(holder_members)} instances requested, only "
@@ -190,7 +188,6 @@ def _sample_family(name: str, holder_members: tuple[int, ...],
     taken: set[tuple[int, ...]] = set()
     taken_hashes: set[int] = set()
     out: dict[int, tuple[int, ...]] = {}
-    hashes: dict[int, int] = {}
     for m in holder_members:
         for _ in range(cfg.max_retries):
             cand = sample_local(mother, cfg, rng)
@@ -204,8 +201,7 @@ def _sample_family(name: str, holder_members: tuple[int, ...],
         taken.add(cand)
         taken_hashes.add(h)
         out[m] = cand
-        hashes[m] = h
-    return out, hashes
+    return out
 
 
 def invert_map(imap: InstanceMap, from_element: str, to_element: str,
@@ -220,8 +216,7 @@ def invert_map(imap: InstanceMap, from_element: str, to_element: str,
         raise NotDual(f"mother {src.mother} of {from_element} is not instantiated")
     instances = {k: tuple(sorted(j for j, inst in src.instances.items() if k in inst))
                  for k in holders}
-    hashes = {k: hash_id(v) for k, v in instances.items()}
-    return LocalFamily(to_element, src.mother, src.holder, instances, hashes, derived=True)
+    return LocalFamily(to_element, src.mother, src.holder, instances, derived=True)
 
 
 def _check_dual(imap: InstanceMap, from_element: str, to_element: str,
@@ -334,12 +329,11 @@ def instantiate_problem(problem: ControlProblem, cfg: InstanceConfig,
         if preset and name in preset:
             instances = {k: tuple(sorted(v)) for k, v in preset[name].items()}
             check_rules(instances)
-            hashes = {k: hash_id(v) for k, v in instances.items()}
         else:
-            instances, hashes = _sample_family(name, imap.glb[holder],
-                                               imap.glb[mother], cfg, rng)
+            instances = _sample_family(name, imap.glb[holder], imap.glb[mother],
+                                       cfg, rng)
             check_rules(instances, cfg.n_lcl)
-        imap.lcl[name] = LocalFamily(name, holder, mother, instances, hashes)
+        imap.lcl[name] = LocalFamily(name, holder, mother, instances)
 
     # derive duals of sampled families wherever the graph names them
     for name in list(imap.lcl):

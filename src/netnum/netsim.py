@@ -15,18 +15,21 @@ Model notes:
     whose source is the interfered link's receiver is excluded
     (half-duplex conflict the fluid model abstracts away).
   - Dual values travel as zero-loss messages with one epoch of delay.
-  - Constraint slacks and the utility are compiled once per topology:
-    the compiled functions are kept with the session done flags (and, for
-    the utility, the active links) they were expanded for, and rebuilt
-    when those differ from the live state.
+  - Each run-time unit is one generated function.  A constraint
+    family's slacks (every member's rhs - lhs) and the utility are
+    compiled once per topology: each function is kept with the session
+    done flags (and, for the utility, the active links) it was expanded
+    for, and rebuilt when those differ from the live state.
   - Solvers are compiled on first use, once per (installed program,
     shape): a link program names each interfered neighbour's parameters
     by slot (sorted-neighbour order) and a session program its path's
     duals by hop, so every link with the same neighbour count, and every
     session with the same path length, runs one compiled program (the
     ascent loop fused into one generated function, see
-    solve.compile_program).  Boxes and the slot/hop-to-index maps stay
-    with each entity's solver.
+    solve.compile_program).  Each entity's solver keeps its box, under
+    the program's decision variable, its anchor's name and its
+    slot/hop-to-index maps; a link solve reads the capacity prices from
+    net.link_family, found once at install.
   - Work is redone only when what it reads changes, with the same floats:
     each such site keeps its last value in a Kept, keyed by its inputs
     packed as doubles, and reuses it while they repeat bit for bit (the
@@ -253,7 +256,7 @@ class ConstraintFamily:
     """Runtime face of one abstract constraint: per-member dual variables
     plus the slack expression evaluated against live network state."""
     __slots__ = ("ordinal", "holder", "entity", "lhs", "rhs", "duals", "prev",
-                 "slack_fns", "slack_key")
+                 "slack_fn", "slack_key")
 
     def __init__(self, ordinal: int, holder: str, entity: str, lhs: Expr, rhs: Expr) -> None:
         self.ordinal, self.lhs, self.rhs = ordinal, lhs, rhs
@@ -261,17 +264,17 @@ class ConstraintFamily:
         self.entity = entity   # link | session
         self.duals = DualState()   # keyed by member index
         self.prev = DualState()    # last epoch's duals
-        # compiled (member, rhs, lhs) per member, and the session done flags
-        # they were expanded for
-        self.slack_fns: list[tuple[int, Compiled, Compiled]] = []
+        # every member's rhs - lhs as one compiled function (see
+        # _compile_slacks), and the session done flags it was expanded for
+        self.slack_fn: Callable[[Env], list[float]] | None = None
         self.slack_key: tuple[bool, ...] | None = None
 
 
 class NetState:
     """The whole simulated network, its installed problem and its kept values."""
-    __slots__ = ("cfg", "nodes", "links", "sessions", "epoch", "families", "utility_expr",
-                 "utility_sense", "utility_fn", "utility_key", "rate_names", "cap_names",
-                 "pwr_names", "pending", "programs", "capacity_model", "capacity",
+    __slots__ = ("cfg", "nodes", "links", "sessions", "epoch", "families", "link_family",
+                 "utility_expr", "utility_sense", "utility_fn", "utility_key", "rate_names",
+                 "cap_names", "pwr_names", "pending", "programs", "capacity_model", "capacity",
                  "derived_for", "dual_cfg", "kept_itfs", "kept_slacks", "kept_shares",
                  "kept_utility", "kept_power", "_solvers", "_shared")
 
@@ -280,6 +283,8 @@ class NetState:
         self.cfg, self.nodes, self.links, self.sessions = cfg, nodes, links, sessions
         self.epoch = 0
         self.families: list[ConstraintFamily] = []
+        # the first family over links: its duals price link capacity
+        self.link_family: ConstraintFamily | None = None
         self.utility_expr: Expr | None = None
         self.utility_sense = "max"
         # utility_expr compiled for (utility_expr, live sessions, active links)
@@ -428,6 +433,7 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
                 f"constraint family over {c.holder} has no runtime entities")
         entity = {"netlnk": "link", "netses": "session"}[c.holder]
         net.families.append(ConstraintFamily(i, c.holder, entity, c.lhs, c.rhs))
+    net.link_family = next((f for f in net.families if f.entity == "link"), None)
     net.utility_expr = problem.utility
     net.utility_sense = problem.sense
     net.rate_names = tuple(ex.var_name("sesrate", s.index) for s in net.sessions)
@@ -530,7 +536,10 @@ class _EntitySolver:
                  neighbours: tuple[tuple[int, tuple[str, ...]], ...] = (),
                  kept: Kept | None = None) -> None:
         self.program = program   # shared by the entities of the same shape
-        self.cfg = cfg           # the entity's own box
+        # the entity's own box, keyed by the program's decision variable
+        # so that cfg.box finds it at once
+        self.cfg = cfg
+        self.var, self.anchor = program.var, f"{program.var}_anchor"
         # sessions: (family ordinal, env name by hop, link) per collected dual
         self.lam_sources, self.self_family = lam_sources, self_family
         # links: each interfered neighbour j with its slot's _NEIGHBOUR_PARAMS
@@ -547,9 +556,8 @@ class _EntitySolver:
             key = kept.packer.pack(*params.values())
             if key == kept.key:
                 return kept.value
-        var = self.program.var
-        decision = solve_program(self.program, params, self.cfg)[var]
-        if decision == params[f"{var}_anchor"]:
+        decision = solve_program(self.program, params, self.cfg)[self.var]
+        if decision == params[self.anchor]:
             kept.keep(key or kept.packer.pack(*params.values()), decision)
         else:
             kept.key = None
@@ -588,9 +596,9 @@ def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntityS
         else:
             lam_sources.extend((rule.family, ex.var_name("lbd", hop), li)
                                for hop, li in enumerate(s.path))
-    cfg = SolverConfig(step=net.cfg.rate_step, max_iters=net.cfg.rate_iters, tol=1e-9,
-                       boxes={"sesrate": s.rate_box}, max_move=net.cfg.rate_move_max)
     program = _shared_program(net, "session", prog, len(s.path))
+    cfg = SolverConfig(step=net.cfg.rate_step, max_iters=net.cfg.rate_iters, tol=1e-9,
+                       boxes={program.var: s.rate_box}, max_move=net.cfg.rate_move_max)
     return _EntitySolver(program, cfg, lam_sources, self_family)
 
 
@@ -623,23 +631,26 @@ def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolv
     interfered = sorted(link.cross_gain) if prog.penalty is not None else []
     neighbours = tuple((j, tuple(f"{v}@{slot}" for v in _NEIGHBOUR_PARAMS))
                        for slot, j in enumerate(interfered))
-    cfg = SolverConfig(step=net.cfg.power_step, max_iters=net.cfg.power_iters, tol=1e-9,
-                       boxes={"pwrgain": link.power_box}, max_move=net.cfg.power_move_max)
     self_family = next((r.family for r in prog.collect if r.symbol == "self"), None)
     program = _shared_program(net, "link", prog, len(neighbours))
     # _solve_power binds 8 parameters of the link's own, then its neighbours'
     kept = Kept(8 + len(_NEIGHBOUR_PARAMS) * len(neighbours))
+    cfg = SolverConfig(step=net.cfg.power_step, max_iters=net.cfg.power_iters, tol=1e-9,
+                       boxes={program.var: link.power_box}, max_move=net.cfg.power_move_max)
     return _EntitySolver(program, cfg, [], self_family, neighbours, kept)
 
 
 def _get_solver(net: NetState, kind: str, idx: int) -> _EntitySolver | None:
     key = (kind, idx)
-    if key not in net._solvers:
-        prog = net.programs.get(key)
-        build, entities = ((_session_solver, net.sessions) if kind == "session"
-                           else (_link_solver, net.links))
-        net._solvers[key] = None if prog is None else build(net, entities[idx], prog)
-    return net._solvers[key]
+    try:
+        return net._solvers[key]
+    except KeyError:
+        pass
+    prog = net.programs.get(key)
+    build, entities = ((_session_solver, net.sessions) if kind == "session"
+                       else (_link_solver, net.links))
+    solver = net._solvers[key] = None if prog is None else build(net, entities[idx], prog)
+    return solver
 
 
 # ---------------------------------------------------------------------------
@@ -792,23 +803,22 @@ def _runtime_bindings(net: NetState, powers: list[float]) -> Env:
 
 
 def _family_slacks(net: NetState, fam: ConstraintFamily, env: Env) -> dict[int, float]:
+    """Each member's slack, by member index, clipped to net.cfg.slack_clip."""
     key = tuple(s.done for s in net.sessions)
     if fam.slack_key != key:
-        fam.slack_fns = _compile_slacks(net, fam)
+        fam.slack_fn = _compile_slacks(net, fam)
         fam.slack_key = key
-    slacks: dict[int, float] = {}
+    slacks = fam.slack_fn(env)
     limit = net.cfg.slack_clip
-    for m, rhs, lhs in fam.slack_fns:
-        slack = rhs(env) - lhs(env)
-        slacks[m] = clip(slack, -limit, limit) if limit > 0 else slack
-    return slacks
+    if limit > 0:
+        slacks = [clip(x, -limit, limit) for x in slacks]
+    return dict(enumerate(slacks))
 
 
-def _compile_slacks(net: NetState, fam: ConstraintFamily,
-                    ) -> list[tuple[int, Compiled, Compiled]]:
-    """Each member's rhs and lhs, its sums expanded over the sessions that
-    have not finished, compiled."""
-    fns = []
+def _compile_slacks(net: NetState, fam: ConstraintFamily) -> Callable[[Env], list[float]]:
+    """Every member's rhs - lhs, its sums expanded over the sessions that
+    have not finished, as one compiled function (expr.compile_slacks)."""
+    pairs = []
     for m in range(len(net.links if fam.entity == "link" else net.sessions)):
         if fam.entity == "link":
             bindings = {"lnkses": [si for si in net.links[m].sessions
@@ -817,8 +827,8 @@ def _compile_slacks(net: NetState, fam: ConstraintFamily,
             bindings = {"seslnk": list(net.sessions[m].path)}
         lhs = ex.expand_sums(ex.bind_index(fam.lhs, fam.holder, m), bindings)
         rhs = ex.expand_sums(ex.bind_index(fam.rhs, fam.holder, m), bindings)
-        fns.append((m, ex.compile_expr(rhs), ex.compile_expr(lhs)))
-    return fns
+        pairs.append((lhs, rhs))
+    return ex.compile_slacks(pairs)
 
 
 def _update_duals(net: NetState, powers: list[float]) -> None:
@@ -839,42 +849,36 @@ def _update_duals(net: NetState, powers: list[float]) -> None:
         fam.duals = dual_update(fam.duals, slacks, net.dual_cfg)
 
 
-def _link_family(net: NetState) -> ConstraintFamily | None:
-    """The first family over links: its duals price link capacity."""
-    for fam in net.families:   # a loop, not a generator: every link solve asks
-        if fam.entity == "link":
-            return fam
-    return None
-
-
 def _solve_power(net: NetState, link: Link, powers: list[float],
                  itfs: list[float]) -> None:
     """Solve one link's power program; `powers` and `itfs` hold every
     link's power_linear and interference as the epoch's earlier solves
     left them."""
-    solver = _get_solver(net, "link", link.index)
+    i = link.index
+    solver = _get_solver(net, "link", i)
     if solver is None or not link.active:
         return
-    own = powers[link.index]
+    own = powers[i]
     env: Env = {
         "freq": link.bandwidth, "lnkgain": link.gain, "lnknoise": link.noise,
-        "lnkgain_itf": 1.0, "itfpwr": itfs[link.index],
+        "lnkgain_itf": 1.0, "itfpwr": itfs[i],
         "pwrgain_anchor": link.pwr_gain_db, "lnkpwr_anchor": own,
-        "lbd": _self_lambda(net, solver, link.index),
+        "lbd": _self_lambda(net, solver, i),
     }
     if solver.neighbours:
-        cap = _link_family(net)
+        cap, links = net.link_family, net.links
         prices = {} if cap is None else cap.prev.values
         for j, (lbd, freq, pwr, gain, gain_itf, noise) in solver.neighbours:
-            lj = net.links[j]
-            back = lj.cross_gain.get(link.index, 0.0)
+            lj = links[j]
+            back = lj.cross_gain.get(i, 0.0)
             env[lbd] = prices.get(j, 0.0) if lj.active else 0.0
             env[freq] = lj.bandwidth
             env[pwr] = powers[j]
             env[gain] = lj.gain
             env[gain_itf] = back
             other = itfs[j] - back * own
-            env[noise] = lj.noise + max(0.0, other)
+            # max(0.0, other), without the call: 0.0 for -0.0 and nan too
+            env[noise] = lj.noise + (other if other > 0.0 else 0.0)
     link.pwr_gain_db = solver.solve(env)
 
 
@@ -1046,7 +1050,7 @@ def _record(net: NetState, trace: Trace) -> None:
     then the utility.  A trace records one network, so its layout follows
     from the links' active flags alone."""
     t = net.clock
-    cap = _link_family(net)
+    cap = net.link_family
     lams = {} if cap is None else cap.duals.values
     values = [s.throughput for s in net.sessions]
     for link in net.links:

@@ -6,10 +6,13 @@ Every control program owns one decision variable: dual decomposition
 leaves each entity a subproblem in its own rate or power.  Gradients
 always come from symbolic differentiation of the objective, so solver
 behavior is deterministic and reproducible.  A program is compiled once
-(compile_program); a program solved by ascent then runs as one generated
-function that holds the whole ascent loop, computes each value that does
-not depend on the decision once per call, and returns the generic loop's
-floats.
+(compile_program) into the one generated function its mode runs: a
+program solved by ascent into its fused loop, which holds the whole
+ascent loop, computes each value that does not depend on the decision
+once per call, and returns the generic loop's floats.  The generic
+loop's objective and gradient are compiled at their first call: in
+gradient mode, or where the fused loop gives up.  dual_loop computes
+every dual's slack with one generated function (expr.compile_slacks).
 """
 
 from __future__ import annotations
@@ -64,10 +67,13 @@ class SolverConfig:
         return SolverConfig(**{**{k: getattr(self, k) for k in self.__slots__}, **changes})
 
     def box(self, name: str) -> tuple[float, float]:
-        for key in (name, name.rsplit("_", 1)[0]):
-            if key in self.boxes:
-                return self.boxes[key]
-        raise SolveError(f"no box bounds for {name}")
+        """The bounds of name, else of its base (name without _NN)."""
+        box = self.boxes.get(name)
+        if box is None:
+            box = self.boxes.get(name.rsplit("_", 1)[0])
+            if box is None:
+                raise SolveError(f"no box bounds for {name}")
+        return box
 
 
 def clip(x: float, lo: float, hi: float) -> float:
@@ -80,10 +86,14 @@ Fused = Callable[[Env, float, float, SolverConfig], "tuple[float, int, int] | No
 
 
 class CompiledProgram(NamedTuple):
-    """A control program ready to run, compiled once: the objective and
-    its derivative in the program's one decision variable `var`.  A
-    program solved by ascent also gets `fused`: the whole ascent loop as
-    one function."""
+    """A control program ready to run: the objective and its derivative
+    in the program's one decision variable `var`, each compiled at its
+    first call (see _OnFirstCall), and for a program solved by ascent
+    `fused`, the whole ascent loop as one function, compiled with the
+    program.  So a program defines generated functions only for what
+    runs: an ascent program its fused loop, and the generic loop its
+    objective and gradient once it calls them (gradient mode calls only
+    the gradient)."""
     prog: ControlProgram
     var: str
     objective: Callable[[Env], float]
@@ -91,14 +101,28 @@ class CompiledProgram(NamedTuple):
     fused: Fused | None = None
 
 
+class _OnFirstCall:
+    """ex.compile_expr(tree), compiled when first called: it raises what
+    the compiled function raises, from the first call on."""
+    __slots__ = ("tree", "fn")
+
+    def __init__(self, tree: Expr) -> None:
+        self.tree, self.fn = tree, None
+
+    def __call__(self, env: Env) -> float:
+        if self.fn is None:
+            self.fn = ex.compile_expr(self.tree)
+        return self.fn(env)
+
+
 def compile_program(prog: ControlProgram) -> CompiledProgram:
-    """Differentiate and compile a program's (concrete) objective once, so
-    that solve_program can run it any number of times.  The objective
-    must hold exactly one variable named by prog.decision (the base name
-    or one indexed instance of it): the program's own decision.  A
-    program solved by ascent is also compiled into `fused` (see _fuse),
-    which computes each value that does not depend on the decision once
-    per call."""
+    """Differentiate a program's (concrete) objective once, so that
+    solve_program can run it any number of times.  The objective must
+    hold exactly one variable named by prog.decision (the base name or
+    one indexed instance of it): the program's own decision.  A program
+    solved by ascent is compiled into `fused` (see _fuse), which computes
+    each value that does not depend on the decision once per call; the
+    objective and gradient functions are compiled only if called."""
     if ex.contains_bigsum(prog.objective):
         raise SolveError("objective still contains unexpanded collection sums")
     owned = sorted(v for v in ex.free_vars(prog.objective)
@@ -110,9 +134,8 @@ def compile_program(prog: ControlProgram) -> CompiledProgram:
                          f"({', '.join(owned)}); a program owns one")
     var, = owned
     trees = [prog.objective, ex.differentiate(prog.objective, var)]
-    obj, grad = (ex.compile_expr(t) for t in trees)
     fused = _fuse(var, trees) if prog.mode != "gradient" else None
-    return CompiledProgram(prog, var, obj, grad, fused)
+    return CompiledProgram(prog, var, *map(_OnFirstCall, trees), fused)
 
 
 _FUSED = """\
@@ -213,13 +236,14 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
     Returns {var: converged decision}."""
     if isinstance(prog, ControlProgram):
         prog = compile_program(prog)
-    v, obj, grad = prog.var, prog.objective, prog.grad
+    v, fused = prog.var, prog.fused
     lo, hi = cfg.box(v)
-    if prog.fused is not None:
-        done = prog.fused(params, lo, hi, cfg)
+    if fused is not None:
+        done = fused(params, lo, hi, cfg)
         if done is not None:
             return {v: done[0]}
 
+    obj, grad = prog.objective, prog.grad
     env = dict(params)
     x = env[v] = clip(params.get(f"{v}_anchor", (lo + hi) / 2.0), lo, hi)
 
@@ -398,8 +422,8 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
     duals = DualState({dv.name: 0.0 for dv in dp.registry})
     avg = dict(x)
     util_fn = ex.compile_expr(inst.utility)
-    slack_fns = [(dv.name, ex.compile_expr(dv.lhs), ex.compile_expr(dv.rhs))
-                 for dv in dp.registry]
+    dual_names = [dv.name for dv in dp.registry]
+    slack_fn = ex.compile_slacks([(dv.lhs, dv.rhs) for dv in dp.registry])
     trace: list[float] = []
 
     for t in range(1, epochs + 1):
@@ -410,7 +434,7 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
             x.update(solve_program(prog, {**shared, f"{prog.var}_anchor": x[prog.var]}, cfg))
         env = dict(fixed)
         env.update(x)
-        slacks = {name: r(env) - l(env) for name, l, r in slack_fns}
+        slacks = dict(zip(dual_names, slack_fn(env)))
         duals = dual_update(duals, slacks, cfg)
         for v in avg:
             avg[v] += (x[v] - avg[v]) / t

@@ -347,6 +347,60 @@ def test_compiled_raises_as_interpreted(e, env):
     assert str(compiled.value) == str(interpreted.value)
 
 
+def _slacks_member_by_member(pairs, env):
+    """Each pair's rhs - lhs, rhs first, one pair after another: the
+    reference for compile_slacks, by eval_expr and by compile_expr."""
+    interpreted = [ex.eval_expr(rhs, env) - ex.eval_expr(lhs, env) for lhs, rhs in pairs]
+    compiled = [ex.compile_expr(rhs)(env) - ex.compile_expr(lhs)(env) for lhs, rhs in pairs]
+    assert [v.hex() for v in compiled] == [v.hex() for v in interpreted]
+    return interpreted
+
+
+def test_compiled_slacks_match_member_by_member():
+    rng = random.Random(31)
+    names = ["x", "y"]
+    # the pairs share subtrees, and sums that fold to -0.0 or cancel
+    shared = ex.mul(ex.var("x"), ex.var("y"))
+    pairs = [(_random_expr(rng, names), _random_expr(rng, names)) for _ in range(6)]
+    pairs += [(shared, ex.add(shared, ex.ONE)), (ex.var("x"), ex.var("x")),
+              (ex.const(0.0), ex.neg(ex.var("x"))), (ex.add(ex.var("x"), ex.const(1e16)),
+                                                    ex.const(1e16))]
+    fn = ex.compile_slacks(pairs)
+    for env in [{n: rng.uniform(0.2, 2.0) for n in names} for _ in range(5)] \
+            + [{"x": 0.0, "y": -0.0}, {"x": 1.0, "y": 3.0}]:
+        got = fn(env)
+        assert [v.hex() for v in got] == [v.hex() for v in _slacks_member_by_member(pairs, env)]
+    assert ex.compile_slacks([])({}) == []
+
+
+X, Y = ex.var("x"), ex.var("y")
+
+
+@pytest.mark.parametrize("pairs", [
+    # a later member's unbound variable; the generated function reads it
+    # before it computes anything
+    [(X, Y), (X, ex.add(Y, ex.var("z")))],
+    # a later member's domain error, in its lhs and in its rhs
+    [(X, Y), (ex.ln(ex.neg(X)), Y)],
+    [(X, Y), (X, ex.div(Y, ex.sub(X, X)))],
+    # a domain error in one member and an unbound variable in a later
+    # one: the unbound read fails first in the generated function, but
+    # the member-by-member loop meets the domain error first
+    [(X, ex.sqrt(ex.neg(X))), (ex.var("z"), Y)],
+    # an unbound variable in the lhs, a domain error in the rhs: rhs first
+    [(ex.var("z"), ex.log2(ex.sub(Y, Y)))],
+], ids=["later-unbound", "later-ln", "later-div-zero", "domain-before-unbound",
+        "rhs-before-lhs"])
+def test_compiled_slacks_raise_as_member_by_member(pairs):
+    env = {"x": 2.0, "y": 3.0}
+    with pytest.raises(Exception) as reference:
+        _slacks_member_by_member(pairs, env)
+    with pytest.raises(Exception) as compiled:
+        ex.compile_slacks(pairs)(env)
+    assert type(compiled.value) is type(reference.value)
+    assert str(compiled.value) == str(reference.value)
+
+
 def test_compile_deep_tree():
     e = ex.var("x")
     for _ in range(300):

@@ -123,7 +123,7 @@ def test_rules_hold_on_random_instantiations(jocp_problem):
         _, imap = it.instantiate_problem(jocp_problem, cfg)
         fam = imap.lcl["lnkses"]
         it.check_rules(fam.instances, cfg.n_lcl)
-        assert len({fam.hashes[k] for k in fam.instances}) == len(fam.instances)
+        assert len({it.hash_id(v) for v in fam.instances.values()}) == len(fam.instances)
 
 
 def test_determinism(jocp_problem):

@@ -448,7 +448,7 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     link = net.links[0]
     start, powers = link.pwr_gain_db, ns._linear_powers(net)
     itfs = [ns._aggregate_interference(l, net, powers) for l in net.links]
-    cap = ns._link_family(net)
+    cap = net.link_family
 
     def solve(lbd):
         # with no price on any link the power stays at its anchor, so the
@@ -488,7 +488,7 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     passes, solve_power = [], ns._solve_power
     monkeypatch.setattr(ns, "_solve_power", lambda net, *args: passes.append(net.epoch)
                         or solve_power(net, *args))
-    cap, j = ns._link_family(net), min(net.links[0].cross_gain)
+    cap, j = net.link_family, min(net.links[0].cross_gain)
     victim = next(l for l in net.links if l.cross_gain)
 
     def reinstall():
@@ -855,6 +855,47 @@ def test_duals_and_utility_follow_state_set_by_hand(monkeypatch, problem, extra)
     assert epochs == list(range(end + 1)) + list(range(end, end + 6))
 
 
+def member_slacks(net, fam, env):
+    """Each member's rhs - lhs, unclipped, expanded and walked by eval_expr
+    one member after another: the reference for a family's one compiled
+    slack function."""
+    out = []
+    for m in range(len(net.links if fam.entity == "link" else net.sessions)):
+        if fam.entity == "link":
+            bindings = {"lnkses": [s.index for s in net.sessions
+                                   if m in s.path and not s.done]}
+        else:
+            bindings = {"seslnk": list(net.sessions[m].path)}
+        lhs = ex.expand_sums(ex.bind_index(fam.lhs, fam.holder, m), bindings)
+        rhs = ex.expand_sums(ex.bind_index(fam.rhs, fam.holder, m), bindings)
+        out.append(ex.eval_expr(rhs, env) - ex.eval_expr(lhs, env))
+    return out
+
+
+@pytest.mark.parametrize("problem, extra", [
+    ("jocp_log.ncp", [PROBE_FAMILY]),
+    ("powermin.ncp", [SESSION_FAMILY, PROBE_FAMILY]),
+])
+def test_family_slack_function_matches_member_by_member(problem, extra):
+    parsed = ab.parse_problem((DATA / "problems" / problem).read_text())
+    programs, _, _ = cli.build_programs(parsed)
+    parsed.constraints.extend(extra)
+    cfg = ns.ScenarioConfig(scenario=2, seed=4, budgets=(0.0, 400.0))
+    net = cli.deploy(parsed, programs, cfg)
+    checked = {False: 0, True: 0}   # epochs checked before and after the drain
+    for _ in range(180):
+        ns.step(net, "joint")
+        env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
+        for fam in net.families:
+            got = ns._compile_slacks(net, fam)(env)
+            assert [v.hex() for v in got] == [v.hex() for v in member_slacks(net, fam, env)]
+            if fam.slack_key == tuple(s.done for s in net.sessions):
+                # the function the last dual update kept is the same
+                assert [v.hex() for v in fam.slack_fn(env)] == [v.hex() for v in got]
+        checked[net.sessions[1].done] += 1
+    assert checked[False] > 0 and checked[True] > 0
+
+
 def test_slacks_evaluated_only_where_their_inputs_change(monkeypatch):
     # the benchmark's rate-only drain run
     problem = ab.parse_problem((DATA / "problems" / "jocp_log.ncp").read_text())
@@ -992,11 +1033,11 @@ def test_slacks_and_utility_compile_once_per_topology(monkeypatch):
 
     epoch = 0          # the step running, or the one whose record is running
     compiles, drains = [], []
-    compile_expr, step = ex.compile_expr, ns.step
+    define, step = ex.SourceGen.define, ns.step
 
-    def counted_compile(e, **kwargs):
+    def counted_define(gen, source, fname, **names):
         compiles.append(epoch)
-        return compile_expr(e, **kwargs)
+        return define(gen, source, fname, **names)
 
     def tagged_step(net, scheme):
         nonlocal epoch
@@ -1006,16 +1047,39 @@ def test_slacks_and_utility_compile_once_per_topology(monkeypatch):
         if sum(not s.done for s in net.sessions) < live:
             drains.append(epoch)
 
-    monkeypatch.setattr(ex, "compile_expr", counted_compile)
+    monkeypatch.setattr(ex.SourceGen, "define", counted_define)
     monkeypatch.setattr(ns, "step", tagged_step)
     ns.run(net, 360, "rate-only")
     assert len(drains) == 1
     d = drains[0]
     # the first epoch compiles everything; the drain's record recompiles
-    # the utility, and the next epoch's dual update the slacks
+    # the utility, and the next epoch's dual update the slacks: one
+    # generated function per family
     assert set(compiles) == {0, d, d + 1}
     assert compiles.count(d) == 1
-    assert compiles.count(d + 1) == 2 * len(net.links)
+    assert compiles.count(d + 1) == len(net.families) == 1
+
+
+def test_joint_run_defines_one_function_per_runtime_unit(monkeypatch, tmp_path):
+    # every s5 link has two interfered neighbours and every session six
+    # hops, so one link program and one session program serve them all;
+    # their fused loops never give up here, so the generic loop's
+    # objective and gradient are never compiled
+    defined, define = [], ex.SourceGen.define
+
+    def counted_define(gen, source, fname, **names):
+        defined.append(fname)
+        return define(gen, source, fname, **names)
+
+    monkeypatch.setattr(ex.SourceGen, "define", counted_define)
+    code = cli.main(["run", "--problem", str(DATA / "problems" / "jocp_log.ncp"),
+                     "--scenario", str(DATA / "scenarios" / "s5.cfg"),
+                     "--duration", "60", "--out", str(tmp_path)])
+    assert code == 0
+    # the capacity at install; at the first step the slacks of the one
+    # family, the link program, the session program; the utility at the
+    # first record
+    assert defined == ["compiled", "slacks", "fused", "fused", "compiled"]
 
 
 def test_trace_csv_schema():
@@ -1047,7 +1111,7 @@ def test_transport_epoch_is_timescale_multiple():
 # as the reference for Trace's by-epoch storage.
 def reference_record(net, rows):
     t = net.clock
-    cap = ns._link_family(net)
+    cap = net.link_family
     lams = {} if cap is None else cap.duals.values
     add = rows.append
     for s in net.sessions:

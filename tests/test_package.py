@@ -37,6 +37,27 @@ def test_package_has_no_assert_statements():
     assert not found
 
 
+def test_generated_code_has_one_source():
+    # every generated function is defined by expr.SourceGen.define: no
+    # other place compiles, execs or evals source
+    calls = []
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("compile", "exec", "eval")):
+                calls.append((path.name, scope, child.func.id))
+            visit(child, inner, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), "", path)
+    assert sorted(calls) == [("expr.py", "SourceGen.define", "compile"),
+                             ("expr.py", "SourceGen.define", "exec")]
+
+
 def test_cli_starts_without_dataclasses():
     # records are NamedTuples and plain classes: start-up execs no
     # generated methods, and loads neither dataclasses nor what it imports

@@ -55,7 +55,7 @@ def fresh_mutables():
     return [graph.elements, graph.edges, imap.glb, imap.lcl,
             sv.SolverConfig().boxes, sv.DualState().values,
             family.duals, family.duals.values, family.prev, family.prev.values,
-            family.slack_fns, net.families, net.pending, net.programs, net._solvers,
+            net.families, net.pending, net.programs, net._solvers,
             net._shared, link.cross_gain]
 
 

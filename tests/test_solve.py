@@ -90,6 +90,35 @@ def test_compiled_program_solves_as_the_plain_program():
                 == sv.solve_program(prog, params, cfg)
 
 
+def test_a_program_compiles_only_what_its_mode_runs(monkeypatch):
+    defined, define = [], ex.SourceGen.define
+
+    def counted_define(gen, source, fname, **names):
+        defined.append(fname)
+        return define(gen, source, fname, **names)
+
+    monkeypatch.setattr(ex.SourceGen, "define", counted_define)
+    cfg = sv.SolverConfig(step=0.5, boxes={"sesrate": (0.01, 10.0)})
+    params = {"lbd": 0.5, "sesrate_anchor": 1.0}
+    # ascent: the fused loop alone, at compile time
+    compiled = sv.compile_program(_prog(LOG_RATE))
+    assert defined == ["fused"]
+    sv.solve_program(compiled, params, cfg)
+    assert defined == ["fused"]
+    # the generic loop compiles its objective and gradient once, when run
+    generic = compiled._replace(fused=None)
+    for _ in range(2):
+        sv.solve_program(generic, params, cfg)
+    assert defined == ["fused", "compiled", "compiled"]
+    # gradient mode: its gradient alone, at its first solve
+    defined.clear()
+    compiled = sv.compile_program(_prog(LOG_RATE, mode="gradient"))
+    assert defined == []
+    for _ in range(2):
+        sv.solve_program(compiled, params, cfg)
+    assert defined == ["compiled"]
+
+
 def test_compile_program_rejects_unexpanded_sums_and_missing_decision():
     with pytest.raises(sv.SolveError, match="unexpanded"):
         sv.compile_program(_prog(ex.bigsum("seslnk", ex.var("lbd", "seslnk"))))
