@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import statistics
 import sys
 from pathlib import Path
 
@@ -145,7 +144,7 @@ def run_experiment(args: argparse.Namespace) -> int:
     if args.seeds > 1:
         (out / "summary.txt").write_text(
             "sweep_mean_sum_utility\t{!r}\nruns\t{}\n".format(
-                statistics.mean(utilities), args.seeds))
+                netsim.tail_mean(utilities, "sum_utility"), args.seeds))
     print(f"wrote {out}/trace*.csv (sum utility {utilities[0]!r})")
     return 0
 

@@ -337,12 +337,9 @@ def instantiate_problem(problem: ControlProblem, cfg: InstanceConfig,
 
     # derive duals of sampled families wherever the graph names them
     for name in list(imap.lcl):
-        fam = imap.lcl[name]
-        for el in g.elements.values():
-            if el.kind == "virtual" and el.scope == "local" and el.name not in imap.lcl \
-                    and el.mother == fam.holder \
-                    and _holder_global(problem, el.name) == fam.mother:
-                imap.lcl[el.name] = invert_map(imap, name, el.name)
+        partner = _dual_partner(problem, name)
+        if partner is not None and partner not in imap.lcl:
+            imap.lcl[partner] = invert_map(imap, name, partner)
 
     glb_bindings = {name: list(seq) for name, seq in imap.glb.items()}
     constraints: list[InstConstraint] = []

@@ -30,16 +30,17 @@ Model notes:
     the program's decision variable, its anchor's name and its
     slot/hop-to-index maps; a link solve reads the capacity prices from
     net.link_family, found once at install.
-  - Work is redone only when what it reads changes, with the same floats:
-    each such site keeps its last value in a Kept, keyed by its inputs
-    packed as doubles, and reuses it while they repeat bit for bit (the
-    interference, each link's capacity, a link solve that left its power
-    at the anchor, the whole power pass once every solve in it did, the
-    slacks, the throughputs, the traced utility).  Where most joint
-    epochs change one input list (powers, capacities), it is compared
-    before the rest is packed.  A moved power refolds only the
-    interference sums that read it.  The dual step, the packets sent and
-    the drain run every epoch.
+  - One key per phase: a phase that reuses work packs what it reads as
+    doubles into one key, and keeps its last value in a Kept while the
+    key repeats bit for bit (the interference with every capacity, a
+    link solve that left its power at the anchor, the whole power pass
+    when no solve in it moved a power, the slacks, the throughputs, the
+    traced utility).  The exception is _measure: most joint epochs move
+    a power, so it compares the powers with its last call's first, and
+    builds the rest of its key only where they repeat (and on its first
+    call); the power pass, which reads that key, is keyed only then.  A
+    moved power refolds only the interference sums that read it.  The
+    dual step, the packets sent and the drain run every epoch.
   - The trace is kept by epoch: a flat list of values, and a Layout of
     their rows shared by every epoch with the same active links.  Its CSV
     reuses a series' last line only for the same value object, or an
@@ -216,10 +217,9 @@ class Node(NamedTuple):
 
 
 class Link:
-    """A directed link: its channel, its power decision and what is kept for it."""
+    """A directed link: its channel and its power decision."""
     __slots__ = ("index", "tx", "rx", "band", "bandwidth", "gain", "noise", "cross_gain",
-                 "pwr_gain_db", "power_box", "sessions", "capacity_pps", "active",
-                 "kept_capacity")
+                 "pwr_gain_db", "power_box", "sessions", "capacity_pps", "active")
 
     def __init__(self, index: int, tx: int, rx: int, band: int, bandwidth: float,
                  gain: float, noise: float, power_box: tuple[float, float],
@@ -231,11 +231,6 @@ class Link:
         self.sessions = sessions   # sessions whose path uses this link
         self.capacity_pps = 0.0
         self.active = True
-        self.kept_capacity: Kept | None = None   # capacity_pps and its inputs (see _measure)
-
-    @property
-    def power_linear(self) -> float:
-        return db_to_linear(self.pwr_gain_db) if self.active else 0.0
 
 
 class Session:
@@ -299,8 +294,8 @@ class NetState:
         self.derived_for: tuple[ScenarioConfig, Compiled] | None = None   # see _derive
         self.dual_cfg: SolverConfig | None = None
         # what _measure, _update_duals, _deliver and sum_utility last
-        # computed, and the key of the last power pass that only kept
-        # decisions; all five are built by _derive
+        # computed, and the key of the last power pass that moved no
+        # power; all five are built by _derive
         self.kept_itfs = self.kept_slacks = self.kept_shares = None
         self.kept_utility = self.kept_power = None
         # (kind, index) -> solver built from the installed program on first use
@@ -407,7 +402,7 @@ def link_capacity(link: Link, net: NetState, power: float, itf: float) -> float:
 
 
 def _linear_powers(net: NetState) -> list[float]:
-    # Link.power_linear, without a property call per link (as in step)
+    """Every link's linear power, by index: 0.0 while inactive."""
     return [db_to_linear(l.pwr_gain_db) if l.active else 0.0 for l in net.links]
 
 
@@ -456,8 +451,6 @@ def _derive(net: NetState) -> None:
     net.kept_shares = Kept(2 * ns + nl)
     net.kept_utility = Kept(2 * ns + 2 * nl + 1)
     net.kept_power = Kept(nl)   # pwr_gain_db, then each link family's prev duals
-    for link in net.links:
-        link.kept_capacity = Kept(6)
     net._solvers.clear()
     net._shared.clear()
     net.derived_for = (net.cfg, net.capacity)
@@ -758,11 +751,13 @@ def _measure(net: NetState, powers: list[float]) -> list[float]:
     """Every link's interference under `powers`, by index, with its
     capacity_pps set.  A repeat of the powers, and of each link's active
     flag, channel values and cross gains, returns a copy of the kept
-    list; otherwise only changed capacities are recomputed."""
+    list; otherwise every capacity is recomputed.  The rest of the key
+    is built only where the powers repeat the last call's, or on the
+    first call."""
     kept, links, bits = net.kept_itfs, net.links, net.cfg.packet_bits
     last = kept.value   # (powers, itfs) of the last call
     key = None
-    if last is not None and powers == last[0]:
+    if last is None or powers == last[0]:
         values = powers[:]
         for l in links:
             values += (l.active, l.bandwidth, l.gain, l.noise)
@@ -773,12 +768,7 @@ def _measure(net: NetState, powers: list[float]) -> list[float]:
         key = (key[0], [dict(gains) for gains in key[1]])   # for in-place edits
     itfs = [_aggregate_interference(l, net, powers) for l in links]
     for link, power, itf in zip(links, powers, itfs):
-        own = link.kept_capacity
-        inputs = own.packer.pack(power, itf, link.active, link.bandwidth, link.gain,
-                                 link.noise)
-        if inputs != own.key:
-            own.keep(inputs, link_capacity(link, net, power, itf) / bits)
-            link.capacity_pps = own.value
+        link.capacity_pps = link_capacity(link, net, power, itf) / bits
     kept.keep(key, (powers[:], itfs[:]))
     return itfs
 
@@ -852,8 +842,8 @@ def _update_duals(net: NetState, powers: list[float]) -> None:
 def _solve_power(net: NetState, link: Link, powers: list[float],
                  itfs: list[float]) -> None:
     """Solve one link's power program; `powers` and `itfs` hold every
-    link's power_linear and interference as the epoch's earlier solves
-    left them."""
+    link's linear power (see _linear_powers) and interference as the
+    epoch's earlier solves left them."""
     i = link.index
     solver = _get_solver(net, "link", i)
     if solver is None or not link.active:
@@ -900,10 +890,9 @@ def _power_key(net: NetState) -> list:
 def _power_pass(net: NetState, powers: list[float], itfs: list[float]) -> None:
     """Solve every link's power program in index order; each solve sees
     the powers and interference the earlier ones left.  A pass in which
-    every active link's solve kept its decision moved no power, and keeps
-    its key (built only when _measure built one, i.e. the powers
-    repeated); a pass whose key equals it would only reuse those
-    decisions, and is skipped."""
+    no solve moved its link's pwr_gain_db keeps its key (built only when
+    _measure built one); a pass whose key equals it would only reuse
+    those decisions, and is skipped."""
     kept, key = net.kept_power, None
     if net.kept_itfs.key is not None:
         key = _power_key(net)
@@ -911,7 +900,10 @@ def _power_pass(net: NetState, powers: list[float], itfs: list[float]) -> None:
             return
     victims = None   # built when a power first moves
     for link in net.links:
+        anchor = link.pwr_gain_db
         _solve_power(net, link, powers, itfs)
+        if link.pwr_gain_db != anchor:
+            key = None   # this solve moved its decision
         power = db_to_linear(link.pwr_gain_db) if link.active else 0.0
         if power != powers[link.index]:
             powers[link.index] = power
@@ -920,12 +912,6 @@ def _power_pass(net: NetState, powers: list[float], itfs: list[float]) -> None:
                 victims = _victims(net)
             for victim in victims[link.index]:
                 itfs[victim.index] = _aggregate_interference(victim, net, powers)
-    if key is not None:
-        for link in net.links:
-            solver = net._solvers[("link", link.index)]
-            if link.active and solver is not None and solver.kept.key is None:
-                key = None   # this solve moved its decision
-                break
     kept.key = key
 
 
@@ -981,15 +967,13 @@ def _deliver(net: NetState) -> None:
     """Set every session's throughput, reused while the capacities, rates
     and done flags repeat, and account what it sent against its budget."""
     sessions, kept = net.sessions, net.kept_shares
-    caps = [l.capacity_pps for l in net.links]
-    key = None
-    if kept.value is not None and caps == kept.value[0]:
-        values = caps + [s.rate for s in sessions]
-        values += [s.done for s in sessions]
-        key = kept.packer.pack(*values)
-    if key is None or key != kept.key:
-        kept.keep(key, (caps, _shares(net)))
-    for s, throughput in zip(sessions, kept.value[1]):
+    values = [l.capacity_pps for l in net.links]
+    values += [s.rate for s in sessions]
+    values += [s.done for s in sessions]
+    key = kept.packer.pack(*values)
+    if key != kept.key:
+        kept.keep(key, _shares(net))
+    for s, throughput in zip(sessions, kept.value):
         s.throughput = throughput
         if s.budget > 0 and not s.done:
             s.sent += throughput * net.cfg.phys_epoch
@@ -1027,8 +1011,8 @@ def sum_utility(net: NetState) -> float:
     env: Env = {}
     for name, s in zip(net.rate_names, sessions):
         env[name] = max(s.throughput, 1e-6)
-    for name, l in zip(net.pwr_names, links):
-        env[name] = l.power_linear
+    for name, power in zip(net.pwr_names, _linear_powers(net)):
+        env[name] = power
     val = net.utility_fn(env)
     return kept.keep(key, val if net.utility_sense == "max" else -val)
 

@@ -91,6 +91,23 @@ def test_seed_sweep(tmp_path):
     assert "sweep_mean_sum_utility" in (tmp_path / "summary.txt").read_text()
 
 
+def test_seed_sweep_mean_folds_left(tmp_path):
+    # the sweep mean is folded left like every other mean the CLI writes
+    rc = run_cli(["run", "--problem", PROBLEMS / "jocp_log.ncp",
+                  "--scenario", SCENARIOS / "s2.cfg", "--duration", "30",
+                  "--seeds", "3", "--out", tmp_path])
+    assert rc == 0
+    finals = []
+    for seed in range(3):
+        lines = (tmp_path / f"summary_s{seed}.txt").read_text().splitlines()
+        key, value = lines[1].split("\t")
+        assert key == "final_sum_utility"
+        finals.append(float(value))
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert lines == [f"sweep_mean_sum_utility\t{netsim.tail_mean(finals, 'sum_utility')!r}",
+                     "runs\t3"]
+
+
 def test_compare_trace_with_itself(tmp_path, capsys):
     out = tmp_path / "run"
     run_cli(["run", "--problem", PROBLEMS / "jocp.ncp",

@@ -659,8 +659,10 @@ def test_capacity_recomputed_only_where_its_inputs_change(monkeypatch):
     per_epoch = [calls.count(e) for e in range(360)]
     # powers stay fixed: the first epoch computes the four capacities, and
     # the next change is the drain of session 1 (links 2 and 3), which
-    # deactivates them and changes the interference on links 0 and 1
-    assert per_epoch == [4] + [0] * d + [4] + [0] * (358 - d)
+    # deactivates them and changes the interference on links 0 and 1; a
+    # measure keyed only where the powers repeat misses in the epoch after
+    # the drain, and again in the next, which builds its key
+    assert per_epoch == [4] + [0] * d + [4, 4] + [0] * (357 - d)
 
     calls.clear()
     net, _, _ = deploy(scenario=5, seed=0)
@@ -680,7 +682,8 @@ def interpreted_env(net, rates):
         env[ex.var_name("sesrate", s.index)] = rates(s)
     for l in net.links:
         env[ex.var_name("lnkcap", l.index)] = l.capacity_pps
-        env[ex.var_name("lnkpwr", l.index)] = l.power_linear
+        power = ns.db_to_linear(l.pwr_gain_db) if l.active else 0.0
+        env[ex.var_name("lnkpwr", l.index)] = power
     return env
 
 
@@ -966,13 +969,14 @@ def test_interference_and_shares_computed_only_where_their_inputs_change(monkeyp
     ns.run(net, 1500, "rate-only")
     d, = drains
     assert d == 474
-    # a changed input is computed afresh, and kept with its packed key on
-    # the next epoch that repeats it: the powers (and so the interference)
-    # change only when the drain deactivates six links, and the capacities
-    # the shares read with them; rates move in every 30th epoch
-    assert sorted(set(fold_epochs)) == [0, 1, d + 1, d + 2]
-    assert len(fold_epochs) == 4 * len(net.links)
-    assert share_epochs == sorted({0, 1, d + 1, d + 2, *range(30, 1500, 30)})
+    # a changed input is computed afresh: the powers (and so the
+    # interference) change only when the drain deactivates six links, and
+    # are kept with their key on the next epoch that repeats them; the
+    # shares, keyed on every call, read the capacities the drain changes,
+    # and the rates that move in every 30th epoch
+    assert sorted(set(fold_epochs)) == [0, d + 1, d + 2]
+    assert len(fold_epochs) == 3 * len(net.links)
+    assert share_epochs == sorted({0, d + 1, *range(30, 1500, 30)})
 
 
 def fresh_throughputs(net):

@@ -37,9 +37,9 @@ def test_package_has_no_assert_statements():
     assert not found
 
 
-def test_generated_code_has_one_source():
-    # every generated function is defined by expr.SourceGen.define: no
-    # other place compiles, execs or evals source
+def calls_by_scope(names):
+    """(file, enclosing def or class path, name) of every call, in the
+    package, of a bare name in `names`."""
     calls = []
 
     def visit(node, scope, path):
@@ -48,14 +48,28 @@ def test_generated_code_has_one_source():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id in ("compile", "exec", "eval")):
+                    and child.func.id in names):
                 calls.append((path.name, scope, child.func.id))
             visit(child, inner, path)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), "", path)
-    assert sorted(calls) == [("expr.py", "SourceGen.define", "compile"),
-                             ("expr.py", "SourceGen.define", "exec")]
+    return sorted(calls)
+
+
+def test_generated_code_has_one_source():
+    # every generated function is defined by expr.SourceGen.define: no
+    # other place compiles, execs or evals source
+    assert calls_by_scope(("compile", "exec", "eval")) \
+        == [("expr.py", "SourceGen.define", "compile"),
+            ("expr.py", "SourceGen.define", "exec")]
+
+
+def test_reuse_state_is_built_in_one_place():
+    # every Kept is built by _derive, or by a link solver that _derive
+    # drops: all reuse state is reset together when net.cfg is replaced
+    assert sorted(set(calls_by_scope(("Kept",)))) \
+        == [("netsim.py", "_derive", "Kept"), ("netsim.py", "_link_solver", "Kept")]
 
 
 def test_cli_starts_without_dataclasses():
