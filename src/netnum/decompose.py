@@ -16,6 +16,7 @@ finds the decision by walking the graph's models, not by resolving them.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, NamedTuple
 
 from . import expr as ex
@@ -153,25 +154,22 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
     buckets: dict[str, list[Expr]] = {}
     residual: list[Expr] = []
     for term in ex.level1_terms(dp.dual):
-        primal = _primal_bases(term)
-        layers = {graph.element(b).layer for b, _ in primal}
+        pairs = term.var_pairs
+        layers = {graph.element(b).layer for b, _ in pairs if b != LBD}
         if len(layers) > 1:
             raise AmbiguousLayer(f"term {ex.render(term)} mixes layers {layers}")
         if layers:
             buckets.setdefault(next(iter(layers)), []).append(term)
             continue
-        lbds = _lbd_indices(term)
-        if not lbds:
-            residual.append(term)
-            continue
-        rhs_layers = {graph.element(b).layer
-                      for j in lbds for b, _ in _primal_bases(dp.registry[j].rhs)}
+        # every variable left is a dual
+        rhs_layers = {graph.element(b).layer for _, j in pairs if j is not None
+                      for b, _ in _primal_bases(dp.registry[j].rhs)}
         if len(rhs_layers) > 1:
             raise AmbiguousLayer(f"term {ex.render(term)}: rhs spans {rhs_layers}")
         if rhs_layers:
             buckets.setdefault(next(iter(rhs_layers)), []).append(term)
         else:
-            residual.append(term)  # constant-rhs lambda term
+            residual.append(term)  # constant term, or constant-rhs lambda term
     subs = {}
     for layer, terms in buckets.items():
         subs[layer] = Subproblem(layer, ex.add(*terms), "max", dual=dp)
@@ -201,7 +199,8 @@ def split_by_entity(sub: Subproblem, graph: ElementGraph) -> list[Subproblem]:
     kind_of = _entity_kinds(graph)
     groups: dict[tuple[str, int], list[Expr]] = {}
     for term in ex.level1_terms(sub.objective):
-        keys = {(kind_of(b), i) for b, i in _primal_bases(term) if i is not None}
+        keys = {(kind_of(b), i) for b, i in term.var_pairs
+                if i is not None and b != LBD}
         if len(keys) != 1:
             raise AmbiguousEntity(
                 f"term {ex.render(term)} references entities {sorted(keys)}")
@@ -239,10 +238,11 @@ def _replace_vars(e: Expr, subs: dict[tuple[str, int | str | None], Expr]) -> Ex
         return subs.get((e.name, e.index), e)
     if not e.children:
         return e
-    children = tuple(_replace_vars(c, subs) for c in e.children)
-    if all(c is old for c, old in zip(children, e.children)):
+    children = [subs.get((c.name, c.index), c) if c.kind == "var"
+                else _replace_vars(c, subs) for c in e.children]
+    if all(map(operator.is_, children, e.children)):
         return e
-    return Expr(e.kind, children, e.value, e.name, e.index)
+    return Expr(e.kind, tuple(children), e.value, e.name, e.index)
 
 
 _SIGMA = ex.var(LBD, "sigma")
@@ -250,7 +250,14 @@ _SIGMA = ex.var(LBD, "sigma")
 
 def lift_to_abstract(sub: Subproblem, m: InstanceMap) -> ControlProgram:
     """Replace indexed variables by unindexed symbols and the lambda index
-    set by a sum over the local element it instantiates."""
+    set by a sum over the local element it instantiates.
+
+    A term with one dual lifts to its shape: the term with the entity's
+    own variables unindexed and the dual replaced by sigma.  Terms whose
+    shapes are equal trees form one group, and each group collects one
+    dual family.  Shapes are compared as trees, not as rendered text, so
+    two that render alike but nest differently (x*(y*lbd_1) and
+    x*y*lbd_2) are two groups."""
     if sub.entity_index is None or sub.dual is None:
         raise NoMatchingElement("only entity subproblems lift")
     graph = sub.dual.inst.problem.graph
@@ -259,25 +266,26 @@ def lift_to_abstract(sub: Subproblem, m: InstanceMap) -> ControlProgram:
 
     # the entity's own variables lose their index and each dual becomes
     # sigma, so a term with one dual lifts to its shape
-    own = sorted(b for b, i in sub.objective.var_pairs if i == idx and b != LBD)
+    pairs = sub.objective.var_pairs
+    own = sorted(b for b, i in pairs if i == idx and b != LBD)
     erase = {(b, idx): ex.var(b, None) for b in own if kind_of(b) == kind}
-    erase.update(((LBD, j), _SIGMA) for j in _lbd_indices(sub.objective))
+    erase.update(((b, j), _SIGMA) for b, j in pairs if b == LBD and j is not None)
 
-    # group terms by shape; a group's first shape becomes its template term
-    groups: dict[str, tuple[Expr, list[int]]] = {}
+    # group terms by shape, compared as trees; each shape becomes one
+    # template term
+    groups: dict[Expr, list[int]] = {}
     template_terms: list[Expr] = []
     for term in ex.level1_terms(sub.objective):
-        lbds = _lbd_indices(term)
+        lbds = [i for b, i in term.var_pairs if b == LBD and i is not None]
         if not lbds:
             template_terms.append(_replace_vars(term, erase))
             continue
         if len(lbds) != 1:
             raise NoMatchingElement(f"term {ex.render(term)} has {len(lbds)} duals")
-        shape = _replace_vars(term, erase)
-        groups.setdefault(ex.render(shape), (shape, []))[1].append(lbds[0])
+        groups.setdefault(_replace_vars(term, erase), []).append(lbds[0])
 
     rules: list[CollectionRule] = []
-    for shape, indices in groups.values():
+    for shape, indices in groups.items():
         indices.sort()
         families = {sub.dual.registry[j].family for j in indices}
         if len(families) != 1:

@@ -25,7 +25,6 @@ predictable.  No general simplification is attempted.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 Env = dict[str, float]
@@ -76,6 +75,23 @@ class _ExprFields(NamedTuple):
     index: int | str | None = None
 
 
+class _first_use:
+    """functools.cached_property without the lock Python 3.11's takes on
+    every first read: the value goes into the instance dict, which then
+    answers every later read without calling the descriptor."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class Expr(_ExprFields):
     """An immutable expression node: its kind, children and payload are a
     NamedTuple's fields; the subclass adds the dict var_pairs is kept in."""
@@ -83,7 +99,7 @@ class Expr(_ExprFields):
     def __str__(self) -> str:
         return render(self)
 
-    @cached_property
+    @_first_use
     def var_pairs(self) -> frozenset[tuple[str, int | None]]:
         """(base, index) of every variable in the tree, found once per
         node, on first use.  A symbolic index counts as None, as var_name
@@ -136,9 +152,10 @@ def _is_const(e: Expr, v: float) -> bool:
 def add(*terms: Expr) -> Expr:
     flat: list[Expr] = []
     for t in terms:
-        if t.kind == "add":
+        k = t.kind
+        if k == "add":
             flat.extend(t.children)
-        elif not _is_const(t, 0.0):
+        elif k != "const" or t.value != 0.0:
             flat.append(t)
     if not flat:
         return ZERO
@@ -150,11 +167,14 @@ def add(*terms: Expr) -> Expr:
 def mul(*factors: Expr) -> Expr:
     flat: list[Expr] = []
     for f in factors:
-        if f.kind == "mul":
+        k = f.kind
+        if k == "mul":
             flat.extend(f.children)
-        elif _is_const(f, 0.0):
+        elif k != "const":
+            flat.append(f)
+        elif f.value == 0.0:
             return ZERO
-        elif not _is_const(f, 1.0):
+        elif f.value != 1.0:
             flat.append(f)
     if not flat:
         return ONE
@@ -496,12 +516,18 @@ def level1_terms(e: Expr) -> list[Expr]:
     """Additive terms whose sum is algebraically equal to e.
 
     Negations are carried into terms; a negated sum is distributed so
-    that no returned term has an additive root.
+    that no returned term has an additive root.  A child with no sum at
+    its root, or under its one negation, is its own term and is not
+    entered.
     """
     if e.kind == "add":
         out: list[Expr] = []
         for c in e.children:
-            out.extend(level1_terms(c))
+            k = c.kind
+            if k == "add" or k == "neg" and c.children[0].kind == "add":
+                out.extend(level1_terms(c))
+            else:
+                out.append(c)
         return out
     if e.kind == "neg" and e.children[0].kind == "add":
         return [neg(t) for t in level1_terms(e.children[0])]

@@ -152,7 +152,12 @@ class InstanceMap:
 
 
 def check_rules(instances: dict[int, tuple[int, ...]], n_lcl: int | None = None) -> None:
-    """Assert rules 1-2, no-proper-subset, and injectivity."""
+    """Check rules 1-2 and injectivity.
+
+    No instance is a proper subset of another: a proper subset has fewer
+    members, and an instance that passes the cardinality and duplicate
+    checks has exactly `card` distinct members, so a proper subset fails
+    the cardinality check first."""
     vals = list(instances.values())
     if not vals:
         return
@@ -160,9 +165,9 @@ def check_rules(instances: dict[int, tuple[int, ...]], n_lcl: int | None = None)
     for v in vals:
         if len(v) != card:
             raise RuleViolation(f"instance {v} violates equal cardinality {card}")
-        if tuple(sorted(v)) != tuple(v):
+        if list(v) != sorted(v):
             raise RuleViolation(f"instance {v} is not sorted")
-        if len(set(v)) != len(v):
+        if len(set(v)) != card:
             raise RuleViolation(f"instance {v} has duplicate members")
     seen: dict[tuple[int, ...], int] = {}
     for k, v in instances.items():
@@ -171,10 +176,6 @@ def check_rules(instances: dict[int, tuple[int, ...]], n_lcl: int | None = None)
         seen[v] = k
     if len({hash_id(v) for v in vals}) != len(vals):
         raise RuleViolation("hash ids of peer instances are not pairwise distinct")
-    for a in vals:
-        for b in vals:
-            if a != b and set(a) < set(b):
-                raise RuleViolation(f"{a} is a proper subset of {b}")
 
 
 def _sample_family(name: str, holder_members: tuple[int, ...],

@@ -442,6 +442,21 @@ def test_pinned_design_time_digests(problem, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize("problem", sorted(PINNED_DESIGN))
+def test_programs_do_not_depend_on_unpinned_seeds(problem):
+    # the bijection claim: a lifted template does not depend on the
+    # sampled instance map; seeds 112-127 lie outside the pinned range
+    parsed = abstraction.parse_problem((PROBLEMS / problem).read_text())
+
+    def rendered(seed):
+        programs, _, _ = cli.build_programs(parsed, instantiate.InstanceConfig(seed=seed))
+        return {layer: decompose.dump_program(prog) for layer, prog in programs.items()}
+
+    first = rendered(0)
+    for seed in range(112, 128):
+        assert rendered(seed) == first, seed
+
+
 def test_design_time_resolves_fewer_models_than_entities(monkeypatch):
     # the lift finds each entity's decision by walking the graph's models,
     # so resolving a model is no per-entity cost

@@ -206,6 +206,36 @@ def test_lift_physical_self_rule(toy_inst):
     assert prog.decision == "lnkpwr"
 
 
+def test_lift_groups_dual_terms_by_structure(toy_inst):
+    # session 0 of the toy sits on links 0 and 1, so its seslnk instance
+    # collects lbd_00 and lbd_01; the lift groups terms by the tree of
+    # their shape, not by its rendered text
+    inst, imap = toy_inst
+    dp = dc.dualize(inst)
+    rate, two = ex.var("sesrate", 0), ex.const(2.0)
+
+    def flat(j):
+        return ex.mul(rate, two, ex.var("lbd", j))
+
+    def nested(j):
+        return ex.Expr("mul", (rate, ex.Expr("mul", (two, ex.var("lbd", j)))))
+
+    def lift(*terms):
+        sub = dc.Subproblem("transport", ex.add(*terms), "max", "session", 0, dp)
+        return dc.lift_to_abstract(sub, imap)
+
+    for make in (flat, nested):
+        prog = lift(make(0), make(1))
+        assert prog.collect == (dc.CollectionRule("seslnk", 0),)
+        assert ex.render(prog.objective) == "sesrate*2*sum(seslnk: lbd)"
+    # alike in text, unequal as trees: two groups of one dual each, and
+    # neither index set is the instance of a local element
+    assert ex.render(nested(0)) == "sesrate_00*2*lbd_00"
+    assert ex.render(flat(1)) == "sesrate_00*2*lbd_01"
+    with pytest.raises(dc.NoMatchingElement, match=r"index set \(0,\) matches no"):
+        lift(nested(0), flat(1))
+
+
 def test_lift_reinstantiate_round_trip(toy_inst, jocp_inst):
     for inst, imap in (toy_inst, jocp_inst):
         dp = dc.dualize(inst)

@@ -180,6 +180,50 @@ def test_level1_terms_partition_property():
             assert abs(total - ex.eval_expr(e, env)) < 1e-9
 
 
+def _level1_terms_reference(e):
+    """level1_terms as the plain recursion it was first written as."""
+    if e.kind == "add":
+        return [t for c in e.children for t in _level1_terms_reference(c)]
+    if e.kind == "neg" and e.children[0].kind == "add":
+        return [ex.neg(t) for t in _level1_terms_reference(e.children[0])]
+    return [e]
+
+
+def _raw_sum_tree(rng, depth=0):
+    """Random tree built from raw nodes, so that the factories' folding
+    leaves in nested sums, negated sums and double negations."""
+    if depth >= 4 or rng.random() < 0.25:
+        leaf = ex.var(rng.choice("xyz"), rng.randrange(3))
+        return leaf if rng.random() < 0.7 else ex.Expr("mul", (ex.const(2.0), leaf))
+    kind = rng.choice(["add", "add", "neg", "mul"])
+    if kind == "neg":
+        return ex.Expr("neg", (_raw_sum_tree(rng, depth + 1),))
+    children = tuple(_raw_sum_tree(rng, depth + 1) for _ in range(rng.randint(2, 3)))
+    return ex.Expr(kind, children)
+
+
+def _nodes(e):
+    yield e
+    for c in e.children:
+        yield from _nodes(c)
+
+
+def test_level1_terms_matches_recursive_reference():
+    rng = random.Random(5)
+    shapes = {"add in add": 0, "neg of add": 0, "neg of neg": 0}
+    for _ in range(300):
+        e = _raw_sum_tree(rng)
+        for root in (e, ex.Expr("neg", (e,)), ex.Expr("neg", (ex.Expr("neg", (e,)),))):
+            assert ex.level1_terms(root) == _level1_terms_reference(root)
+            for n in _nodes(root):
+                inner = n.children[0].kind if n.children else None
+                shapes["add in add"] += n.kind == "add" and any(
+                    c.kind == "add" for c in n.children)
+                shapes["neg of add"] += n.kind == "neg" and inner == "add"
+                shapes["neg of neg"] += n.kind == "neg" and inner == "neg"
+    assert min(shapes.values()) > 0, shapes
+
+
 def test_free_vars():
     assert ex.free_vars(ex.const(5.0)) == set()
     assert ex.free_vars(ex.add(ex.var("x"), ex.var("x"))) == {"x"}

@@ -117,6 +117,18 @@ def test_rule2_violation_rejected(jocp_problem):
         it.instantiate_problem(jocp_problem, cfg, preset=preset)
 
 
+def test_proper_subset_preset_rejected(jocp_problem):
+    # instance 0 is a proper subset of instance 1; the cardinality check
+    # refuses it, with or without a given n_lcl
+    preset = {0: (0, 1), 1: (0, 1, 2), 2: (1, 2)}
+    for n_lcl in (None, 2):
+        with pytest.raises(it.RuleViolation, match="equal cardinality"):
+            it.check_rules(preset, n_lcl)
+    with pytest.raises(it.RuleViolation, match="equal cardinality"):
+        it.instantiate_problem(jocp_problem, it.InstanceConfig(n_glb=3, n_lcl=2),
+                               preset={"lnkses": preset})
+
+
 def test_rules_hold_on_random_instantiations(jocp_problem):
     for seed in range(25):
         cfg = it.InstanceConfig(seed=seed)

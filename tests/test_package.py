@@ -155,3 +155,48 @@ def test_runs_leave_module_level_containers_unchanged(tmp_path):
                          "--duration", duration, "--out", str(tmp_path)])
         assert code == 0
     assert module_containers() == before
+
+
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault",
+             "pop", "popitem", "remove", "discard", "clear"}
+
+
+def _own_names(fn):
+    """The names a function binds for itself: its parameters and every
+    name it stores, less those it declares global."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    declared = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+    return names - declared
+
+
+def test_no_function_mutates_a_module_level_container():
+    # no module-global caches: a dict, list or set bound at module level
+    # is a constant table, so no state can carry from one build or run
+    # into the next through it
+    shared: dict[str, set[str]] = {}
+    for module, attr in module_containers():
+        shared.setdefault(module.partition(".")[2] or "__init__", set()).add(attr)
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        names = shared.get(path.stem, set())
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            free = names - _own_names(fn)
+            for node in ast.walk(fn):
+                target = None
+                if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                    target = node.value
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in _MUTATORS:
+                    target = node.func.value
+                if isinstance(target, ast.Name) and target.id in free:
+                    found.add(f"{path.name}:{node.lineno} {target.id}")
+    assert not found
