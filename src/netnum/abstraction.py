@@ -27,6 +27,8 @@ HAS_ATTR = "has-attribute"
 MEMBER = "each-member-is"
 FUNC_OF = "is-function-of"
 
+PENALIZATION_MODES = ("best_response", "gradient", "dpl")
+
 
 class AbstractionError(Exception):
     pass
@@ -641,7 +643,7 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
             dist = parts.get("dist", "dpl")
             if cross != "dual":
                 raise ParseError(f"unsupported cross-layer method {cross!r}", lineno)
-            if dist not in ("best_response", "gradient", "dpl"):
+            if dist not in PENALIZATION_MODES:
                 raise ParseError(f"unsupported distributed method {dist!r}", lineno)
             directive = (cross, dist)
         else:

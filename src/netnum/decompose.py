@@ -4,7 +4,9 @@ control programs.
 The dual of an instantiated problem absorbs each constraint j with a
 multiplier lbd_NN, distributing it over the constraint's additive terms
 so every level-1 term of the dual is either a utility term or a
-(primal term x lambda) product.  Splitting walks those terms: first by
+(primal term x lambda) product.  The instantiated constraints are the
+registry of the duals: each names its abstract constraint (family),
+holder and holder member.  Splitting walks those terms: first by
 the protocol layer of the primal variable, then by its entity index; a
 subproblem's owned and foreign variables are read off its objective.
 Each per-entity subproblem is then lifted back to an abstract template
@@ -20,16 +22,14 @@ import operator
 from typing import Callable, NamedTuple
 
 from . import expr as ex
-from .abstraction import HAS_ATTR, ControlProblem, ElementGraph, resolve_model
+from .abstraction import HAS_ATTR, PENALIZATION_MODES, ElementGraph, resolve_model
 from .expr import Expr
-from .instantiate import InstanceMap, InstantiatedProblem
+from .instantiate import InstanceMap, InstantiatedProblem, InstConstraint
 
 LBD = "lbd"
 
 # foreign-agent alias -> the local decision variable it mirrors
 FOREIGN_ALIASES = {"itfpwr": "lnkpwr"}
-
-PENALIZATION_MODES = ("best_response", "gradient", "dpl")
 
 
 class DecomposeError(Exception):
@@ -52,31 +52,13 @@ class NotDifferentiable(DecomposeError):
     pass
 
 
-class DualVar(NamedTuple):
-    """One dual variable: its name, family, holder member and constraint."""
-    name: str          # lbd_NN
-    index: int
-    family: int        # ordinal of the originating abstract constraint
-    label: str         # instantiated constraint label, e.g. netlnk_03
-    holder: str | None
-    member: int | None # holder member the constraint belongs to
-    lhs: Expr
-    rhs: Expr
-
-
 class DualProblem(NamedTuple):
-    """The dualized problem: its Lagrangian and the registry of its duals."""
+    """The dualized problem: its Lagrangian and the registry of its duals,
+    the instantiated constraints: dual j (lbd_j) absorbs registry[j]."""
     dual: Expr
-    registry: list[DualVar]
+    registry: list[InstConstraint]
     sense: str                      # sense of the original problem
     inst: InstantiatedProblem
-
-
-def _family_of(label: str) -> tuple[str | None, int | None]:
-    if label == "global":
-        return None, None
-    holder, _, member = label.rpartition("_")
-    return holder, int(member)
 
 
 def dualize(inst: InstantiatedProblem) -> DualProblem:
@@ -86,29 +68,13 @@ def dualize(inst: InstantiatedProblem) -> DualProblem:
     the dual is always maximized."""
     utility = inst.utility if inst.sense == "max" else ex.neg(inst.utility)
     terms = list(ex.level1_terms(utility))
-    registry: list[DualVar] = []
-
     for j, c in enumerate(inst.constraints):
         lam = ex.var(LBD, j)
-        holder, member = _family_of(c.label)
-        registry.append(DualVar(ex.var_name(LBD, j), j, _abstract_ordinal(inst, j),
-                                c.label, holder, member, c.lhs, c.rhs))
         for t in ex.level1_terms(c.rhs):
             terms.append(_term_times(t, lam))
         for t in ex.level1_terms(c.lhs):
             terms.append(ex.neg(_term_times(t, lam)))
-    return DualProblem(ex.add(*terms), registry, inst.sense, inst)
-
-
-def _abstract_ordinal(inst: InstantiatedProblem, j: int) -> int:
-    """Ordinal of the abstract constraint that expanded to instance j."""
-    count = 0
-    for ordinal, c in enumerate(inst.problem.constraints):
-        n = len(inst.imap.glb[c.holder]) if c.holder is not None else 1
-        if j < count + n:
-            return ordinal
-        count += n
-    raise DecomposeError(f"constraint index {j} out of range")
+    return DualProblem(ex.add(*terms), inst.constraints, inst.sense, inst)
 
 
 def _term_times(t: Expr, lam: Expr) -> Expr:
@@ -317,7 +283,7 @@ def _identify_collection(sub: Subproblem, m: InstanceMap, graph: ElementGraph,
             continue
         inst = fam.instances.get(sub.entity_index)
         if inst is not None and tuple(inst) == member_set \
-                and graph.member_of(fam.holder) == _primitive_of(graph, sub.entity_kind):
+                and graph.element(graph.member_of(fam.holder)).entity == sub.entity_kind:
             lam = ex.bigsum(fam.name, ex.var(LBD, fam.name))
             return CollectionRule(fam.name, family), lam
     if member_set == (sub.entity_index,) and holder is not None \
@@ -326,13 +292,6 @@ def _identify_collection(sub: Subproblem, m: InstanceMap, graph: ElementGraph,
     raise NoMatchingElement(
         f"dual index set {member_set} matches no local-element instance "
         f"for {sub.entity_kind} {sub.entity_index}")
-
-
-def _primitive_of(graph: ElementGraph, entity_kind: str) -> str:
-    for el in graph.elements.values():
-        if el.kind == "primitive" and el.entity == entity_kind:
-            return el.name
-    raise NoMatchingElement(f"no primitive of kind {entity_kind}")
 
 
 def _decision_base(objective: Expr, graph: ElementGraph) -> str:
@@ -390,7 +349,7 @@ def reinstantiate(prog: ControlProgram, m: InstanceMap, entity_index: int,
     bindings = {}
     subs: dict[tuple[str, int | str | None], Expr] = {}
     for rule in prog.collect:
-        lbd_of = {dv.member: dv.index for dv in dp.registry if dv.family == rule.family}
+        lbd_of = {c.member: j for j, c in enumerate(dp.registry) if c.family == rule.family}
         if rule.symbol == "self":
             subs[(LBD, "self")] = ex.var(LBD, lbd_of[entity_index])
         else:
@@ -449,7 +408,7 @@ def dump_dual(dp: DualProblem) -> str:
     """Text layout of the dual: the utility terms, then one line per
     constraint with its absorbed terms."""
     utility_terms = []
-    per_cstr: dict[int, list[Expr]] = {dv.index: [] for dv in dp.registry}
+    per_cstr: list[list[Expr]] = [[] for _ in dp.registry]
     for term in ex.level1_terms(dp.dual):
         lbds = _lbd_indices(term)
         if lbds:
@@ -457,9 +416,9 @@ def dump_dual(dp: DualProblem) -> str:
         else:
             utility_terms.append(term)
     lines = [f"utility: {ex.render(ex.add(*utility_terms))}"]
-    for dv in dp.registry:
-        lines.append(f"{dv.name} [{dv.label}]: "
-                     f"{ex.render(ex.add(*per_cstr[dv.index]))}")
+    for j, c in enumerate(dp.registry):
+        lines.append(f"{ex.var_name(LBD, j)} [{c.label}]: "
+                     f"{ex.render(ex.add(*per_cstr[j]))}")
     return "\n".join(lines) + "\n"
 
 

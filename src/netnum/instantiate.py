@@ -21,7 +21,7 @@ import random
 from typing import NamedTuple
 
 from . import expr as ex
-from .abstraction import Constraint, ControlProblem, MEMBER
+from .abstraction import HAS_ATTR, Constraint, ControlProblem
 from .expr import Expr
 
 
@@ -238,7 +238,7 @@ def _holder_global(problem: ControlProblem, local_name: str) -> str:
     local element is an attribute of some primitive; the global set over
     that primitive keys its instances."""
     g = problem.graph
-    holders = [s for (s, lbl, d) in g.edges if lbl == "has-attribute" and d == local_name]
+    holders = [s for (s, lbl, d) in g.edges if lbl == HAS_ATTR and d == local_name]
     if len(holders) != 1:
         raise InstantiateError(f"{local_name} must hang off exactly one holder")
     prim = holders[0]
@@ -249,10 +249,18 @@ def _holder_global(problem: ControlProblem, local_name: str) -> str:
 
 
 class InstConstraint(NamedTuple):
-    """One constraint expanded for a holder member, with its label."""
+    """One constraint expanded for a holder member: the one record of a
+    constraint instance and of the dual that absorbs it."""
     lhs: Expr
     rhs: Expr
-    label: str  # e.g. "netlnk_03" for the per-member expansion
+    family: int          # ordinal of the abstract constraint
+    holder: str | None   # global element the constraint is over; None if none
+    member: int | None   # holder member the instance belongs to
+
+    @property
+    def label(self) -> str:
+        """e.g. "netlnk_03" for the per-member expansion, else "global"."""
+        return "global" if self.holder is None else ex.var_name(self.holder, self.member)
 
 
 class InstantiatedProblem(NamedTuple):
@@ -346,8 +354,8 @@ def instantiate_problem(problem: ControlProblem, cfg: InstanceConfig,
     constraints: list[InstConstraint] = []
     try:
         utility = ex.expand_sums(problem.utility, glb_bindings)
-        for c in problem.constraints:
-            constraints.extend(_expand_constraint(c, imap, glb_bindings, g))
+        for family, c in enumerate(problem.constraints):
+            constraints.extend(_expand_constraint(c, family, imap, glb_bindings))
     except ex.UnboundIndexSet as err:
         raise NotGlobal(f"sum over local set {err.symbol} outside a constraint "
                         f"over its holder") from None
@@ -358,12 +366,12 @@ def instantiate_problem(problem: ControlProblem, cfg: InstanceConfig,
     return inst, imap
 
 
-def _expand_constraint(c: Constraint, imap: InstanceMap,
-                       glb_bindings: dict[str, list[int]], g) -> list[InstConstraint]:
+def _expand_constraint(c: Constraint, family: int, imap: InstanceMap,
+                       glb_bindings: dict[str, list[int]]) -> list[InstConstraint]:
     if c.holder is None:
         lhs = ex.expand_sums(c.lhs, glb_bindings)
         rhs = ex.expand_sums(c.rhs, glb_bindings)
-        return [InstConstraint(lhs, rhs, "global")]
+        return [InstConstraint(lhs, rhs, family, None, None)]
     out = []
     local_here = [f for f in imap.lcl.values() if f.holder == c.holder]
     for m in imap.glb[c.holder]:
@@ -372,14 +380,14 @@ def _expand_constraint(c: Constraint, imap: InstanceMap,
             bindings[fam.name] = list(fam.instances[m])
         lhs = ex.expand_sums(ex.bind_index(c.lhs, c.holder, m), bindings)
         rhs = ex.expand_sums(ex.bind_index(c.rhs, c.holder, m), bindings)
-        out.append(InstConstraint(lhs, rhs, f"{c.holder}_{m:02d}"))
+        out.append(InstConstraint(lhs, rhs, family, c.holder, m))
     return out
 
 
 def _decision_registry(problem: ControlProblem, imap: InstanceMap,
                        ) -> tuple[list[str], dict[str, tuple[float | None, float | None]]]:
     g = problem.graph
-    names: list[str] = []
+    base_of: dict[str, str] = {}   # decision name -> the base it is built from
     for spec in problem.control_specs():
         sym = None
         for tok, el in zip(spec.quant, spec.path):
@@ -388,21 +396,20 @@ def _decision_registry(problem: ControlProblem, imap: InstanceMap,
                 break
         if sym is None:
             continue
+        base = spec.terminal()
         for i in imap.glb[sym]:
-            vn = ex.var_name(spec.terminal(), i)
-            if vn not in names:
-                names.append(vn)
+            base_of.setdefault(ex.var_name(base, i), base)
     boxes: dict[str, tuple[float | None, float | None]] = {}
     for rule in problem.box_rules:
         if rule.owner is not None:
             continue  # runtime-scoped rules are applied by the simulator
-        for vn in names:
-            if vn.rsplit("_", 1)[0] == rule.base:
+        for vn, base in base_of.items():
+            if base == rule.base:
                 lo, hi = boxes.get(vn, (None, None))
                 lo = rule.lower if rule.lower is not None else lo
                 hi = rule.upper if rule.upper is not None else hi
                 boxes[vn] = (lo, hi)
-    return names, boxes
+    return list(base_of), boxes
 
 
 def dump_table(imap: InstanceMap, family: str) -> str:

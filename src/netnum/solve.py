@@ -22,7 +22,7 @@ import random
 from typing import Callable, NamedTuple
 
 from . import expr as ex
-from .decompose import ControlProgram, DualProblem, split_by_layer, split_by_entity
+from .decompose import LBD, ControlProgram, DualProblem, split_by_layer, split_by_entity
 from .expr import Env, Expr
 from .instantiate import InstantiatedProblem
 
@@ -125,8 +125,8 @@ def compile_program(prog: ControlProgram) -> CompiledProgram:
     objective and gradient functions are compiled only if called."""
     if ex.contains_bigsum(prog.objective):
         raise SolveError("objective still contains unexpanded collection sums")
-    owned = sorted(v for v in ex.free_vars(prog.objective)
-                   if v.rsplit("_", 1)[0] == prog.decision or v == prog.decision)
+    owned = sorted(ex.var_name(b, i) for b, i in prog.objective.var_pairs
+                   if b == prog.decision)
     if not owned:
         raise SolveError(f"objective has no {prog.decision} variable")
     if len(owned) > 1:
@@ -386,12 +386,10 @@ def centralized_oracle(inst: InstantiatedProblem, resolution: float,
 
 
 class LoopResult(NamedTuple):
-    """The outcome of dual_loop: averaged and last decisions, duals and utility."""
+    """The outcome of dual_loop: averaged decisions, duals and utility."""
     decisions: dict[str, float]       # running-average (ergodic) decision
-    last: dict[str, float]            # final iterate
     duals: DualState
     utility: float                    # problem utility at the averaged decision
-    trace: list[float]                # averaged-utility trajectory
 
 
 def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
@@ -407,11 +405,11 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
     subs = [s for layer in layers.values() for s in split_by_entity(layer, graph)]
     programs = []
     for s in subs:
-        ctrl = [b for b in (v.rsplit("_", 1)[0] for v in s.owned)
-                if b in graph.elements and graph.element(b).ctrl]
-        if ctrl:
+        ctrl = min((b for b, _ in s.objective.var_pairs
+                    if b in graph.elements and graph.element(b).ctrl), default=None)
+        if ctrl is not None:
             programs.append(compile_program(ControlProgram(
-                s.layer, s.entity_kind or "", s.objective, "max", ctrl[0], ())))
+                s.layer, s.entity_kind or "", s.objective, "max", ctrl, ())))
 
     fixed: Env = dict(params or {})
     rng = random.Random(seed)
@@ -419,12 +417,10 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
     for v in inst.decision_vars:
         lo, hi = cfg.box(v)
         x[v] = rng.uniform(lo, hi)
-    duals = DualState({dv.name: 0.0 for dv in dp.registry})
+    dual_names = [ex.var_name(LBD, j) for j in range(len(dp.registry))]
+    duals = DualState(dict.fromkeys(dual_names, 0.0))
     avg = dict(x)
-    util_fn = ex.compile_expr(inst.utility)
-    dual_names = [dv.name for dv in dp.registry]
-    slack_fn = ex.compile_slacks([(dv.lhs, dv.rhs) for dv in dp.registry])
-    trace: list[float] = []
+    slack_fn = ex.compile_slacks([(c.lhs, c.rhs) for c in dp.registry])
 
     for t in range(1, epochs + 1):
         shared: Env = dict(fixed)
@@ -438,6 +434,5 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
         duals = dual_update(duals, slacks, cfg)
         for v in avg:
             avg[v] += (x[v] - avg[v]) / t
-        trace.append(util_fn({**fixed, **avg}))
 
-    return LoopResult(avg, x, duals, util_fn({**fixed, **avg}), trace)
+    return LoopResult(avg, duals, ex.compile_expr(inst.utility)({**fixed, **avg}))

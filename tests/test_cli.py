@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -401,6 +402,25 @@ def test_overflowing_input_names_stage(tmp_path, capsys, problem_text, settings,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"[{stage}] ") and message in err, err
+
+
+@pytest.mark.parametrize("per_link, message", [
+    # a global constraint's dual shares each session's shape with the
+    # per-link duals, so one group spans two families
+    (True, r"dual group \[[0-9, ]+\] spans constraint families \{0, 1\}"),
+    # alone, its dual is no local-element instance and not the session's own
+    (False, r"dual index set \(None,\) matches no local-element instance for session 0"),
+], ids=["with-per-link", "alone"])
+def test_constraint_without_holder_fails_to_lift(tmp_path, capsys, per_link, message):
+    text = (PROBLEMS / "jocp.ncp").read_text()
+    if not per_link:
+        text = text.replace("constraint sum(wos_y) <= wos_z\n", "")
+    problem = tmp_path / "problem.ncp"
+    problem.write_text(text + "constraint sum(wos_x) <= 150\n")
+    rc = run_cli(["run", "--problem", problem, "--scenario", SCENARIOS / "s2.cfg",
+                  "--duration", "60", "--out", tmp_path])
+    assert rc == 2
+    assert re.fullmatch(rf"\[decompose\] {message}\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 from netnum import abstraction as ab
+from netnum import cli
 from netnum import decompose as dc
 from netnum import expr as ex
 from netnum import instantiate as it
+from netnum.reference import TOY_SESSIONS_OF_LINK
 
 from conftest import JOCP_LOG, JOCP_RATE
 
@@ -21,7 +23,8 @@ def test_dualize_toy_matches_worked_dual(toy_inst):
     inst, _ = toy_inst
     dp = dc.dualize(inst)
     assert ex.render(dp.dual) == TOY_DUAL
-    assert [dv.name for dv in dp.registry] == ["lbd_00", "lbd_01", "lbd_02"]
+    assert dp.registry == inst.constraints
+    assert [c.label for c in dp.registry] == ["netlnk_00", "netlnk_01", "netlnk_02"]
 
 
 def test_dualize_without_constraints_returns_utility():
@@ -79,13 +82,50 @@ def test_constant_rhs_terms_go_to_residual():
            "constraint sum(wos_y) <= 1\n"
            "decompose cross=dual dist=best_response\n")
     p = ab.parse_problem(src)
-    from netnum.reference import TOY_SESSIONS_OF_LINK
     inst, _ = it.instantiate_problem(p, it.InstanceConfig(3, 2, 0),
                                      preset={"lnkses": TOY_SESSIONS_OF_LINK})
     dp = dc.dualize(inst)
     layers, residual = dc.split_by_layer(dp, p.graph)
     assert [ex.render(t) for t in residual] == ["lbd_00", "lbd_01", "lbd_02"]
     assert set(layers) == {"transport"}
+
+
+def test_constraint_without_holder_is_one_global_instance():
+    # a constraint over no holder expands once, after every instance of
+    # the per-link family, and its dual absorbs it like any other
+    p = ab.parse_problem(JOCP_RATE + "constraint sum(wos_x) <= 150\n")
+    inst, _ = it.instantiate_problem(p, it.InstanceConfig())
+    *per_link, extra = inst.constraints
+    assert [(c.family, c.holder, c.member) for c in per_link] \
+        == [(0, "netlnk", m) for m in range(20)]
+    assert (extra.family, extra.holder, extra.member, extra.label) == (1, None, None, "global")
+    absorbed = " - ".join(f"sesrate_{i:02d}*lbd_20" for i in range(20))
+    assert dc.dump_dual(dc.dualize(inst)).endswith(
+        f"\nlbd_20 [global]: 150*lbd_20 - {absorbed}\n")
+
+
+CONSTANT_LHS = JOCP_RATE.replace("constraint sum(wos_y) <= wos_z",
+                                 "constraint sum(wos_y) + 5 <= wos_z")
+
+
+def test_constant_dual_term_takes_the_layer_of_the_rhs():
+    # -5*lbd_00 holds no primal variable: it goes to the layer of the
+    # constraint's modelled rhs (lnkcap, physical), not to the residual
+    p = ab.parse_problem(CONSTANT_LHS)
+    inst, _ = it.instantiate_problem(p, it.InstanceConfig(3, 2, 7),
+                                     preset={"lnkses": TOY_SESSIONS_OF_LINK})
+    layers, residual = dc.split_by_layer(dc.dualize(inst), p.graph)
+    assert residual == []
+    physical = [ex.render(t) for t in ex.level1_terms(layers["physical"].objective)]
+    transport = [ex.render(t) for t in ex.level1_terms(layers["transport"].objective)]
+    assert "-5*lbd_00" in physical and "-5*lbd_00" not in transport
+
+
+@pytest.mark.xfail(strict=True, raises=dc.AmbiguousEntity, reason="ROADMAP item 5")
+def test_constant_dual_term_builds_programs():
+    # split_by_entity finds no entity for -5*lbd_00; attributing it to the
+    # constraint's holder is ROADMAP item 5
+    cli.build_programs(ab.parse_problem(CONSTANT_LHS))
 
 
 def test_term_conservation(toy_inst, jocp_inst):
