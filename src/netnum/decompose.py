@@ -7,8 +7,7 @@ so every level-1 term of the dual is either a utility term or a
 (primal term x lambda) product.  The instantiated constraints are the
 registry of the duals: each names its abstract constraint (family),
 holder and holder member.  Splitting walks those terms: first by
-the protocol layer of the primal variable, then by its entity index; a
-subproblem's owned and foreign variables are read off its objective.
+the protocol layer of the primal variable, then by its entity index.
 Each per-entity subproblem is then lifted back to an abstract template
 by erasing the entity index and recognizing its lambda index set as the
 instance of one local set element -- the element the entity must collect
@@ -84,23 +83,13 @@ def _term_times(t: Expr, lam: Expr) -> Expr:
 
 
 class Subproblem(NamedTuple):
-    """One layer's or entity's share of the dual, and the variables it owns."""
+    """One layer's or entity's share of the dual."""
     layer: str
     objective: Expr
     sense: str
     entity_kind: str | None = None
     entity_index: int | None = None
     dual: DualProblem | None = None
-
-    @property
-    def owned(self) -> tuple[str, ...]:
-        """Sorted names of the objective's primal variables."""
-        return tuple(sorted({ex.var_name(*p) for p in _primal_bases(self.objective)}))
-
-    @property
-    def foreign(self) -> tuple[str, ...]:
-        """Sorted names of the objective's duals."""
-        return tuple(sorted(ex.var_name(LBD, j) for j in _lbd_indices(self.objective)))
 
 
 def _primal_bases(term: Expr) -> list[tuple[str, int | None]]:

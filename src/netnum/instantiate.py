@@ -271,7 +271,6 @@ class InstantiatedProblem(NamedTuple):
     constraints: list[InstConstraint]
     decision_vars: list[str]
     boxes: dict[str, tuple[float | None, float | None]]
-    imap: InstanceMap
 
 
 def _referenced_elements(problem: ControlProblem) -> tuple[set[str], set[str]]:
@@ -362,7 +361,7 @@ def instantiate_problem(problem: ControlProblem, cfg: InstanceConfig,
 
     decision_vars, boxes = _decision_registry(problem, imap)
     inst = InstantiatedProblem(problem, utility, problem.sense, constraints,
-                               decision_vars, boxes, imap)
+                               decision_vars, boxes)
     return inst, imap
 
 

@@ -15,18 +15,21 @@ Model notes:
     whose source is the interfered link's receiver is excluded
     (half-duplex conflict the fluid model abstracts away).
   - Dual values travel as zero-loss messages with one epoch of delay.
+    Each constraint family holds its duals as a list by member index
+    (link or session j at duals[j]), and the last epoch's list as prev;
+    solves read prev.  The dual step reads net.cfg.dual_step each epoch.
   - Each run-time unit is one generated function.  A constraint
     family's slacks (every member's rhs - lhs) and the utility are
     compiled once per topology: each function is kept with the session
     done flags (and, for the utility, the active links) it was expanded
     for, and rebuilt when those differ from the live state.
   - Solvers are compiled on first use, once per (installed program,
-    shape): a link program names each interfered neighbour's parameters
-    by slot (sorted-neighbour order) and a session program its path's
-    duals by hop, so every link with the same neighbour count, and every
-    session with the same path length, runs one compiled program (the
-    ascent loop fused into one generated function, see
-    solve.compile_program).  Each entity's solver keeps its box, under
+    shape): a link program names the parameters of each victim (a link
+    whose capacity its power lowers) by slot, in index order, and a
+    session program its path's duals by hop, so every link with the same
+    victim count, and every session with the same path length, runs one
+    compiled program (the ascent loop fused into one generated function,
+    see solve.compile_program).  Each entity's solver keeps its box, under
     the program's decision variable, its anchor's name and its
     slot/hop-to-index maps; a link solve reads the capacity prices from
     net.link_family, found once at install.
@@ -47,9 +50,12 @@ Model notes:
     equal non-zero one of the same type, so the bytes match a writer
     that formats every row.
   - _derive builds all a step derives from net.cfg, net.capacity and the
-    installed problem (the dual step, every Kept, the solvers): in
-    install_problem, and at the first step after either is replaced.
-    build_scenario and run read their keys once, each step the rest.
+    installed problem (every Kept, the solvers): in install_problem, and
+    at the first step after either is replaced.  build_scenario and run
+    read their keys once, each step the rest.
+  - install_problem restores the scenario's power and rate boxes
+    (_scenario_boxes) before the problem's box rules narrow them, so
+    the rules of a problem installed before do not carry over.
   - Values are NamedTuples (ScenarioConfig, Node); what a step reads or
     rewrites is a plain class (Link, Session, NetState, the solvers),
     for cheaper attribute reads, and equals only itself.
@@ -67,8 +73,8 @@ from . import expr as ex
 from .abstraction import BoxRule, ControlProblem, resolve_model
 from .decompose import ControlProgram
 from .expr import Env, Expr
-from .solve import (CompiledProgram, DualState, SolverConfig, clip, compile_program,
-                    dual_update, solve_program)
+from .solve import (CompiledProgram, SolverConfig, clip, compile_program, dual_update,
+                    solve_program)
 
 SCHEMES = ("joint", "rate-only", "power-only", "no-control")
 MAX_EPOCHS = 10**6   # a run's trace keeps every epoch in memory
@@ -235,12 +241,12 @@ class Link:
 
 class Session:
     """A session: its path, rate decision, budget and delivered traffic."""
-    __slots__ = ("index", "src", "dst", "path", "rate", "rate_box", "budget", "sent",
-                 "done", "throughput")
+    __slots__ = ("index", "path", "rate", "rate_box", "budget", "sent", "done",
+                 "throughput")
 
-    def __init__(self, index: int, src: int, dst: int, path: tuple[int, ...],
-                 rate_box: tuple[float, float], budget: float) -> None:
-        self.index, self.src, self.dst, self.path = index, src, dst, path
+    def __init__(self, index: int, path: tuple[int, ...], rate_box: tuple[float, float],
+                 budget: float) -> None:
+        self.index, self.path = index, path
         self.rate = 1.0
         self.rate_box = rate_box
         self.budget = budget   # packets; 0 = unlimited
@@ -248,17 +254,18 @@ class Session:
 
 
 class ConstraintFamily:
-    """Runtime face of one abstract constraint: per-member dual variables
-    plus the slack expression evaluated against live network state."""
-    __slots__ = ("ordinal", "holder", "entity", "lhs", "rhs", "duals", "prev",
-                 "slack_fn", "slack_key")
+    """Runtime face of one abstract constraint: the dual of member j (link
+    or session j) at duals[j], and the slack expression evaluated against
+    live network state."""
+    __slots__ = ("holder", "entity", "lhs", "rhs", "duals", "prev", "slack_fn",
+                 "slack_key")
 
-    def __init__(self, ordinal: int, holder: str, entity: str, lhs: Expr, rhs: Expr) -> None:
-        self.ordinal, self.lhs, self.rhs = ordinal, lhs, rhs
+    def __init__(self, holder: str, entity: str, lhs: Expr, rhs: Expr, members: int) -> None:
+        self.lhs, self.rhs = lhs, rhs
         self.holder = holder   # netlnk | netses
         self.entity = entity   # link | session
-        self.duals = DualState()   # keyed by member index
-        self.prev = DualState()    # last epoch's duals
+        self.duals = [0.0] * members   # by member index
+        self.prev = [0.0] * members    # last epoch's duals
         # every member's rhs - lhs as one compiled function (see
         # _compile_slacks), and the session done flags it was expanded for
         self.slack_fn: Callable[[Env], list[float]] | None = None
@@ -270,8 +277,8 @@ class NetState:
     __slots__ = ("cfg", "nodes", "links", "sessions", "epoch", "families", "link_family",
                  "utility_expr", "utility_sense", "utility_fn", "utility_key", "rate_names",
                  "cap_names", "pwr_names", "pending", "programs", "capacity_model", "capacity",
-                 "derived_for", "dual_cfg", "kept_itfs", "kept_slacks", "kept_shares",
-                 "kept_utility", "kept_power", "_solvers", "_shared")
+                 "derived_for", "kept_itfs", "kept_slacks", "kept_shares", "kept_utility",
+                 "kept_power", "_solvers", "_shared")
 
     def __init__(self, cfg: ScenarioConfig, nodes: list[Node], links: list[Link],
                  sessions: list[Session]) -> None:
@@ -292,7 +299,6 @@ class NetState:
         self.capacity_model: Expr | None = None   # the problem's lnkcap model, bits/s
         self.capacity: Compiled | None = None     # capacity_model compiled
         self.derived_for: tuple[ScenarioConfig, Compiled] | None = None   # see _derive
-        self.dual_cfg: SolverConfig | None = None
         # what _measure, _update_duals, _deliver and sum_utility last
         # computed, and the key of the last power pass that moved no
         # power; all five are built by _derive
@@ -354,6 +360,7 @@ def build_scenario(cfg: ScenarioConfig) -> NetState:
     positions = _chain_positions(chains, hops, hop_len, cfg.chain_spacing)
     nodes = [Node(i, p) for i, p in enumerate(positions)]
 
+    power_box, rate_box = _scenario_boxes(cfg)
     links: list[Link] = []
     sessions: list[Session] = []
     for c in range(chains):
@@ -366,12 +373,11 @@ def build_scenario(cfg: ScenarioConfig) -> NetState:
             links.append(Link(
                 index=li, tx=tx, rx=rx, band=pattern[li],
                 bandwidth=cfg.bandwidth, gain=d ** -cfg.pathloss_exp,
-                noise=cfg.noise, power_box=(0.0, cfg.max_gain_db), sessions=(c,)))
+                noise=cfg.noise, power_box=power_box, sessions=(c,)))
             path.append(li)
         budget = cfg.budgets[c] if c < len(cfg.budgets) else 0.0
-        sessions.append(Session(
-            index=c, src=base, dst=base + hops, path=tuple(path),
-            rate_box=(cfg.rate_min, cfg.rate_max), budget=budget))
+        sessions.append(Session(index=c, path=tuple(path), rate_box=rate_box,
+                                budget=budget))
 
     for li in links:
         for lj in links:
@@ -381,6 +387,12 @@ def build_scenario(cfg: ScenarioConfig) -> NetState:
             d = math.dist(positions[lj.tx], positions[li.rx])
             li.cross_gain[lj.index] = d ** -cfg.pathloss_exp
     return NetState(cfg, nodes, links, sessions)
+
+
+def _scenario_boxes(cfg: ScenarioConfig) -> tuple[tuple[float, float], tuple[float, float]]:
+    """A link's power box and a session's rate box as the scenario sets
+    them, before any problem's box rules."""
+    return (0.0, cfg.max_gain_db), (cfg.rate_min, cfg.rate_max)
 
 
 # ---------------------------------------------------------------------------
@@ -420,20 +432,27 @@ def _aggregate_interference(link: Link, net: NetState, powers: list[float]) -> f
 
 def install_problem(net: NetState, problem: ControlProblem) -> NetState:
     """Wire the problem's constraint families, utility, and box rules into
-    the runtime."""
+    the runtime.  The box rules narrow the scenario's boxes, not the boxes
+    a problem installed before left."""
     net.families = []
-    for i, c in enumerate(problem.constraints):
+    for c in problem.constraints:
         if c.holder not in ("netlnk", "netses"):
             raise UnresolvableCollectionRule(
                 f"constraint family over {c.holder} has no runtime entities")
-        entity = {"netlnk": "link", "netses": "session"}[c.holder]
-        net.families.append(ConstraintFamily(i, c.holder, entity, c.lhs, c.rhs))
+        entity, members = (("link", net.links) if c.holder == "netlnk"
+                           else ("session", net.sessions))
+        net.families.append(ConstraintFamily(c.holder, entity, c.lhs, c.rhs, len(members)))
     net.link_family = next((f for f in net.families if f.entity == "link"), None)
     net.utility_expr = problem.utility
     net.utility_sense = problem.sense
     net.rate_names = tuple(ex.var_name("sesrate", s.index) for s in net.sessions)
     net.cap_names = tuple(ex.var_name("lnkcap", l.index) for l in net.links)
     net.pwr_names = tuple(ex.var_name("lnkpwr", l.index) for l in net.links)
+    power_box, rate_box = _scenario_boxes(net.cfg)
+    for link in net.links:
+        link.power_box = power_box
+    for s in net.sessions:
+        s.rate_box = rate_box
     for rule in problem.box_rules:
         _apply_box_rule(net, rule)
     net.capacity_model = resolve_model(problem.graph, "lnkcap")
@@ -443,9 +462,8 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
 
 
 def _derive(net: NetState) -> None:
-    """Rebuild the dual step's config, every Kept and the solvers (see step)."""
+    """Rebuild every Kept and the solvers (see step)."""
     ns, nl = len(net.sessions), len(net.links)
-    net.dual_cfg = SolverConfig(dual_step=net.cfg.dual_step)
     net.kept_itfs = Kept(5 * nl)
     net.kept_slacks = Kept(2 * ns + 2 * nl)
     net.kept_shares = Kept(2 * ns + nl)
@@ -533,10 +551,10 @@ class _EntitySolver:
         # so that cfg.box finds it at once
         self.cfg = cfg
         self.var, self.anchor = program.var, f"{program.var}_anchor"
-        # sessions: (family ordinal, env name by hop, link) per collected dual
+        # sessions: (family index, env name by hop, link) per collected dual
         self.lam_sources, self.self_family = lam_sources, self_family
-        # links: each interfered neighbour j with its slot's _NEIGHBOUR_PARAMS
-        # env names, slots in sorted-neighbour order
+        # links: each victim j (a link whose capacity this link's power
+        # lowers) with its slot's _NEIGHBOUR_PARAMS env names, by index
         self.neighbours = neighbours
         self.kept = kept   # links: see solve
 
@@ -560,7 +578,7 @@ class _EntitySolver:
 def _shared_program(net: NetState, kind: str, prog: ControlProgram,
                     shape: int) -> CompiledProgram:
     """The compiled program of every `kind` entity that runs prog and has
-    this shape (a link's neighbour count, a session's path length),
+    this shape (a link's victim count, a session's path length),
     compiled on first use."""
     key = (kind, id(prog), shape)
     entry = net._shared.get(key)
@@ -595,7 +613,7 @@ def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntityS
     return _EntitySolver(program, cfg, lam_sources, self_family)
 
 
-# what _solve_power binds for each interfered neighbour, in this order
+# what _solve_power binds for each victim, in this order
 _NEIGHBOUR_PARAMS = ("lbd_itf", "itf_freq", "itf_lnkpwr", "itf_lnkgain",
                      "itf_lnkgain_itf", "itf_lnknoise")
 
@@ -621,12 +639,12 @@ def _link_program(net: NetState, prog: ControlProgram, slots: int) -> CompiledPr
 
 
 def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolver:
-    interfered = sorted(link.cross_gain) if prog.penalty is not None else []
-    neighbours = tuple((j, tuple(f"{v}@{slot}" for v in _NEIGHBOUR_PARAMS))
-                       for slot, j in enumerate(interfered))
+    victims = _victims(net)[link.index] if prog.penalty is not None else []
+    neighbours = tuple((v.index, tuple(f"{p}@{slot}" for p in _NEIGHBOUR_PARAMS))
+                       for slot, v in enumerate(victims))
     self_family = next((r.family for r in prog.collect if r.symbol == "self"), None)
     program = _shared_program(net, "link", prog, len(neighbours))
-    # _solve_power binds 8 parameters of the link's own, then its neighbours'
+    # _solve_power binds 8 parameters of the link's own, then its victims'
     kept = Kept(8 + len(_NEIGHBOUR_PARAMS) * len(neighbours))
     cfg = SolverConfig(step=net.cfg.power_step, max_iters=net.cfg.power_iters, tol=1e-9,
                        boxes={program.var: link.power_box}, max_move=net.cfg.power_move_max)
@@ -792,7 +810,7 @@ def _runtime_bindings(net: NetState, powers: list[float]) -> Env:
     return env
 
 
-def _family_slacks(net: NetState, fam: ConstraintFamily, env: Env) -> dict[int, float]:
+def _family_slacks(net: NetState, fam: ConstraintFamily, env: Env) -> list[float]:
     """Each member's slack, by member index, clipped to net.cfg.slack_clip."""
     key = tuple(s.done for s in net.sessions)
     if fam.slack_key != key:
@@ -802,7 +820,7 @@ def _family_slacks(net: NetState, fam: ConstraintFamily, env: Env) -> dict[int, 
     limit = net.cfg.slack_clip
     if limit > 0:
         slacks = [clip(x, -limit, limit) for x in slacks]
-    return dict(enumerate(slacks))
+    return slacks
 
 
 def _compile_slacks(net: NetState, fam: ConstraintFamily) -> Callable[[Env], list[float]]:
@@ -834,9 +852,10 @@ def _update_duals(net: NetState, powers: list[float]) -> None:
     if key != kept.key:
         env = _runtime_bindings(net, powers)
         kept.keep(key, [_family_slacks(net, fam, env) for fam in net.families])
+    step = net.cfg.dual_step
     for fam, slacks in zip(net.families, kept.value):
         fam.prev = fam.duals
-        fam.duals = dual_update(fam.duals, slacks, net.dual_cfg)
+        fam.duals = dual_update(fam.duals, slacks, step)
 
 
 def _solve_power(net: NetState, link: Link, powers: list[float],
@@ -857,11 +876,11 @@ def _solve_power(net: NetState, link: Link, powers: list[float],
     }
     if solver.neighbours:
         cap, links = net.link_family, net.links
-        prices = {} if cap is None else cap.prev.values
+        prices = [0.0] * len(links) if cap is None else cap.prev
         for j, (lbd, freq, pwr, gain, gain_itf, noise) in solver.neighbours:
             lj = links[j]
             back = lj.cross_gain.get(i, 0.0)
-            env[lbd] = prices.get(j, 0.0) if lj.active else 0.0
+            env[lbd] = prices[j] if lj.active else 0.0
             env[freq] = lj.bandwidth
             env[pwr] = powers[j]
             env[gain] = lj.gain
@@ -881,8 +900,7 @@ def _power_key(net: NetState) -> list:
     key = [net.kept_itfs.key, pack(*[l.pwr_gain_db for l in links])]
     for fam in net.families:
         if fam.entity == "link":
-            prices = fam.prev.values
-            key.append(pack(*[prices.get(i, 0.0) for i in range(len(links))]))
+            key.append(pack(*fam.prev))
     key.append(list(net._solvers.values()))
     return key
 
@@ -918,7 +936,7 @@ def _power_pass(net: NetState, powers: list[float], itfs: list[float]) -> None:
 def _self_lambda(net: NetState, solver: _EntitySolver, member: int) -> float:
     if solver.self_family is None:
         return 0.0
-    return net.families[solver.self_family].prev.values.get(member, 0.0)
+    return net.families[solver.self_family].prev[member]
 
 
 def _solve_rate(net: NetState, s: Session) -> None:
@@ -928,7 +946,7 @@ def _solve_rate(net: NetState, s: Session) -> None:
     env: Env = {"sesrate_anchor": s.rate,
                 "lbd": _self_lambda(net, solver, s.index)}
     for fam_ord, name, li in solver.lam_sources:
-        env[name] = net.families[fam_ord].prev.values.get(li, 0.0)
+        env[name] = net.families[fam_ord].prev[li]
     decision = solve_program(solver.program, env, solver.cfg)
     s.rate = decision["sesrate"]
 
@@ -1035,12 +1053,12 @@ def _record(net: NetState, trace: Trace) -> None:
     from the links' active flags alone."""
     t = net.clock
     cap = net.link_family
-    lams = {} if cap is None else cap.duals.values
+    lams = [0.0] * len(net.links) if cap is None else cap.duals
     values = [s.throughput for s in net.sessions]
-    for link in net.links:
+    for link, lam in zip(net.links, lams):
         if link.active:
             values.append(link.pwr_gain_db)
-        values.append(lams.get(link.index, 0.0))
+        values.append(lam)
     values.append(sum_utility(net))
     active = tuple([link.active for link in net.links])
     layout = trace.layouts.get(active)
@@ -1073,7 +1091,7 @@ def step(net: NetState, scheme: str = "joint") -> NetState:
     net.epoch += 1
     # feasibility invariants hold at every epoch
     for fam in net.families:
-        for v in fam.duals.values.values():
+        for v in fam.duals:
             if v < 0:
                 raise NetsimError("negative dual")
     for link in net.links:

@@ -50,7 +50,7 @@ class SolverConfig:
                  diminishing: bool = False, max_move: float = 0.0) -> None:
         self.step, self.dual_step, self.max_iters, self.tol = step, dual_step, max_iters, tol
         self.boxes = {} if boxes is None else boxes
-        self.diminishing = diminishing   # dual step decays as step/sqrt(t)
+        self.diminishing = diminishing   # dual_loop's step decays as dual_step/sqrt(t)
         self.max_move = max_move         # per-iteration trust cap on |step*grad|; 0 = off
         if step <= 0 or dual_step <= 0 or tol <= 0:
             raise SolveError("steps and tolerance must be positive")
@@ -288,35 +288,15 @@ def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
     return {v: x}
 
 
-class DualState:
-    """Dual values, non-negative, and the number of steps taken; checked
-    when built and when replaced."""
-    __slots__ = ("values", "step")
-
-    def __init__(self, values: dict[str | int, float] | None = None, step: int = 0) -> None:
-        # keyed by dual name, or by member index for a runtime constraint family
-        self.values = {} if values is None else values
-        self.step = step
-        for k, v in self.values.items():
-            if v < 0:
-                raise SolveError(f"dual {k} initialized negative")
-
-    def _replace(self, **changes) -> DualState:
-        return DualState(**{"values": self.values, "step": self.step, **changes})
-
-
-def dual_update(state: DualState, slacks: dict[str | int, float],
-                cfg: SolverConfig) -> DualState:
-    """Projected subgradient step on the duals: lbd_j <- max(0, lbd_j -
-    step * slack_j), slack_j = rhs_j - lhs_j at the current decisions."""
-    t = state.step + 1
-    step = cfg.dual_step / math.sqrt(t) if cfg.diminishing else cfg.dual_step
-    values = dict(state.values)
-    for name, slack in slacks.items():
-        # max(0.0, x), without the call: 0.0 for -0.0 and nan too
-        x = values.get(name, 0.0) - step * slack
-        values[name] = x if x > 0.0 else 0.0
-    return DualState(values, t)
+def dual_update(duals: list[float], slacks: list[float], step: float) -> list[float]:
+    """Projected subgradient step on the duals, by position: lbd_j <-
+    max(0, lbd_j - step * slack_j), slack_j = rhs_j - lhs_j at the current
+    decisions.  Slacks of another length than the duals are refused."""
+    if len(slacks) != len(duals):
+        raise SolveError(f"{len(slacks)} slacks for {len(duals)} duals")
+    # max(0.0, x), without the call: 0.0 for -0.0 and nan too
+    return [x if (x := lam - step * slack) > 0.0 else 0.0
+            for lam, slack in zip(duals, slacks)]
 
 
 def centralized_oracle(inst: InstantiatedProblem, resolution: float,
@@ -388,7 +368,7 @@ def centralized_oracle(inst: InstantiatedProblem, resolution: float,
 class LoopResult(NamedTuple):
     """The outcome of dual_loop: averaged decisions, duals and utility."""
     decisions: dict[str, float]       # running-average (ergodic) decision
-    duals: DualState
+    duals: list[float]                # duals[j] absorbs dp.registry[j]
     utility: float                    # problem utility at the averaged decision
 
 
@@ -396,9 +376,10 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
               seed: int = 0, params: Env | None = None) -> LoopResult:
     """The full distributed loop at design scale: solve every entity
     subproblem against the current duals, update the duals from the
-    constraint slacks, repeat.  The reported decision is the running
-    average of iterates (standard primal recovery for constant-step dual
-    subgradient)."""
+    constraint slacks, repeat.  The dual step is cfg.dual_step, divided by
+    sqrt(t) at epoch t when cfg.diminishing is set.  The reported decision
+    is the running average of iterates (standard primal recovery for
+    constant-step dual subgradient)."""
     inst = dp.inst
     graph = inst.problem.graph
     layers, _ = split_by_layer(dp, graph)
@@ -418,20 +399,20 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
         lo, hi = cfg.box(v)
         x[v] = rng.uniform(lo, hi)
     dual_names = [ex.var_name(LBD, j) for j in range(len(dp.registry))]
-    duals = DualState(dict.fromkeys(dual_names, 0.0))
+    duals = [0.0] * len(dp.registry)
     avg = dict(x)
     slack_fn = ex.compile_slacks([(c.lhs, c.rhs) for c in dp.registry])
 
     for t in range(1, epochs + 1):
         shared: Env = dict(fixed)
-        shared.update(duals.values)
+        shared.update(zip(dual_names, duals))
         shared.update(x)  # foreign decisions seen at their current values
         for prog in programs:
             x.update(solve_program(prog, {**shared, f"{prog.var}_anchor": x[prog.var]}, cfg))
         env = dict(fixed)
         env.update(x)
-        slacks = dict(zip(dual_names, slack_fn(env)))
-        duals = dual_update(duals, slacks, cfg)
+        step = cfg.dual_step / math.sqrt(t) if cfg.diminishing else cfg.dual_step
+        duals = dual_update(duals, slack_fn(env), step)
         for v in avg:
             avg[v] += (x[v] - avg[v]) / t
 

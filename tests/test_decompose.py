@@ -60,8 +60,9 @@ def test_split_by_layer_toy(toy_inst):
     assert set(layers) == {"transport", "physical"}
     assert ex.render(layers["physical"].objective) == \
         "lnkcap_00*lbd_00 + lnkcap_01*lbd_01 + lnkcap_02*lbd_02"
-    assert "sesrate_00" in layers["transport"].owned
-    assert all(v.startswith("lbd") for v in layers["transport"].foreign)
+    owned, foreign = _owned_and_foreign([layers["transport"].objective])
+    assert "sesrate_00" in owned
+    assert all(v.startswith("lbd") for v in foreign)
 
 
 def test_term_assignment_examples(toy_inst):
@@ -398,11 +399,12 @@ def test_duals_never_owned(toy_inst, jocp_inst):
         layers, _ = dc.split_by_layer(dp, inst.problem.graph)
         for sub in layers.values():
             for e in dc.split_by_entity(sub, inst.problem.graph):
-                assert not any(v.startswith("lbd") for v in e.owned)
-                assert all(v.startswith("lbd") for v in e.foreign)
+                owned, foreign = _owned_and_foreign([e.objective])
+                assert not any(v.startswith("lbd") for v in owned)
+                assert all(v.startswith("lbd") for v in foreign)
 
 
-def _sorted_names_term_by_term(terms):
+def _owned_and_foreign(terms):
     """Sorted names of the terms' primal variables, and of their duals."""
     owned = {ex.var_name(b, i) for t in terms for b, i in t.var_pairs if b != dc.LBD}
     foreign = {ex.var_name(b, i) for t in terms for b, i in t.var_pairs
@@ -415,8 +417,8 @@ SHIPPED = sorted((Path(ab.__file__).parent / "data" / "problems").glob("*.ncp"))
 
 @pytest.mark.parametrize("path", SHIPPED, ids=[p.name for p in SHIPPED])
 def test_owned_and_foreign_match_the_terms(toy_inst, path):
-    # owned/foreign are read off the objective's variable pairs; they must
-    # name the same variables as the terms the split put into it
+    # the variables read off a subproblem's objective's pairs must be the
+    # ones of the terms the split put into it
     problem = ab.parse_problem(path.read_text())
     insts = [toy_inst] + [it.instantiate_problem(problem, it.InstanceConfig(seed=seed))
                           for seed in range(16)]
@@ -426,7 +428,7 @@ def test_owned_and_foreign_match_the_terms(toy_inst, path):
             subs = [sub] + dc.split_by_entity(sub, inst.problem.graph)
             for s in subs:
                 terms = ex.level1_terms(s.objective)
-                assert (s.owned, s.foreign) == _sorted_names_term_by_term(terms)
+                assert _owned_and_foreign([s.objective]) == _owned_and_foreign(terms)
             assert len(subs) > 1
 
 

@@ -307,7 +307,7 @@ def test_solvers_compile_once_per_layer_shape(monkeypatch):
     counts = counted_compiles(monkeypatch)
     net, _, _ = deploy(scenario=5)
     ns.run(net, 90, "joint")
-    # 18 links with two interfered neighbours each, 3 six-hop sessions
+    # 18 links with two victims each, 3 six-hop sessions
     assert counts == {"pwrgain": 1, "sesrate": 1}
     for kind, entities in (("link", net.links), ("session", net.sessions)):
         solvers = [ns._get_solver(net, kind, e.index) for e in entities]
@@ -328,7 +328,54 @@ def test_link_solvers_compile_once_per_neighbour_count(monkeypatch, band_pattern
     assert counts == {"pwrgain": len(neighbour_counts), "sesrate": 1}
     for link in net.links:
         solver = ns._get_solver(net, "link", link.index)
-        assert [j for j, _ in solver.neighbours] == sorted(link.cross_gain)
+        # a slot for each victim: each link whose capacity this link's power lowers
+        assert [j for j, _ in solver.neighbours] \
+            == [v.index for v in net.links if link.index in v.cross_gain]
+
+
+def test_link_slots_are_its_victims_not_its_interferers(monkeypatch):
+    # link 1 transmits from link 0's receiver, so half duplex keeps it out
+    # of link 0's interference, yet link 0's power lowers link 1's
+    # capacity: link 0 is charged for link 1, and link 1 not for link 0
+    net, _, _ = deploy(scenario=4, band_pattern=(0, 0, 1, 0, 0, 0))
+    assert sorted(net.links[0].cross_gain) == [3, 4, 5]
+    params, solve = {}, ns._EntitySolver.solve
+
+    def recorded(solver, env):
+        params.setdefault(id(solver), env)
+        return solve(solver, env)
+
+    monkeypatch.setattr(ns._EntitySolver, "solve", recorded)
+    ns.step(net, "joint")
+    gain = ns._NEIGHBOUR_PARAMS.index("itf_lnkgain_itf")
+    slots = {}
+    for link in net.links:
+        solver = ns._get_solver(net, "link", link.index)
+        slots[link.index] = [j for j, _ in solver.neighbours]
+        assert all(params[id(solver)][names[gain]] > 0 for _, names in solver.neighbours)
+    assert slots[0] == [1, 3, 4, 5] and slots[1] == [3, 4, 5]
+
+
+def test_each_install_starts_from_the_scenario_boxes():
+    # a problem's box rules narrow the scenario's boxes, not the boxes
+    # the problem installed before it left
+    def parsed(name):
+        return ab.parse_problem((DATA / "problems" / name).read_text())
+
+    def boxes(net):
+        return [l.power_box for l in net.links], [s.rate_box for s in net.sessions]
+
+    scenario = ([(0.0, 30.0)] * 4, [(0.05, 100.0)] * 2)
+    for before, narrowed in [
+            ("powermin.ncp", ([(0.0, 30.0)] * 4, [(4.0, 100.0)] * 2)),
+            ("jocp_log_powercap.ncp", ([(0.0, 5.0)] * 2 + [(0.0, 30.0)] * 2,
+                                       [(0.05, 100.0)] * 2))]:
+        net = ns.build_scenario(ns.ScenarioConfig(scenario=2))
+        assert boxes(net) == scenario
+        ns.install_problem(net, parsed(before))
+        assert boxes(net) == narrowed
+        ns.install_problem(net, parsed("jocp_log.ncp"))
+        assert boxes(net) == scenario
 
 
 def test_shared_link_program_keeps_each_link_power_box():
@@ -405,8 +452,7 @@ def copy_operating_point(src, dst):
     for a, b in zip(src.links, dst.links):
         b.pwr_gain_db, b.active, b.capacity_pps = a.pwr_gain_db, a.active, a.capacity_pps
     for a, b in zip(src.families, dst.families):
-        b.duals = ns.DualState(dict(a.duals.values), a.duals.step)
-        b.prev = ns.DualState(dict(a.prev.values), a.prev.step)
+        b.duals, b.prev = list(a.duals), list(a.prev)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -453,8 +499,8 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     def solve(lbd):
         # with no price on any link the power stays at its anchor, so the
         # solve is kept for reuse
-        prices = {li: 0.0 for li in range(len(net.links))}
-        cap.prev = ns.DualState({**prices, link.index: lbd}, cap.prev.step)
+        cap.prev = [0.0] * len(net.links)
+        cap.prev[link.index] = lbd
         link.pwr_gain_db = start
         ns._solve_power(net, link, powers, itfs)
         return link.pwr_gain_db
@@ -498,14 +544,14 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
         # a pass that moves a power keeps no key, even one the next pass's
         # inputs repeat
         start = net.links[0].pwr_gain_db
-        cap.duals.values[0] = 5.0
+        cap.duals[0] = 5.0
         ns.step(net, "joint")
         assert net.links[0].pwr_gain_db > start
         net.links[0].pwr_gain_db = start
-        cap.duals.values[0] = 5.0
+        cap.duals[0] = 5.0
 
     # each by the least step that changes bits, so that the net settles again
-    edits = [lambda: cap.duals.values.__setitem__(0, -0.0),
+    edits = [lambda: cap.duals.__setitem__(0, -0.0),
              lambda: setattr(net.links[j], "noise", math.nextafter(net.links[j].noise, 1.0)),
              # the same linear power, not the same bits
              lambda: setattr(net.links[0], "pwr_gain_db", -0.0),
@@ -520,7 +566,7 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
             if passes[-1] != net.epoch - 1:
                 break
         assert passes[-1] < net.epoch - 1
-        assert cap.duals.values[0] == 0.0 and net.links[0].pwr_gain_db == 0.0
+        assert cap.duals[0] == 0.0 and net.links[0].pwr_gain_db == 0.0
         edit()
         ns.step(net, "joint")
         assert passes.count(net.epoch - 1) == len(net.links)
@@ -676,6 +722,10 @@ def bits(values):
     return {k: v.hex() for k, v in values.items()}
 
 
+def hexes(values):
+    return [v.hex() for v in values]
+
+
 def interpreted_env(net, rates):
     env = {}
     for s in net.sessions:
@@ -690,7 +740,7 @@ def interpreted_env(net, rates):
 def interpreted_slacks(net, fam, env):
     """Each member's slack with its sums expanded over the live sessions
     now, walked by eval_expr: the reference for the compiled slacks."""
-    slacks = {}
+    slacks = []
     members = net.links if fam.entity == "link" else net.sessions
     limit = net.cfg.slack_clip
     for m in range(len(members)):
@@ -702,7 +752,7 @@ def interpreted_slacks(net, fam, env):
         lhs = ex.expand_sums(ex.bind_index(fam.lhs, fam.holder, m), bindings)
         rhs = ex.expand_sums(ex.bind_index(fam.rhs, fam.holder, m), bindings)
         slack = ex.eval_expr(rhs, env) - ex.eval_expr(lhs, env)
-        slacks[m] = clip(slack, -limit, limit) if limit > 0 else slack
+        slacks.append(clip(slack, -limit, limit) if limit > 0 else slack)
     return slacks
 
 
@@ -743,8 +793,8 @@ def test_compiled_slacks_and_utility_match_interpreted(problem, extra, families)
         probe = interpreted_env(net, lambda s: s.rate)
         for fam in net.families:
             for e in (env, probe):
-                assert bits(ns._family_slacks(net, fam, e)) \
-                    == bits(interpreted_slacks(net, fam, e))
+                assert hexes(ns._family_slacks(net, fam, e)) \
+                    == hexes(interpreted_slacks(net, fam, e))
         assert ns.sum_utility(net).hex() == interpreted_utility(net).hex()
 
     for _ in range(150):
@@ -767,6 +817,25 @@ def test_compiled_slacks_and_utility_match_interpreted(problem, extra, families)
         check()
 
 
+def test_family_duals_and_prev_are_distinct_lists_by_member():
+    problem = ab.parse_problem((DATA / "problems" / "powermin.ncp").read_text())
+    programs, _, _ = cli.build_programs(problem)
+    problem.constraints.append(SESSION_FAMILY)
+    net = cli.deploy(problem, programs, ns.ScenarioConfig(scenario=2))
+
+    def check():
+        for fam in net.families:
+            members = len(net.links if fam.entity == "link" else net.sessions)
+            assert type(fam.duals) is list and type(fam.prev) is list
+            assert fam.duals is not fam.prev
+            assert len(fam.duals) == len(fam.prev) == members
+
+    assert [f.entity for f in net.families] == ["link", "session"]
+    check()
+    ns.step(net, "joint")
+    check()
+
+
 def check_duals_and_utility_every_epoch(monkeypatch):
     """Check, each time _update_duals runs, that the duals it leaves are
     the ones a dual step on interpreted slacks gives, and, each time
@@ -778,12 +847,10 @@ def check_duals_and_utility_every_epoch(monkeypatch):
     def checked_update_duals(net, powers):
         assert powers == ns._linear_powers(net)
         env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
-        cfg = ns.SolverConfig(dual_step=net.cfg.dual_step)
-        want = [ns.dual_update(fam.duals, interpreted_slacks(net, fam, env), cfg)
+        want = [ns.dual_update(fam.duals, interpreted_slacks(net, fam, env), net.cfg.dual_step)
                 for fam in net.families]
         update_duals(net, powers)
-        assert [bits(fam.duals.values) for fam in net.families] \
-            == [bits(state.values) for state in want]
+        assert [hexes(fam.duals) for fam in net.families] == [hexes(duals) for duals in want]
         epochs.append(net.epoch)
 
     def checked_record(net, trace):
@@ -845,7 +912,7 @@ def test_duals_and_utility_follow_state_set_by_hand(monkeypatch, problem, extra)
     link.pwr_gain_db += 1.0
     ns._update_duals(net, ns._linear_powers(net))
     ns._record(net, trace)
-    assert all(v > 0 for v in net.families[-1].duals.values.values())
+    assert all(v > 0 for v in net.families[-1].duals)
     # a fresh problem: new families, and another utility, then another sense
     doubled = parsed._replace(utility=ex.mul(ex.const(2.0), parsed.utility))
     for fresh in (doubled, other, parsed):
@@ -1065,7 +1132,7 @@ def test_slacks_and_utility_compile_once_per_topology(monkeypatch):
 
 
 def test_joint_run_defines_one_function_per_runtime_unit(monkeypatch, tmp_path):
-    # every s5 link has two interfered neighbours and every session six
+    # every s5 link has two victims and every session six
     # hops, so one link program and one session program serve them all;
     # their fused loops never give up here, so the generic loop's
     # objective and gradient are never compiled
@@ -1116,14 +1183,14 @@ def test_transport_epoch_is_timescale_multiple():
 def reference_record(net, rows):
     t = net.clock
     cap = net.link_family
-    lams = {} if cap is None else cap.duals.values
+    lams = [0.0] * len(net.links) if cap is None else cap.duals
     add = rows.append
     for s in net.sessions:
         add((t, "session", s.index, "throughput_pps", s.throughput))
     for link in net.links:
         if link.active:
             add((t, "node", link.tx, "power_gain_db", link.pwr_gain_db))
-        add((t, "link", link.index, "lambda", lams.get(link.index, 0.0)))
+        add((t, "link", link.index, "lambda", lams[link.index]))
     add((t, "net", 0, "sum_utility", ns.sum_utility(net)))
 
 

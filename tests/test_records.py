@@ -29,10 +29,8 @@ DATA = Path(netnum.__file__).parent / "data"
      "steps and tolerance must be positive"),
     (sv.SolverConfig, {"step": 0.5}, {"boxes": {"x": (2.0, 1.0)}}, sv.SolveError,
      "x: box lower 2.0 exceeds upper 1.0"),
-    (sv.DualState, {"step": 4}, {"values": {"lbd_00": -1.0}}, sv.SolveError,
-     "dual lbd_00 initialized negative"),
 ], ids=["scenario-packet-bits", "scenario-band-pattern", "instance", "solver-tol",
-        "solver-box", "duals"])
+        "solver-box"])
 def test_validated_records_check_when_built_and_when_replaced(record, good, bad, error,
                                                               message):
     with pytest.raises(error, match=message):
@@ -49,14 +47,12 @@ def test_validated_records_check_when_built_and_when_replaced(record, good, bad,
 def fresh_mutables():
     """Each record's mutable defaults, read from one fresh instance."""
     graph, imap = ab.ElementGraph(), it.InstanceMap()
-    family = ns.ConstraintFamily(0, "netlnk", "link", ex.ZERO, ex.ZERO)
+    family = ns.ConstraintFamily("netlnk", "link", ex.ZERO, ex.ZERO, 2)
     net = ns.NetState(ns.ScenarioConfig(), [], [], [])
     link = ns.Link(0, 0, 1, 0, 1.0, 1.0, 1.0, (0.0, 30.0), (0,))
     return [graph.elements, graph.edges, imap.glb, imap.lcl,
-            sv.SolverConfig().boxes, sv.DualState().values,
-            family.duals, family.duals.values, family.prev, family.prev.values,
-            net.families, net.pending, net.programs, net._solvers,
-            net._shared, link.cross_gain]
+            sv.SolverConfig().boxes, family.duals, family.prev, net.families,
+            net.pending, net.programs, net._solvers, net._shared, link.cross_gain]
 
 
 def test_fresh_records_share_no_mutable_default():
@@ -76,13 +72,14 @@ def test_simulator_state_equals_only_itself():
     # two networks built alike hold equal values in distinct objects
     a, b = deploy(), deploy()
     pairs = [(a, b), (a.links[0], b.links[0]), (a.sessions[0], b.sessions[0]),
-             (a.families[0], b.families[0]), (a.families[0].duals, b.families[0].duals),
+             (a.families[0], b.families[0]),
              (ns._get_solver(a, "link", 0), ns._get_solver(b, "link", 0)),
              (ns._get_solver(a, "session", 0), ns._get_solver(b, "session", 0))]
     for x, y in pairs:
         assert x == x and x != y
     # the values they hold compare by value
     assert a.cfg == b.cfg and a.nodes == b.nodes
+    assert a.families[0].duals == b.families[0].duals
     assert ns._get_solver(a, "link", 0).cfg == ns._get_solver(b, "link", 0).cfg
     assert ns._get_solver(a, "link", 0).cfg != ns._get_solver(a, "session", 0).cfg
 

@@ -133,44 +133,46 @@ def test_compile_program_rejects_two_decision_variables():
 
 
 def test_dual_update_arithmetic():
-    st = sv.dual_update(sv.DualState({"lbd_00": 0.5}), {"lbd_00": -0.2},
-                        sv.SolverConfig(dual_step=0.1))
-    assert abs(st.values["lbd_00"] - 0.52) < 1e-12
+    duals = sv.dual_update([0.5], [-0.2], 0.1)
+    assert abs(duals[0] - 0.52) < 1e-12
 
 
 def test_dual_update_projection_at_zero():
-    st = sv.dual_update(sv.DualState({"lbd_00": 0.05}), {"lbd_00": 1.0},
-                        sv.SolverConfig(dual_step=0.1))
-    assert st.values["lbd_00"] == 0.0
+    duals = sv.dual_update([0.05], [1.0], 0.1)
+    assert duals[0] == 0.0
+
+
+def test_dual_update_refuses_slacks_of_another_length():
+    for slacks in ([], [1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(sv.SolveError, match=f"{len(slacks)} slacks for 2 duals"):
+            sv.dual_update([0.5, 0.5], slacks, 0.1)
 
 
 def test_dual_nonnegative_under_random_updates():
     rng = random.Random(0)
-    st = sv.DualState({f"lbd_{i:02d}": rng.uniform(0, 1) for i in range(4)})
-    cfg = sv.SolverConfig(dual_step=0.2)
+    duals = [rng.uniform(0, 1) for _ in range(4)]
     for _ in range(500):
-        slacks = {k: rng.uniform(-3, 3) for k in st.values}
-        st = sv.dual_update(st, slacks, cfg)
-        assert all(v >= 0.0 for v in st.values.values())
+        slacks = [rng.uniform(-3, 3) for _ in duals]
+        duals = sv.dual_update(duals, slacks, 0.2)
+        assert all(v >= 0.0 for v in duals)
 
 
 def test_monotone_pressure_while_violated():
-    st = sv.DualState({"lbd_00": 0.0})
-    cfg = sv.SolverConfig(dual_step=0.05)
+    duals = [0.0]
     prev = 0.0
     for _ in range(50):
-        st = sv.dual_update(st, {"lbd_00": -1.0}, cfg)
-        assert st.values["lbd_00"] >= prev
-        prev = st.values["lbd_00"]
+        duals = sv.dual_update(duals, [-1.0], 0.05)
+        assert duals[0] >= prev
+        prev = duals[0]
 
 
 def test_diminishing_dual_step():
-    cfg = sv.SolverConfig(dual_step=1.0, diminishing=True)
-    st = sv.DualState({"l": 10.0})
-    st = sv.dual_update(st, {"l": 1.0}, cfg)       # step 1/sqrt(1)
-    assert abs(st.values["l"] - 9.0) < 1e-12
-    st = sv.dual_update(st, {"l": 1.0}, cfg)       # step 1/sqrt(2)
-    assert abs(st.values["l"] - (9.0 - 1 / math.sqrt(2))) < 1e-12
+    # dual_loop's schedule with diminishing set; test_pins.py pins its results
+    duals = [10.0]
+    duals = sv.dual_update(duals, [1.0], 1.0 / math.sqrt(1))
+    assert abs(duals[0] - 9.0) < 1e-12
+    duals = sv.dual_update(duals, [1.0], 1.0 / math.sqrt(2))
+    assert abs(duals[0] - (9.0 - 1 / math.sqrt(2))) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +216,7 @@ def test_dual_loop_converges_to_oracle(toy_const_inst):
                           boxes={"sesrate": (0.0, 1.0)})
     res = sv.dual_loop(dp, cfg, epochs=2000, seed=1)
     assert abs(res.utility - 1.5) / 1.5 < 0.05
-    assert all(v >= 0 for v in res.duals.values.values())
+    assert all(v >= 0 for v in res.duals)
 
 
 def test_dual_loop_inactive_constraint_dual_vanishes():
@@ -236,7 +238,7 @@ def test_dual_loop_inactive_constraint_dual_vanishes():
     best, val = sv.centralized_oracle(inst, 0.02, params=caps)
     # third constraint is slack at the optimum; its dual decays to zero
     assert abs(best["sesrate_01"] - 1.0) <= 0.02 and abs(best["sesrate_02"] - 1.0) <= 0.02
-    assert res.duals.values["lbd_02"] < 0.02
+    assert res.duals[2] < 0.02
     # oracle utility and loop utility agree up to averaging slack
     assert res.utility >= val - 0.15
     assert val >= res.utility - 0.05
