@@ -41,7 +41,8 @@ class InfeasibleEverywhere(SolveError):
 
 class SolverConfig:
     """Steps, iteration limits, tolerance and boxes of a solve, checked when
-    built and by _replace, the only way to change one; equal field by field."""
+    built and by _replace, the only way to change one; equal field by field.
+    Only dual_loop reads dual_step and diminishing."""
     __slots__ = ("step", "dual_step", "max_iters", "tol", "boxes", "diminishing",
                  "max_move")
 
@@ -366,9 +367,10 @@ def centralized_oracle(inst: InstantiatedProblem, resolution: float,
 
 
 class LoopResult(NamedTuple):
-    """The outcome of dual_loop: averaged decisions, duals and utility."""
+    """The outcome of dual_loop: averaged decisions, the duals by position
+    (duals[j] absorbs dp.registry[j]) and the utility."""
     decisions: dict[str, float]       # running-average (ergodic) decision
-    duals: list[float]                # duals[j] absorbs dp.registry[j]
+    duals: list[float]
     utility: float                    # problem utility at the averaged decision
 
 
