@@ -113,38 +113,46 @@ def run_experiment(args: argparse.Namespace) -> int:
         print(f"[decompose] {err}", file=sys.stderr)
         return 2
 
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    if args.dump_dual:
-        (out / "dual.txt").write_text(decompose.dump_dual(dp))
-    del dp   # the simulation reads only the programs
-    if args.dump_programs:
-        text = "".join(f"# {layer}\n{decompose.dump_program(prog)}\n"
-                       for layer, prog in sorted(programs.items()))
-        (out / "programs.txt").write_text(text)
-    if args.dump_instances:
-        text = "".join(instantiate.dump_table(imap, name) + "\n"
-                       for name in sorted(imap.lcl))
-        (out / "instances.txt").write_text(text)
-
+    # `path` names the file being written, for a [write] error
+    out = path = args.out
     utilities = []
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        if args.dump_dual:
+            path = out / "dual.txt"
+            path.write_text(decompose.dump_dual(dp))
+        del dp   # the simulation reads only the programs
+        if args.dump_programs:
+            path = out / "programs.txt"
+            path.write_text("".join(f"# {layer}\n{decompose.dump_program(prog)}\n"
+                                    for layer, prog in sorted(programs.items())))
+        if args.dump_instances:
+            path = out / "instances.txt"
+            path.write_text("".join(instantiate.dump_table(imap, name) + "\n"
+                                    for name in sorted(imap.lcl)))
         for k in range(args.seeds):
             run_cfg = scn._replace(seed=scn.seed + k)
             net = deploy(problem, programs, run_cfg)
             trace = netsim.run(net, args.duration, args.scheme)
             suffix = f"_s{run_cfg.seed}" if args.seeds > 1 else ""
-            (out / f"trace{suffix}.csv").write_text(trace.to_csv())
+            path = out / f"trace{suffix}.csv"
+            with open(path, "w") as f:
+                trace.to_csv(f)
             summary, utility = _summary(net, trace)
-            (out / f"summary{suffix}.txt").write_text(summary)
+            del net, trace   # release this run before the next one starts
+            path = out / f"summary{suffix}.txt"
+            path.write_text(summary)
             utilities.append(utility)
+        if args.seeds > 1:
+            path = out / "summary.txt"
+            path.write_text("sweep_mean_sum_utility\t{!r}\nruns\t{}\n".format(
+                netsim.tail_mean(utilities, "sum_utility"), args.seeds))
     except (netsim.NetsimError, solve.SolveError, expr.ExprError) as err:
         print(f"[simulate] {err}", file=sys.stderr)
         return 2
-    if args.seeds > 1:
-        (out / "summary.txt").write_text(
-            "sweep_mean_sum_utility\t{!r}\nruns\t{}\n".format(
-                netsim.tail_mean(utilities, "sum_utility"), args.seeds))
+    except OSError as err:
+        print(f"[write] {path}: {err.strerror or err}", file=sys.stderr)
+        return 2
     print(f"wrote {out}/trace*.csv (sum utility {utilities[0]!r})")
     return 0
 

@@ -67,7 +67,7 @@ import itertools
 import math
 import random
 import struct
-from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, TextIO, get_args, get_origin, get_type_hints
 
 from . import expr as ex
 from .abstraction import BoxRule, ControlProblem, resolve_model
@@ -77,7 +77,7 @@ from .solve import (CompiledProgram, SolverConfig, clip, compile_program, dual_u
                     solve_program)
 
 SCHEMES = ("joint", "rate-only", "power-only", "no-control")
-MAX_EPOCHS = 10**6   # a run's trace keeps every epoch in memory
+MAX_EPOCHS = 10**6   # a run's trace keeps every epoch in memory; to_csv streams it
 
 Compiled = Callable[[Env], float]   # an Expr compiled by expr.compile_expr
 
@@ -683,7 +683,9 @@ class Trace:
     whose layout inputs repeat share one Layout; `layouts` keeps them,
     keyed by those inputs (see _record).  `rows` is the derived view of
     (t, kind, eid, metric, value) records, in recording order; `series`,
-    `values` and `mean` read one series through the layouts instead."""
+    `values` and `mean` read one series through the layouts instead.
+    The trace is held in memory; `to_csv` streams it epoch by epoch, so
+    its CSV text never is."""
     __slots__ = ("epochs", "layouts")
 
     def __init__(self):
@@ -732,13 +734,15 @@ class Trace:
              tail: float = 1.0) -> float:
         return tail_mean(self.values(kind, metric, eid), f"{kind}/{metric}", tail)
 
-    def to_csv(self) -> str:
-        """The trace as CSV, one line per row.  Where an epoch has the
+    def to_csv(self, out: TextIO) -> None:
+        """Write the trace to `out` as CSV, one line per row: the header,
+        then each epoch's block in one write, then the final newline, so
+        the whole CSV is never built in memory.  Where an epoch has the
         layout of the one before, a series keeps its last line while its
         value is the same object, or an equal non-zero one of the same
         type: those print alike, where == alone would not (0.0 == -0.0,
         1 == 1.0)."""
-        out = ["time,entity_kind,entity_id,metric,value"]
+        out.write("time,entity_kind,entity_id,metric,value")
         last_layout, last_values, lines = None, (), ()
         for t, layout, values in self.epochs:
             if layout is last_layout:
@@ -749,10 +753,9 @@ class Trace:
             else:
                 lines = [head + repr(v) for head, v in zip(layout.heads, values)]
             stamp = f"\n{t!r},"
-            out.append(stamp + stamp.join(lines))
+            out.write(stamp + stamp.join(lines))
             last_layout, last_values = layout, values
-        out.append("\n")
-        return "".join(out)
+        out.write("\n")
 
 
 def tail_mean(vals: list[float], what: str, tail: float = 1.0) -> float:

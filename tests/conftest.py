@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from netnum import abstraction, instantiate
@@ -26,6 +28,13 @@ constraint 0 <= wos_x
 constraint wos_x <= 1
 decompose cross=dual dist=best_response
 """
+
+
+def csv_text(trace):
+    """The CSV that trace.to_csv writes, as one string."""
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    return buf.getvalue()
 
 
 @pytest.fixture(scope="session")

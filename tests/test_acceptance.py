@@ -20,7 +20,7 @@ from netnum import netsim as ns
 from netnum import solve as sv
 from netnum.reference import REFERENCE_SESSIONS_OF_LINK, TOY_SESSIONS_OF_LINK
 
-from conftest import JOCP_LOG, JOCP_RATE, TOY_CONST
+from conftest import JOCP_LOG, JOCP_RATE, TOY_CONST, csv_text
 
 DATA = Path(netnum.__file__).parent / "data"
 
@@ -232,8 +232,8 @@ def test_criterion_8_power_min_contrast():
     import tempfile
     with tempfile.TemporaryDirectory() as d:
         a, b = Path(d) / "a.csv", Path(d) / "b.csv"
-        a.write_text(trace_min.to_csv())
-        b.write_text(trace_log.to_csv())
+        a.write_text(csv_text(trace_min))
+        b.write_text(csv_text(trace_log))
         report = cli.compare_runs(a, b)
     line = next(l for l in report.splitlines() if "node/power_gain_db" in l)
     assert line.endswith("A<B")

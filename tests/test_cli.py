@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -10,6 +11,8 @@ import pytest
 
 import netnum
 from netnum import abstraction, cli, decompose, expr, instantiate, netsim
+
+from conftest import csv_text
 
 SRC = Path(netnum.__file__).parent.parent
 DATA = Path(netnum.__file__).parent / "data"
@@ -109,6 +112,40 @@ def test_seed_sweep_mean_folds_left(tmp_path):
                      "runs\t3"]
 
 
+def test_seed_sweep_holds_one_trace_at_a_time(tmp_path, monkeypatch):
+    # Trace has __slots__ and no __weakref__, so live ones are counted
+    live, run = [], netsim.run
+
+    def counted(*args):
+        gc.collect()
+        live.append(sum(isinstance(o, netsim.Trace) for o in gc.get_objects()))
+        return run(*args)
+
+    monkeypatch.setattr(netsim, "run", counted)
+    rc = run_cli(["run", "--problem", PROBLEMS / "jocp_log.ncp",
+                  "--scenario", SCENARIOS / "s1.cfg", "--duration", "30",
+                  "--seeds", "3", "--out", tmp_path])
+    assert rc == 0
+    assert live == [live[0]] * 3
+
+
+def test_out_naming_a_file_names_write_stage(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = run_cli(["run", "--problem", PROBLEMS / "jocp_log.ncp",
+                  "--scenario", SCENARIOS / "s1.cfg", "--duration", "30", "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err == f"[write] {out}: File exists\n"
+
+
+def test_trace_path_naming_a_directory_names_write_stage(tmp_path, capsys):
+    (tmp_path / "trace.csv").mkdir()
+    rc = run_cli(["run", "--problem", PROBLEMS / "jocp_log.ncp",
+                  "--scenario", SCENARIOS / "s1.cfg", "--duration", "30", "--out", tmp_path])
+    assert rc == 2
+    assert capsys.readouterr().err == f"[write] {tmp_path / 'trace.csv'}: Is a directory\n"
+
+
 def test_compare_trace_with_itself(tmp_path, capsys):
     out = tmp_path / "run"
     run_cli(["run", "--problem", PROBLEMS / "jocp.ncp",
@@ -133,7 +170,7 @@ def test_written_trace_reads_back_as_its_rows(tmp_path, capsys):
     trace = netsim.run(net, 360, "rate-only")
     assert len(trace.layouts) == 2
     path = tmp_path / "trace.csv"
-    path.write_text(trace.to_csv())
+    path.write_text(csv_text(trace))
     assert cli._load_trace(path) == trace.rows
     rc = run_cli(["compare", path, path])
     assert rc == 0

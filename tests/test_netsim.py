@@ -10,7 +10,7 @@ from netnum import expr as ex
 from netnum import netsim as ns
 from netnum.solve import clip
 
-from conftest import JOCP_LOG, JOCP_RATE
+from conftest import JOCP_LOG, JOCP_RATE, csv_text
 
 DATA = Path(ns.__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
@@ -138,7 +138,7 @@ def test_run_is_bit_deterministic():
     traces = []
     for _ in range(2):
         net, _, _ = deploy(scenario=2, seed=3)
-        traces.append(ns.run(net, 120, "joint").to_csv())
+        traces.append(csv_text(ns.run(net, 120, "joint")))
     assert traces[0] == traces[1]
 
 
@@ -1156,7 +1156,7 @@ def test_joint_run_defines_one_function_per_runtime_unit(monkeypatch, tmp_path):
 def test_trace_csv_schema():
     net, _, _ = deploy(scenario=1, seed=0)
     trace = ns.run(net, 30, "joint")
-    lines = trace.to_csv().splitlines()
+    lines = csv_text(trace).splitlines()
     assert lines[0] == "time,entity_kind,entity_id,metric,value"
     kinds = {line.split(",")[1] for line in lines[1:]}
     metrics = {line.split(",")[3] for line in lines[1:]}
@@ -1199,6 +1199,27 @@ def reference_csv(rows):
     for (t, k, e, m, v) in rows:
         lines.append(f"{t!r},{k},{e},{m},{v!r}")
     return "\n".join(lines) + "\n"
+
+
+class RecordingWriter:
+    """A text stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def assert_streams_reference_csv(trace, rows):
+    """to_csv writes reference_csv(rows), and no write holds rows of
+    more than one epoch."""
+    out = RecordingWriter()
+    trace.to_csv(out)
+    assert "".join(out.writes) == reference_csv(rows)
+    for text in out.writes:
+        assert len({line.split(",", 1)[0] for line in text.split("\n")[1:] if line}) <= 1
 
 
 def hexed(rows):
@@ -1247,7 +1268,7 @@ def test_trace_matches_the_row_by_row_recorder(monkeypatch, run, layouts):
     monkeypatch.setattr(ns, "_record", both)
     net, trace = run()
     assert hexed(trace.rows) == hexed(rows)
-    assert trace.to_csv() == reference_csv(rows)
+    assert_streams_reference_csv(trace, rows)
     for kind, eid, metric in {(k, e, m) for (_, k, e, m, _) in rows}:
         want = [(t, v) for (t, k, e, m, v) in rows if (k, e, m) == (kind, eid, metric)]
         assert [(t.hex(), v.hex()) for t, v in trace.series(kind, eid, metric)] \
@@ -1272,10 +1293,10 @@ def test_trace_csv_edge_values():
     trace = ns.Trace.from_rows(rows)
     assert len(trace.epochs) == len(series) and len(trace.layouts) == 2
     assert [repr(r) for r in trace.rows] == [repr(r) for r in rows]
-    assert trace.to_csv() == reference_csv(rows)
-    lines = trace.to_csv().splitlines()
+    assert_streams_reference_csv(trace, rows)
+    lines = csv_text(trace).splitlines()
     assert lines[1:8:2] == ["0.0,net,0,sum_utility,0.0", "1.0,net,0,sum_utility,-0.0",
                             "2.0,net,0,sum_utility,0.0", "3.0,net,0,sum_utility,2.5"]
-    empty = "time,entity_kind,entity_id,metric,value\n"
-    assert ns.Trace().to_csv() == empty
-    assert ns.Trace.from_rows([]).to_csv() == empty
+    assert reference_csv([]) == "time,entity_kind,entity_id,metric,value\n"
+    assert_streams_reference_csv(ns.Trace(), [])
+    assert_streams_reference_csv(ns.Trace.from_rows([]), [])

@@ -12,7 +12,7 @@ from netnum import netsim as ns
 from netnum import solve as sv
 from netnum.reference import TOY_SESSIONS_OF_LINK
 
-from conftest import TOY_CONST
+from conftest import TOY_CONST, csv_text
 from test_cli import PROBLEMS, SCENARIOS
 
 # sha256 of trace.csv for every shipped problem x scenario x scheme, at
@@ -257,7 +257,7 @@ def test_every_stock_trace_is_pinned():
             for scheme in ns.SCHEMES:
                 trace = ns.run(cli.deploy(problem, programs, scn), duration, scheme)
                 key = f"{problem_file.name} {scenario_file.name} {scheme}"
-                got[key] = hashlib.sha256(trace.to_csv().encode()).hexdigest()
+                got[key] = hashlib.sha256(csv_text(trace).encode()).hexdigest()
     assert got == TRACE_MATRIX
 
 
