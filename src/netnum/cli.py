@@ -41,12 +41,11 @@ def build_programs(problem: abstraction.ControlProblem,
     programs: dict[str, decompose.ControlProgram] = {}
     for layer, sub in layers.items():
         entities = decompose.split_by_entity(sub, problem.graph)
-        lifted = [decompose.lift_to_abstract(e, imap) for e in entities]
-        first = lifted[0]
-        for other in lifted[1:]:
-            if other.objective != first.objective or other.collect != first.collect:
-                raise CliError("lift", f"{layer}: entity templates differ")
-        programs[layer] = decompose.penalize(first, problem.directive[1],
+        try:
+            lifted = decompose.lift_to_abstract(entities, imap)
+        except decompose.TemplatesDiffer as err:
+            raise CliError("lift", str(err)) from None
+        programs[layer] = decompose.penalize(lifted, problem.directive[1],
                                              problem.graph)
     return programs, dp, imap
 

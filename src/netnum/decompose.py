@@ -8,17 +8,23 @@ so every level-1 term of the dual is either a utility term or a
 registry of the duals: each names its abstract constraint (family),
 holder and holder member.  Splitting walks those terms: first by
 the protocol layer of the primal variable, then by its entity index.
-Each per-entity subproblem is then lifted back to an abstract template
-by erasing the entity index and recognizing its lambda index set as the
-instance of one local set element -- the element the entity must collect
-dual values from at run time.  The lift rewrites each term once, and
-finds the decision by walking the graph's models, not by resolving them.
+A term with no indexed primal variable and one dual belongs to the
+holder member of that dual's constraint.  A layer's entity subproblems
+are then lifted, in one call, back to one abstract template: each
+entity's index is erased and its lambda index set is recognized as the
+instance of one local set element -- the element the entity must
+collect dual values from at run time.  Facts about the layer (the
+holder table, the entity kind of each global element's members, the
+decision) are found once per call; every entity is still rewritten and
+compared with the first, which is the check that the instantiation is a
+bijection.  The lift rewrites each term once, and finds the decision by
+walking the graph's models, not by resolving them.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import expr as ex
 from .abstraction import HAS_ATTR, PENALIZATION_MODES, ElementGraph, resolve_model
@@ -49,6 +55,10 @@ class NoMatchingElement(DecomposeError):
 
 class NotDifferentiable(DecomposeError):
     pass
+
+
+class TemplatesDiffer(DecomposeError):
+    """Two entities of one layer lift to different templates."""
 
 
 class DualProblem(NamedTuple):
@@ -106,18 +116,19 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
     primal variable.  Lambda-only terms take the layer of the constraint's
     rhs element; with a constant rhs they go to the residual bucket, which
     belongs to the dual-update step rather than any primal subproblem."""
+    layer_of = {name: el.layer for name, el in graph.elements.items()}
     buckets: dict[str, list[Expr]] = {}
     residual: list[Expr] = []
     for term in ex.level1_terms(dp.dual):
         pairs = term.var_pairs
-        layers = {graph.element(b).layer for b, _ in pairs if b != LBD}
+        layers = {layer_of[b] for b, _ in pairs if b != LBD}
         if len(layers) > 1:
             raise AmbiguousLayer(f"term {ex.render(term)} mixes layers {layers}")
         if layers:
             buckets.setdefault(next(iter(layers)), []).append(term)
             continue
         # every variable left is a dual
-        rhs_layers = {graph.element(b).layer for _, j in pairs if j is not None
+        rhs_layers = {layer_of[b] for _, j in pairs if j is not None
                       for b, _ in _primal_bases(dp.registry[j].rhs)}
         if len(rhs_layers) > 1:
             raise AmbiguousLayer(f"term {ex.render(term)}: rhs spans {rhs_layers}")
@@ -131,31 +142,50 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
     return subs, residual
 
 
-def _entity_kinds(graph: ElementGraph) -> Callable[[str], str]:
-    """The entity kind of a base: the entity of its one has-attribute
+class _EntityKinds(dict):
+    """base -> entity kind; a base with no holder or several raises
+    AmbiguousEntity when it is looked up."""
+    __slots__ = ("holders",)
+
+    def __missing__(self, base: str) -> str:
+        raise AmbiguousEntity(f"{base} has {len(self.holders.get(base, ()))} holders")
+
+
+def _entity_kinds(graph: ElementGraph) -> _EntityKinds:
+    """The entity kind of each base: the entity of its one has-attribute
     holder.  The holders are read from graph.edges as they stand now."""
     holders: dict[str, list[str]] = {}
     for s, lbl, d in graph.edges:
         if lbl == HAS_ATTR:
             holders.setdefault(d, []).append(s)
+    kinds = _EntityKinds((b, graph.element(found[0]).entity)
+                         for b, found in holders.items() if len(found) == 1)
+    kinds.holders = holders
+    return kinds
 
-    def kind_of(base: str) -> str:
-        found = holders.get(base, ())
-        if len(found) == 1:
-            return graph.element(found[0]).entity
-        raise AmbiguousEntity(f"{base} has {len(found)} holders")
 
-    return kind_of
+def _member_kind(graph: ElementGraph, virtual: str) -> str:
+    """The entity kind of a virtual element's members."""
+    return graph.element(graph.member_of(virtual)).entity
 
 
 def split_by_entity(sub: Subproblem, graph: ElementGraph) -> list[Subproblem]:
     """Group a layer subproblem's terms by the entity index of their primal
-    variable."""
-    kind_of = _entity_kinds(graph)
+    variable.  A term with no indexed primal variable and one dual goes to
+    the holder member of that dual's constraint."""
+    kinds = _entity_kinds(graph)
+    holder_kinds: dict[str, str] = {}
     groups: dict[tuple[str, int], list[Expr]] = {}
     for term in ex.level1_terms(sub.objective):
-        keys = {(kind_of(b), i) for b, i in term.var_pairs
-                if i is not None and b != LBD}
+        pairs = term.var_pairs
+        keys = {(kinds[b], i) for b, i in pairs if i is not None and b != LBD}
+        if not keys and sub.dual is not None:
+            lbds = [j for b, j in pairs if b == LBD and j is not None]
+            c = sub.dual.registry[lbds[0]] if len(lbds) == 1 else None
+            if c is not None and c.holder is not None:
+                if c.holder not in holder_kinds:
+                    holder_kinds[c.holder] = _member_kind(graph, c.holder)
+                keys = {(holder_kinds[c.holder], c.member)}
         if len(keys) != 1:
             raise AmbiguousEntity(
                 f"term {ex.render(term)} references entities {sorted(keys)}")
@@ -203,27 +233,53 @@ def _replace_vars(e: Expr, subs: dict[tuple[str, int | str | None], Expr]) -> Ex
 _SIGMA = ex.var(LBD, "sigma")
 
 
-def lift_to_abstract(sub: Subproblem, m: InstanceMap) -> ControlProgram:
-    """Replace indexed variables by unindexed symbols and the lambda index
-    set by a sum over the local element it instantiates.
+def lift_to_abstract(entities: list[Subproblem], m: InstanceMap) -> ControlProgram:
+    """Lift one layer's entity subproblems, as split_by_entity returns
+    them, to the layer's one template: indexed variables become unindexed
+    symbols, and each lambda index set a sum over the local element it
+    instantiates.
+
+    The holder table, the entity kind of each global element's members
+    and the template's decision belong to the layer and are found once.
+    Every entity is still rewritten and matched, and its template and
+    collection rules must equal the first entity's; the instantiation is
+    a bijection only if they do.
 
     A term with one dual lifts to its shape: the term with the entity's
     own variables unindexed and the dual replaced by sigma.  Terms whose
     shapes are equal trees form one group, and each group collects one
-    dual family.  Shapes are compared as trees, not as rendered text, so
-    two that render alike but nest differently (x*(y*lbd_1) and
-    x*y*lbd_2) are two groups."""
-    if sub.entity_index is None or sub.dual is None:
+    dual family; a rule collected by two groups is kept once.  Shapes are
+    compared as trees, not as rendered text, so two that render alike but
+    nest differently (x*(y*lbd_1) and x*y*lbd_2) are two groups."""
+    if not entities or any(s.entity_index is None or s.dual is None for s in entities):
         raise NoMatchingElement("only entity subproblems lift")
-    graph = sub.dual.inst.problem.graph
+    first = entities[0]
+    graph = first.dual.inst.problem.graph
+    kinds = _entity_kinds(graph)
+    member_kinds = {name: _member_kind(graph, name) for name in m.glb}
+    # each (shape, collected symbol) becomes a template term once per layer
+    finished: dict[tuple[Expr, str], Expr] = {}
+    template = _lift_entity(first, m, kinds, member_kinds, finished)
+    for sub in entities[1:]:
+        if _lift_entity(sub, m, kinds, member_kinds, finished) != template:
+            raise TemplatesDiffer(f"{first.layer}: entity templates differ")
+    objective, collect = template
+    return ControlProgram(first.layer, first.entity_kind, objective, "max",
+                          _decision_base(objective, graph), collect)
+
+
+def _lift_entity(sub: Subproblem, m: InstanceMap, kinds: dict[str, str],
+                 member_kinds: dict[str, str], finished: dict[tuple[Expr, str], Expr],
+                 ) -> tuple[Expr, tuple[CollectionRule, ...]]:
+    """One entity's template objective and collection rules."""
     kind, idx = sub.entity_kind, sub.entity_index
-    kind_of = _entity_kinds(graph)
+    registry = sub.dual.registry
 
     # the entity's own variables lose their index and each dual becomes
     # sigma, so a term with one dual lifts to its shape
     pairs = sub.objective.var_pairs
-    own = sorted(b for b, i in pairs if i == idx and b != LBD)
-    erase = {(b, idx): ex.var(b, None) for b in own if kind_of(b) == kind}
+    erase = {(b, idx): ex.var(b) for b, i in pairs
+             if i == idx and b != LBD and kinds[b] == kind}
     erase.update(((b, j), _SIGMA) for b, j in pairs if b == LBD and j is not None)
 
     # group terms by shape, compared as trees; each shape becomes one
@@ -242,45 +298,47 @@ def lift_to_abstract(sub: Subproblem, m: InstanceMap) -> ControlProgram:
     rules: list[CollectionRule] = []
     for shape, indices in groups.items():
         indices.sort()
-        families = {sub.dual.registry[j].family for j in indices}
+        families = {registry[j].family for j in indices}
         if len(families) != 1:
             raise NoMatchingElement(
                 f"dual group {indices} spans constraint families {families}")
-        family = next(iter(families))
-        members = sorted({sub.dual.registry[j].member for j in indices})
-        rule, lam = _identify_collection(sub, m, graph, indices, members, family)
-        template_terms.append(_replace_vars(shape, {(LBD, _SIGMA.index): lam}))
-        rules.append(rule)
+        members = tuple(sorted({registry[j].member for j in indices}))
+        rule = _identify_collection(sub, m, member_kinds, registry[indices[0]].holder,
+                                    members, next(iter(families)))
+        key = (shape, rule.symbol)
+        if key not in finished:
+            finished[key] = _replace_vars(shape, {(LBD, _SIGMA.index): _collected(rule)})
+        template_terms.append(finished[key])
+        if rule not in rules:
+            rules.append(rule)
+    return ex.add(*template_terms), tuple(rules)
 
-    objective = ex.add(*template_terms)
-    decision = _decision_base(objective, graph)
-    return ControlProgram(sub.layer, kind, objective, "max", decision,
-                          tuple(rules))
 
-
-def _identify_collection(sub: Subproblem, m: InstanceMap, graph: ElementGraph,
-                         indices: list[int], members: list[int], family: int,
-                         ) -> tuple[CollectionRule, Expr]:
+def _identify_collection(sub: Subproblem, m: InstanceMap, member_kinds: dict[str, str],
+                         holder: str | None, members: tuple[int, ...], family: int,
+                         ) -> CollectionRule:
     """The lambda index set must be the instance of one local element for
     this entity (bijectivity makes the match unique), or the entity's own
-    dual."""
-    reg = sub.dual.registry
-    holder = reg[indices[0]].holder
-    member_set = tuple(members)
+    dual.  member_kinds gives the entity kind of each global element's
+    members."""
+    kind, idx = sub.entity_kind, sub.entity_index
     for fam in m.lcl.values():
-        if fam.mother != holder:
-            continue
-        inst = fam.instances.get(sub.entity_index)
-        if inst is not None and tuple(inst) == member_set \
-                and graph.element(graph.member_of(fam.holder)).entity == sub.entity_kind:
-            lam = ex.bigsum(fam.name, ex.var(LBD, fam.name))
-            return CollectionRule(fam.name, family), lam
-    if member_set == (sub.entity_index,) and holder is not None \
-            and graph.element(graph.member_of(holder)).entity == sub.entity_kind:
-        return CollectionRule("self", family), ex.var(LBD, "self")
+        if fam.mother == holder and member_kinds.get(fam.holder) == kind \
+                and tuple(fam.instances.get(idx, ())) == members:
+            return CollectionRule(fam.name, family)
+    if members == (idx,) and holder is not None and member_kinds.get(holder) == kind:
+        return CollectionRule("self", family)
     raise NoMatchingElement(
-        f"dual index set {member_set} matches no local-element instance "
-        f"for {sub.entity_kind} {sub.entity_index}")
+        f"dual index set {members} matches no local-element instance "
+        f"for {kind} {idx}")
+
+
+def _collected(rule: CollectionRule) -> Expr:
+    """The duals a rule collects, as a template reads them: a sum over
+    the local element, or the entity's own dual."""
+    if rule.symbol == "self":
+        return ex.var(LBD, "self")
+    return ex.bigsum(rule.symbol, ex.var(LBD, rule.symbol))
 
 
 def _decision_base(objective: Expr, graph: ElementGraph) -> str:
@@ -346,10 +404,10 @@ def reinstantiate(prog: ControlProgram, m: InstanceMap, entity_index: int,
             bindings[rule.symbol] = [lbd_of[j] for j in fam.instances[entity_index]]
     e = _distribute(ex.expand_sums(prog.objective, bindings))
     # restore the entity index on unindexed primal variables
-    kind_of = _entity_kinds(graph)
+    kinds = _entity_kinds(graph)
     subs.update(((b, None), ex.var(b, entity_index)) for b, i in e.var_pairs
                 if b != LBD and i is None and b in graph.elements
-                and kind_of(b) == prog.entity_kind)
+                and kinds[b] == prog.entity_kind)
     return _replace_vars(e, subs)
 
 

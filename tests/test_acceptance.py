@@ -77,7 +77,7 @@ def test_criterion_2_jocp_golden(jocp_problem, jocp_inst):
     expected = "sesrate_04 " + " ".join(f"- sesrate_04*lbd_{j:02d}"
                                         for j in SESSION4_LINKS)
     assert ex.render(s4.objective) == expected
-    prog = dc.lift_to_abstract(s4, imap)
+    prog = dc.lift_to_abstract([s4], imap)
     assert ex.render(prog.objective) == "sesrate - sesrate*sum(seslnk: lbd)"
     assert prog.collect == (dc.CollectionRule("seslnk", 0),)
     assert imap.lcl["seslnk"].instances[4] == SESSION4_LINKS

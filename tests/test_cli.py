@@ -460,6 +460,21 @@ def test_constraint_without_holder_fails_to_lift(tmp_path, capsys, per_link, mes
     assert re.fullmatch(rf"\[decompose\] {message}\n", capsys.readouterr().err)
 
 
+def test_constant_dual_term_runs(tmp_path, capsys):
+    # the constant lhs term goes to the link holding the constraint, and
+    # the physical program collects that link's own dual once
+    problem = tmp_path / "problem.ncp"
+    problem.write_text((PROBLEMS / "jocp_log.ncp").read_text().replace(
+        "constraint sum(wos_y) <= wos_z", "constraint sum(wos_y) + 5 <= wos_z"))
+    rc = run_cli(["run", "--problem", problem, "--scenario", SCENARIOS / "s2.cfg",
+                  "--duration", "60", "--out", tmp_path, "--dump-programs"])
+    assert rc == 0, capsys.readouterr().err
+    programs = (tmp_path / "programs.txt").read_text()
+    assert "objective: max lnkcap*lbd - 5*lbd\ndecision: lnkpwr\ncollect: self#0\n" \
+        in programs
+    assert (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--seeds", "0", "--seeds must be at least 1, got 0"),
     ("--seeds", "-2", "--seeds must be at least 1, got -2"),
@@ -515,7 +530,7 @@ def test_programs_do_not_depend_on_unpinned_seeds(problem):
 
 
 def test_design_time_resolves_fewer_models_than_entities(monkeypatch):
-    # the lift finds each entity's decision by walking the graph's models,
+    # the lift finds each layer's decision by walking the graph's models,
     # so resolving a model is no per-entity cost
     problem = abstraction.parse_problem((PROBLEMS / "jocp_log.ncp").read_text())
     resolve, lift = abstraction.resolve_model, decompose.lift_to_abstract
@@ -529,7 +544,7 @@ def test_design_time_resolves_fewer_models_than_entities(monkeypatch):
         if hasattr(module, "resolve_model"):
             monkeypatch.setattr(module, "resolve_model", counted)
     monkeypatch.setattr(decompose, "lift_to_abstract",
-                        lambda sub, m: lifted.append(sub) or lift(sub, m))
+                        lambda entities, m: lifted.extend(entities) or lift(entities, m))
     counts = []
     for n_glb in (20, 8):
         calls.clear()
@@ -542,33 +557,71 @@ def test_design_time_resolves_fewer_models_than_entities(monkeypatch):
     assert counts[0] == counts[1] < 8
 
 
+def test_per_layer_work_runs_once_per_layer(monkeypatch):
+    # the holder table, the entity kinds of the global elements' members
+    # and the decision belong to a layer: a build does them as often with
+    # 20 entities a layer as with 8
+    problem = abstraction.parse_problem((PROBLEMS / "jocp_log.ncp").read_text())
+    calls: dict[str, int] = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for owner, name in [(decompose, "_decision_base"), (decompose, "_entity_kinds"),
+                        (abstraction.ElementGraph, "member_of")]:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    counts = []
+    for n_glb in (20, 8):
+        calls.clear()
+        cli.build_programs(problem, instantiate.InstanceConfig(n_glb=n_glb, n_lcl=4))
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    # one decision and one lift's holder table per layer, and one for each
+    # layer's split by entity
+    assert counts[0]["_decision_base"] == 2 and counts[0]["_entity_kinds"] == 4
+
+
 @pytest.mark.parametrize("layer", ["transport", "physical"])
 @pytest.mark.parametrize("field", ["objective", "collect"])
 def test_lift_compares_every_entity(monkeypatch, tmp_path, capsys, layer, field):
     problem = abstraction.parse_problem((PROBLEMS / "jocp_log.ncp").read_text())
-    lift = decompose.lift_to_abstract
+    lift, split = decompose.lift_to_abstract, decompose.split_by_entity
     lifted = []
 
-    def recorded(sub, m):
-        lifted.append((sub.layer, sub.entity_index))
-        return lift(sub, m)
+    def recorded(entities, m):
+        lifted.extend((sub.layer, sub.entity_index) for sub in entities)
+        return lift(entities, m)
 
     monkeypatch.setattr(decompose, "lift_to_abstract", recorded)
-    cli.build_programs(problem)
+    programs, dp, imap = cli.build_programs(problem)
     assert sorted(lifted) == sorted((lr, i) for lr in ("physical", "transport")
                                     for i in range(20))
-    # only the last entity of the layer to be lifted lifts differently
-    last = [i for lr, i in lifted if lr == layer][-1]
 
-    def skewed(sub, m):
-        prog = lift(sub, m)
-        if sub.layer == layer and sub.entity_index == last:
-            if field == "objective":
-                return prog._replace(objective=expr.add(prog.objective, expr.ONE))
-            return prog._replace(collect=prog.collect[::-1] + prog.collect[:1])
-        return prog
+    def skew(sub):
+        # a constant term changes the template's objective only; a
+        # renumbered constraint family changes its collection rules only
+        if field == "objective":
+            return sub._replace(objective=expr.add(sub.objective, expr.ONE))
+        registry = [c._replace(family=c.family + 1) for c in sub.dual.registry]
+        return sub._replace(dual=sub.dual._replace(registry=registry))
 
-    monkeypatch.setattr(decompose, "lift_to_abstract", skewed)
+    layers, _ = decompose.split_by_layer(dp, problem.graph)
+    alone = lift([skew(split(layers[layer], problem.graph)[-1])], imap)
+    kept = "collect" if field == "objective" else "objective"
+    assert getattr(alone, field) != getattr(programs[layer], field)
+    assert getattr(alone, kept) == getattr(programs[layer], kept)
+
+    # only the subproblem of the layer's last entity is skewed
+    def skewed(sub, graph):
+        entities = split(sub, graph)
+        if sub.layer == layer:
+            entities[-1] = skew(entities[-1])
+        return entities
+
+    monkeypatch.setattr(decompose, "split_by_entity", skewed)
     with pytest.raises(cli.CliError) as err:
         cli.build_programs(problem)
     assert err.value.stage == "lift" and str(err.value) == \

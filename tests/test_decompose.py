@@ -122,11 +122,31 @@ def test_constant_dual_term_takes_the_layer_of_the_rhs():
     assert "-5*lbd_00" in physical and "-5*lbd_00" not in transport
 
 
-@pytest.mark.xfail(strict=True, raises=dc.AmbiguousEntity, reason="ROADMAP item 5")
+def test_constant_dual_term_goes_to_the_holder_member():
+    # -5*lbd_j holds no primal variable: it goes to member j of the
+    # constraint's holder (netlnk), so to link j
+    p = ab.parse_problem(CONSTANT_LHS)
+    inst, _ = it.instantiate_problem(p, it.InstanceConfig(3, 2, 7),
+                                     preset={"lnkses": TOY_SESSIONS_OF_LINK})
+    layers, _ = dc.split_by_layer(dc.dualize(inst), p.graph)
+    links = dc.split_by_entity(layers["physical"], p.graph)
+    assert [(s.entity_kind, s.entity_index, ex.render(s.objective)) for s in links] == [
+        ("link", j, f"lnkcap_{j:02d}*lbd_{j:02d} - 5*lbd_{j:02d}") for j in range(3)]
+
+
 def test_constant_dual_term_builds_programs():
-    # split_by_entity finds no entity for -5*lbd_00; attributing it to the
-    # constraint's holder is ROADMAP item 5
-    cli.build_programs(ab.parse_problem(CONSTANT_LHS))
+    # the constant term and the capacity term each collect the link's own
+    # dual; the template keeps that rule once
+    problem = ab.parse_problem(JOCP_LOG.replace("constraint sum(wos_y) <= wos_z",
+                                                "constraint sum(wos_y) + 5 <= wos_z"))
+    programs, _, _ = cli.build_programs(problem)
+    physical = programs["physical"]
+    assert ex.render(physical.objective) == "lnkcap*lbd - 5*lbd"
+    assert physical.collect == (dc.CollectionRule("self", 0),)
+    assert physical.decision == "lnkpwr"
+    transport = programs["transport"]
+    assert ex.render(transport.objective) == "ln(sesrate) - sesrate*sum(seslnk: lbd)"
+    assert transport.collect == (dc.CollectionRule("seslnk", 0),)
 
 
 def test_term_conservation(toy_inst, jocp_inst):
@@ -189,7 +209,7 @@ def test_two_holders_make_an_entity_ambiguous(toy_inst):
         layers, _ = dc.split_by_layer(dp, graph)
         sessions = dc.split_by_entity(layers["transport"], graph)
         assert len(sessions) == 3
-        dc.lift_to_abstract(sessions[0], imap)
+        dc.lift_to_abstract([sessions[0]], imap)
         if second_holder == "add_edge":
             graph.add_edge("Link", ab.HAS_ATTR, "sesrate")
         else:
@@ -197,7 +217,7 @@ def test_two_holders_make_an_entity_ambiguous(toy_inst):
         with pytest.raises(dc.AmbiguousEntity, match="sesrate has 2 holders"):
             dc.split_by_entity(layers["transport"], graph)
         with pytest.raises(dc.AmbiguousEntity, match="sesrate has 2 holders"):
-            dc.lift_to_abstract(sessions[0], imap)
+            dc.lift_to_abstract([sessions[0]], imap)
 
 
 def test_session4_subproblem_renders_exactly(jocp_inst):
@@ -218,7 +238,7 @@ def test_lift_session4_to_template(jocp_inst):
     layers, _ = dc.split_by_layer(dp, inst.problem.graph)
     s4 = next(s for s in dc.split_by_entity(layers["transport"], inst.problem.graph)
               if s.entity_index == 4)
-    prog = dc.lift_to_abstract(s4, imap)
+    prog = dc.lift_to_abstract([s4], imap)
     assert ex.render(prog.objective) == "sesrate - sesrate*sum(seslnk: lbd)"
     assert prog.collect == (dc.CollectionRule("seslnk", 0),)
     assert prog.decision == "sesrate"
@@ -232,7 +252,7 @@ def test_lift_log_variant(jocp_inst):
     dp = dc.dualize(inst)
     layers, _ = dc.split_by_layer(dp, p.graph)
     s0 = dc.split_by_entity(layers["transport"], p.graph)[0]
-    prog = dc.lift_to_abstract(s0, imap)
+    prog = dc.lift_to_abstract([s0], imap)
     assert ex.render(prog.objective) == "ln(sesrate) - sesrate*sum(seslnk: lbd)"
 
 
@@ -241,7 +261,7 @@ def test_lift_physical_self_rule(toy_inst):
     dp = dc.dualize(inst)
     layers, _ = dc.split_by_layer(dp, inst.problem.graph)
     links = dc.split_by_entity(layers["physical"], inst.problem.graph)
-    prog = dc.lift_to_abstract(links[0], imap)
+    prog = dc.lift_to_abstract([links[0]], imap)
     assert ex.render(prog.objective) == "lnkcap*lbd"
     assert prog.collect == (dc.CollectionRule("self", 0),)
     assert prog.decision == "lnkpwr"
@@ -263,7 +283,7 @@ def test_lift_groups_dual_terms_by_structure(toy_inst):
 
     def lift(*terms):
         sub = dc.Subproblem("transport", ex.add(*terms), "max", "session", 0, dp)
-        return dc.lift_to_abstract(sub, imap)
+        return dc.lift_to_abstract([sub], imap)
 
     for make in (flat, nested):
         prog = lift(make(0), make(1))
@@ -283,7 +303,7 @@ def test_lift_reinstantiate_round_trip(toy_inst, jocp_inst):
         layers, _ = dc.split_by_layer(dp, inst.problem.graph)
         for sub in layers.values():
             for entity in dc.split_by_entity(sub, inst.problem.graph):
-                prog = dc.lift_to_abstract(entity, imap)
+                prog = dc.lift_to_abstract([entity], imap)
                 back = dc.reinstantiate(prog, imap, entity.entity_index, dp)
                 assert back == entity.objective
 
@@ -293,9 +313,11 @@ def test_all_entities_lift_to_one_template(jocp_inst):
     dp = dc.dualize(inst)
     layers, _ = dc.split_by_layer(dp, inst.problem.graph)
     for sub in layers.values():
-        lifted = [dc.lift_to_abstract(e, imap)
-                  for e in dc.split_by_entity(sub, inst.problem.graph)]
+        entities = dc.split_by_entity(sub, inst.problem.graph)
+        lifted = [dc.lift_to_abstract([e], imap) for e in entities]
         assert len({(ex.render(p.objective), p.collect) for p in lifted}) == 1
+        # the layer's one call lifts the same template
+        assert dc.lift_to_abstract(entities, imap) == lifted[0]
 
 
 def test_lift_no_matching_element(jocp_inst):
@@ -308,7 +330,7 @@ def test_lift_no_matching_element(jocp_inst):
     fam = broken.lcl["seslnk"]
     fam.instances[4] = tuple(sorted(set(fam.instances[4]) ^ {0, 1}))
     with pytest.raises(dc.NoMatchingElement):
-        dc.lift_to_abstract(s4, broken)
+        dc.lift_to_abstract([s4], broken)
 
 
 def test_penalize_best_response_unchanged(toy_inst):
@@ -316,7 +338,7 @@ def test_penalize_best_response_unchanged(toy_inst):
     dp = dc.dualize(inst)
     layers, _ = dc.split_by_layer(dp, inst.problem.graph)
     prog = dc.lift_to_abstract(
-        dc.split_by_entity(layers["physical"], inst.problem.graph)[0], imap)
+        dc.split_by_entity(layers["physical"], inst.problem.graph)[:1], imap)
     pen = dc.penalize(prog, "best_response", inst.problem.graph)
     assert pen.objective == prog.objective and pen.penalty is None
 
@@ -327,7 +349,7 @@ def test_penalize_dpl_uses_symbolic_capacity_derivative(toy_inst):
     dp = dc.dualize(inst)
     layers, _ = dc.split_by_layer(dp, graph)
     prog = dc.lift_to_abstract(
-        dc.split_by_entity(layers["physical"], graph)[0], imap)
+        dc.split_by_entity(layers["physical"], graph)[:1], imap)
     pen = dc.penalize(prog, "dpl", graph)
     assert pen.penalty is not None
     free = ex.free_vars(pen.penalty)
@@ -354,7 +376,7 @@ def test_penalization_vanishes_at_anchor(toy_inst):
     dp = dc.dualize(inst)
     layers, _ = dc.split_by_layer(dp, graph)
     prog = dc.lift_to_abstract(
-        dc.split_by_entity(layers["physical"], graph)[0], imap)
+        dc.split_by_entity(layers["physical"], graph)[:1], imap)
     for mode in ("gradient", "dpl"):
         pen = dc.penalize(prog, mode, graph)
         env = {v: 1.7 for v in ex.free_vars(pen.penalty)}
@@ -367,7 +389,7 @@ def test_penalize_transport_has_no_coupling(jocp_inst):
     dp = dc.dualize(inst)
     layers, _ = dc.split_by_layer(dp, inst.problem.graph)
     s0 = dc.split_by_entity(layers["transport"], inst.problem.graph)[0]
-    prog = dc.lift_to_abstract(s0, imap)
+    prog = dc.lift_to_abstract([s0], imap)
     pen = dc.penalize(prog, "dpl", inst.problem.graph)
     assert pen.penalty is None and pen.mode == "dpl"
 
@@ -378,7 +400,7 @@ def test_penalize_not_differentiable(toy_inst):
     graph = ab.builtin_graph()
     layers, _ = dc.split_by_layer(dp, graph)
     prog = dc.lift_to_abstract(
-        dc.split_by_entity(layers["physical"], graph)[0], imap)
+        dc.split_by_entity(layers["physical"], graph)[:1], imap)
     # a coupling model the differentiator cannot handle
     weird = ab.ElementGraph()
     for el in graph.elements.values():

@@ -119,7 +119,9 @@ from netnum import cli
 code = cli.main(["run", "--problem", sys.argv[1], "--scenario", sys.argv[2],
                  "--duration", "60", "--out", sys.argv[3]])
 metrics = t.metrics("s5-joint-log")
-print(json.dumps([code, metrics["solve.dual_update.calls_per_epoch"]]))
+stages = [f"{m}.{f}" for m, f in tracer.STAGES]
+print(json.dumps([code, metrics["solve.dual_update.calls_per_epoch"], stages,
+                  [s for s in stages if not metrics[f"{s}.ms"] > 0]]))
 """
 
 
@@ -135,8 +137,11 @@ def test_benchmark_tracer_wraps_every_name_it_patches(tmp_path):
                            str(SRC / "data" / "scenarios" / "s2.cfg"), str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # one constraint family: one dual step per epoch
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 1.0]
+    # one constraint family: one dual step per epoch; and every
+    # design-time stage of the build goes through the name the tracer times
+    code, steps, stages, untimed = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, steps) == (0, 1.0)
+    assert "decompose.lift_to_abstract" in stages and untimed == []
 
 
 def module_containers():
