@@ -105,11 +105,6 @@ class ElementGraph:
         return self.out(name, HAS_ATTR)
 
 
-def read(graph: ElementGraph, element: str, relation: str) -> set[Element]:
-    """Out-neighbors of an element along one edge label."""
-    return {graph.element(d) for d in graph.out(element, relation)}
-
-
 def validate_graph(g: ElementGraph) -> None:
     """Check the three edge-label invariants."""
     for (s, lbl, d) in g.edges:
@@ -286,7 +281,6 @@ class Constraint(NamedTuple):
     lhs: Expr
     rhs: Expr
     holder: str | None  # global element enumerated by an `every` quantifier
-    src: str = ""
 
 
 class BoxRule(NamedTuple):
@@ -307,26 +301,22 @@ class ControlProblem(NamedTuple):
     varspecs: dict[str, VarSpec]
     utility: Expr
     sense: str                      # "max" | "min"
-    constraints: list[Constraint]
-    box_rules: list[BoxRule]
-    protocols: dict[str, str]
+    constraints: tuple[Constraint, ...]
+    box_rules: tuple[BoxRule, ...]
     directive: tuple[str, str]      # (cross-layer method, distributed method)
-    network: str
-    source_lines: dict[str, list[str]]
 
     def control_specs(self) -> list[VarSpec]:
         return [s for s in self.varspecs.values()
                 if self.graph.element(s.terminal()).ctrl]
 
 
-def compare(lhs: Expr, relation: str, rhs: Expr, holder: str | None = None,
-            src: str = "") -> Constraint:
+def compare(lhs: Expr, relation: str, rhs: Expr, holder: str | None = None) -> Constraint:
     """Store a constraint verbatim; >= is moved to <= by negating both sides."""
     if relation == ">=":
         lhs, rhs = ex.neg(lhs), ex.neg(rhs)
     elif relation != "<=":
         raise ValidationError(f"unsupported relation: {relation}")
-    return Constraint(lhs, rhs, holder, src)
+    return Constraint(lhs, rhs, holder)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +379,9 @@ class _ExprParser:
         self.graph = graph
         self.line = line
         self.used: set[str] = set()
+        self.sums = 0               # sum( calls open at the current token
+        # the first reference outside every sum that must sit under one
+        self.bare: str | None = None
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -453,7 +446,9 @@ class _ExprParser:
                     return ex.func(_FUNC_NAMES[t.text], arg)
                 if t.text == "sum":
                     self.take("(")
+                    self.sums += 1
                     arg = self.expr()
+                    self.sums -= 1
                     self.take(")")
                     return self._wrap_sum(arg, t.col)
                 raise ParseError(f"unknown function {t.text!r}", self.line, t.col)
@@ -469,9 +464,15 @@ class _ExprParser:
 
     def _var_ref(self, tok: _Tok) -> Expr:
         """A variable reference maps to its terminal attribute, symbolically
-        indexed by the set its quantifiers walk."""
+        indexed by the set its quantifiers walk.  A variable declared with
+        an `all` quantifier, or indexed by a local set, ranges over a set
+        and is noted in `bare` when no sum() is open around it."""
         spec = self._spec(tok)
         sym = self._index_symbol(spec)
+        if self.sums == 0 and self.bare is None and sym is not None and (
+                spec.position("all") is not None
+                or self.graph.element(sym).scope == "local"):
+            self.bare = f"{spec.terminal()} ranges over {sym} and must appear under sum()"
         return ex.var(spec.terminal(), sym)
 
     def _index_symbol(self, spec: VarSpec) -> str | None:
@@ -509,34 +510,17 @@ def compose(template: str, specs: dict[str, VarSpec],
             graph: ElementGraph, line: int = 1, col: int = 0) -> Expr:
     """Build an Expr from template text, which starts at column `col` of
     its line; named variables expand to their quantified element paths
-    (big-sums over the sets named by `all`)."""
-    toks = _tokenize(template, line, col)
-    return _ExprParser(toks, specs, graph, line).parse()
+    (big-sums over the sets named by `all`).  A variable that ranges over
+    a set must appear under sum()."""
+    parser = _ExprParser(_tokenize(template, line, col), specs, graph, line)
+    e = parser.parse()
+    if parser.bare is not None:
+        raise ValidationError(parser.bare)
+    return e
 
 
 # ---------------------------------------------------------------------------
 # problem DSL
-
-def set_param(problem: ControlProblem, path: list[str],
-              value: float, bound: str | None = None) -> ControlProblem:
-    """Record a parameter setting; bounds become box rules on the matching
-    variable (bound = "upper" | "lower"; None stores a plain setting)."""
-    validate_path(problem.graph, tuple(path))
-    terminal = BOUND_ALIASES.get(path[-1], path[-1])
-    if bound is None:
-        problem.source_lines.setdefault("settings", []).append(
-            f"{'.'.join(path)} = {value}")
-        return problem
-    rule = BoxRule(base=terminal,
-                   lower=value if bound == "lower" else None,
-                   upper=value if bound == "upper" else None)
-    problem.box_rules.append(rule)
-    return problem
-
-
-def _bare_var(e: Expr) -> bool:
-    return e.kind == "var"
-
 
 def _holder_of(used: set[str], specs: dict[str, VarSpec]) -> str | None:
     holders = {specs[n].path[specs[n].position("every")]
@@ -559,21 +543,24 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
         decompose cross=dual dist=<best_response|gradient|dpl>
 
     Expressions use identifiers, reals, + - * /, log() log2() sqrt()
-    sum() and parentheses.  A constraint whose one side is a bare
-    variable and whose other side is a constant becomes a box bound on
-    every matching variable instance rather than a dualized constraint.
+    sum() and parentheses.  A variable declared with an `all`
+    quantifier, or indexed by a local set, must appear under sum(); this
+    is checked per declared variable, so an `every` variable may stand
+    alone even when an `all` variable reads the same attribute.  A
+    constraint whose one side is a bare variable and whose other side is
+    a constant becomes a box bound on every matching variable instance
+    rather than a dualized constraint, and is exempt from the sum() rule.
+
+    `network` and `protocol` lines are checked (a protocol names a layer
+    in LAYERS and one protocol) but change nothing that is compiled.
     """
     g = graph if graph is not None else builtin_graph()
     specs: dict[str, VarSpec] = {}
     utility: Expr | None = None
     sense = "max"
-    utility_src = ""
     constraints: list[Constraint] = []
     box_rules: list[BoxRule] = []
-    protocols: dict[str, str] = {}
     directive = ("dual", "dpl")
-    network = "adhoc"
-    cstr_srcs: list[str] = []
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -586,14 +573,13 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
         col += len(rest) - len(rest.lstrip())
         rest = rest.strip()
         if head == "network":
-            network = rest or "adhoc"
+            pass    # any name: nothing compiled reads it
         elif head == "protocol":
             parts = rest.split()
             if len(parts) != 2:
                 raise ParseError("protocol takes <layer> <name>", lineno)
             if parts[0] not in LAYERS:
                 raise ParseError(f"unknown layer {parts[0]!r}", lineno)
-            protocols[parts[0]] = parts[1]
         elif head == "var":
             parts = rest.split()
             if len(parts) != 3 or not parts[1].startswith("path=") \
@@ -615,7 +601,6 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
             if s not in ("max", "min") or not template.strip():
                 raise ParseError("utility takes max|min <expr>", lineno)
             sense = s
-            utility_src = template.strip()
             utility = compose(template, specs, g, lineno, col + len(s) + 1)
         elif head == "constraint":
             for rel in ("<=", ">="):
@@ -630,13 +615,13 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
             rp = _ExprParser(_tokenize(rhs_txt, lineno, rhs_col), specs, g, lineno)
             rhs = rp.parse()
             used = lp.used | rp.used
-            lowered = _lower_box(lhs, rel, rhs, lp.used | rp.used, specs)
+            lowered = _lower_box(lhs, rel, rhs, used, specs)
             if lowered is not None:
                 box_rules.append(lowered)
+            elif lp.bare or rp.bare:
+                raise ValidationError(lp.bare or rp.bare)
             else:
-                holder = _holder_of(used, specs)
-                constraints.append(compare(lhs, rel, rhs, holder, rest))
-            cstr_srcs.append(rest)
+                constraints.append(compare(lhs, rel, rhs, _holder_of(used, specs)))
         elif head == "decompose":
             parts = dict(p.split("=", 1) for p in rest.split() if "=" in p)
             cross = parts.get("cross", "dual")
@@ -653,10 +638,8 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
         raise ValidationError("missing utility")
     problem = ControlProblem(
         graph=g, varspecs=specs, utility=utility, sense=sense,
-        constraints=constraints, box_rules=box_rules, protocols=protocols,
-        directive=directive, network=network,
-        source_lines={"utility": [f"{sense} {utility_src}"],
-                      "constraints": cstr_srcs})
+        constraints=tuple(constraints), box_rules=tuple(box_rules),
+        directive=directive)
     _validate_problem(problem)
     return problem
 
@@ -665,9 +648,9 @@ def _lower_box(lhs: Expr, rel: str, rhs: Expr, used: set[str],
                specs: dict[str, VarSpec]) -> BoxRule | None:
     """constraint <bare var> <= <const> (and mirrored/>= forms) becomes a
     hard per-instance bound instead of a dual-decomposed constraint."""
-    if _bare_var(lhs) and rhs.kind == "const":
+    if lhs.kind == "var" and rhs.kind == "const":
         v, c, kind = lhs, rhs.value, ("upper" if rel == "<=" else "lower")
-    elif _bare_var(rhs) and lhs.kind == "const":
+    elif rhs.kind == "var" and lhs.kind == "const":
         v, c, kind = rhs, lhs.value, ("lower" if rel == "<=" else "upper")
     else:
         return None
@@ -695,43 +678,4 @@ def _validate_problem(p: ControlProblem) -> None:
                 raise ValidationError(f"{what} uses undeclared element {v!r}")
     if not p.control_specs():
         raise ValidationError("no control variable declared")
-    # `all` variables may only appear under sum()
-    _check_all_under_sum(p.utility, p)
-    for c in p.constraints:
-        for side in (c.lhs, c.rhs):
-            _check_all_under_sum(side, p)
 
-
-def _check_all_under_sum(e: Expr, p: ControlProblem, under_sum: bool = False) -> None:
-    if e.kind == "bigsum":
-        for c in e.children:
-            _check_all_under_sum(c, p, True)
-        return
-    if e.kind == "var" and isinstance(e.index, str) and not under_sum:
-        el = p.graph.element(e.index)
-        if el.scope == "local" or (el.scope == "global" and _quant_is_all(e, p)):
-            raise ValidationError(
-                f"{e.name} ranges over {e.index} and must appear under sum()")
-    for c in e.children:
-        _check_all_under_sum(c, p, under_sum)
-
-
-def _quant_is_all(e: Expr, p: ControlProblem) -> bool:
-    for s in p.varspecs.values():
-        if s.terminal() == e.name and s.position("all") is not None \
-                and s.path[s.position("all")] == e.index:
-            return True
-    return False
-
-
-def render_problem(p: ControlProblem) -> str:
-    """Emit the problem back as DSL text (canonical statement order)."""
-    lines = [f"network {p.network}"]
-    for layer, name in sorted(p.protocols.items()):
-        lines.append(f"protocol {layer} {name}")
-    for s in p.varspecs.values():
-        lines.append(f"var {s.name} path={'.'.join(s.path)} quant={','.join(s.quant)}")
-    lines.extend(f"utility {u}" for u in p.source_lines.get("utility", []))
-    lines.extend(f"constraint {c}" for c in p.source_lines.get("constraints", []))
-    lines.append(f"decompose cross={p.directive[0]} dist={p.directive[1]}")
-    return "\n".join(lines) + "\n"

@@ -368,49 +368,6 @@ def _model_leaves(graph: ElementGraph, name: str) -> set[str]:
     return leaves
 
 
-def _distribute(e: Expr) -> Expr:
-    """Distribute products and negations over embedded sums (the inverse of
-    the lift's lambda factoring)."""
-    if e.kind == "neg":
-        inner = _distribute(e.children[0])
-        if inner.kind == "add":
-            return ex.add(*(ex.neg(t) for t in inner.children))
-        return ex.neg(inner)
-    if e.kind == "add":
-        return ex.add(*(_distribute(c) for c in e.children))
-    if e.kind == "mul":
-        cs = [_distribute(c) for c in e.children]
-        for i, c in enumerate(cs):
-            if c.kind == "add":
-                return ex.add(*(_distribute(ex.mul(*cs[:i], t, *cs[i + 1:]))
-                                for t in c.children))
-        return ex.mul(*cs)
-    return e
-
-
-def reinstantiate(prog: ControlProgram, m: InstanceMap, entity_index: int,
-                  dp: DualProblem) -> Expr:
-    """Expand a lifted template back to the concrete entity subproblem;
-    exact inverse of lift_to_abstract for every shipped family."""
-    graph = dp.inst.problem.graph
-    bindings = {}
-    subs: dict[tuple[str, int | str | None], Expr] = {}
-    for rule in prog.collect:
-        lbd_of = {c.member: j for j, c in enumerate(dp.registry) if c.family == rule.family}
-        if rule.symbol == "self":
-            subs[(LBD, "self")] = ex.var(LBD, lbd_of[entity_index])
-        else:
-            fam = m.family(rule.symbol)
-            bindings[rule.symbol] = [lbd_of[j] for j in fam.instances[entity_index]]
-    e = _distribute(ex.expand_sums(prog.objective, bindings))
-    # restore the entity index on unindexed primal variables
-    kinds = _entity_kinds(graph)
-    subs.update(((b, None), ex.var(b, entity_index)) for b, i in e.var_pairs
-                if b != LBD and i is None and b in graph.elements
-                and kinds[b] == prog.entity_kind)
-    return _replace_vars(e, subs)
-
-
 def penalize(prog: ControlProgram, mode: str, graph: ElementGraph) -> ControlProgram:
     """Attach the distributed-decomposition mode.
 

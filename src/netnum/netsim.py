@@ -211,10 +211,6 @@ class ScenarioConfig(_ScenarioFields):
                               f"scenario {self.scenario} has {chains * hops} links")
         return self
 
-    @property
-    def transport_epoch(self) -> float:
-        return self.timescale * self.phys_epoch
-
 
 class Node(NamedTuple):
     """A node and its position in metres."""

@@ -1,7 +1,9 @@
 import pytest
 
 from netnum import abstraction as ab
+from netnum import cli
 from netnum import expr as ex
+from netnum import netsim as ns
 
 from conftest import JOCP_RATE, JOCP_LOG
 
@@ -12,14 +14,13 @@ def graph():
 
 
 def test_builtin_graph_link_attributes(graph):
-    names = {e.name for e in ab.read(graph, "Link", ab.HAS_ATTR)}
-    assert {"lnkcap", "lnkpwr"} <= names
+    assert {"lnkcap", "lnkpwr"} <= graph.out("Link", ab.HAS_ATTR)
 
 
 def test_builtin_graph_membership_edges(graph):
-    assert {e.name for e in ab.read(graph, "lnkses", ab.MEMBER)} == {"Session"}
-    assert {e.name for e in ab.read(graph, "netses", ab.MEMBER)} == {"Session"}
-    assert {e.name for e in ab.read(graph, "lnkcap", ab.MEMBER)} == set()
+    assert graph.out("lnkses", ab.MEMBER) == {"Session"}
+    assert graph.out("netses", ab.MEMBER) == {"Session"}
+    assert graph.out("lnkcap", ab.MEMBER) == set()
 
 
 def test_builtin_graph_sinr_model_edge(graph):
@@ -34,7 +35,7 @@ def test_resolved_capacity_model_is_the_sinr_formula(graph):
 
 def test_read_unknown_element(graph):
     with pytest.raises(ab.UnknownElement):
-        ab.read(graph, "nosuch", ab.HAS_ATTR)
+        graph.out("nosuch", ab.HAS_ATTR)
 
 
 def test_graph_well_formedness(graph):
@@ -60,7 +61,6 @@ def test_parse_problem_jocp():
     assert len(p.constraints) == 1
     assert p.constraints[0].holder == "netlnk"
     assert p.directive == ("dual", "dpl")
-    assert p.protocols == {"physical": "cdma", "transport": "tcp_vegas"}
 
 
 def test_parse_problem_missing_utility():
@@ -83,17 +83,6 @@ def test_utility_swap_changes_only_the_utility():
     assert [c.lhs for c in a.constraints] == [c.lhs for c in b.constraints]
     assert a.varspecs == b.varspecs
     assert a.directive == b.directive
-
-
-def test_parse_render_round_trip():
-    p = ab.parse_problem(JOCP_RATE)
-    again = ab.parse_problem(ab.render_problem(p))
-    assert again.utility == p.utility
-    assert [(c.lhs, c.rhs, c.holder) for c in again.constraints] \
-        == [(c.lhs, c.rhs, c.holder) for c in p.constraints]
-    assert again.varspecs == p.varspecs
-    assert again.protocols == p.protocols
-    assert again.directive == p.directive
 
 
 def test_quantified_paths_end_at_attributes():
@@ -143,18 +132,20 @@ def test_compare_stores_verbatim(graph):
     assert c.lhs == lhs and c.rhs == rhs
 
 
-def test_set_param_maxpwr_bounds_lnkpwr():
-    p = ab.parse_problem(JOCP_RATE)
-    before = len(p.box_rules)
-    ab.set_param(p, ["Node", "maxpwr"], 30.0, bound="upper")
-    rule = p.box_rules[before]
-    assert rule.base == "lnkpwr" and rule.upper == 30.0 and rule.owner is None
-
-
-def test_set_param_unknown_path():
-    p = ab.parse_problem(JOCP_RATE)
-    with pytest.raises(ab.PathError):
-        ab.set_param(p, ["ntses", "seslnk", "lkpwr"], 5.0, bound="upper")
+# 30 is the stock scenario's own power box; 12 narrows it
+@pytest.mark.parametrize("bound", [30.0, 12.0])
+def test_maxpwr_bound_lowers_to_a_box_on_every_link_power(bound):
+    # BOUND_ALIASES: a bound on a node's maxpwr caps the power of its
+    # links, and the bare `all` variable is allowed because it lowers
+    src = JOCP_LOG.replace("decompose",
+                           "var wos_m path=netnd.maxpwr quant=all,none\n"
+                           f"constraint wos_m <= {bound:g}\ndecompose")
+    p = ab.parse_problem(src)
+    assert p.box_rules == (ab.BoxRule(base="lnkpwr", upper=bound, owner=None),)
+    assert len(p.constraints) == 1
+    programs, _, _ = cli.build_programs(p)
+    net = cli.deploy(p, programs, ns.ScenarioConfig(scenario=2))
+    assert [link.power_box for link in net.links] == [(0.0, bound)] * len(net.links)
 
 
 def test_power_cap_constraint_lowers_to_owned_box_rule():

@@ -460,6 +460,48 @@ def test_constraint_without_holder_fails_to_lift(tmp_path, capsys, per_link, mes
     assert re.fullmatch(rf"\[decompose\] {message}\n", capsys.readouterr().err)
 
 
+SUM_RULE = r"\[parse\] \S+: sesrate ranges over netses and must appear under sum\(\)"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # an `all` variable outside sum() is refused in the utility
+    ("utility max sum(log(wos_x))", "utility max log(wos_x)", SUM_RULE),
+    # and in a constraint that does not lower to a box rule
+    ("decompose", "constraint 2*wos_x <= 1\ndecompose", SUM_RULE),
+    # an `every` variable is checked on its own declaration, though the
+    # `all` wos_x reads the same attribute; the problem now fails at
+    # decompose, where a session family reading link variables does
+    ("decompose", "var wos_r path=netses.sesrate quant=every,none\n"
+                  "var wos_q path=netses.seslnk.lnkcap quant=every,all,none\n"
+                  "constraint wos_r <= sum(wos_q)\ndecompose",
+     r"\[decompose\] dual group \[[0-9, ]+\] spans constraint families \{0, 1\}"),
+], ids=["utility-all", "constraint-all", "constraint-every"])
+def test_sum_rule_is_checked_per_declared_variable(tmp_path, capsys, old, new, message):
+    text = (PROBLEMS / "jocp_log.ncp").read_text()
+    assert old in text
+    problem = tmp_path / "problem.ncp"
+    problem.write_text(text.replace(old, new))
+    rc = run_cli(["run", "--problem", problem, "--scenario", SCENARIOS / "s2.cfg",
+                  "--duration", "60", "--out", tmp_path])
+    assert rc == 2
+    assert re.fullmatch(rf"{message}\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("protocol foo cdma", "line 3, col 0: unknown layer 'foo'"),
+    ("protocol physical", "line 3, col 0: protocol takes <layer> <name>"),
+], ids=["unknown-layer", "one-word"])
+def test_protocol_line_is_checked(tmp_path, capsys, line, message):
+    # protocols change nothing compiled, but a bad line is still refused
+    problem = tmp_path / "problem.ncp"
+    problem.write_text((PROBLEMS / "jocp_log.ncp").read_text().replace(
+        "protocol physical cdma", line))
+    rc = run_cli(["run", "--problem", problem, "--scenario", SCENARIOS / "s2.cfg",
+                  "--duration", "60", "--out", tmp_path])
+    assert rc == 2
+    assert capsys.readouterr().err == f"[parse] {problem}: {message}\n"
+
+
 def test_constant_dual_term_runs(tmp_path, capsys):
     # the constant lhs term goes to the link holding the constraint, and
     # the physical program collects that link's own dual once

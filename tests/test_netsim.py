@@ -780,7 +780,7 @@ SESSION_FAMILY = ab.Constraint(ex.var("sesrate", "netses"),
 def test_compiled_slacks_and_utility_match_interpreted(problem, extra, families):
     problem = ab.parse_problem((DATA / "problems" / problem).read_text())
     programs, _, _ = cli.build_programs(problem)
-    problem.constraints.extend(extra)
+    problem = problem._replace(constraints=problem.constraints + tuple(extra))
     cfg = ns.ScenarioConfig(scenario=2, seed=4, budgets=(0.0, 400.0))
     net = cli.deploy(problem, programs, cfg)
     assert [f.entity for f in net.families] == families
@@ -820,7 +820,7 @@ def test_compiled_slacks_and_utility_match_interpreted(problem, extra, families)
 def test_family_duals_and_prev_are_distinct_lists_by_member():
     problem = ab.parse_problem((DATA / "problems" / "powermin.ncp").read_text())
     programs, _, _ = cli.build_programs(problem)
-    problem.constraints.append(SESSION_FAMILY)
+    problem = problem._replace(constraints=problem.constraints + (SESSION_FAMILY,))
     net = cli.deploy(problem, programs, ns.ScenarioConfig(scenario=2))
 
     def check():
@@ -881,7 +881,7 @@ def test_duals_and_utility_follow_state_set_by_hand(monkeypatch, problem, extra)
     epochs = check_duals_and_utility_every_epoch(monkeypatch)
     parsed = ab.parse_problem((DATA / "problems" / problem).read_text())
     programs, _, _ = cli.build_programs(parsed)
-    parsed.constraints.extend(extra)
+    parsed = parsed._replace(constraints=parsed.constraints + tuple(extra))
     # no clipping, so that every change of a slack reaches its dual
     net = cli.deploy(parsed, programs, ns.ScenarioConfig(scenario=2, seed=3, slack_clip=0.0))
     other = ab.parse_problem((DATA / "problems" / "powermin.ncp").read_text())
@@ -949,7 +949,7 @@ def member_slacks(net, fam, env):
 def test_family_slack_function_matches_member_by_member(problem, extra):
     parsed = ab.parse_problem((DATA / "problems" / problem).read_text())
     programs, _, _ = cli.build_programs(parsed)
-    parsed.constraints.extend(extra)
+    parsed = parsed._replace(constraints=parsed.constraints + tuple(extra))
     cfg = ns.ScenarioConfig(scenario=2, seed=4, budgets=(0.0, 400.0))
     net = cli.deploy(parsed, programs, cfg)
     checked = {False: 0, True: 0}   # epochs checked before and after the drain
@@ -1171,11 +1171,6 @@ def test_scenario_loader():
         ns.load_scenario("nosuchkey = 3\n")
     with pytest.raises(ns.ConfigError):
         ns.load_scenario("scenario: 2\n")
-
-
-def test_transport_epoch_is_timescale_multiple():
-    cfg = ns.ScenarioConfig(phys_epoch=2.0, timescale=30)
-    assert cfg.transport_epoch == 60.0
 
 
 # The trace as it was recorded and written one row at a time, kept here

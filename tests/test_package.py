@@ -217,3 +217,20 @@ def test_no_function_mutates_a_module_level_container():
                 if isinstance(target, ast.Name) and target.id in free:
                     found.add(f"{path.name}:{node.lineno} {target.id}")
     assert not found
+
+
+def test_no_function_mutates_a_parsed_problem():
+    # the parsed problem is the one source of truth for every stage after
+    # the parse: building, deploying and running leave it as parsed
+    from netnum import abstraction, cli, netsim
+    for path in sorted((SRC / "data" / "problems").glob("*.ncp")):
+        problem = abstraction.parse_problem(path.read_text())
+        programs, _, _ = cli.build_programs(problem)
+        net = cli.deploy(problem, programs, netsim.ScenarioConfig(scenario=2))
+        for _ in range(3):
+            netsim.step(net, "joint")
+        fresh = abstraction.parse_problem(path.read_text())
+        assert problem._replace(graph=None) == fresh._replace(graph=None), path.name
+        assert problem.graph.elements == fresh.graph.elements
+        assert problem.graph.edges == fresh.graph.edges
+        assert type(problem.constraints) is tuple and type(problem.box_rules) is tuple
