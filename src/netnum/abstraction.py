@@ -322,15 +322,14 @@ def compare(lhs: Expr, relation: str, rhs: Expr, holder: str | None = None) -> C
 # ---------------------------------------------------------------------------
 # expression templates
 
-class _Tok:
-    def __init__(self, kind: str, text: str, col: int):
-        self.kind = kind
-        self.text = text
-        self.col = col
+class _Tok(NamedTuple):
+    kind: str
+    text: str
+    col: int
 
 
-def _tokenize(text: str, line: int, col: int = 0) -> list[_Tok]:
-    """The tokens of text, which starts at column `col` of its line."""
+def _tokenize(text: str, line: int) -> list[_Tok]:
+    """The tokens of one statement line, with their columns in it."""
     toks: list[_Tok] = []
     i = 0
     while i < len(text):
@@ -342,24 +341,24 @@ def _tokenize(text: str, line: int, col: int = 0) -> list[_Tok]:
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(_Tok("ident", text[i:j], col + i))
+            toks.append(_Tok("ident", text[i:j], i))
             i = j
         elif c.isdigit() or (c == "." and i + 1 < len(text) and text[i + 1].isdigit()):
             j = i
             while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
                                      or (text[j] in "+-" and text[j - 1] in "eE")):
                 j += 1
-            toks.append(_Tok("num", text[i:j], col + i))
+            toks.append(_Tok("num", text[i:j], i))
             i = j
         elif text[i:i + 2] in ("<=", ">="):
-            toks.append(_Tok("rel", text[i:i + 2], col + i))
+            toks.append(_Tok("rel", text[i:i + 2], i))
             i += 2
         elif c in "+-*/(),":
-            toks.append(_Tok(c, c, col + i))
+            toks.append(_Tok(c, c, i))
             i += 1
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col + i)
-    toks.append(_Tok("end", "", col + len(text.rstrip())))
+            raise ParseError(f"unexpected character {c!r}", line, i)
+    toks.append(_Tok("end", "", len(text.rstrip())))
     return toks
 
 
@@ -367,21 +366,24 @@ _FUNC_NAMES = {"log": "ln", "log2": "log2", "sqrt": "sqrt"}
 
 
 class _ExprParser:
-    """Recursive descent over: expr := term (('+'|'-') term)*;
+    """Recursive descent over one statement line, from the token after its
+    head word: expr := term (('+'|'-') term)*;
     term := unary (('*'|'/') unary)*; unary := '-' unary | atom;
     atom := NUM | VAR | fn '(' expr ')' | sum '(' expr ')' | '(' expr ')'."""
 
-    def __init__(self, toks: list[_Tok], specs: dict[str, VarSpec],
+    def __init__(self, text: str, specs: dict[str, VarSpec],
                  graph: ElementGraph, line: int):
-        self.toks = toks
-        self.pos = 0
+        self.toks = _tokenize(text, line)
+        self.pos = 1
         self.specs = specs
         self.graph = graph
         self.line = line
         self.used: set[str] = set()
-        self.sums = 0               # sum( calls open at the current token
+        # per open sum(, innermost last: the sets its all-quantified
+        # references range over, nested sums' included
+        self.sums: list[set[str]] = []
         # the first reference outside every sum that must sit under one
-        self.bare: str | None = None
+        self.bare: ParseError | None = None
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -394,8 +396,7 @@ class _ExprParser:
         self.pos += 1
         return t
 
-    def parse(self) -> Expr:
-        e = self.expr()
+    def end(self, e: Expr) -> Expr:
         t = self.peek()
         if t.kind != "end":
             raise ParseError(f"trailing input {t.text!r}", self.line, t.col)
@@ -429,6 +430,8 @@ class _ExprParser:
             self.take("num")
             try:
                 return ex.const(float(t.text))
+            except ValueError:
+                raise ParseError(f"malformed number {t.text!r}", self.line, t.col) from None
             except ex.DomainError:
                 raise ParseError(f"literal {t.text} is not finite", self.line, t.col) from None
         if t.kind == "(":
@@ -446,11 +449,16 @@ class _ExprParser:
                     return ex.func(_FUNC_NAMES[t.text], arg)
                 if t.text == "sum":
                     self.take("(")
-                    self.sums += 1
+                    self.sums.append(set())
                     arg = self.expr()
-                    self.sums -= 1
                     self.take(")")
-                    return self._wrap_sum(arg, t.col)
+                    sets = self.sums.pop()
+                    if len(sets) != 1:
+                        raise ParseError("sum() needs exactly one all-quantified variable",
+                                         self.line, t.col)
+                    if self.sums:
+                        self.sums[-1] |= sets
+                    return ex.bigsum(next(iter(sets)), arg)
                 raise ParseError(f"unknown function {t.text!r}", self.line, t.col)
             return self._var_ref(t)
         raise ParseError(f"expected expression, got {t.text or 'end of line'!r}",
@@ -466,57 +474,28 @@ class _ExprParser:
         """A variable reference maps to its terminal attribute, symbolically
         indexed by the set its quantifiers walk.  A variable declared with
         an `all` quantifier, or indexed by a local set, ranges over a set
-        and is noted in `bare` when no sum() is open around it."""
+        and is noted in `bare` when no sum() is open around it; an `all`
+        one names the set of the innermost sum() open around it."""
         spec = self._spec(tok)
         sym = self._index_symbol(spec)
-        if self.sums == 0 and self.bare is None and sym is not None and (
-                spec.position("all") is not None
-                or self.graph.element(sym).scope == "local"):
-            self.bare = f"{spec.terminal()} ranges over {sym} and must appear under sum()"
+        pos = spec.position("all")
+        if self.sums:
+            if pos is not None:
+                self.sums[-1].add(spec.path[pos])
+        elif self.bare is None and sym is not None and (
+                pos is not None or self.graph.element(sym).scope == "local"):
+            self.bare = ParseError(
+                f"{spec.terminal()} ranges over {sym} and must appear under sum()",
+                self.line, tok.col)
         return ex.var(spec.terminal(), sym)
 
     def _index_symbol(self, spec: VarSpec) -> str | None:
-        pos = spec.position("all")
-        if pos is not None:
-            return spec.path[pos]
-        pos = spec.position("every")
-        if pos is not None:
-            return spec.path[pos]
+        for q in ("all", "every"):
+            pos = spec.position(q)
+            if pos is not None:
+                return spec.path[pos]
         sel = spec.member_select()
-        if sel is not None:
-            return spec.path[sel[0]]
-        return None
-
-    def _wrap_sum(self, arg: Expr, col: int) -> Expr:
-        # the summed set is the one named by the (single) all-quantified
-        # variable occurring in the argument
-        all_specs = [self.specs[n] for n in sorted(self.used)
-                     if self.specs[n].position("all") is not None]
-        cands = {s.path[s.position("all")] for s in all_specs
-                 if _mentions(arg, s.terminal(), s.path[s.position("all")])}
-        if len(cands) != 1:
-            raise ParseError("sum() needs exactly one all-quantified variable",
-                             self.line, col)
-        return ex.bigsum(next(iter(cands)), arg)
-
-
-def _mentions(e: Expr, base: str, sym: str) -> bool:
-    if e.kind == "var" and e.name == base and e.index == sym:
-        return True
-    return any(_mentions(c, base, sym) for c in e.children)
-
-
-def compose(template: str, specs: dict[str, VarSpec],
-            graph: ElementGraph, line: int = 1, col: int = 0) -> Expr:
-    """Build an Expr from template text, which starts at column `col` of
-    its line; named variables expand to their quantified element paths
-    (big-sums over the sets named by `all`).  A variable that ranges over
-    a set must appear under sum()."""
-    parser = _ExprParser(_tokenize(template, line, col), specs, graph, line)
-    e = parser.parse()
-    if parser.bare is not None:
-        raise ValidationError(parser.bare)
-    return e
+        return None if sel is None else spec.path[sel[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +505,8 @@ def _holder_of(used: set[str], specs: dict[str, VarSpec]) -> str | None:
     holders = {specs[n].path[specs[n].position("every")]
                for n in used if specs[n].position("every") is not None}
     if len(holders) > 1:
-        raise ValidationError(f"constraint mixes every-quantifiers: {holders}")
+        raise ValidationError(
+            f"constraint mixes every-quantifiers: {', '.join(sorted(holders))}")
     return next(iter(holders)) if holders else None
 
 
@@ -546,13 +526,21 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
     sum() and parentheses.  A variable declared with an `all`
     quantifier, or indexed by a local set, must appear under sum(); this
     is checked per declared variable, so an `every` variable may stand
-    alone even when an `all` variable reads the same attribute.  A
-    constraint whose one side is a bare variable and whose other side is
-    a constant becomes a box bound on every matching variable instance
-    rather than a dualized constraint, and is exempt from the sum() rule.
+    alone even when an `all` variable reads the same attribute.  Each
+    sum() ranges over the one set that the `all` variables inside it
+    name.  A constraint whose one side is a bare variable and whose
+    other side is a constant becomes a box bound on every matching
+    variable instance rather than a dualized constraint, and is exempt
+    from the sum() rule.  `decompose` keys are optional and each may
+    appear once; an absent one keeps its default (`dual`, `dpl`).
 
     `network` and `protocol` lines are checked (a protocol names a layer
     in LAYERS and one protocol) but change nothing that is compiled.
+
+    An error in a statement is a ParseError that names its line, and the
+    column where a token is at hand.  Two errors concern the whole file
+    and name no line: `missing utility` and `no control variable
+    declared` (both ValidationError).
     """
     g = graph if graph is not None else builtin_graph()
     specs: dict[str, VarSpec] = {}
@@ -568,71 +556,74 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
         if not line:
             continue
         head, _, rest = line.partition(" ")
-        # where rest starts in the line, so that errors count columns from there
-        col = len(body) - len(body.lstrip()) + len(head) + 1
-        col += len(rest) - len(rest.lstrip())
         rest = rest.strip()
-        if head == "network":
-            pass    # any name: nothing compiled reads it
-        elif head == "protocol":
-            parts = rest.split()
-            if len(parts) != 2:
-                raise ParseError("protocol takes <layer> <name>", lineno)
-            if parts[0] not in LAYERS:
-                raise ParseError(f"unknown layer {parts[0]!r}", lineno)
-        elif head == "var":
-            parts = rest.split()
-            if len(parts) != 3 or not parts[1].startswith("path=") \
-                    or not parts[2].startswith("quant="):
-                raise ParseError("var takes <name> path=<...> quant=<...>", lineno)
-            name = parts[0]
-            if name in specs:
-                raise ValidationError(f"duplicate variable {name!r}")
-            path = tuple(parts[1][5:].split("."))
-            quant = tuple(parts[2][6:].split(","))
-            spec = VarSpec(name, path, quant)
-            try:
+        try:
+            if head == "network":
+                pass    # any name: nothing compiled reads it
+            elif head == "protocol":
+                parts = rest.split()
+                if len(parts) != 2:
+                    raise ParseError("protocol takes <layer> <name>", lineno)
+                if parts[0] not in LAYERS:
+                    raise ParseError(f"unknown layer {parts[0]!r}", lineno)
+            elif head == "var":
+                parts = rest.split()
+                if len(parts) != 3 or not parts[1].startswith("path=") \
+                        or not parts[2].startswith("quant="):
+                    raise ParseError("var takes <name> path=<...> quant=<...>", lineno)
+                name = parts[0]
+                if name in specs:
+                    raise ParseError(f"duplicate variable {name!r}", lineno,
+                                     body.index(name, body.index(head) + len(head)))
+                spec = VarSpec(name, tuple(parts[1][5:].split(".")),
+                               tuple(parts[2][6:].split(",")))
                 validate_varspec(g, spec)
-            except PathError as err:
-                raise ParseError(str(err), lineno) from None
-            specs[name] = spec
-        elif head == "utility":
-            s, _, template = rest.partition(" ")
-            if s not in ("max", "min") or not template.strip():
-                raise ParseError("utility takes max|min <expr>", lineno)
-            sense = s
-            utility = compose(template, specs, g, lineno, col + len(s) + 1)
-        elif head == "constraint":
-            for rel in ("<=", ">="):
-                if rel in rest:
-                    lhs_txt, rhs_txt = rest.split(rel, 1)
-                    break
+                specs[name] = spec
+            elif head == "utility":
+                s, _, template = rest.partition(" ")
+                if s not in ("max", "min") or not template.strip():
+                    raise ParseError("utility takes max|min <expr>", lineno)
+                parser = _ExprParser(body, specs, g, lineno)
+                parser.take("ident")    # the sense
+                utility = parser.end(parser.expr())
+                if parser.bare is not None:
+                    raise parser.bare
+                sense = s
+            elif head == "constraint":
+                parser = _ExprParser(body, specs, g, lineno)
+                lhs = parser.expr()
+                rel = parser.peek()
+                if rel.kind != "rel":
+                    raise ParseError("constraint needs <= or >=", lineno, rel.col)
+                parser.take("rel")
+                rhs = parser.end(parser.expr())
+                lowered = _lower_box(lhs, rel.text, rhs, parser.used, specs)
+                if lowered is not None:
+                    box_rules.append(lowered)
+                elif parser.bare is not None:
+                    raise parser.bare
+                else:
+                    constraints.append(compare(lhs, rel.text, rhs,
+                                               _holder_of(parser.used, specs)))
+            elif head == "decompose":
+                parts = {}
+                for word in rest.split():
+                    key, eq, value = word.partition("=")
+                    if key not in ("cross", "dist") or not eq or key in parts:
+                        raise ParseError("decompose takes cross=<method> dist=<method>, "
+                                         f"each at most once, got {word!r}", lineno)
+                    parts[key] = value
+                cross = parts.get("cross", "dual")
+                dist = parts.get("dist", "dpl")
+                if cross != "dual":
+                    raise ParseError(f"unsupported cross-layer method {cross!r}", lineno)
+                if dist not in PENALIZATION_MODES:
+                    raise ParseError(f"unsupported distributed method {dist!r}", lineno)
+                directive = (cross, dist)
             else:
-                raise ParseError("constraint needs <= or >=", lineno)
-            lp = _ExprParser(_tokenize(lhs_txt, lineno, col), specs, g, lineno)
-            lhs = lp.parse()
-            rhs_col = col + len(lhs_txt) + len(rel)
-            rp = _ExprParser(_tokenize(rhs_txt, lineno, rhs_col), specs, g, lineno)
-            rhs = rp.parse()
-            used = lp.used | rp.used
-            lowered = _lower_box(lhs, rel, rhs, used, specs)
-            if lowered is not None:
-                box_rules.append(lowered)
-            elif lp.bare or rp.bare:
-                raise ValidationError(lp.bare or rp.bare)
-            else:
-                constraints.append(compare(lhs, rel, rhs, _holder_of(used, specs)))
-        elif head == "decompose":
-            parts = dict(p.split("=", 1) for p in rest.split() if "=" in p)
-            cross = parts.get("cross", "dual")
-            dist = parts.get("dist", "dpl")
-            if cross != "dual":
-                raise ParseError(f"unsupported cross-layer method {cross!r}", lineno)
-            if dist not in PENALIZATION_MODES:
-                raise ParseError(f"unsupported distributed method {dist!r}", lineno)
-            directive = (cross, dist)
-        else:
-            raise ParseError(f"unknown statement {head!r}", lineno)
+                raise ParseError(f"unknown statement {head!r}", lineno)
+        except (PathError, ValidationError) as err:
+            raise ParseError(str(err), lineno) from None
 
     if utility is None:
         raise ValidationError("missing utility")
@@ -640,7 +631,8 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
         graph=g, varspecs=specs, utility=utility, sense=sense,
         constraints=tuple(constraints), box_rules=tuple(box_rules),
         directive=directive)
-    _validate_problem(problem)
+    if not problem.control_specs():
+        raise ValidationError("no control variable declared")
     return problem
 
 
@@ -667,15 +659,3 @@ def _lower_box(lhs: Expr, rel: str, rhs: Expr, used: set[str],
                    lower=c if kind == "lower" else None,
                    upper=c if kind == "upper" else None,
                    owner=owner)
-
-
-def _validate_problem(p: ControlProblem) -> None:
-    declared = {s.terminal() for s in p.varspecs.values()}
-    for e, what in [(p.utility, "utility")] + [(c.lhs, "constraint") for c in p.constraints] \
-            + [(c.rhs, "constraint") for c in p.constraints]:
-        for v in ex.node_names(e, "var"):
-            if v not in declared:
-                raise ValidationError(f"{what} uses undeclared element {v!r}")
-    if not p.control_specs():
-        raise ValidationError("no control variable declared")
-

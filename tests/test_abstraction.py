@@ -91,27 +91,32 @@ def test_quantified_paths_end_at_attributes():
         assert p.graph.element(spec.terminal()).entity == "attribute"
 
 
-def test_compose_sum_rate(graph):
-    specs = {"wos_x": ab.VarSpec("wos_x", ("netses", "sesrate"), ("all", "none"))}
-    e = ab.compose("sum(wos_x)", specs, graph)
+SUM_RATE = "var wos_x path=netses.sesrate quant=all,none\nutility max sum(wos_x)\n"
+
+
+def test_parse_problem_sum_rate():
+    e = ab.parse_problem(SUM_RATE).utility
     assert e == ex.bigsum("netses", ex.var("sesrate", "netses"))
 
 
-def test_compose_proportional_fairness(graph):
-    specs = {"wos_x": ab.VarSpec("wos_x", ("netses", "sesrate"), ("all", "none"))}
-    e = ab.compose("sum(log(wos_x))", specs, graph)
+def test_parse_problem_proportional_fairness():
+    e = ab.parse_problem(SUM_RATE.replace("sum(wos_x)", "sum(log(wos_x))")).utility
     assert e == ex.bigsum("netses", ex.ln(ex.var("sesrate", "netses")))
 
 
-def test_compose_malformed_input(graph):
-    specs = {"wos_x": ab.VarSpec("wos_x", ("netses", "sesrate"), ("all", "none"))}
+def test_parse_problem_malformed_input():
     with pytest.raises(ab.ParseError):
-        ab.compose("sum(", specs, graph)
+        ab.parse_problem(SUM_RATE.replace("sum(wos_x)", "sum("))
 
 
-def test_compose_undeclared_variable(graph):
+def test_parse_problem_undeclared_variable():
     with pytest.raises(ab.ParseError):
-        ab.compose("sum(nope)", {}, graph)
+        ab.parse_problem(SUM_RATE.replace("sum(wos_x)", "sum(nope)"))
+
+
+def test_parentheses_parse_like_the_shipped_utility():
+    p = ab.parse_problem(JOCP_LOG.replace("sum(log(wos_x))", "sum(log((wos_x)))"))
+    assert p.utility == ab.parse_problem(JOCP_LOG).utility
 
 
 def test_compare_normalizes_ge_to_le():
@@ -120,14 +125,9 @@ def test_compare_normalizes_ge_to_le():
     assert c.rhs == ex.const(0.0)
 
 
-def test_compare_stores_verbatim(graph):
-    specs = {
-        "wos_y": ab.VarSpec("wos_y", ("netlnk", "lnkses", "sesrate"),
-                            ("every", "all", "none")),
-        "wos_z": ab.VarSpec("wos_z", ("netlnk", "lnkcap"), ("every", "none")),
-    }
-    lhs = ab.compose("sum(wos_y)", specs, graph)
-    rhs = ab.compose("wos_z", specs, graph)
+def test_compare_stores_verbatim():
+    lhs = ex.bigsum("lnkses", ex.var("sesrate", "lnkses"))
+    rhs = ex.var("lnkcap", "netlnk")
     c = ab.compare(lhs, "<=", rhs, holder="netlnk")
     assert c.lhs == lhs and c.rhs == rhs
 
@@ -174,8 +174,10 @@ def test_rate_bounds_lower_to_box_rules():
 def test_all_quantified_variable_must_sit_under_sum():
     src = ("var wos_x path=netses.sesrate quant=all,none\n"
            "utility max wos_x\ndecompose cross=dual dist=dpl\n")
-    with pytest.raises(ab.ValidationError):
+    with pytest.raises(ab.ParseError) as err:
         ab.parse_problem(src)
+    assert str(err.value) == \
+        "line 2, col 12: sesrate ranges over netses and must appear under sum()"
 
 
 @pytest.mark.parametrize("old, new, where, message", [

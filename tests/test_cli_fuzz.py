@@ -3,7 +3,8 @@ and a written trace, are mutated at random (tokens swapped, lines
 deleted, lines appended that set a value such as 0, -1, 1e308, 1e-300,
 nan or inf), and each mutant goes through `netnum run` or `netnum
 compare` in-process.  Every case must exit 0, or exit 2 with an error
-that names its stage; nothing may raise out of cli.main."""
+that names its stage; nothing may raise out of cli.main.  A `[parse]` error must name its
+line and column, unless it concerns the whole file."""
 
 import random
 import re
@@ -59,8 +60,13 @@ def mutate(text, rng, append):
     return rng.choice((swap_tokens, delete_line, append))(text, rng)
 
 
+LOCATED = re.compile(r"\[parse\] \S+: (line \d+, col \d+: .+|missing utility"
+                     r"|no control variable declared)\n")
+
+
 def check(rc, err, stages, case, escapes):
-    if not (rc == 0 or (rc == 2 and err.startswith(stages))):
+    named = rc == 0 or (rc == 2 and err.startswith(stages))
+    if not named or (err.startswith("[parse] ") and not LOCATED.fullmatch(err)):
         escapes.append((case, rc, err))
 
 
@@ -118,7 +124,12 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
     # the utility sums the first session's links, which no global set binds
     ("jocp_log_powercap.ncp", ("sum(log(wos_x))", "sum(log(wos_c))"), "",
      "[decompose] sum over local set seslnk outside a constraint over its holder"),
-], ids=["phys-epoch-1e-300", "power-cap-1e308", "power-floor-1e308", "utility-local-sum"])
+    # malformed numerals are refused at their column, not by float()
+    *[("jocp_log.ncp", ("<= wos_z", f"<= {num}*wos_z"), "",
+       f"[parse] <file>: line 9, col 25: malformed number {num!r}")
+      for num in ("1.2.3", "1e", "3e+", "1..5")],
+], ids=["phys-epoch-1e-300", "power-cap-1e308", "power-floor-1e308", "utility-local-sum",
+        "numeral-1.2.3", "numeral-1e", "numeral-3e+", "numeral-1..5"])
 def test_found_escapes_name_their_stage(tmp_path, capsys, problem, edit, settings, message):
     text = (DATA / "problems" / problem).read_text()
     if edit is not None:
@@ -130,4 +141,5 @@ def test_found_escapes_name_their_stage(tmp_path, capsys, problem, edit, setting
     rc = cli.main(["run", "--problem", str(tmp_path / "problem.ncp"),
                    "--scenario", str(tmp_path / "bad.cfg"), "--duration", "60",
                    "--out", str(tmp_path / "out")])
+    message = message.replace("<file>", str(tmp_path / "problem.ncp"))
     assert (rc, capsys.readouterr().err) == (2, message + "\n")
