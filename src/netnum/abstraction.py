@@ -555,8 +555,9 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
         line = body.strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        # the head word ends at the first run of whitespace, of any kind
+        head, *rest = line.split(None, 1)
+        rest = rest[0] if rest else ""
         try:
             if head == "network":
                 pass    # any name: nothing compiled reads it
@@ -580,15 +581,15 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
                 validate_varspec(g, spec)
                 specs[name] = spec
             elif head == "utility":
-                s, _, template = rest.partition(" ")
-                if s not in ("max", "min") or not template.strip():
+                words = rest.split(None, 1)
+                if len(words) != 2 or words[0] not in ("max", "min"):
                     raise ParseError("utility takes max|min <expr>", lineno)
                 parser = _ExprParser(body, specs, g, lineno)
                 parser.take("ident")    # the sense
                 utility = parser.end(parser.expr())
                 if parser.bare is not None:
                     raise parser.bare
-                sense = s
+                sense = words[0]
             elif head == "constraint":
                 parser = _ExprParser(body, specs, g, lineno)
                 lhs = parser.expr()

@@ -17,13 +17,15 @@ collect dual values from at run time.  Facts about the layer (the
 holder table, the entity kind of each global element's members, the
 decision) are found once per call; every entity is still rewritten and
 compared with the first, which is the check that the instantiation is a
-bijection.  The lift rewrites each term once, and finds the decision by
-walking the graph's models, not by resolving them.
+bijection.  The lift rewrites each term once, by a substitution built
+from that term's own (base, index) pairs, into unindexed variables that
+the whole layer shares; it finds the decision by walking the graph's
+models, not by resolving them.  The splits read each term's pairs in a
+plain loop and build a set only to word an error.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import NamedTuple
 
 from . import expr as ex
@@ -121,11 +123,16 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
     residual: list[Expr] = []
     for term in ex.level1_terms(dp.dual):
         pairs = term.var_pairs
-        layers = {layer_of[b] for b, _ in pairs if b != LBD}
-        if len(layers) > 1:
-            raise AmbiguousLayer(f"term {ex.render(term)} mixes layers {layers}")
-        if layers:
-            buckets.setdefault(next(iter(layers)), []).append(term)
+        layer = None
+        for b, _ in pairs:
+            if b != LBD:
+                if layer is None:
+                    layer = layer_of[b]
+                elif layer_of[b] != layer:
+                    layers = {layer_of[b] for b, _ in pairs if b != LBD}
+                    raise AmbiguousLayer(f"term {ex.render(term)} mixes layers {layers}")
+        if layer is not None:
+            buckets.setdefault(layer, []).append(term)
             continue
         # every variable left is a dual
         rhs_layers = {layer_of[b] for _, j in pairs if j is not None
@@ -178,18 +185,25 @@ def split_by_entity(sub: Subproblem, graph: ElementGraph) -> list[Subproblem]:
     groups: dict[tuple[str, int], list[Expr]] = {}
     for term in ex.level1_terms(sub.objective):
         pairs = term.var_pairs
-        keys = {(kinds[b], i) for b, i in pairs if i is not None and b != LBD}
-        if not keys and sub.dual is not None:
+        key = None      # () once a second entity shows up
+        for b, i in pairs:
+            if i is not None and b != LBD:
+                if key is None:
+                    key = (kinds[b], i)
+                elif key != (kinds[b], i):
+                    key = ()
+        if key is None and sub.dual is not None:
             lbds = [j for b, j in pairs if b == LBD and j is not None]
             c = sub.dual.registry[lbds[0]] if len(lbds) == 1 else None
             if c is not None and c.holder is not None:
                 if c.holder not in holder_kinds:
                     holder_kinds[c.holder] = _member_kind(graph, c.holder)
-                keys = {(holder_kinds[c.holder], c.member)}
-        if len(keys) != 1:
+                key = (holder_kinds[c.holder], c.member)
+        if not key:
+            keys = {(kinds[b], i) for b, i in pairs if i is not None and b != LBD}
             raise AmbiguousEntity(
                 f"term {ex.render(term)} references entities {sorted(keys)}")
-        groups.setdefault(next(iter(keys)), []).append(term)
+        groups.setdefault(key, []).append(term)
     out = []
     for (kind, idx), terms in groups.items():
         out.append(Subproblem(sub.layer, ex.add(*terms), sub.sense, kind, idx,
@@ -223,11 +237,14 @@ def _replace_vars(e: Expr, subs: dict[tuple[str, int | str | None], Expr]) -> Ex
         return subs.get((e.name, e.index), e)
     if not e.children:
         return e
-    children = [subs.get((c.name, c.index), c) if c.kind == "var"
-                else _replace_vars(c, subs) for c in e.children]
-    if all(map(operator.is_, children, e.children)):
-        return e
-    return Expr(e.kind, tuple(children), e.value, e.name, e.index)
+    children = []
+    changed = False
+    for c in e.children:
+        new = subs.get((c.name, c.index), c) if c.kind == "var" else _replace_vars(c, subs)
+        if new is not c:
+            changed = True
+        children.append(new)
+    return Expr(e.kind, tuple(children), e.value, e.name, e.index) if changed else e
 
 
 _SIGMA = ex.var(LBD, "sigma")
@@ -239,11 +256,11 @@ def lift_to_abstract(entities: list[Subproblem], m: InstanceMap) -> ControlProgr
     symbols, and each lambda index set a sum over the local element it
     instantiates.
 
-    The holder table, the entity kind of each global element's members
-    and the template's decision belong to the layer and are found once.
-    Every entity is still rewritten and matched, and its template and
-    collection rules must equal the first entity's; the instantiation is
-    a bijection only if they do.
+    The holder table, the entity kind of each global element's members,
+    one unindexed variable per base and the template's decision belong
+    to the layer and are found once.  Every entity is still rewritten and
+    matched, and its template and collection rules must equal the first
+    entity's; the instantiation is a bijection only if they do.
 
     A term with one dual lifts to its shape: the term with the entity's
     own variables unindexed and the dual replaced by sigma.  Terms whose
@@ -257,11 +274,14 @@ def lift_to_abstract(entities: list[Subproblem], m: InstanceMap) -> ControlProgr
     graph = first.dual.inst.problem.graph
     kinds = _entity_kinds(graph)
     member_kinds = {name: _member_kind(graph, name) for name in m.glb}
+    # every entity's own variables lift to these nodes, so equal shapes
+    # of two entities share their leaves and compare by identity there
+    unindexed = {b: ex.var(b) for b in kinds}
     # each (shape, collected symbol) becomes a template term once per layer
     finished: dict[tuple[Expr, str], Expr] = {}
-    template = _lift_entity(first, m, kinds, member_kinds, finished)
+    template = _lift_entity(first, m, kinds, member_kinds, unindexed, finished)
     for sub in entities[1:]:
-        if _lift_entity(sub, m, kinds, member_kinds, finished) != template:
+        if _lift_entity(sub, m, kinds, member_kinds, unindexed, finished) != template:
             raise TemplatesDiffer(f"{first.layer}: entity templates differ")
     objective, collect = template
     return ControlProgram(first.layer, first.entity_kind, objective, "max",
@@ -269,31 +289,36 @@ def lift_to_abstract(entities: list[Subproblem], m: InstanceMap) -> ControlProgr
 
 
 def _lift_entity(sub: Subproblem, m: InstanceMap, kinds: dict[str, str],
-                 member_kinds: dict[str, str], finished: dict[tuple[Expr, str], Expr],
+                 member_kinds: dict[str, str], unindexed: dict[str, Expr],
+                 finished: dict[tuple[Expr, str], Expr],
                  ) -> tuple[Expr, tuple[CollectionRule, ...]]:
     """One entity's template objective and collection rules."""
     kind, idx = sub.entity_kind, sub.entity_index
     registry = sub.dual.registry
 
-    # the entity's own variables lose their index and each dual becomes
-    # sigma, so a term with one dual lifts to its shape
-    pairs = sub.objective.var_pairs
-    erase = {(b, idx): ex.var(b) for b, i in pairs
-             if i == idx and b != LBD and kinds[b] == kind}
-    erase.update(((b, j), _SIGMA) for b, j in pairs if b == LBD and j is not None)
-
-    # group terms by shape, compared as trees; each shape becomes one
+    # each term's own variables lose their index and each dual becomes
+    # sigma, so a term with one dual lifts to its shape; terms are
+    # grouped by shape, compared as trees, and each shape becomes one
     # template term
     groups: dict[Expr, list[int]] = {}
     template_terms: list[Expr] = []
     for term in ex.level1_terms(sub.objective):
-        lbds = [i for b, i in term.var_pairs if b == LBD and i is not None]
+        erase: dict[tuple[str, int | str | None], Expr] = {}
+        lbds = []
+        for b, i in term.var_pairs:
+            if b == LBD:
+                if i is not None:
+                    lbds.append(i)
+                    erase[b, i] = _SIGMA
+            elif i == idx and kinds[b] == kind:
+                erase[b, i] = unindexed[b]
+        shape = _replace_vars(term, erase)
         if not lbds:
-            template_terms.append(_replace_vars(term, erase))
+            template_terms.append(shape)
             continue
         if len(lbds) != 1:
             raise NoMatchingElement(f"term {ex.render(term)} has {len(lbds)} duals")
-        groups.setdefault(_replace_vars(term, erase), []).append(lbds[0])
+        groups.setdefault(shape, []).append(lbds[0])
 
     rules: list[CollectionRule] = []
     for shape, indices in groups.items():
@@ -399,11 +424,12 @@ def penalize(prog: ControlProgram, mode: str, graph: ElementGraph) -> ControlPro
     anchor = ex.var(f"{prog.decision}_anchor")
     # the derivative is evaluated at the anchor: our decision enters the
     # foreign model as the alias variable, and the foreign model's own
-    # parameters get an itf_ prefix so they cannot clash with ours
-    deriv_at_anchor = ex.substitute(deriv, {alias: anchor})
-    foreign = {v: ex.var(f"itf_{v}") for v in ex.free_vars(deriv_at_anchor)
-               if v != f"{prog.decision}_anchor"}
-    deriv_at_anchor = ex.substitute(deriv_at_anchor, foreign)
+    # parameters get an itf_ prefix so they cannot clash with ours; one
+    # substitute pass does both
+    at_anchor = {v: ex.var(f"itf_{v}") for v in ex.free_vars(deriv)
+                 if v != f"{prog.decision}_anchor"}
+    at_anchor[alias] = anchor
+    deriv_at_anchor = ex.substitute(deriv, at_anchor)
     penalty = ex.mul(ex.var("lbd_itf"), deriv_at_anchor, ex.sub(own, anchor))
     return prog._replace(mode=mode, penalty=penalty)
 

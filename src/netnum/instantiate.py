@@ -151,8 +151,11 @@ class InstanceMap:
             raise InstantiateError(f"no instance for local element {name}") from None
 
 
-def check_rules(instances: dict[int, tuple[int, ...]], n_lcl: int | None = None) -> None:
-    """Check rules 1-2 and injectivity.
+def check_rules(instances: dict[int, tuple[int, ...]], n_lcl: int | None = None,
+                hashes: list[int] | None = None) -> None:
+    """Check rules 1-2 and injectivity.  `hashes`, when given, are the
+    hash ids of the instances in their order, as the sampler computed
+    them; otherwise they are computed here.
 
     No instance is a proper subset of another: a proper subset has fewer
     members, and an instance that passes the cardinality and duplicate
@@ -174,14 +177,17 @@ def check_rules(instances: dict[int, tuple[int, ...]], n_lcl: int | None = None)
         if v in seen:
             raise RuleViolation(f"instances {seen[v]} and {k} are identical: {v}")
         seen[v] = k
-    if len({hash_id(v) for v in vals}) != len(vals):
+    if hashes is None:
+        hashes = [hash_id(v) for v in vals]
+    if len(set(hashes)) != len(vals):
         raise RuleViolation("hash ids of peer instances are not pairwise distinct")
 
 
 def _sample_family(name: str, holder_members: tuple[int, ...],
                    mother: tuple[int, ...], cfg: InstanceConfig,
-                   rng: random.Random) -> dict[int, tuple[int, ...]]:
-    """The sampled instance of every holder member."""
+                   rng: random.Random) -> tuple[dict[int, tuple[int, ...]], list[int]]:
+    """The sampled instance of every holder member, and the hash ids of
+    those instances in the same order."""
     if len(holder_members) > math.comb(len(mother), cfg.n_lcl):
         raise CapacityExceeded(
             f"{name}: {len(holder_members)} instances requested, only "
@@ -189,6 +195,7 @@ def _sample_family(name: str, holder_members: tuple[int, ...],
     taken: set[tuple[int, ...]] = set()
     taken_hashes: set[int] = set()
     out: dict[int, tuple[int, ...]] = {}
+    hashes: list[int] = []
     for m in holder_members:
         for _ in range(cfg.max_retries):
             cand = sample_local(mother, cfg, rng)
@@ -202,7 +209,8 @@ def _sample_family(name: str, holder_members: tuple[int, ...],
         taken.add(cand)
         taken_hashes.add(h)
         out[m] = cand
-    return out
+        hashes.append(h)
+    return out, hashes
 
 
 def invert_map(imap: InstanceMap, from_element: str, to_element: str,
@@ -338,9 +346,9 @@ def instantiate_problem(problem: ControlProblem, cfg: InstanceConfig,
             instances = {k: tuple(sorted(v)) for k, v in preset[name].items()}
             check_rules(instances)
         else:
-            instances = _sample_family(name, imap.glb[holder], imap.glb[mother],
-                                       cfg, rng)
-            check_rules(instances, cfg.n_lcl)
+            instances, hashes = _sample_family(name, imap.glb[holder],
+                                               imap.glb[mother], cfg, rng)
+            check_rules(instances, cfg.n_lcl, hashes)
         imap.lcl[name] = LocalFamily(name, holder, mother, instances)
 
     # derive duals of sampled families wherever the graph names them

@@ -75,6 +75,44 @@ def test_parse_problem_line_errors():
     assert err.value.line == 2
 
 
+# (a line of JOCP_LOG, the line with tabs between its words, a bad edit
+# with tabs, the error that edit gets with spaces or tabs)
+STATEMENT_TABS = [
+    ("network adhoc", "network\tadhoc", None, None),
+    ("protocol physical cdma", "protocol\tphysical\tcdma", "protocol\tphysical",
+     "line 3, col 0: protocol takes <layer> <name>"),
+    ("var wos_z path=netlnk.lnkcap quant=every,none",
+     "var\twos_z\tpath=netlnk.lnkcap \t quant=every,none",
+     "var\twos_x path=netlnk.lnkcap quant=every,none",
+     "line 7, col 4: duplicate variable 'wos_x'"),
+    ("utility max sum(log(wos_x))", "utility\tmax\t sum(log(wos_x))",
+     "utility\tmax\tsum(log(foo))", "line 8, col 20: undeclared variable 'foo'"),
+    ("constraint sum(wos_y) <= wos_z", "constraint\tsum(wos_y)\t<=\twos_z",
+     "constraint\tsum(wos_y) <= 2*foo", "line 9, col 27: undeclared variable 'foo'"),
+    ("decompose cross=dual dist=dpl", "decompose\tcross=dual\tdist=dpl",
+     "decompose\tcross=dual dist=foo",
+     "line 10, col 0: unsupported distributed method 'foo'"),
+]
+
+
+@pytest.mark.parametrize("line, tabbed, bad, message", STATEMENT_TABS,
+                         ids=[line.split()[0] for line, *_ in STATEMENT_TABS])
+def test_statement_words_split_on_any_whitespace(line, tabbed, bad, message):
+    assert line in JOCP_LOG
+
+    def fields(p):
+        return p.varspecs, p.utility, p.sense, p.constraints, p.box_rules, p.directive
+
+    assert fields(ab.parse_problem(JOCP_LOG.replace(line, tabbed))) == \
+        fields(ab.parse_problem(JOCP_LOG))
+    if bad is None:
+        return
+    for edit in (bad, bad.replace("\t", " ")):
+        with pytest.raises(ab.ParseError) as err:
+            ab.parse_problem(JOCP_LOG.replace(line, edit))
+        assert str(err.value) == message
+
+
 def test_utility_swap_changes_only_the_utility():
     a = ab.parse_problem(JOCP_RATE)
     b = ab.parse_problem(JOCP_LOG)

@@ -355,6 +355,39 @@ def test_pinned_digests_on_every_interpreter(tmp_path):
         assert json.loads(proc.stdout.splitlines()[-1]) == want, python
 
 
+# Prints, as JSON, the PINNED_DESIGN digest of every problem file named in
+# argv[1:]; needs only the standard library and netnum.
+_DESIGN_RUNNER = """
+import hashlib, json, sys
+from pathlib import Path
+from netnum import abstraction, cli, decompose, instantiate
+digests = {}
+for path in map(Path, sys.argv[1:]):
+    parsed = abstraction.parse_problem(path.read_text())
+    h = hashlib.sha256()
+    for seed in range(16):
+        programs, dp, _ = cli.build_programs(parsed, instantiate.InstanceConfig(seed=seed))
+        h.update(decompose.dump_dual(dp).encode())
+        for layer in sorted(programs):
+            h.update(decompose.dump_program(programs[layer]).encode())
+    digests[path.name] = h.hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "2305"])
+def test_pinned_design_digests_on_every_interpreter(hash_seed):
+    # a design-time stage that came to depend on the iteration order of a
+    # set of strings would move a digest under another hash seed
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    problems = [str(PROBLEMS / problem) for problem in sorted(PINNED_DESIGN)]
+    for python in [Path(sys.executable)] + _other_interpreters():
+        proc = subprocess.run([str(python), "-c", _DESIGN_RUNNER, *problems], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (python, proc.stderr)
+        assert json.loads(proc.stdout.splitlines()[-1]) == PINNED_DESIGN, python
+
+
 def test_run_where_every_session_drains_at_once(tmp_path):
     # both budgets run out in epoch 0, so no link is active at any record
     cfg = tmp_path / "drained.cfg"
@@ -740,20 +773,71 @@ def test_per_layer_work_runs_once_per_layer(monkeypatch):
     for owner, name in [(decompose, "_decision_base"), (decompose, "_entity_kinds"),
                         (abstraction.ElementGraph, "member_of")]:
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+
+    # per candidate, not per layer: every sampled candidate is hashed once,
+    # and the rule check takes those hashes over
+    for name in ("sample_local", "hash_id"):
+        monkeypatch.setattr(instantiate, name,
+                            counted(name, getattr(instantiate, name)))
+
+    # the substitute passes penalize makes itself, not those of the
+    # models it resolves; a pass is one outermost call
+    penalize, substitute = decompose.penalize, expr.substitute
+    passes, penalties = [], []
+
+    def counted_substitute(e, mapping):
+        if sys._getframe(1).f_code is penalize.__code__:
+            passes.append(e)
+        return substitute(e, mapping)
+
+    def counted_penalize(*args):
+        prog = penalize(*args)
+        penalties.append(prog.penalty is not None)
+        return prog
+
+    monkeypatch.setattr(expr, "substitute", counted_substitute)
+    monkeypatch.setattr(decompose, "penalize", counted_penalize)
     counts = []
     for n_glb in (20, 8):
         calls.clear()
         cli.build_programs(problem, instantiate.InstanceConfig(n_glb=n_glb, n_lcl=4))
+        sampled, hashed = calls.pop("sample_local"), calls.pop("hash_id")
+        assert hashed == sampled >= n_glb
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     # one decision and one lift's holder table per layer, and one for each
     # layer's split by entity
     assert counts[0]["_decision_base"] == 2 and counts[0]["_entity_kinds"] == 4
+    # jocp_log penalizes under dpl: the physical layer's program gets a
+    # penalty, built in one substitute pass
+    assert penalties == [False, True] * 2 and len(passes) == 2
 
 
-@pytest.mark.parametrize("layer", ["transport", "physical"])
-@pytest.mark.parametrize("field", ["objective", "collect"])
-def test_lift_compares_every_entity(monkeypatch, tmp_path, capsys, layer, field):
+def _renest(term):
+    """term with every factor of its product after the first nested in a
+    product of their own, x*(y*lbd) or x*(lbd): a tree the factories never
+    build, rendered exactly as term is."""
+    if term.kind == "neg":
+        return expr.Expr("neg", (_renest(term.children[0]),))
+    return expr.Expr("mul", (term.children[0], expr.Expr("mul", term.children[1:])))
+
+
+def _dual_indices(term):
+    return [i for b, i in term.var_pairs if b == decompose.LBD]
+
+
+# (skewed field, layer): jocp_log's physical entities hold no term
+# without a dual, so only a transport entity can drop one
+LIFT_SKEWS = [("collect", "physical"), ("collect", "transport"),
+              ("objective", "physical"), ("objective", "transport"),
+              ("renest", "physical"), ("renest", "transport"),
+              ("drop", "transport"),
+              ("move", "physical"), ("move", "transport")]
+
+
+@pytest.mark.parametrize("field, layer", LIFT_SKEWS,
+                         ids=[f"{field}-{layer}" for field, layer in LIFT_SKEWS])
+def test_lift_compares_every_entity(monkeypatch, tmp_path, capsys, field, layer):
     problem = abstraction.parse_problem((PROBLEMS / "jocp_log.ncp").read_text())
     lift, split = decompose.lift_to_abstract, decompose.split_by_entity
     lifted = []
@@ -767,19 +851,47 @@ def test_lift_compares_every_entity(monkeypatch, tmp_path, capsys, layer, field)
     assert sorted(lifted) == sorted((lr, i) for lr in ("physical", "transport")
                                     for i in range(20))
 
+    layers, _ = decompose.split_by_layer(dp, problem.graph)
+    last = split(layers[layer], problem.graph)[-1]
+    # the smallest dual index outside the last entity's own set belongs
+    # to another member's instance
+    own = {i for t in expr.level1_terms(last.objective) for i in _dual_indices(t)}
+    moved, to = min(own), min(set(range(len(dp.registry))) - own)
+
     def skew(sub):
         # a constant term changes the template's objective only; a
-        # renumbered constraint family changes its collection rules only
+        # renumbered constraint family changes its collection rules only;
+        # re-nested dual terms and a dropped utility term change the
+        # objective only; a dual moved to an index outside the entity's
+        # instance matches no local element
+        terms = expr.level1_terms(sub.objective)
         if field == "objective":
             return sub._replace(objective=expr.add(sub.objective, expr.ONE))
-        registry = [c._replace(family=c.family + 1) for c in sub.dual.registry]
-        return sub._replace(dual=sub.dual._replace(registry=registry))
+        if field == "collect":
+            registry = [c._replace(family=c.family + 1) for c in sub.dual.registry]
+            return sub._replace(dual=sub.dual._replace(registry=registry))
+        if field == "renest":
+            terms = [_renest(t) if _dual_indices(t) else t for t in terms]
+        elif field == "drop":
+            terms.remove(next(t for t in terms if not _dual_indices(t)))
+        else:
+            terms = [expr.substitute(t, {expr.var_name(decompose.LBD, moved):
+                                         expr.var(decompose.LBD, to)}) for t in terms]
+        return sub._replace(objective=expr.add(*terms))
 
-    layers, _ = decompose.split_by_layer(dp, problem.graph)
-    alone = lift([skew(split(layers[layer], problem.graph)[-1])], imap)
-    kept = "collect" if field == "objective" else "objective"
-    assert getattr(alone, field) != getattr(programs[layer], field)
-    assert getattr(alone, kept) == getattr(programs[layer], kept)
+    if field == "move":
+        message = (f"dual index set {tuple(sorted(own - {moved} | {to}))} matches no "
+                   f"local-element instance for {last.entity_kind} {last.entity_index}")
+        with pytest.raises(decompose.NoMatchingElement) as err:
+            lift([skew(last)], imap)
+        assert str(err.value) == message
+    else:
+        alone = lift([skew(last)], imap)
+        changed = "collect" if field == "collect" else "objective"
+        kept = "objective" if field == "collect" else "collect"
+        assert getattr(alone, changed) != getattr(programs[layer], changed)
+        assert getattr(alone, kept) == getattr(programs[layer], kept)
+        message = f"[lift] {layer}: entity templates differ"
 
     # only the subproblem of the layer's last entity is skewed
     def skewed(sub, graph):
@@ -789,13 +901,14 @@ def test_lift_compares_every_entity(monkeypatch, tmp_path, capsys, layer, field)
         return entities
 
     monkeypatch.setattr(decompose, "split_by_entity", skewed)
-    with pytest.raises(cli.CliError) as err:
+    error = decompose.NoMatchingElement if field == "move" else cli.CliError
+    with pytest.raises(error) as err:
         cli.build_programs(problem)
-    assert err.value.stage == "lift" and str(err.value) == \
-        f"[lift] {layer}: entity templates differ"
+    assert str(err.value) == message
+    if field != "move":
+        assert err.value.stage == "lift"
     rc = run_cli(["run", "--problem", PROBLEMS / "jocp_log.ncp",
                   "--scenario", SCENARIOS / "s1.cfg", "--duration", "30",
                   "--out", tmp_path])
     assert rc == 2
-    assert capsys.readouterr().err == \
-        f"[decompose] [lift] {layer}: entity templates differ\n"
+    assert capsys.readouterr().err == f"[decompose] {message}\n"

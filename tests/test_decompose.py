@@ -173,8 +173,26 @@ def test_ambiguous_layer():
     inst, _ = it.instantiate_problem(p, it.InstanceConfig(3, 2, 7))
     dp = dc.dualize(inst)
     dp = dp._replace(dual=ex.add(dp.dual, ex.mul(ex.var("sesrate", 0), ex.var("lnkpwr", 0))))
-    with pytest.raises(dc.AmbiguousLayer):
+    with pytest.raises(dc.AmbiguousLayer) as err:
         dc.split_by_layer(dp, p.graph)
+    assert str(err.value) in {f"term sesrate_00*lnkpwr_00 mixes layers {layers}"
+                              for layers in ("{'physical', 'transport'}",
+                                             "{'transport', 'physical'}")}
+
+
+def test_split_by_entity_refuses_a_term_of_two_entities_or_none(toy_inst):
+    inst, _ = toy_inst
+    graph = inst.problem.graph
+    layers, _ = dc.split_by_layer(dc.dualize(inst), graph)
+    sub = layers["transport"]
+    for extra, entities in [
+            (ex.mul(ex.var("sesrate", 2), ex.var("sesrate", 0)),
+             "[('session', 0), ('session', 2)]"),
+            (ex.var("sesrate"), "[]")]:
+        bad = sub._replace(objective=ex.add(sub.objective, extra))
+        with pytest.raises(dc.AmbiguousEntity) as err:
+            dc.split_by_entity(bad, graph)
+        assert str(err.value) == f"term {ex.render(extra)} references entities {entities}"
 
 
 def test_split_by_entity_toy_flows(toy_inst):

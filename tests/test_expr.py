@@ -238,6 +238,38 @@ def test_var_pairs_render_like_var_name():
     assert ex.const(2.0).var_pairs == frozenset()
 
 
+def _var_pairs_reference(e):
+    """var_pairs as a plain recursion, with a new set at every node."""
+    if e.kind == "var":
+        return {(e.name, e.index if isinstance(e.index, int) else None)}
+    return set().union(*map(_var_pairs_reference, e.children))
+
+
+def test_var_pairs_matches_recursive_reference():
+    # every node of every shipped problem's dual, entity subproblems and
+    # templates; a node is read in preorder, so some are read before any
+    # node below them and some after
+    from netnum import cli, decompose, instantiate
+    problems = sorted((Path(netnum.__file__).parent / "data" / "problems").glob("*.ncp"))
+    assert len(problems) == 4
+    read = 0
+    for path in problems:
+        problem = parse_problem(path.read_text())
+        for seed in range(4):
+            programs, dp, _ = cli.build_programs(problem, instantiate.InstanceConfig(seed=seed))
+            layers, _ = decompose.split_by_layer(dp, problem.graph)
+            roots = [dp.dual]
+            for sub in layers.values():
+                roots += [e.objective for e in decompose.split_by_entity(sub, problem.graph)]
+            for prog in programs.values():
+                roots += [prog.objective] + ([prog.penalty] if prog.penalty else [])
+            for root in roots:
+                for node in _nodes(root):
+                    assert node.var_pairs == _var_pairs_reference(node)
+                    read += 1
+    assert read > 10000
+
+
 def test_var_pairs_leave_equality_and_hash_alone():
     def build():
         return ex.mul(ex.const(2.0), ex.neg(ex.var("x", 1)))

@@ -138,6 +138,15 @@ def test_rules_hold_on_random_instantiations(jocp_problem):
         assert len({it.hash_id(v) for v in fam.instances.values()}) == len(fam.instances)
 
 
+def test_rule_check_refuses_equal_handed_over_hashes():
+    # the sampler hands its hash ids to the rule check, which still
+    # requires them pairwise distinct
+    instances = {0: (0, 1), 1: (0, 2), 2: (1, 2)}
+    it.check_rules(instances, 2, [it.hash_id(v) for v in instances.values()])
+    with pytest.raises(it.RuleViolation, match="hash ids of peer instances"):
+        it.check_rules(instances, 2, [7, 7, 8])
+
+
 def test_determinism(jocp_problem):
     cfg = it.InstanceConfig(seed=42)
     _, a = it.instantiate_problem(jocp_problem, cfg)
