@@ -299,8 +299,7 @@ class ControlProblem(NamedTuple):
     """A parsed problem file: graph, variables, utility, constraints and rules."""
     graph: ElementGraph
     varspecs: dict[str, VarSpec]
-    utility: Expr
-    sense: str                      # "max" | "min"
+    utility: Expr                   # maximized: `utility min U` is stored as -U
     constraints: tuple[Constraint, ...]
     box_rules: tuple[BoxRule, ...]
     directive: tuple[str, str]      # (cross-layer method, distributed method)
@@ -534,6 +533,9 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
     from the sum() rule.  `decompose` keys are optional and each may
     appear once; an absent one keeps its default (`dual`, `dpl`).
 
+    Every problem is kept in maximize form: `utility min U` is stored as
+    the utility ex.neg(U), and no later stage reads a sense.
+
     `network` and `protocol` lines are checked (a protocol names a layer
     in LAYERS and one protocol) but change nothing that is compiled.
 
@@ -545,7 +547,6 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
     g = graph if graph is not None else builtin_graph()
     specs: dict[str, VarSpec] = {}
     utility: Expr | None = None
-    sense = "max"
     constraints: list[Constraint] = []
     box_rules: list[BoxRule] = []
     directive = ("dual", "dpl")
@@ -589,7 +590,8 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
                 utility = parser.end(parser.expr())
                 if parser.bare is not None:
                     raise parser.bare
-                sense = words[0]
+                if words[0] == "min":
+                    utility = ex.neg(utility)
             elif head == "constraint":
                 parser = _ExprParser(body, specs, g, lineno)
                 lhs = parser.expr()
@@ -629,7 +631,7 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
     if utility is None:
         raise ValidationError("missing utility")
     problem = ControlProblem(
-        graph=g, varspecs=specs, utility=utility, sense=sense,
+        graph=g, varspecs=specs, utility=utility,
         constraints=tuple(constraints), box_rules=tuple(box_rules),
         directive=directive)
     if not problem.control_specs():

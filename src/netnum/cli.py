@@ -86,12 +86,12 @@ def run_experiment(args: argparse.Namespace) -> int:
         return 2
     try:
         source = args.problem.read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"[load] cannot read problem file: {err}", file=sys.stderr)
         return 2
     try:
         scenario_text = args.scenario.read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"[load] cannot read scenario file: {err}", file=sys.stderr)
         return 2
     try:

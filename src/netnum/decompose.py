@@ -68,24 +68,22 @@ class DualProblem(NamedTuple):
     the instantiated constraints: dual j (lbd_j) absorbs registry[j]."""
     dual: Expr
     registry: list[InstConstraint]
-    sense: str                      # sense of the original problem
     inst: InstantiatedProblem
 
 
 def dualize(inst: InstantiatedProblem) -> DualProblem:
     """Absorb constraints into the utility: dual = utility + sum_j
     lbd_j*(rhs_j - lhs_j), with each product distributed over the
-    constraint's additive terms.  Minimize-sense utilities are negated so
-    the dual is always maximized."""
-    utility = inst.utility if inst.sense == "max" else ex.neg(inst.utility)
-    terms = list(ex.level1_terms(utility))
+    constraint's additive terms.  The utility is in maximize sense (the
+    parser stores `min U` as -U), so the dual is maximized."""
+    terms = list(ex.level1_terms(inst.utility))
     for j, c in enumerate(inst.constraints):
         lam = ex.var(LBD, j)
         for t in ex.level1_terms(c.rhs):
             terms.append(_term_times(t, lam))
         for t in ex.level1_terms(c.lhs):
             terms.append(ex.neg(_term_times(t, lam)))
-    return DualProblem(ex.add(*terms), inst.constraints, inst.sense, inst)
+    return DualProblem(ex.add(*terms), inst.constraints, inst)
 
 
 def _term_times(t: Expr, lam: Expr) -> Expr:
@@ -98,7 +96,6 @@ class Subproblem(NamedTuple):
     """One layer's or entity's share of the dual."""
     layer: str
     objective: Expr
-    sense: str
     entity_kind: str | None = None
     entity_index: int | None = None
     dual: DualProblem | None = None
@@ -129,8 +126,9 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
                 if layer is None:
                     layer = layer_of[b]
                 elif layer_of[b] != layer:
-                    layers = {layer_of[b] for b, _ in pairs if b != LBD}
-                    raise AmbiguousLayer(f"term {ex.render(term)} mixes layers {layers}")
+                    layers = sorted({layer_of[b] for b, _ in pairs if b != LBD})
+                    raise AmbiguousLayer(
+                        f"term {ex.render(term)} mixes layers {', '.join(layers)}")
         if layer is not None:
             buckets.setdefault(layer, []).append(term)
             continue
@@ -138,14 +136,15 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
         rhs_layers = {layer_of[b] for _, j in pairs if j is not None
                       for b, _ in _primal_bases(dp.registry[j].rhs)}
         if len(rhs_layers) > 1:
-            raise AmbiguousLayer(f"term {ex.render(term)}: rhs spans {rhs_layers}")
+            raise AmbiguousLayer(
+                f"term {ex.render(term)}: rhs spans {', '.join(sorted(rhs_layers))}")
         if rhs_layers:
             buckets.setdefault(next(iter(rhs_layers)), []).append(term)
         else:
             residual.append(term)  # constant term, or constant-rhs lambda term
     subs = {}
     for layer, terms in buckets.items():
-        subs[layer] = Subproblem(layer, ex.add(*terms), "max", dual=dp)
+        subs[layer] = Subproblem(layer, ex.add(*terms), dual=dp)
     return subs, residual
 
 
@@ -206,8 +205,7 @@ def split_by_entity(sub: Subproblem, graph: ElementGraph) -> list[Subproblem]:
         groups.setdefault(key, []).append(term)
     out = []
     for (kind, idx), terms in groups.items():
-        out.append(Subproblem(sub.layer, ex.add(*terms), sub.sense, kind, idx,
-                              sub.dual))
+        out.append(Subproblem(sub.layer, ex.add(*terms), kind, idx, sub.dual))
     return out
 
 
@@ -222,8 +220,7 @@ class ControlProgram(NamedTuple):
     dual coefficients it must collect at run time."""
     layer: str
     entity_kind: str
-    objective: Expr            # over unindexed symbols and lambda sums
-    sense: str
+    objective: Expr            # over unindexed symbols and lambda sums, maximized
     decision: str              # decision variable base name
     collect: tuple[CollectionRule, ...]
     mode: str = "best_response"
@@ -284,7 +281,7 @@ def lift_to_abstract(entities: list[Subproblem], m: InstanceMap) -> ControlProgr
         if _lift_entity(sub, m, kinds, member_kinds, unindexed, finished) != template:
             raise TemplatesDiffer(f"{first.layer}: entity templates differ")
     objective, collect = template
-    return ControlProgram(first.layer, first.entity_kind, objective, "max",
+    return ControlProgram(first.layer, first.entity_kind, objective,
                           _decision_base(objective, graph), collect)
 
 
@@ -456,7 +453,7 @@ def dump_program(prog: ControlProgram) -> str:
     lines = [
         f"layer: {prog.layer}",
         f"entity: {prog.entity_kind}",
-        f"objective: {prog.sense} {ex.render(prog.objective)}",
+        f"objective: max {ex.render(prog.objective)}",
         f"decision: {prog.decision}",
         f"collect: {', '.join(f'{r.symbol}#{r.family}' for r in prog.collect) or 'none'}",
         f"mode: {prog.mode}",

@@ -192,7 +192,6 @@ def _sample_family(name: str, holder_members: tuple[int, ...],
         raise CapacityExceeded(
             f"{name}: {len(holder_members)} instances requested, only "
             f"{math.comb(len(mother), cfg.n_lcl)} distinct {cfg.n_lcl}-subsets exist")
-    taken: set[tuple[int, ...]] = set()
     taken_hashes: set[int] = set()
     out: dict[int, tuple[int, ...]] = {}
     hashes: list[int] = []
@@ -200,13 +199,13 @@ def _sample_family(name: str, holder_members: tuple[int, ...],
         for _ in range(cfg.max_retries):
             cand = sample_local(mother, cfg, rng)
             h = hash_id(cand)
-            # hash id is the fast filter; tuple equality is the ground truth
-            if h not in taken_hashes and cand not in taken:
+            # the rule is distinct hash ids: a subset whose id collides
+            # with a taken one is redrawn, even if the subsets differ
+            if h not in taken_hashes:
                 break
         else:
             raise RetryExhausted(f"{name}: duplicate collisions exceeded "
                                  f"{cfg.max_retries} retries for holder {m}")
-        taken.add(cand)
         taken_hashes.add(h)
         out[m] = cand
         hashes.append(h)
@@ -275,7 +274,6 @@ class InstantiatedProblem(NamedTuple):
     """A problem over concrete members: utility, constraints, decisions, boxes."""
     problem: ControlProblem
     utility: Expr
-    sense: str
     constraints: list[InstConstraint]
     decision_vars: list[str]
     boxes: dict[str, tuple[float | None, float | None]]
@@ -368,8 +366,7 @@ def instantiate_problem(problem: ControlProblem, cfg: InstanceConfig,
                         f"over its holder") from None
 
     decision_vars, boxes = _decision_registry(problem, imap)
-    inst = InstantiatedProblem(problem, utility, problem.sense, constraints,
-                               decision_vars, boxes)
+    inst = InstantiatedProblem(problem, utility, constraints, decision_vars, boxes)
     return inst, imap
 
 

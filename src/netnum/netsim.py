@@ -271,7 +271,7 @@ class ConstraintFamily:
 class NetState:
     """The whole simulated network, its installed problem and its kept values."""
     __slots__ = ("cfg", "nodes", "links", "sessions", "epoch", "families", "link_family",
-                 "utility_expr", "utility_sense", "utility_fn", "utility_key", "rate_names",
+                 "utility_expr", "utility_fn", "utility_key", "rate_names",
                  "cap_names", "pwr_names", "pending", "programs", "capacity_model", "capacity",
                  "derived_for", "kept_itfs", "kept_slacks", "kept_shares", "kept_utility",
                  "kept_power", "_solvers", "_shared")
@@ -284,7 +284,6 @@ class NetState:
         # the first family over links: its duals price link capacity
         self.link_family: ConstraintFamily | None = None
         self.utility_expr: Expr | None = None
-        self.utility_sense = "max"
         # utility_expr compiled for (utility_expr, live sessions, active links)
         self.utility_fn: Compiled | None = None
         self.utility_key: tuple[Expr, tuple[int, ...], tuple[int, ...]] | None = None
@@ -440,7 +439,6 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
         net.families.append(ConstraintFamily(c.holder, entity, c.lhs, c.rhs, len(members)))
     net.link_family = next((f for f in net.families if f.entity == "link"), None)
     net.utility_expr = problem.utility
-    net.utility_sense = problem.sense
     net.rate_names = tuple(ex.var_name("sesrate", s.index) for s in net.sessions)
     net.cap_names = tuple(ex.var_name("lnkcap", l.index) for l in net.links)
     net.pwr_names = tuple(ex.var_name("lnkpwr", l.index) for l in net.links)
@@ -463,7 +461,7 @@ def _derive(net: NetState) -> None:
     net.kept_itfs = Kept(5 * nl)
     net.kept_slacks = Kept(2 * ns + 2 * nl)
     net.kept_shares = Kept(2 * ns + nl)
-    net.kept_utility = Kept(2 * ns + 2 * nl + 1)
+    net.kept_utility = Kept(2 * ns + 2 * nl)
     net.kept_power = Kept(nl)   # pwr_gain_db, then each link family's prev duals
     net._solvers.clear()
     net._shared.clear()
@@ -1003,10 +1001,10 @@ def _deliver(net: NetState) -> None:
 
 def sum_utility(net: NetState) -> float:
     """The problem utility evaluated on achieved throughput (packets/s)
-    and live powers, in maximize sense.  The value is kept, and returned
-    again while every session's (done, throughput), every link's (active,
-    pwr_gain_db) and the utility's sense are what it was computed for,
-    bit for bit."""
+    and live powers, in maximize sense (a `min U` problem reads -U).  The
+    value is kept, and returned again while every session's (done,
+    throughput) and every link's (active, pwr_gain_db) are what it was
+    computed for, bit for bit."""
     if net.utility_expr is None:
         return 0.0
     sessions, links, kept = net.sessions, net.links, net.kept_utility
@@ -1014,7 +1012,6 @@ def sum_utility(net: NetState) -> float:
     values += [l.pwr_gain_db for l in links]
     values += [s.done for s in sessions]
     values += [l.active for l in links]
-    values.append(net.utility_sense == "max")
     key = kept.packer.pack(*values)
     if key == kept.key:
         return kept.value
@@ -1030,8 +1027,7 @@ def sum_utility(net: NetState) -> float:
         env[name] = max(s.throughput, 1e-6)
     for name, power in zip(net.pwr_names, _linear_powers(net)):
         env[name] = power
-    val = net.utility_fn(env)
-    return kept.keep(key, val if net.utility_sense == "max" else -val)
+    return kept.keep(key, net.utility_fn(env))
 
 
 def _layout(net: NetState) -> Layout:

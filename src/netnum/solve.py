@@ -306,7 +306,8 @@ def centralized_oracle(inst: InstantiatedProblem, resolution: float,
                        ) -> tuple[dict[str, float], float]:
     """Exhaustive grid search over the feasible box: the independent ground
     truth the distributed pipeline is checked against.  Limited to small
-    decision counts by design."""
+    decision counts by design.  Returns the best point and its utility,
+    which is maximized (a `min U` problem reports -U)."""
     sub = {k: ex.const(v) for k, v in (params or {}).items()}
     utility = ex.substitute(inst.utility, sub)
     cstrs = [(ex.substitute(c.lhs, sub), ex.substitute(c.rhs, sub))
@@ -339,17 +340,16 @@ def centralized_oracle(inst: InstantiatedProblem, resolution: float,
         d = max((depth_of[v] for v in vs), default=0)
         checks[d].append((ex.compile_expr(lhs), ex.compile_expr(rhs)))
     util_fn = ex.compile_expr(utility)
-    want_max = inst.sense == "max"
 
     best: dict[str, float] | None = None
-    best_val = -math.inf if want_max else math.inf
+    best_val = -math.inf
     env: Env = {}
 
     def descend(depth: int) -> None:
         nonlocal best, best_val
         if depth == len(names):
             val = util_fn(env)
-            if (want_max and val > best_val) or (not want_max and val < best_val):
+            if val > best_val:
                 best_val = val
                 best = dict(env)
             return
@@ -368,7 +368,7 @@ def centralized_oracle(inst: InstantiatedProblem, resolution: float,
 
 class LoopResult(NamedTuple):
     """The outcome of dual_loop: averaged decisions, the duals by position
-    (duals[j] absorbs dp.registry[j]) and the utility."""
+    (duals[j] absorbs dp.registry[j]) and the utility, in maximize sense."""
     decisions: dict[str, float]       # running-average (ergodic) decision
     duals: list[float]
     utility: float                    # problem utility at the averaged decision
@@ -392,7 +392,7 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
                     if b in graph.elements and graph.element(b).ctrl), default=None)
         if ctrl is not None:
             programs.append(compile_program(ControlProgram(
-                s.layer, s.entity_kind or "", s.objective, "max", ctrl, ())))
+                s.layer, s.entity_kind or "", s.objective, ctrl, ())))
 
     fixed: Env = dict(params or {})
     rng = random.Random(seed)

@@ -56,7 +56,6 @@ def test_member_edge_must_land_on_primitive(graph):
 
 def test_parse_problem_jocp():
     p = ab.parse_problem(JOCP_RATE)
-    assert p.sense == "max"
     assert ex.render(p.utility) == "sum(netses: sesrate)"
     assert len(p.constraints) == 1
     assert p.constraints[0].holder == "netlnk"
@@ -101,7 +100,7 @@ def test_statement_words_split_on_any_whitespace(line, tabbed, bad, message):
     assert line in JOCP_LOG
 
     def fields(p):
-        return p.varspecs, p.utility, p.sense, p.constraints, p.box_rules, p.directive
+        return p.varspecs, p.utility, p.constraints, p.box_rules, p.directive
 
     assert fields(ab.parse_problem(JOCP_LOG.replace(line, tabbed))) == \
         fields(ab.parse_problem(JOCP_LOG))

@@ -64,6 +64,19 @@ def test_missing_problem_file(tmp_path, capsys):
     assert "absent.ncp" in err and "[load]" in err
 
 
+@pytest.mark.parametrize("which", ["problem", "scenario"])
+def test_file_not_utf8_names_load_stage(tmp_path, capsys, which):
+    files = {"problem": PROBLEMS / "jocp.ncp", "scenario": SCENARIOS / "s1.cfg"}
+    bad = files[which] = tmp_path / "bad"
+    bad.write_bytes(b"\xff\n")
+    rc = run_cli(["run", "--problem", files["problem"], "--scenario", files["scenario"],
+                  "--out", tmp_path])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"[load] cannot read {which} file: 'utf-8' codec "
+                                       "can't decode byte 0xff in position 0: "
+                                       "invalid start byte\n")
+
+
 def test_parse_error_names_stage(tmp_path, capsys):
     bad = tmp_path / "bad.ncp"
     bad.write_text("utility max sum(\n")
@@ -191,6 +204,14 @@ def test_compare_schema_mismatch(tmp_path, capsys):
     rc = run_cli(["compare", good, bad])
     assert rc != 0
     assert "compare" in capsys.readouterr().err
+
+
+def test_compare_trace_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\n")
+    assert run_cli(["compare", bad, bad]) == 2
+    assert capsys.readouterr().err == ("[compare] 'utf-8' codec can't decode byte 0xff in "
+                                       "position 0: invalid start byte\n")
 
 
 def test_scenario_file_error_names_stage(tmp_path, capsys):
@@ -386,6 +407,50 @@ def test_pinned_design_digests_on_every_interpreter(hash_seed):
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (python, proc.stderr)
         assert json.loads(proc.stdout.splitlines()[-1]) == PINNED_DESIGN, python
+
+
+# Prints, as JSON, split_by_layer's refusal of a term that mixes layers in
+# the first problem file of argv[3:], then per problem file the sha256 of
+# each file that a 60 s run on scenario file argv[2], with every dump,
+# writes under argv[1]; needs only the standard library and netnum.
+_HASH_SEED_RUNNER = """
+import hashlib, json, sys
+from pathlib import Path
+from netnum import abstraction, cli, decompose, expr, instantiate
+out, scenario, problems = Path(sys.argv[1]), sys.argv[2], sys.argv[3:]
+p = abstraction.parse_problem(Path(problems[0]).read_text())
+dp = decompose.dualize(instantiate.instantiate_problem(p, instantiate.InstanceConfig())[0])
+mixed = expr.mul(expr.var("sesrate", 0), expr.var("lnkpwr", 0))
+try:
+    decompose.split_by_layer(dp._replace(dual=expr.add(dp.dual, mixed)), p.graph)
+except decompose.AmbiguousLayer as err:
+    report = {"refusal": str(err)}
+for problem in problems:
+    dest = out / Path(problem).stem
+    cli.main(["run", "--problem", problem, "--scenario", scenario, "--duration", "60",
+              "--out", str(dest), "--dump-dual", "--dump-programs", "--dump-instances"])
+    report[problem] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                       for f in sorted(dest.iterdir())}
+print(json.dumps(report))
+"""
+
+
+def test_outputs_do_not_follow_the_hash_seed(tmp_path):
+    # error text, dumps and traces must not read the iteration order of a
+    # set of strings, which PYTHONHASHSEED decides
+    problems = [str(PROBLEMS / name) for name in ("jocp_log.ncp", "powermin.ncp")]
+    reports = []
+    for hash_seed in "0123":
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", _HASH_SEED_RUNNER, str(tmp_path / hash_seed),
+                               str(SCENARIOS / "s2.cfg"), *problems],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert reports == reports[:1] * 4
+    assert reports[0]["refusal"] == \
+        "term sesrate_00*lnkpwr_00 mixes layers physical, transport"
+    assert all(len(reports[0][p]) == 5 for p in problems)
 
 
 def test_run_where_every_session_drains_at_once(tmp_path):

@@ -175,9 +175,14 @@ def test_ambiguous_layer():
     dp = dp._replace(dual=ex.add(dp.dual, ex.mul(ex.var("sesrate", 0), ex.var("lnkpwr", 0))))
     with pytest.raises(dc.AmbiguousLayer) as err:
         dc.split_by_layer(dp, p.graph)
-    assert str(err.value) in {f"term sesrate_00*lnkpwr_00 mixes layers {layers}"
-                              for layers in ("{'physical', 'transport'}",
-                                             "{'transport', 'physical'}")}
+    assert str(err.value) == "term sesrate_00*lnkpwr_00 mixes layers physical, transport"
+    # a dual-only term whose constraint's rhs reads two layers
+    c = dp.registry[0]
+    dp = dp._replace(dual=ex.var("lbd", 0), registry=[
+        c._replace(rhs=ex.add(ex.var("sesrate", 0), ex.var("lnkpwr", 0)))])
+    with pytest.raises(dc.AmbiguousLayer) as err:
+        dc.split_by_layer(dp, p.graph)
+    assert str(err.value) == "term lbd_00: rhs spans physical, transport"
 
 
 def test_split_by_entity_refuses_a_term_of_two_entities_or_none(toy_inst):
@@ -300,7 +305,7 @@ def test_lift_groups_dual_terms_by_structure(toy_inst):
         return ex.Expr("mul", (rate, ex.Expr("mul", (two, ex.var("lbd", j)))))
 
     def lift(*terms):
-        sub = dc.Subproblem("transport", ex.add(*terms), "max", "session", 0, dp)
+        sub = dc.Subproblem("transport", ex.add(*terms), "session", 0, dp)
         return dc.lift_to_abstract([sub], imap)
 
     for make in (flat, nested):

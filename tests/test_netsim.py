@@ -761,8 +761,7 @@ def interpreted_utility(net):
     live_l = [l.index for l in net.links if l.active]
     e = ex.expand_sums(net.utility_expr, {"netses": live_s, "netlnk": live_l})
     env = interpreted_env(net, lambda s: max(s.throughput, 1e-6))
-    val = ex.eval_expr(e, env)
-    return val if net.utility_sense == "max" else -val
+    return ex.eval_expr(e, env)
 
 
 # No shipped problem declares a family over sessions (powermin's rate
@@ -887,8 +886,6 @@ def test_duals_and_utility_follow_state_set_by_hand(monkeypatch, problem, extra)
     other = ab.parse_problem((DATA / "problems" / "powermin.ncp").read_text())
     trace = ns.run(net, 62, "rate-only")
     s, link = net.sessions[1], net.links[2]
-    sense = net.utility_sense
-    flipped = "min" if sense == "max" else "max"
     edits = [(s, "rate", 0.5 * s.rate), (link, "capacity_pps", 2.0 * link.capacity_pps),
              (s, "throughput", 3.0 * s.throughput), (link, "pwr_gain_db", 7.5),
              (link, "active", False), (link, "active", True),
@@ -896,8 +893,7 @@ def test_duals_and_utility_follow_state_set_by_hand(monkeypatch, problem, extra)
              (s, "rate", 0.0), (s, "done", True), (s, "done", False),
              (net, "cfg", net.cfg._replace(slack_clip=5.0)),
              (net, "cfg", net.cfg._replace(slack_clip=0.0)),
-             (net, "cfg", net.cfg._replace(dual_step=0.5)),
-             (net, "utility_sense", flipped), (net, "utility_sense", sense)]
+             (net, "cfg", net.cfg._replace(dual_step=0.5))]
     # each edit is the only change the next epoch's dual update sees: the
     # last rate solve ran in epoch 60 and reached the duals in epoch 61,
     # and rate-only moves no power
@@ -913,7 +909,7 @@ def test_duals_and_utility_follow_state_set_by_hand(monkeypatch, problem, extra)
     ns._update_duals(net, ns._linear_powers(net))
     ns._record(net, trace)
     assert all(v > 0 for v in net.families[-1].duals)
-    # a fresh problem: new families, and another utility, then another sense
+    # a fresh problem: new families, and another utility, then a min one (powermin)
     doubled = parsed._replace(utility=ex.mul(ex.const(2.0), parsed.utility))
     for fresh in (doubled, other, parsed):
         ns.install_problem(net, fresh)

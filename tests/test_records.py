@@ -1,7 +1,8 @@
 """The records the pipeline passes around keep their semantics: the
 validated ones check every value they are built or replaced with, no two
 fresh instances share a mutable default, simulator state equals only
-itself, and expressions compare, hash and print by value."""
+itself, expressions compare, hash and print by value, and every problem
+is carried in maximize form with no sense beside it."""
 
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import netnum
 from netnum import abstraction as ab
 from netnum import cli
+from netnum import decompose as dc
 from netnum import expr as ex
 from netnum import instantiate as it
 from netnum import netsim as ns
@@ -82,6 +84,18 @@ def test_simulator_state_equals_only_itself():
     assert a.families[0].duals == b.families[0].duals
     assert ns._get_solver(a, "link", 0).cfg == ns._get_solver(b, "link", 0).cfg
     assert ns._get_solver(a, "link", 0).cfg != ns._get_solver(a, "session", 0).cfg
+
+
+def test_every_record_maximizes_and_carries_no_sense():
+    for record in (ab.ControlProblem, it.InstantiatedProblem, dc.DualProblem,
+                   dc.Subproblem, dc.ControlProgram):
+        assert "sense" not in record._fields, record
+    assert "utility_sense" not in ns.NetState.__slots__
+    # `min U` is parsed once into the maximized utility -U
+    source = (DATA / "problems" / "powermin.ncp").read_text()
+    assert "utility min sum(wos_p)" in source
+    as_max = ab.parse_problem(source.replace("utility min", "utility max"))
+    assert ab.parse_problem(source).utility == ex.neg(as_max.utility)
 
 
 def test_expr_equality_hash_and_repr():

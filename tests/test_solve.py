@@ -15,8 +15,7 @@ from conftest import TOY_CONST
 
 
 def _prog(objective, decision="sesrate", mode="best_response"):
-    return dc.ControlProgram("transport", "session", objective, "max",
-                             decision, (), mode=mode)
+    return dc.ControlProgram("transport", "session", objective, decision, (), mode=mode)
 
 
 def linear_rate_prog():
