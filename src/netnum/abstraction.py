@@ -1,14 +1,17 @@
-"""Network abstraction: elements, the dependency multigraph, and the
+"""Network abstraction: elements, the relations between them, and the
 problem DSL.
 
 A network is described by primitive elements (one per physical entity
 kind: Node, Link, Session, and their scalar attributes) and virtual
 elements (run-time-varying sets of primitives, e.g. the sessions sharing
-a link).  Three edge labels relate them:
+a link).  Three relations join them, each stored once, on the element it
+starts from:
 
-    has-attribute   parent/child, e.g. Link -> lnkcap
-    each-member-is  virtual set -> primitive member kind
-    is-function-of  modeled element -> the variables of its model
+    has-attribute   Element.holder: the one element it is an attribute
+                    of, e.g. lnkcap's holder is Link
+    each-member-is  Element.member: the primitive each member of a
+                    virtual set is
+    is-function-of  ex.free_vars(Element.model): the variables of its model
 
 Control problems are stated over quantified variable paths through this
 graph and parsed from a line-oriented DSL (grammar in parse_problem).
@@ -22,10 +25,6 @@ from . import expr as ex
 from .expr import Expr
 
 LAYERS = ("application", "transport", "network", "datalink", "physical", "none")
-
-HAS_ATTR = "has-attribute"
-MEMBER = "each-member-is"
-FUNC_OF = "is-function-of"
 
 PENALIZATION_MODES = ("best_response", "gradient", "dpl")
 
@@ -56,7 +55,8 @@ class ParseError(AbstractionError):
 
 
 class Element(NamedTuple):
-    """One element of the problem's graph: its kind, entity, layer and model."""
+    """One element of the problem's graph: its kind, entity, layer, model
+    and the elements it relates to."""
     name: str
     kind: str                  # "primitive" | "virtual"
     entity: str                # "node" | "link" | "session" | "attribute" | "set"
@@ -64,16 +64,17 @@ class Element(NamedTuple):
     scope: str | None = None   # virtual only: "global" | "local"
     mother: str | None = None  # local virtual only: its global mother element
     ctrl: bool = False         # attribute is a run-time decision variable
-    model: Expr | None = None  # "is function of" elements
+    model: Expr | None = None  # "is function of" its free variables
+    holder: str | None = None  # "has-attribute": the element this is an attribute of
+    member: str | None = None  # "each-member-is": virtual only, the primitive member
 
 
 class ElementGraph:
-    """The problem's elements by name, and the labelled edges between them."""
-    __slots__ = ("elements", "edges")
+    """The problem's elements by name; each relation lives on its element."""
+    __slots__ = ("elements",)
 
     def __init__(self) -> None:
         self.elements: dict[str, Element] = {}
-        self.edges: set[tuple[str, str, str]] = set()   # (src, label, dst)
 
     def element(self, name: str) -> Element:
         try:
@@ -86,56 +87,32 @@ class ElementGraph:
             raise ValidationError(f"duplicate element: {el.name}")
         self.elements[el.name] = el
 
-    def add_edge(self, src: str, label: str, dst: str) -> None:
-        self.element(src), self.element(dst)
-        self.edges.add((src, label, dst))
-
-    def out(self, name: str, label: str) -> set[str]:
-        self.element(name)
-        return {d for (s, lbl, d) in self.edges if s == name and lbl == label}
-
     def member_of(self, virtual: str) -> str:
         """The primitive element each member of a virtual element is."""
-        members = self.out(virtual, MEMBER)
-        if len(members) != 1:
-            raise ValidationError(f"{virtual} has {len(members)} member edges")
-        return next(iter(members))
-
-    def attributes(self, name: str) -> set[str]:
-        return self.out(name, HAS_ATTR)
+        member = self.element(virtual).member
+        if member is None:
+            raise ValidationError(f"{virtual} has no member element")
+        return member
 
 
 def validate_graph(g: ElementGraph) -> None:
-    """Check the three edge-label invariants."""
-    for (s, lbl, d) in g.edges:
-        if lbl == MEMBER:
-            if g.element(s).kind != "virtual" or g.element(d).kind != "primitive":
-                raise ValidationError(f"member edge {s}->{d} must be virtual->primitive")
+    """Check that every element each relation names exists, that a member
+    is a primitive of a virtual element, and that no has-attribute chain
+    closes on itself."""
     for el in g.elements.values():
+        if el.member is not None and (
+                el.kind != "virtual" or g.element(el.member).kind != "primitive"):
+            raise ValidationError(f"member {el.name}->{el.member} must be virtual->primitive")
         if el.model is not None:
-            targets = g.out(el.name, FUNC_OF)
-            if ex.free_vars(el.model) != targets:
-                raise ValidationError(
-                    f"{el.name}: is-function-of edges disagree with model variables")
-    # has-attribute subgraph must be acyclic
-    attr_edges: dict[str, set[str]] = {}
-    for (s, lbl, d) in g.edges:
-        if lbl == HAS_ATTR:
-            attr_edges.setdefault(s, set()).add(d)
-    state: dict[str, int] = {}
-
-    def visit(n: str) -> None:
-        state[n] = 1
-        for m in attr_edges.get(n, ()):
-            if state.get(m) == 1:
-                raise ValidationError(f"has-attribute cycle through {m}")
-            if m not in state:
-                visit(m)
-        state[n] = 2
-
-    for n in g.elements:
-        if n not in state:
-            visit(n)
+            for v in ex.free_vars(el.model):
+                g.element(v)
+        seen = {el.name}
+        holder = el.holder
+        while holder is not None:
+            if holder in seen:
+                raise ValidationError(f"has-attribute cycle through {holder}")
+            seen.add(holder)
+            holder = g.element(holder).holder
 
 
 # Bounds set on these elements fall through to the variable they cap.
@@ -146,60 +123,41 @@ def builtin_graph() -> ElementGraph:
     """The stock element graph: nodes, links, sessions, their radio and
     rate attributes, and the global/local set elements over them."""
     g = ElementGraph()
-    prim = [
-        Element("Node", "primitive", "node"),
-        Element("Link", "primitive", "link"),
-        Element("Session", "primitive", "session"),
-        Element("sesrate", "primitive", "attribute", layer="transport", ctrl=True),
-        Element("lnkpwr", "primitive", "attribute", layer="physical", ctrl=True),
-        Element("freq", "primitive", "attribute", layer="physical"),
-        Element("lnkgain", "primitive", "attribute", layer="physical"),
-        Element("lnknoise", "primitive", "attribute", layer="physical"),
-        Element("itfpwr", "primitive", "attribute", layer="physical"),
-        Element("lnkgain_itf", "primitive", "attribute", layer="physical"),
-        Element("maxpwr", "primitive", "attribute", layer="physical"),
-    ]
     sinr_model = ex.div(
         ex.mul(ex.var("lnkpwr"), ex.var("lnkgain")),
         ex.add(ex.var("lnknoise"), ex.mul(ex.var("lnkgain_itf"), ex.var("itfpwr"))))
     cap_model = ex.mul(ex.var("freq"), ex.log2(ex.add(ex.ONE, ex.var("lnksinr"))))
-    prim.append(Element("lnksinr", "primitive", "attribute", layer="physical",
-                        model=sinr_model))
-    prim.append(Element("lnkcap", "primitive", "attribute", layer="physical",
-                        model=cap_model))
-    for el in prim:
+    for el in [
+        Element("Node", "primitive", "node"),
+        Element("Link", "primitive", "link", holder="Node"),
+        Element("Session", "primitive", "session"),
+        Element("sesrate", "primitive", "attribute", layer="transport", ctrl=True,
+                holder="Session"),
+        Element("lnkpwr", "primitive", "attribute", layer="physical", ctrl=True,
+                holder="Link"),
+        Element("freq", "primitive", "attribute", layer="physical", holder="Link"),
+        Element("lnkgain", "primitive", "attribute", layer="physical", holder="Link"),
+        Element("lnknoise", "primitive", "attribute", layer="physical", holder="Link"),
+        Element("itfpwr", "primitive", "attribute", layer="physical", holder="Link"),
+        Element("lnkgain_itf", "primitive", "attribute", layer="physical", holder="Link"),
+        Element("maxpwr", "primitive", "attribute", layer="physical", holder="Node"),
+        Element("lnksinr", "primitive", "attribute", layer="physical", model=sinr_model,
+                holder="Link"),
+        Element("lnkcap", "primitive", "attribute", layer="physical", model=cap_model,
+                holder="Link"),
+        Element("netnd", "virtual", "set", scope="global", member="Node"),
+        Element("netlnk", "virtual", "set", scope="global", member="Link"),
+        Element("netses", "virtual", "set", scope="global", member="Session"),
+        Element("nbrnd", "virtual", "set", scope="local", mother="netnd",
+                holder="Node", member="Node"),
+        Element("lnkses", "virtual", "set", scope="local", mother="netses",
+                holder="Link", member="Session"),
+        Element("seslnk", "virtual", "set", scope="local", mother="netlnk",
+                holder="Session", member="Link"),
+        Element("lnknd", "virtual", "set", scope="local", mother="netlnk",
+                holder="Node", member="Link"),
+    ]:
         g.add_element(el)
-
-    virt = [
-        Element("netnd", "virtual", "set", scope="global"),
-        Element("netlnk", "virtual", "set", scope="global"),
-        Element("netses", "virtual", "set", scope="global"),
-        Element("nbrnd", "virtual", "set", scope="local", mother="netnd"),
-        Element("lnkses", "virtual", "set", scope="local", mother="netses"),
-        Element("seslnk", "virtual", "set", scope="local", mother="netlnk"),
-        Element("lnknd", "virtual", "set", scope="local", mother="netlnk"),
-    ]
-    for el in virt:
-        g.add_element(el)
-
-    for v, m in [("netnd", "Node"), ("netlnk", "Link"), ("netses", "Session"),
-                 ("nbrnd", "Node"), ("lnkses", "Session"), ("seslnk", "Link"),
-                 ("lnknd", "Link")]:
-        g.add_edge(v, MEMBER, m)
-
-    for a in ["lnkcap", "lnkpwr", "lnksinr", "freq", "lnkgain", "lnknoise",
-              "itfpwr", "lnkgain_itf", "lnkses"]:
-        g.add_edge("Link", HAS_ATTR, a)
-    g.add_edge("Session", HAS_ATTR, "sesrate")
-    g.add_edge("Session", HAS_ATTR, "seslnk")
-    for a in ["Link", "maxpwr", "nbrnd", "lnknd"]:
-        g.add_edge("Node", HAS_ATTR, a)
-
-    for t in ["lnkpwr", "lnkgain", "lnknoise", "lnkgain_itf", "itfpwr"]:
-        g.add_edge("lnksinr", FUNC_OF, t)
-    for t in ["freq", "lnksinr"]:
-        g.add_edge("lnkcap", FUNC_OF, t)
-
     validate_graph(g)
     return g
 
@@ -255,9 +213,8 @@ def validate_path(graph: ElementGraph, path: tuple[str, ...]) -> None:
         if name not in graph.elements:
             raise PathError(f"unknown element in path: {name}")
     for a, b in zip(path, path[1:]):
-        ea = graph.element(a)
-        holder = graph.member_of(a) if ea.kind == "virtual" else a
-        if b not in graph.attributes(holder):
+        holder = graph.member_of(a) if graph.element(a).kind == "virtual" else a
+        if graph.elements[b].holder != holder:
             raise PathError(f"{b} is not an attribute reachable from {a}")
     if graph.element(path[-1]).entity != "attribute":
         raise PathError(f"path must end at a scalar attribute, got {path[-1]}")
@@ -509,7 +466,7 @@ def _holder_of(used: set[str], specs: dict[str, VarSpec]) -> str | None:
     return next(iter(holders)) if holders else None
 
 
-def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProblem:
+def parse_problem(source: str) -> ControlProblem:
     """Parse the line-oriented problem DSL.
 
     Statements (one per line, `#` starts a comment):
@@ -544,7 +501,7 @@ def parse_problem(source: str, graph: ElementGraph | None = None) -> ControlProb
     and name no line: `missing utility` and `no control variable
     declared` (both ValidationError).
     """
-    g = graph if graph is not None else builtin_graph()
+    g = builtin_graph()
     specs: dict[str, VarSpec] = {}
     utility: Expr | None = None
     constraints: list[Constraint] = []

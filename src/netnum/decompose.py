@@ -13,11 +13,11 @@ holder member of that dual's constraint.  A layer's entity subproblems
 are then lifted, in one call, back to one abstract template: each
 entity's index is erased and its lambda index set is recognized as the
 instance of one local set element -- the element the entity must
-collect dual values from at run time.  Facts about the layer (the
-holder table, the entity kind of each global element's members, the
-decision) are found once per call; every entity is still rewritten and
-compared with the first, which is the check that the instantiation is a
-bijection.  The lift rewrites each term once, by a substitution built
+collect dual values from at run time.  Facts about the layer (each
+base's entity kind, read from its element's holder, the entity kind of
+each global element's members, the decision) are found once per call;
+every entity is still rewritten and compared with the first, which is
+the check that the instantiation is a bijection.  The lift rewrites each term once, by a substitution built
 from that term's own (base, index) pairs, into unindexed variables that
 the whole layer shares; it finds the decision by walking the graph's
 models, not by resolving them.  The splits read each term's pairs in a
@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import expr as ex
-from .abstraction import HAS_ATTR, PENALIZATION_MODES, ElementGraph, resolve_model
+from .abstraction import PENALIZATION_MODES, ElementGraph, resolve_model
 from .expr import Expr
 from .instantiate import InstanceMap, InstantiatedProblem, InstConstraint
 
@@ -149,25 +149,19 @@ def split_by_layer(dp: DualProblem, graph: ElementGraph,
 
 
 class _EntityKinds(dict):
-    """base -> entity kind; a base with no holder or several raises
-    AmbiguousEntity when it is looked up."""
-    __slots__ = ("holders",)
+    """base -> entity kind; a base with no holder raises AmbiguousEntity
+    when it is looked up."""
+    __slots__ = ()
 
     def __missing__(self, base: str) -> str:
-        raise AmbiguousEntity(f"{base} has {len(self.holders.get(base, ()))} holders")
+        raise AmbiguousEntity(f"{base} has no holder")
 
 
 def _entity_kinds(graph: ElementGraph) -> _EntityKinds:
-    """The entity kind of each base: the entity of its one has-attribute
-    holder.  The holders are read from graph.edges as they stand now."""
-    holders: dict[str, list[str]] = {}
-    for s, lbl, d in graph.edges:
-        if lbl == HAS_ATTR:
-            holders.setdefault(d, []).append(s)
-    kinds = _EntityKinds((b, graph.element(found[0]).entity)
-                         for b, found in holders.items() if len(found) == 1)
-    kinds.holders = holders
-    return kinds
+    """The entity kind of each base: the entity of its has-attribute
+    holder, read from the graph's elements as they stand now."""
+    return _EntityKinds((name, graph.element(el.holder).entity)
+                        for name, el in graph.elements.items() if el.holder is not None)
 
 
 def _member_kind(graph: ElementGraph, virtual: str) -> str:
@@ -253,7 +247,7 @@ def lift_to_abstract(entities: list[Subproblem], m: InstanceMap) -> ControlProgr
     symbols, and each lambda index set a sum over the local element it
     instantiates.
 
-    The holder table, the entity kind of each global element's members,
+    The entity kind of each base and of each global element's members,
     one unindexed variable per base and the template's decision belong
     to the layer and are found once.  Every entity is still rewritten and
     matched, and its template and collection rules must equal the first

@@ -21,7 +21,7 @@ import random
 from typing import NamedTuple
 
 from . import expr as ex
-from .abstraction import HAS_ATTR, Constraint, ControlProblem
+from .abstraction import Constraint, ControlProblem
 from .expr import Expr
 
 
@@ -212,13 +212,10 @@ def _sample_family(name: str, holder_members: tuple[int, ...],
     return out, hashes
 
 
-def invert_map(imap: InstanceMap, from_element: str, to_element: str,
-               problem: ControlProblem | None = None) -> LocalFamily:
+def invert_map(imap: InstanceMap, from_element: str, to_element: str) -> LocalFamily:
     """Derive the instances of one local family from its dual: member k of
     the transposed family collects every holder whose instance contains k."""
     src = imap.family(from_element)
-    if problem is not None:
-        _check_dual(imap, from_element, to_element, problem)
     holders = imap.glb.get(src.mother)
     if holders is None:
         raise NotDual(f"mother {src.mother} of {from_element} is not instantiated")
@@ -227,28 +224,12 @@ def invert_map(imap: InstanceMap, from_element: str, to_element: str,
     return LocalFamily(to_element, src.mother, src.holder, instances, derived=True)
 
 
-def _check_dual(imap: InstanceMap, from_element: str, to_element: str,
-                problem: ControlProblem) -> None:
-    g = problem.graph
-    f, t = g.element(from_element), g.element(to_element)
-    if f.scope != "local" or t.scope != "local":
-        raise NotDual(f"{from_element} / {to_element} are not local elements")
-    src = imap.family(from_element)
-    # duality: holder and mother transpose
-    to_holder = _holder_global(problem, to_element)
-    if not (to_holder == src.mother and t.mother == src.holder):
-        raise NotDual(f"{from_element} and {to_element} do not transpose")
-
-
 def _holder_global(problem: ControlProblem, local_name: str) -> str:
     """The global family enumerating the holders of a local element: the
     local element is an attribute of some primitive; the global set over
     that primitive keys its instances."""
     g = problem.graph
-    holders = [s for (s, lbl, d) in g.edges if lbl == HAS_ATTR and d == local_name]
-    if len(holders) != 1:
-        raise InstantiateError(f"{local_name} must hang off exactly one holder")
-    prim = holders[0]
+    prim = g.element(local_name).holder
     for el in g.elements.values():
         if el.kind == "virtual" and el.scope == "global" and g.member_of(el.name) == prim:
             return el.name

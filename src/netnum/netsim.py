@@ -175,7 +175,7 @@ class ScenarioConfig(_ScenarioFields):
             raise ConfigError(f"rate_min {self.rate_min} exceeds rate_max {self.rate_max}")
         # 0 turns slack_clip and the move caps off
         for key in ("max_gain_db", "rate_min", "slack_clip", "power_move_max",
-                    "rate_move_max"):
+                    "rate_move_max", "rate_iters", "power_iters"):
             if not getattr(self, key) >= 0:
                 raise ConfigError(f"{key} must not be negative, got {getattr(self, key)}")
         for key in ("phys_epoch", "rate_step", "power_step", "dual_step"):
@@ -1128,7 +1128,7 @@ _CFG_TYPES = get_type_hints(ScenarioConfig)
 
 def load_scenario(text: str) -> ScenarioConfig:
     """Parse a plain key=value scenario file (# comments allowed).
-    Tuple-valued keys take comma-separated lists."""
+    Tuple-valued keys take comma-separated lists; a key may appear once."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -1140,6 +1140,8 @@ def load_scenario(text: str) -> ScenarioConfig:
         key, val = key.strip(), val.strip()
         if key not in _CFG_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         tp = _CFG_TYPES[key]
         try:
             if get_origin(tp) is tuple:

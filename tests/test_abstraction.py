@@ -14,17 +14,18 @@ def graph():
 
 
 def test_builtin_graph_link_attributes(graph):
-    assert {"lnkcap", "lnkpwr"} <= graph.out("Link", ab.HAS_ATTR)
+    assert {"lnkcap", "lnkpwr"} <= {name for name, el in graph.elements.items()
+                                    if el.holder == "Link"}
 
 
 def test_builtin_graph_membership_edges(graph):
-    assert graph.out("lnkses", ab.MEMBER) == {"Session"}
-    assert graph.out("netses", ab.MEMBER) == {"Session"}
-    assert graph.out("lnkcap", ab.MEMBER) == set()
+    assert graph.member_of("lnkses") == "Session"
+    assert graph.member_of("netses") == "Session"
+    assert graph.element("lnkcap").member is None
 
 
 def test_builtin_graph_sinr_model_edge(graph):
-    assert "lnkpwr" in graph.out("lnksinr", ab.FUNC_OF)
+    assert "lnkpwr" in ex.free_vars(graph.element("lnksinr").model)
 
 
 def test_resolved_capacity_model_is_the_sinr_formula(graph):
@@ -35,22 +36,30 @@ def test_resolved_capacity_model_is_the_sinr_formula(graph):
 
 def test_read_unknown_element(graph):
     with pytest.raises(ab.UnknownElement):
-        graph.out("nosuch", ab.HAS_ATTR)
+        graph.member_of("nosuch")
 
 
 def test_graph_well_formedness(graph):
     ab.validate_graph(graph)
     bad = ab.builtin_graph()
-    bad.add_edge("netses", ab.HAS_ATTR, "Session")
-    bad.add_edge("Session", ab.HAS_ATTR, "netses")
-    with pytest.raises(ab.ValidationError):
+    bad.elements["netses"] = bad.elements["netses"]._replace(holder="Session")
+    bad.elements["Session"] = bad.elements["Session"]._replace(holder="netses")
+    with pytest.raises(ab.ValidationError, match="has-attribute cycle"):
+        ab.validate_graph(bad)
+
+
+def test_model_must_read_known_elements():
+    bad = ab.builtin_graph()
+    bad.elements["lnkcap"] = bad.elements["lnkcap"]._replace(
+        model=ex.mul(ex.var("freq"), ex.log2(ex.var("nosuch"))))
+    with pytest.raises(ab.UnknownElement, match="nosuch"):
         ab.validate_graph(bad)
 
 
 def test_member_edge_must_land_on_primitive(graph):
     bad = ab.builtin_graph()
-    bad.edges.add(("netses", ab.MEMBER, "netlnk"))
-    with pytest.raises(ab.ValidationError):
+    bad.elements["netses"] = bad.elements["netses"]._replace(member="netlnk")
+    with pytest.raises(ab.ValidationError, match="virtual->primitive"):
         ab.validate_graph(bad)
 
 

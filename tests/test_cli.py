@@ -246,6 +246,9 @@ def test_scenario_file_error_names_stage(tmp_path, capsys):
             ("power_move_max = -1\n", "power_move_max must not be negative, got -1.0"),
             ("rate_move_max = nan\n", "rate_move_max must not be negative, got nan"),
             ("rate_min = -5\n", "rate_min must not be negative, got -5.0"),
+            ("rate_iters = -3\n", "rate_iters must not be negative, got -3"),
+            ("power_iters = -3\n", "power_iters must not be negative, got -3"),
+            ("seed = 1\nseed = 2\n", "line 2: duplicate key 'seed'"),
             ("pathloss_exp = -3\n", "pathloss_exp must be positive and finite, got -3.0"),
             ("pathloss_exp = nan\n", "pathloss_exp must be positive and finite, got nan"),
             ("scenario = 2\nbudgets = -5,1\n",

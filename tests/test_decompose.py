@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from pathlib import Path
 
@@ -223,24 +224,20 @@ def test_split_by_entity_single_entity_identity(toy_inst):
 
 
 def test_two_holders_make_an_entity_ambiguous(toy_inst):
-    # both ways of giving sesrate a second has-attribute holder, each made
-    # after a split and a lift that saw one holder
+    # sesrate loses its has-attribute holder after a split and a lift that
+    # saw it; both read the graph as it stands now
     inst, imap = toy_inst
-    for second_holder in ("add_edge", "assign_edges"):
-        dp = copy.deepcopy(dc.dualize(inst))
-        graph = dp.inst.problem.graph
-        layers, _ = dc.split_by_layer(dp, graph)
-        sessions = dc.split_by_entity(layers["transport"], graph)
-        assert len(sessions) == 3
+    dp = copy.deepcopy(dc.dualize(inst))
+    graph = dp.inst.problem.graph
+    layers, _ = dc.split_by_layer(dp, graph)
+    sessions = dc.split_by_entity(layers["transport"], graph)
+    assert len(sessions) == 3
+    dc.lift_to_abstract([sessions[0]], imap)
+    graph.elements["sesrate"] = graph.elements["sesrate"]._replace(holder=None)
+    with pytest.raises(dc.AmbiguousEntity, match="sesrate has no holder"):
+        dc.split_by_entity(layers["transport"], graph)
+    with pytest.raises(dc.AmbiguousEntity, match="sesrate has no holder"):
         dc.lift_to_abstract([sessions[0]], imap)
-        if second_holder == "add_edge":
-            graph.add_edge("Link", ab.HAS_ATTR, "sesrate")
-        else:
-            graph.edges = graph.edges | {("Link", ab.HAS_ATTR, "sesrate")}
-        with pytest.raises(dc.AmbiguousEntity, match="sesrate has 2 holders"):
-            dc.split_by_entity(layers["transport"], graph)
-        with pytest.raises(dc.AmbiguousEntity, match="sesrate has 2 holders"):
-            dc.lift_to_abstract([sessions[0]], imap)
 
 
 def test_session4_subproblem_renders_exactly(jocp_inst):
@@ -437,6 +434,38 @@ def test_penalize_dpl_uses_symbolic_capacity_derivative(toy_inst):
         assert abs(ex.eval_expr(pen.penalty, env) - want) < 1e-9 * max(1, abs(want))
 
 
+def test_swapping_a_model_is_one_edit(toy_inst):
+    # the high-SINR capacity surrogate replaces lnkcap's model by one edit
+    # of one element, and every reader of the model follows it
+    inst, imap = toy_inst
+    dp = dc.dualize(inst)
+    layers, _ = dc.split_by_layer(dp, inst.problem.graph)
+    prog = dc.lift_to_abstract(
+        dc.split_by_entity(layers["physical"], inst.problem.graph)[:1], imap)
+    graph = ab.builtin_graph()
+    el = graph.elements["lnkcap"]
+    graph.elements["lnkcap"] = el._replace(
+        model=ex.mul(ex.var("freq"), ex.log2(ex.var("lnksinr"))))
+    ab.validate_graph(graph)
+    assert ex.render(ab.resolve_model(graph, "lnkcap")) == \
+        "freq*log2(lnkpwr*lnkgain/(lnknoise + lnkgain_itf*itfpwr))"
+    pen = dc.penalize(prog, "dpl", graph)
+    # d/d(itfpwr) of freq*log2(p*g/(n + gi*itfpwr)) = -freq*gi/(ln 2 * (n + gi*itfpwr))
+    rng = random.Random(5)
+    for _ in range(20):
+        theirs = {"freq": 2e5, "lnkpwr": rng.uniform(1, 500),
+                  "lnkgain": rng.uniform(1e-6, 1e-4),
+                  "lnknoise": rng.uniform(1e-5, 1e-3),
+                  "lnkgain_itf": rng.uniform(1e-7, 1e-5)}
+        p0, p1, lam = rng.uniform(1, 500), rng.uniform(1, 500), rng.uniform(0, 2)
+        env = {f"itf_{k}": v for k, v in theirs.items()}
+        env.update({"lbd_itf": lam, "lnkpwr": p1, "lnkpwr_anchor": p0})
+        deriv = -theirs["freq"] * theirs["lnkgain_itf"] / (
+            math.log(2) * (theirs["lnknoise"] + theirs["lnkgain_itf"] * p0))
+        want = lam * deriv * (p1 - p0)
+        assert abs(ex.eval_expr(pen.penalty, env) - want) < 1e-9 * max(1, abs(want))
+
+
 def test_penalization_vanishes_at_anchor(toy_inst):
     inst, imap = toy_inst
     graph = inst.problem.graph
@@ -469,15 +498,9 @@ def test_penalize_not_differentiable(toy_inst):
     prog = dc.lift_to_abstract(
         dc.split_by_entity(layers["physical"], graph)[:1], imap)
     # a coupling model the differentiator cannot handle
-    weird = ab.ElementGraph()
-    for el in graph.elements.values():
-        weird.add_element(el)
-    weird.edges = set(graph.edges)
-    weird.elements["lnkcap"] = ab.Element(
-        "lnkcap", "primitive", "attribute", layer="physical",
+    weird = ab.builtin_graph()
+    weird.elements["lnkcap"] = weird.elements["lnkcap"]._replace(
         model=ex.bigsum("netlnk", ex.var("itfpwr", "netlnk")))
-    weird.edges = {e for e in weird.edges if not (e[0] == "lnkcap" and e[1] == ab.FUNC_OF)}
-    weird.add_edge("lnkcap", ab.FUNC_OF, "itfpwr")
     with pytest.raises(dc.NotDifferentiable):
         dc.penalize(prog, "dpl", weird)
 

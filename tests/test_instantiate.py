@@ -185,16 +185,10 @@ def test_toy_inversion(toy_inst):
     assert imap.lcl["seslnk"].instances == {0: (0, 1), 1: (0, 2), 2: (1, 2)}
 
 
-def test_double_inversion_is_identity(jocp_problem, jocp_inst):
+def test_double_inversion_is_identity(jocp_inst):
     _, imap = jocp_inst
-    back = it.invert_map(imap, "seslnk", "lnkses", jocp_problem)
+    back = it.invert_map(imap, "seslnk", "lnkses")
     assert back.instances == imap.lcl["lnkses"].instances
-
-
-def test_invert_not_dual(jocp_problem, jocp_inst):
-    _, imap = jocp_inst
-    with pytest.raises(it.NotDual):
-        it.invert_map(imap, "lnkses", "nbrnd", jocp_problem)
 
 
 def test_inverse_cardinalities_not_forced(jocp_inst):

@@ -1169,6 +1169,11 @@ def test_scenario_loader():
         ns.load_scenario("scenario: 2\n")
 
 
+def test_scenario_loader_refuses_a_repeated_key():
+    with pytest.raises(ns.ConfigError, match="line 3: duplicate key 'seed'"):
+        ns.load_scenario("scenario = 2\nseed = 1\nseed = 2\n")
+
+
 # The trace as it was recorded and written one row at a time, kept here
 # as the reference for Trace's by-epoch storage.
 def reference_record(net, rows):

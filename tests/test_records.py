@@ -25,14 +25,18 @@ DATA = Path(netnum.__file__).parent / "data"
      "packet_bits must be at least 1, got 0"),
     (ns.ScenarioConfig, {"seed": 3}, {"band_pattern": (0, 1)}, ns.ConfigError,
      "band_pattern has 2 entries; scenario 1 has 4 links"),
+    (ns.ScenarioConfig, {"rate_iters": 0}, {"rate_iters": -3}, ns.ConfigError,
+     "rate_iters must not be negative, got -3"),
+    (ns.ScenarioConfig, {"power_iters": 0}, {"power_iters": -3}, ns.ConfigError,
+     "power_iters must not be negative, got -3"),
     (it.InstanceConfig, {"seed": 3}, {"n_lcl": 21}, it.CardinalityError,
      "local cardinality 21 exceeds global 20"),
     (sv.SolverConfig, {"step": 0.5}, {"tol": 0.0}, sv.SolveError,
      "steps and tolerance must be positive"),
     (sv.SolverConfig, {"step": 0.5}, {"boxes": {"x": (2.0, 1.0)}}, sv.SolveError,
      "x: box lower 2.0 exceeds upper 1.0"),
-], ids=["scenario-packet-bits", "scenario-band-pattern", "instance", "solver-tol",
-        "solver-box"])
+], ids=["scenario-packet-bits", "scenario-band-pattern", "scenario-rate-iters",
+        "scenario-power-iters", "instance", "solver-tol", "solver-box"])
 def test_validated_records_check_when_built_and_when_replaced(record, good, bad, error,
                                                               message):
     with pytest.raises(error, match=message):
@@ -52,7 +56,7 @@ def fresh_mutables():
     family = ns.ConstraintFamily("netlnk", "link", ex.ZERO, ex.ZERO, 2)
     net = ns.NetState(ns.ScenarioConfig(), [], [], [])
     link = ns.Link(0, 0, 1, 0, 1.0, 1.0, 1.0, (0.0, 30.0), (0,))
-    return [graph.elements, graph.edges, imap.glb, imap.lcl,
+    return [graph.elements, imap.glb, imap.lcl,
             sv.SolverConfig().boxes, family.duals, family.prev, net.families,
             net.pending, net.programs, net._solvers, net._shared, link.cross_gain]
 
