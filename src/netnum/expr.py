@@ -289,10 +289,13 @@ def eval_expr(e: Expr, env: Env) -> float:
 _FAST_PATH_ERRORS = "(KeyError, ZeroDivisionError, ValueError, OverflowError)"
 
 
-def compile_expr(e: Expr) -> Callable[[Env], float]:
+def compile_expr(e: Expr, params: Sequence[str] | None = None
+                 ) -> Callable[[Env | Sequence[float]], float]:
     """Compile to one Python function generated as source; same results
     as eval_expr, bit for bit, and much faster when one expression is
-    evaluated many times (simulation inner loops).
+    evaluated many times (simulation inner loops).  The function takes
+    env, or, given a params order, one sequence of values in that order
+    (see SourceGen.prologue), evaluated as the env dict(zip(params, args)).
 
     The source is SourceGen's: one local per distinct subtree, so deep
     trees never nest and equal subtrees are computed once, with
@@ -300,36 +303,39 @@ def compile_expr(e: Expr) -> Callable[[Env], float]:
     the domain checks to the float operations themselves; when one of
     them raises (or a variable is unbound) the call is evaluated again by
     eval_expr, which raises the same exception eval_expr always does."""
-    gen = SourceGen()
+    gen = SourceGen(params)
     result = gen.emit(e)
-    source = (f"def compiled(env):\n"
-              f"    try:\n{gen.source(gen.reads + gen.lines, 8)}"
+    source = (f"def compiled({gen.arg}):\n"
+              f"    try:\n{gen.prologue(8)}{gen.source(gen.lines, 8)}"
               f"        return {result}\n"
               f"    except {_FAST_PATH_ERRORS}:\n"
               f"        pass\n"
-              f"    return _eval_expr(_expr, env)\n")
+              f"    return _eval_expr(_expr, {gen.env})\n")
     return gen.define(source, "compiled", _eval_expr=eval_expr, _expr=e)
 
 
-def compile_slacks(pairs: Sequence[tuple[Expr, Expr]]) -> Callable[[Env], list[float]]:
+def compile_slacks(pairs: Sequence[tuple[Expr, Expr]], params: Sequence[str] | None = None
+                   ) -> Callable[[Env | Sequence[float]], list[float]]:
     """Compile constraints, given as (lhs, rhs) pairs, to one generated
     function that returns each pair's rhs - lhs, in order: the floats of
-    eval_expr(rhs, env) - eval_expr(lhs, env).  As in compile_expr, each
-    variable is read once and equal subtrees, of one pair or of several,
-    are computed once.  Where the fast path raises, every pair is
+    eval_expr(rhs, env) - eval_expr(lhs, env).  It takes env or, given
+    params, one sequence, as compile_expr's does.  As in compile_expr,
+    each variable is read once and equal subtrees, of one pair or of
+    several, are computed once.  Where the fast path raises, every pair is
     evaluated again by eval_expr, rhs before lhs and pair by pair, so the
     first failing side raises what it always raised."""
-    gen = SourceGen()
+    gen = SourceGen(params)
     slacks = []
     for lhs, rhs in pairs:
         right = gen.emit(rhs)
         left = gen.emit(lhs)
         slacks.append(f"{right} - {left}")
-    source = (f"def slacks(env):\n"
-              f"    try:\n{gen.source(gen.reads + gen.lines, 8)}"
+    source = (f"def slacks({gen.arg}):\n"
+              f"    try:\n{gen.prologue(8)}{gen.source(gen.lines, 8)}"
               f"        return [{', '.join(slacks)}]\n"
               f"    except {_FAST_PATH_ERRORS}:\n"
               f"        pass\n"
+              f"    env = {gen.env}\n"
               f"    return [_eval_expr(rhs, env) - _eval_expr(lhs, env)\n"
               f"            for lhs, rhs in _pairs]\n")
     return gen.define(source, "slacks", _eval_expr=eval_expr, _pairs=tuple(pairs))
@@ -345,15 +351,23 @@ class SourceGen:
     Expr equality.  Arithmetic is eval_expr's: add is 0 + a + b + ...,
     mul is 1.0 * a * b * ..., the denominator of a div is evaluated
     first, exp10(x) is 10.0 ** x, and constants are passed in as objects
-    rather than printed.  Each variable is read once from `env` into a
-    local (`reads`); `bind` makes a variable name a given local instead.
-    Equal values computed twice are the same float, so merging changes
-    no result.  Reads and lines are (local, code) pairs.  `varying` holds
-    every bound local and every local computed from one, so a caller
-    that changes the bound locals need recompute only those."""
+    rather than printed.  Each variable is read once into a local
+    (`reads`, by `prologue`); `bind` makes a variable name a given local
+    instead.  Equal values computed twice are the same float, so merging
+    changes no result.  Reads are (local, variable name) pairs, lines
+    (local, code) pairs.  `varying` holds every bound local and every
+    local computed from one, so a caller that changes the bound locals
+    need recompute only those.
 
-    def __init__(self, env: str = "env"):
-        self.env = env
+    The generated function's argument is `arg`: a name-keyed env, or,
+    given a `params` order, one sequence of values in that order.  `env`
+    is the expression a fallback evaluates the env as: env itself, or
+    dict(zip(params, args)), built only by the fallback."""
+
+    def __init__(self, params: Sequence[str] | None = None):
+        self.params = None if params is None else tuple(params)
+        self.arg, self.env = (("env", "env") if params is None
+                              else ("args", "dict(zip(_params, args))"))
         self.reads: list[tuple[str, str]] = []
         self.lines: list[tuple[str, str]] = []
         self.consts: dict[str, float] = {}
@@ -365,6 +379,31 @@ class SourceGen:
     def bind(self, name: str, local: str) -> None:
         self._vars[name] = local
         self.varying.add(local)
+
+    def read(self, name: str) -> str:
+        """The local the variable `name` is read into."""
+        local = self._vars.get(name)
+        if local is None:
+            local = self._vars[name] = f"v{len(self.reads)}"
+            self.reads.append((local, name))
+        return local
+
+    def prologue(self, indent: int) -> str:
+        """The source that reads every variable into its local: one
+        env[name] lookup each or, given params, one statement unpacking
+        args in params order (a parameter nothing reads goes to _), then,
+        for a variable params does not name, the KeyError env[name] would
+        raise."""
+        pad = " " * indent
+        if self.params is None:
+            return "".join(f"{pad}{local} = env[{name!r}]\n" for local, name in self.reads)
+        local_of = {name: local for local, name in self.reads}
+        targets = "".join(f"{local_of.get(p, '_')}, " for p in self.params)
+        source = f"{pad}({targets}) = args\n"
+        unbound = [name for _, name in self.reads if name not in self.params]
+        if unbound:
+            source += f"{pad}raise KeyError({unbound[0]!r})\n"
+        return source
 
     def emit(self, e: Expr) -> str:
         """Name of a local (or constant) holding e's value."""
@@ -379,11 +418,7 @@ class SourceGen:
                 name = self._keys[key] = f"_c{len(self.consts)}"
                 self.consts[name] = e.value
         elif k == "var":
-            vname = var_name(e.name, e.index)
-            name = self._vars.get(vname)
-            if name is None:
-                name = self._vars[vname] = f"v{len(self.reads)}"
-                self.reads.append((name, f"{self.env}[{vname!r}]"))
+            name = self.read(var_name(e.name, e.index))
         elif k in ("add", "mul", "neg", "div", "func"):
             if k == "func" and e.name not in _FUNC_EVAL:
                 raise UnsupportedNode(f"func:{e.name}")
@@ -424,10 +459,10 @@ class SourceGen:
         return "".join(f"{pad}{name} = {code}\n" for name, code in lines)
 
     def define(self, source: str, fname: str, **names) -> Callable:
-        """The function `fname` defined by source, with the constants and
-        function evaluators the emitted lines read."""
+        """The function `fname` defined by source, with the constants,
+        function evaluators and params the emitted lines read."""
         namespace = {**{f"_{f}": fn for f, fn in _FUNC_EVAL.items()},
-                     **self.consts, **names}
+                     **self.consts, "_params": self.params, **names}
         exec(compile(source, f"<{fname}>", "exec"), namespace)
         return namespace[fname]
 

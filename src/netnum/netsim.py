@@ -22,17 +22,26 @@ Model notes:
     family's slacks (every member's rhs - lhs) and the utility are
     compiled once per topology: each function is kept with the session
     done flags (and, for the utility, the active links) it was expanded
-    for, and rebuilt when those differ from the live state.
+    for, and rebuilt when those differ from the live state.  The
+    functions a step calls (the capacity model, the slacks, the utility,
+    the link programs' fused loops) take their parameters as one flat
+    sequence, in an order fixed when they are compiled: the capacity's
+    is _CAPACITY_PARAMS, the slacks' every session's rate, then every
+    link's capacity, then every link's power, and the utility's the
+    rates, then the powers.
   - Solvers are compiled on first use, once per (installed program,
     shape): a link program names the parameters of each victim (a link
-    whose capacity its power lowers) by slot, in index order, and a
-    session program its path's duals by hop, so every link with the same
-    victim count, and every session with the same path length, runs one
+    whose capacity its power lowers) by slot, in index order, after its
+    own (_LINK_PARAMS, then _NEIGHBOUR_PARAMS per slot), and a session
+    program its path's duals by hop, so every link with the same victim
+    count, and every session with the same path length, runs one
     compiled program (the ascent loop fused into one generated function,
-    see solve.compile_program).  Each entity's solver keeps its box, under
-    the program's decision variable, its anchor's name and its
-    slot/hop-to-index maps; a link solve reads the capacity prices from
-    net.link_family, found once at install.
+    see solve.compile_program).  Each entity's solver keeps its box (for
+    a link also as bounds of its own), the position of its anchor among
+    the program's parameters, and its victims' or hops' indices; a link
+    solve passes its parameters by position (solve.solve_args), a
+    session solve by name (solve.solve_program), and a link solve reads
+    the capacity prices from net.link_family, found once at install.
   - One key per phase: a phase that reuses work packs what it reads as
     doubles into one key, and keeps its last value in a Kept while the
     key repeats bit for bit (the interference with every capacity, a
@@ -67,19 +76,21 @@ import itertools
 import math
 import random
 import struct
-from typing import Callable, NamedTuple, TextIO, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, Sequence, TextIO, get_args, get_origin, get_type_hints
 
 from . import expr as ex
 from .abstraction import BoxRule, ControlProblem, resolve_model
 from .decompose import ControlProgram
 from .expr import Env, Expr
 from .solve import (CompiledProgram, SolverConfig, clip, compile_program, dual_update,
-                    solve_program)
+                    solve_args, solve_program)
 
 SCHEMES = ("joint", "rate-only", "power-only", "no-control")
 MAX_EPOCHS = 10**6   # a run's trace keeps every epoch in memory; to_csv streams it
 
-Compiled = Callable[[Env], float]   # an Expr compiled by expr.compile_expr
+# an Expr compiled by expr.compile_expr with a params order: it takes the
+# values of those parameters as one sequence, in that order
+Compiled = Callable[[Sequence[float]], float]
 
 # Not built from db_to_linear: 0.1 * x and x / 10.0 round differently.
 DB_TO_LINEAR = ex.exp10(ex.mul(ex.const(0.1), ex.var("pwrgain")))
@@ -264,7 +275,7 @@ class ConstraintFamily:
         self.prev = [0.0] * members    # last epoch's duals
         # every member's rhs - lhs as one compiled function (see
         # _compile_slacks), and the session done flags it was expanded for
-        self.slack_fn: Callable[[Env], list[float]] | None = None
+        self.slack_fn: Callable[[Sequence[float]], list[float]] | None = None
         self.slack_key: tuple[bool, ...] | None = None
 
 
@@ -287,7 +298,8 @@ class NetState:
         # utility_expr compiled for (utility_expr, live sessions, active links)
         self.utility_fn: Compiled | None = None
         self.utility_key: tuple[Expr, tuple[int, ...], tuple[int, ...]] | None = None
-        # env names of each session's rate and each link's capacity and power
+        # the names of each session's rate and each link's capacity and
+        # power: the parameters of the slack and utility functions
         self.rate_names = self.cap_names = self.pwr_names = ()
         self.pending: list[tuple[tuple[str, int], ControlProgram]] = []
         self.programs: dict[tuple[str, int], ControlProgram] = {}
@@ -393,6 +405,10 @@ def _scenario_boxes(cfg: ScenarioConfig) -> tuple[tuple[float, float], tuple[flo
 # ---------------------------------------------------------------------------
 # capacity through the shared symbolic model
 
+# the parameters of net.capacity, in the order link_capacity passes them
+_CAPACITY_PARAMS = ("freq", "lnkpwr", "lnkgain", "lnknoise", "lnkgain_itf", "itfpwr")
+
+
 def link_capacity(link: Link, net: NetState, power: float, itf: float) -> float:
     """Capacity in bits/s from the symbolic SINR model, at the link's
     linear power and its aggregate interference `itf` (the sum of
@@ -400,12 +416,9 @@ def link_capacity(link: Link, net: NetState, power: float, itf: float) -> float:
     through (lnkgain_itf=1, itfpwr=itf)."""
     if not link.active:
         return 0.0
-    env = {"freq": link.bandwidth, "lnkpwr": power,
-           "lnkgain": link.gain, "lnknoise": link.noise,
-           "lnkgain_itf": 1.0, "itfpwr": itf}
     if link.noise + itf <= 0.0:
         raise DomainError(f"link {link.index}: non-positive noise+interference")
-    return net.capacity(env)
+    return net.capacity((link.bandwidth, power, link.gain, link.noise, 1.0, itf))
 
 
 def _linear_powers(net: NetState) -> list[float]:
@@ -450,7 +463,7 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
     for rule in problem.box_rules:
         _apply_box_rule(net, rule)
     net.capacity_model = resolve_model(problem.graph, "lnkcap")
-    net.capacity = ex.compile_expr(net.capacity_model)
+    net.capacity = ex.compile_expr(net.capacity_model, _CAPACITY_PARAMS)
     _derive(net)
     return net
 
@@ -538,32 +551,34 @@ class _EntitySolver:
 
     def __init__(self, program: CompiledProgram, cfg: SolverConfig,
                  lam_sources: list[tuple[int, str, int]], self_family: int | None,
-                 neighbours: tuple[tuple[int, tuple[str, ...]], ...] = (),
-                 kept: Kept | None = None) -> None:
+                 neighbours: tuple[int, ...] = (), kept: Kept | None = None) -> None:
         self.program = program   # shared by the entities of the same shape
         # the entity's own box, keyed by the program's decision variable
-        # so that cfg.box finds it at once
+        # so that cfg.box finds it at once, and its bounds
         self.cfg = cfg
-        self.var, self.anchor = program.var, f"{program.var}_anchor"
-        # sessions: (family index, env name by hop, link) per collected dual
+        self.lo, self.hi = cfg.box(program.var)
+        # the position of the anchor among the program's parameters
+        self.anchor = program.params.index(f"{program.var}_anchor")
+        # sessions: (family index, parameter name by hop, link) per collected dual
         self.lam_sources, self.self_family = lam_sources, self_family
-        # links: each victim j (a link whose capacity this link's power
-        # lowers) with its slot's _NEIGHBOUR_PARAMS env names, by index
+        # links: the index of each victim (a link whose capacity this
+        # link's power lowers), by slot
         self.neighbours = neighbours
         self.kept = kept   # links: see solve
 
-    def solve(self, params: Env) -> float:
-        """The decision for params.  Only a solve that leaves the decision
-        at its anchor is kept: after a move the next solve starts from the
-        moved anchor, so its parameters differ."""
+    def solve(self, args: list[float]) -> float:
+        """The decision for args, the program's parameters in its params
+        order.  Only a solve that leaves the decision at its anchor is
+        kept: after a move the next solve starts from the moved anchor, so
+        its parameters differ."""
         kept, key = self.kept, None
         if kept.key is not None:
-            key = kept.packer.pack(*params.values())
+            key = kept.packer.pack(*args)
             if key == kept.key:
                 return kept.value
-        decision = solve_program(self.program, params, self.cfg)[self.var]
-        if decision == params[self.anchor]:
-            kept.keep(key or kept.packer.pack(*params.values()), decision)
+        decision = solve_args(self.program, args, self.lo, self.hi, self.cfg)
+        if decision == args[self.anchor]:
+            kept.keep(key or kept.packer.pack(*args), decision)
         else:
             kept.key = None
         return decision
@@ -607,7 +622,10 @@ def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntityS
     return _EntitySolver(program, cfg, lam_sources, self_family)
 
 
-# what _solve_power binds for each victim, in this order
+# what _solve_power passes of the link's own, then for each victim, in
+# this order
+_LINK_PARAMS = ("freq", "lnkgain", "lnknoise", "lnkgain_itf", "itfpwr", "pwrgain_anchor",
+                "lnkpwr_anchor", "lbd")
 _NEIGHBOUR_PARAMS = ("lbd_itf", "itf_freq", "itf_lnkpwr", "itf_lnkgain",
                      "itf_lnkgain_itf", "itf_lnknoise")
 
@@ -629,17 +647,18 @@ def _link_program(net: NetState, prog: ControlProgram, slots: int) -> CompiledPr
             pj = ex.substitute(pj, {"lnkpwr": DB_TO_LINEAR})
             terms.append(pj)
         objective = ex.add(*terms)
-    return compile_program(prog._replace(objective=objective, decision="pwrgain"))
+    params = _LINK_PARAMS + tuple(f"{p}@{slot}" for slot in range(slots)
+                                  for p in _NEIGHBOUR_PARAMS)
+    return compile_program(prog._replace(objective=objective, decision="pwrgain"), params)
 
 
 def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolver:
-    victims = _victims(net)[link.index] if prog.penalty is not None else []
-    neighbours = tuple((v.index, tuple(f"{p}@{slot}" for p in _NEIGHBOUR_PARAMS))
-                       for slot, v in enumerate(victims))
+    # its victims in index order, as _victims lists them
+    neighbours = () if prog.penalty is None else tuple(
+        v.index for v in net.links if link.index in v.cross_gain)
     self_family = next((r.family for r in prog.collect if r.symbol == "self"), None)
     program = _shared_program(net, "link", prog, len(neighbours))
-    # _solve_power binds 8 parameters of the link's own, then its victims'
-    kept = Kept(8 + len(_NEIGHBOUR_PARAMS) * len(neighbours))
+    kept = Kept(len(program.params))
     cfg = SolverConfig(step=net.cfg.power_step, max_iters=net.cfg.power_iters, tol=1e-9,
                        boxes={program.var: link.power_box}, max_move=net.cfg.power_move_max)
     return _EntitySolver(program, cfg, [], self_family, neighbours, kept)
@@ -797,30 +816,23 @@ def _victims(net: NetState) -> list[list[Link]]:
     return victims
 
 
-def _runtime_bindings(net: NetState, powers: list[float]) -> Env:
-    env: Env = {}
-    for name, s in zip(net.rate_names, net.sessions):
-        env[name] = 0.0 if s.done else s.rate
-    for cap, pwr, l, p in zip(net.cap_names, net.pwr_names, net.links, powers):
-        env[cap] = l.capacity_pps
-        env[pwr] = p
-    return env
-
-
-def _family_slacks(net: NetState, fam: ConstraintFamily, env: Env) -> list[float]:
-    """Each member's slack, by member index, clipped to net.cfg.slack_clip."""
+def _family_slacks(net: NetState, fam: ConstraintFamily, args: list[float]) -> list[float]:
+    """Each member's slack at args (every session's rate, then every
+    link's capacity, then every link's power), by member index, clipped
+    to net.cfg.slack_clip."""
     key = tuple(s.done for s in net.sessions)
     if fam.slack_key != key:
         fam.slack_fn = _compile_slacks(net, fam)
         fam.slack_key = key
-    slacks = fam.slack_fn(env)
+    slacks = fam.slack_fn(args)
     limit = net.cfg.slack_clip
     if limit > 0:
         slacks = [clip(x, -limit, limit) for x in slacks]
     return slacks
 
 
-def _compile_slacks(net: NetState, fam: ConstraintFamily) -> Callable[[Env], list[float]]:
+def _compile_slacks(net: NetState,
+                    fam: ConstraintFamily) -> Callable[[Sequence[float]], list[float]]:
     """Every member's rhs - lhs, its sums expanded over the sessions that
     have not finished, as one compiled function (expr.compile_slacks)."""
     pairs = []
@@ -833,7 +845,7 @@ def _compile_slacks(net: NetState, fam: ConstraintFamily) -> Callable[[Env], lis
         lhs = ex.expand_sums(ex.bind_index(fam.lhs, fam.holder, m), bindings)
         rhs = ex.expand_sums(ex.bind_index(fam.rhs, fam.holder, m), bindings)
         pairs.append((lhs, rhs))
-    return ex.compile_slacks(pairs)
+    return ex.compile_slacks(pairs, net.rate_names + net.cap_names + net.pwr_names)
 
 
 def _update_duals(net: NetState, powers: list[float]) -> None:
@@ -841,14 +853,12 @@ def _update_duals(net: NetState, powers: list[float]) -> None:
     reused while the masked rates, capacities, `powers` and done flags
     repeat."""
     sessions, kept = net.sessions, net.kept_slacks
-    values = [0.0 if s.done else s.rate for s in sessions]
-    values += [l.capacity_pps for l in net.links]
-    values += powers
-    values += [s.done for s in sessions]
-    key = kept.packer.pack(*values)
+    args = [0.0 if s.done else s.rate for s in sessions]
+    args += [l.capacity_pps for l in net.links]
+    args += powers
+    key = kept.packer.pack(*args, *[s.done for s in sessions])
     if key != kept.key:
-        env = _runtime_bindings(net, powers)
-        kept.keep(key, [_family_slacks(net, fam, env) for fam in net.families])
+        kept.keep(key, [_family_slacks(net, fam, args) for fam in net.families])
     step = net.cfg.dual_step
     for fam, slacks in zip(net.families, kept.value):
         fam.prev = fam.duals
@@ -865,27 +875,20 @@ def _solve_power(net: NetState, link: Link, powers: list[float],
     if solver is None or not link.active:
         return
     own = powers[i]
-    env: Env = {
-        "freq": link.bandwidth, "lnkgain": link.gain, "lnknoise": link.noise,
-        "lnkgain_itf": 1.0, "itfpwr": itfs[i],
-        "pwrgain_anchor": link.pwr_gain_db, "lnkpwr_anchor": own,
-        "lbd": _self_lambda(net, solver, i),
-    }
+    # _LINK_PARAMS, then _NEIGHBOUR_PARAMS for each victim
+    args = [link.bandwidth, link.gain, link.noise, 1.0, itfs[i], link.pwr_gain_db, own,
+            _self_lambda(net, solver, i)]
     if solver.neighbours:
         cap, links = net.link_family, net.links
         prices = [0.0] * len(links) if cap is None else cap.prev
-        for j, (lbd, freq, pwr, gain, gain_itf, noise) in solver.neighbours:
+        for j in solver.neighbours:
             lj = links[j]
             back = lj.cross_gain.get(i, 0.0)
-            env[lbd] = prices[j] if lj.active else 0.0
-            env[freq] = lj.bandwidth
-            env[pwr] = powers[j]
-            env[gain] = lj.gain
-            env[gain_itf] = back
             other = itfs[j] - back * own
             # max(0.0, other), without the call: 0.0 for -0.0 and nan too
-            env[noise] = lj.noise + (other if other > 0.0 else 0.0)
-    link.pwr_gain_db = solver.solve(env)
+            args += (prices[j] if lj.active else 0.0, lj.bandwidth, powers[j], lj.gain,
+                     back, lj.noise + (other if other > 0.0 else 0.0))
+    link.pwr_gain_db = solver.solve(args)
 
 
 def _power_key(net: NetState) -> list:
@@ -1020,14 +1023,11 @@ def sum_utility(net: NetState) -> float:
     if net.utility_key != topology:
         _, live_s, live_l = topology
         e = ex.expand_sums(net.utility_expr, {"netses": live_s, "netlnk": live_l})
-        net.utility_fn = ex.compile_expr(e)
+        net.utility_fn = ex.compile_expr(e, net.rate_names + net.pwr_names)
         net.utility_key = topology
-    env: Env = {}
-    for name, s in zip(net.rate_names, sessions):
-        env[name] = max(s.throughput, 1e-6)
-    for name, power in zip(net.pwr_names, _linear_powers(net)):
-        env[name] = power
-    return kept.keep(key, net.utility_fn(env))
+    args = [max(s.throughput, 1e-6) for s in sessions]
+    args += _linear_powers(net)
+    return kept.keep(key, net.utility_fn(args))
 
 
 def _layout(net: NetState) -> Layout:

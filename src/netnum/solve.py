@@ -13,13 +13,16 @@ once per call, and returns the generic loop's floats.  The generic
 loop's objective and gradient are compiled at their first call: in
 gradient mode, or where the fused loop gives up.  dual_loop computes
 every dual's slack with one generated function (expr.compile_slacks).
+A compiled program fixes the order of its parameters (`params`): its
+fused loop takes them as one sequence in that order, which solve_args
+passes as it is and solve_program builds from a name-keyed Mapping.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import expr as ex
 from .decompose import LBD, ControlProgram, DualProblem, split_by_layer, split_by_entity
@@ -81,9 +84,11 @@ def clip(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-# fused(params, lo, hi, cfg) -> (decision, objective evals, gradient
-# evals), or None where the generic loop must run instead
-Fused = Callable[[Env, float, float, SolverConfig], "tuple[float, int, int] | None"]
+# fused(args, lo, hi, cfg) -> (decision, objective evals, gradient
+# evals), or None where the generic loop must run instead; args holds the
+# program's parameters in its params order
+Fused = Callable[[Sequence[float], float, float, SolverConfig],
+                 "tuple[float, int, int] | None"]
 
 
 class CompiledProgram(NamedTuple):
@@ -94,9 +99,11 @@ class CompiledProgram(NamedTuple):
     program.  So a program defines generated functions only for what
     runs: an ascent program its fused loop, and the generic loop its
     objective and gradient once it calls them (gradient mode calls only
-    the gradient)."""
+    the gradient).  `params` names, in order, the values `fused` takes:
+    among them the anchor `<var>_anchor`."""
     prog: ControlProgram
     var: str
+    params: tuple[str, ...]
     objective: Callable[[Env], float]
     grad: Callable[[Env], float]
     fused: Fused | None = None
@@ -116,14 +123,18 @@ class _OnFirstCall:
         return self.fn(env)
 
 
-def compile_program(prog: ControlProgram) -> CompiledProgram:
+def compile_program(prog: ControlProgram,
+                    params: Sequence[str] | None = None) -> CompiledProgram:
     """Differentiate a program's (concrete) objective once, so that
     solve_program can run it any number of times.  The objective must
     hold exactly one variable named by prog.decision (the base name or
     one indexed instance of it): the program's own decision.  A program
     solved by ascent is compiled into `fused` (see _fuse), which computes
     each value that does not depend on the decision once per call; the
-    objective and gradient functions are compiled only if called."""
+    objective and gradient functions are compiled only if called.
+    `params` fixes the order of the parameters `fused` takes, the anchor
+    among them; by default the anchor comes first, then every other
+    variable of the objective, sorted."""
     if ex.contains_bigsum(prog.objective):
         raise SolveError("objective still contains unexpanded collection sums")
     owned = sorted(ex.var_name(b, i) for b, i in prog.objective.var_pairs
@@ -134,17 +145,22 @@ def compile_program(prog: ControlProgram) -> CompiledProgram:
         raise SolveError(f"objective has {len(owned)} {prog.decision} variables "
                          f"({', '.join(owned)}); a program owns one")
     var, = owned
+    anchor = f"{var}_anchor"
+    if params is None:
+        params = (anchor, *sorted({ex.var_name(b, i) for b, i in prog.objective.var_pairs}
+                                  - {var, anchor}))
+    params = tuple(params)
     trees = [prog.objective, ex.differentiate(prog.objective, var)]
-    fused = _fuse(var, trees) if prog.mode != "gradient" else None
-    return CompiledProgram(prog, var, *map(_OnFirstCall, trees), fused)
+    fused = _fuse(var, trees, params) if prog.mode != "gradient" else None
+    return CompiledProgram(prog, var, params, *map(_OnFirstCall, trees), fused)
 
 
 _FUSED = """\
-def fused(params, lo, hi, cfg):
+def fused(args, lo, hi, cfg):
     step, max_move, tol = cfg.step, cfg.max_move, cfg.tol
     try:
 {reads}\
-        x = params.get({anchor!r}, (lo + hi) / 2.0)
+        x = {anchor}
         x = lo if x < lo else hi if x > hi else x
 {invariant}\
         p = x
@@ -193,12 +209,12 @@ def fused(params, lo, hi, cfg):
 """
 
 
-def _fuse(v: str, trees: list[Expr]) -> Fused:
+def _fuse(v: str, trees: list[Expr], params: tuple[str, ...]) -> Fused:
     """solve_program's ascent loop for the decision variable v, over the
     objective and gradient trees, as one generated function with the
     same operations in the same order, so it returns the same decision
-    as the generic loop.  Each parameter is read from params once, and
-    the decision is the local p.  Equal subtrees are computed once
+    as the generic loop.  The parameters are unpacked from args, in
+    params order, in one statement, and the decision is the local p.  Equal subtrees are computed once
     (SourceGen), every line that does not vary with p runs once before
     the loop, and the gradient reuses the values the objective computed
     at p: the gradient is only ever evaluated at the point of the last
@@ -208,8 +224,9 @@ def _fuse(v: str, trees: list[Expr]) -> Fused:
     that loop, not the merged and reordered work here, decides which
     error a call raises (an unbound parameter, a domain error, a
     non-finite value, a parameter that is not a number)."""
-    gen = ex.SourceGen(env="params")
+    gen = ex.SourceGen(params)
     gen.bind(v, "p")
+    anchor = gen.read(f"{v}_anchor")
     objective = gen.emit(trees[0])
     grad_from = len(gen.lines)
     grad = gen.emit(trees[1])
@@ -217,7 +234,7 @@ def _fuse(v: str, trees: list[Expr]) -> Fused:
     obj_lines, grad_lines = ([line for line in lines if line[0] in gen.varying]
                              for lines in (gen.lines[:grad_from], gen.lines[grad_from:]))
     source = _FUSED.format(
-        reads=gen.source(gen.reads, 8), anchor=f"{v}_anchor",
+        reads=gen.prologue(8), anchor=anchor,
         invariant=gen.source(invariant, 8),
         objective_start=gen.source(obj_lines, 8),
         objective_trial=gen.source(obj_lines, 16), objective=objective,
@@ -225,22 +242,40 @@ def _fuse(v: str, trees: list[Expr]) -> Fused:
     return gen.define(source, "fused", _isfinite=math.isfinite, _sqrt=math.sqrt)
 
 
-def solve_program(prog: CompiledProgram | ControlProgram, params: Env,
+def solve_args(prog: CompiledProgram, args: Sequence[float], lo: float, hi: float,
+               cfg: SolverConfig) -> float:
+    """solve_program's decision for the parameters `args`, given in
+    prog.params order, on cfg's box [lo, hi] of prog.var: the fused
+    function's, unless it has none or gives up; then solve_program's, on
+    the dict of args by name, which also raises what it raises."""
+    if prog.fused is not None:
+        done = prog.fused(args, lo, hi, cfg)
+        if done is not None:
+            return done[0]
+    return solve_program(prog, dict(zip(prog.params, args)), cfg)[prog.var]
+
+
+def solve_program(prog: CompiledProgram | ControlProgram, params: Mapping[str, float],
                   cfg: SolverConfig) -> dict[str, float]:
     """Projected gradient ascent on the program's objective over its one
     decision variable.  A plain ControlProgram is compiled first; callers
     that solve one program repeatedly pass its CompiledProgram.  All
     foreign variables and dual values must be bound in params; the anchor
     defaults to the `<var>_anchor` entry, else the box midpoint.  A
-    program with a fused function runs that; the generic loop below runs
-    only where it returns None, and then raises what it always raised.
-    Returns {var: converged decision}."""
+    program with a fused function runs that, on params in prog.params
+    order; the generic loop below runs only where a parameter is unbound
+    or the fused function returns None, and then raises what it always
+    raised.  Returns {var: converged decision}."""
     if isinstance(prog, ControlProgram):
         prog = compile_program(prog)
     v, fused = prog.var, prog.fused
     lo, hi = cfg.box(v)
     if fused is not None:
-        done = fused(params, lo, hi, cfg)
+        bound = {f"{v}_anchor": (lo + hi) / 2.0, **params}
+        try:
+            done = fused([bound[name] for name in prog.params], lo, hi, cfg)
+        except KeyError:   # an unbound parameter, which the generic loop reports
+            done = None
         if done is not None:
             return {v: done[0]}
 

@@ -484,7 +484,11 @@ def test_python_dash_m_runs_the_cli():
     # scenario loader refuses it before any epoch runs
     ("jocp_log.ncp", "congestion_exp = nan\n", "scenario",
      "congestion_exp must be at least 1, got nan"),
-], ids=["empty-rate-box", "nan-congestion"])
+    # the link programs' fused loops give up on a non-finite value; the
+    # generic loop, run on their parameters by name, reports it
+    ("jocp_log.ncp", "bandwidth = 1e308\n", "simulate", "non-finite gradient for pwrgain"),
+    ("powermin.ncp", "bandwidth = 1e308\n", "simulate", "non-finite gradient for pwrgain"),
+], ids=["empty-rate-box", "nan-congestion", "fused-gives-up-log", "fused-gives-up-powermin"])
 def test_simulation_error_names_stage(tmp_path, capsys, problem, settings, stage, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scenario = 2\n" + settings)
@@ -492,7 +496,7 @@ def test_simulation_error_names_stage(tmp_path, capsys, problem, settings, stage
                   "--scenario", cfg, "--duration", "30", "--out", tmp_path])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"[{stage}] ") and message in err
+    assert err.startswith(f"[{stage}] ") and err.endswith(f"{message}\n")
 
 
 @pytest.mark.parametrize("scheme", netsim.SCHEMES)

@@ -417,10 +417,14 @@ def test_source_gen_marks_what_varies_with_a_bound_name():
 def test_compiled_raises_as_interpreted(e, env):
     with pytest.raises(Exception) as interpreted:
         ex.eval_expr(e, env)
-    with pytest.raises(Exception) as compiled:
-        ex.compile_expr(e)(env)
-    assert type(compiled.value) is type(interpreted.value)
-    assert str(compiled.value) == str(interpreted.value)
+    # by name, and by position in the order of env, which names no
+    # unbound variable
+    for fn, args in ((ex.compile_expr(e), env),
+                     (ex.compile_expr(e, tuple(env)), list(env.values()))):
+        with pytest.raises(Exception) as compiled:
+            fn(args)
+        assert type(compiled.value) is type(interpreted.value)
+        assert str(compiled.value) == str(interpreted.value)
 
 
 def _slacks_member_by_member(pairs, env):
@@ -441,12 +445,14 @@ def test_compiled_slacks_match_member_by_member():
     pairs += [(shared, ex.add(shared, ex.ONE)), (ex.var("x"), ex.var("x")),
               (ex.const(0.0), ex.neg(ex.var("x"))), (ex.add(ex.var("x"), ex.const(1e16)),
                                                     ex.const(1e16))]
-    fn = ex.compile_slacks(pairs)
+    fn, by_position = ex.compile_slacks(pairs), ex.compile_slacks(pairs, names)
     for env in [{n: rng.uniform(0.2, 2.0) for n in names} for _ in range(5)] \
             + [{"x": 0.0, "y": -0.0}, {"x": 1.0, "y": 3.0}]:
-        got = fn(env)
-        assert [v.hex() for v in got] == [v.hex() for v in _slacks_member_by_member(pairs, env)]
+        want = [v.hex() for v in _slacks_member_by_member(pairs, env)]
+        assert [v.hex() for v in fn(env)] == want
+        assert [v.hex() for v in by_position([env[n] for n in names])] == want
     assert ex.compile_slacks([])({}) == []
+    assert ex.compile_slacks([], ())([]) == []
 
 
 X, Y = ex.var("x"), ex.var("y")
@@ -471,10 +477,12 @@ def test_compiled_slacks_raise_as_member_by_member(pairs):
     env = {"x": 2.0, "y": 3.0}
     with pytest.raises(Exception) as reference:
         _slacks_member_by_member(pairs, env)
-    with pytest.raises(Exception) as compiled:
-        ex.compile_slacks(pairs)(env)
-    assert type(compiled.value) is type(reference.value)
-    assert str(compiled.value) == str(reference.value)
+    for fn, args in ((ex.compile_slacks(pairs), env),
+                     (ex.compile_slacks(pairs, tuple(env)), list(env.values()))):
+        with pytest.raises(Exception) as compiled:
+            fn(args)
+        assert type(compiled.value) is type(reference.value)
+        assert str(compiled.value) == str(reference.value)
 
 
 def test_compile_deep_tree():

@@ -295,9 +295,9 @@ def counted_compiles(monkeypatch):
     counts = {"pwrgain": 0, "sesrate": 0}
     compile_program = ns.compile_program
 
-    def counted(prog):
+    def counted(prog, *params):
         counts[prog.decision] += 1
-        return compile_program(prog)
+        return compile_program(prog, *params)
 
     monkeypatch.setattr(ns, "compile_program", counted)
     return counts
@@ -329,7 +329,7 @@ def test_link_solvers_compile_once_per_neighbour_count(monkeypatch, band_pattern
     for link in net.links:
         solver = ns._get_solver(net, "link", link.index)
         # a slot for each victim: each link whose capacity this link's power lowers
-        assert [j for j, _ in solver.neighbours] \
+        assert list(solver.neighbours) \
             == [v.index for v in net.links if link.index in v.cross_gain]
 
 
@@ -341,19 +341,98 @@ def test_link_slots_are_its_victims_not_its_interferers(monkeypatch):
     assert sorted(net.links[0].cross_gain) == [3, 4, 5]
     params, solve = {}, ns._EntitySolver.solve
 
-    def recorded(solver, env):
-        params.setdefault(id(solver), env)
-        return solve(solver, env)
+    def recorded(solver, args):
+        params.setdefault(id(solver), dict(zip(solver.program.params, args)))
+        return solve(solver, args)
 
     monkeypatch.setattr(ns._EntitySolver, "solve", recorded)
     ns.step(net, "joint")
-    gain = ns._NEIGHBOUR_PARAMS.index("itf_lnkgain_itf")
     slots = {}
     for link in net.links:
         solver = ns._get_solver(net, "link", link.index)
-        slots[link.index] = [j for j, _ in solver.neighbours]
-        assert all(params[id(solver)][names[gain]] > 0 for _, names in solver.neighbours)
+        slots[link.index] = list(solver.neighbours)
+        assert all(params[id(solver)][f"itf_lnkgain_itf@{slot}"] > 0
+                   for slot in range(len(solver.neighbours)))
     assert slots[0] == [1, 3, 4, 5] and slots[1] == [3, 4, 5]
+
+
+def named_link_params(net, link, powers, itfs):
+    """A link solve's parameters by name, each victim's under its slot's
+    names: the reference for the sequence _solve_power builds."""
+    i, own = link.index, powers[link.index]
+    solver, cap = ns._get_solver(net, "link", i), net.link_family
+    params = {"freq": link.bandwidth, "lnkgain": link.gain, "lnknoise": link.noise,
+              "lnkgain_itf": 1.0, "itfpwr": itfs[i],
+              "pwrgain_anchor": link.pwr_gain_db, "lnkpwr_anchor": own,
+              "lbd": 0.0 if solver.self_family is None
+              else net.families[solver.self_family].prev[i]}
+    victims = [] if net.programs[("link", i)].penalty is None \
+        else [v for v in net.links if i in v.cross_gain]
+    for slot, v in enumerate(victims):
+        back = v.cross_gain[i]
+        other = itfs[v.index] - back * own
+        params.update({f"lbd_itf@{slot}": cap.prev[v.index] if v.active and cap else 0.0,
+                       f"itf_freq@{slot}": v.bandwidth,
+                       f"itf_lnkpwr@{slot}": powers[v.index],
+                       f"itf_lnkgain@{slot}": v.gain,
+                       f"itf_lnkgain_itf@{slot}": back,
+                       f"itf_lnknoise@{slot}": v.noise + (other if other > 0.0 else 0.0)})
+    return params
+
+
+def typed_bits(values):
+    return {k: (type(v), float(v).hex()) for k, v in values.items()}
+
+
+def test_link_solves_pass_their_parameters_in_program_order(monkeypatch, tmp_path):
+    # every shipped problem on every scenario, s4 and s5 also with more
+    # victims per link, and a gradient-mode program, which has no fused
+    # loop: the sequence each link solve passes, read by the program's
+    # parameter names, is the parameters by name, and its decision is
+    # solve_program's on them
+    gradient = tmp_path / "jocp_log_gradient.ncp"
+    gradient.write_text((DATA / "problems" / "jocp_log.ncp").read_text()
+                        .replace("dist=dpl", "dist=gradient"))
+    solve_power, solve, at, checked = ns._solve_power, ns._EntitySolver.solve, [], []
+
+    def stashed(net, link, powers, itfs):
+        at[:] = [net, link, powers[:], itfs[:]]
+        return solve_power(net, link, powers, itfs)
+
+    def by_name(solver, args):
+        program = solver.program
+        params = dict(zip(program.params, args))
+        assert len(params) == len(args) == len(program.params)
+        # an interference folded from 0 over no interferer is the int 0
+        assert typed_bits(params) == typed_bits(named_link_params(*at))
+        want = ns.solve_program(program, params, solver.cfg)["pwrgain"]
+        if program.fused is None:
+            assert program.prog.mode == "gradient"
+        else:
+            generic = ns.solve_program(program._replace(fused=None), params, solver.cfg)
+            fused, _, _ = program.fused(args, solver.lo, solver.hi, solver.cfg)
+            assert fused.hex() == want.hex() == generic["pwrgain"].hex()
+        decision = solve(solver, args)
+        assert decision.hex() == want.hex()
+        checked.append((program.prog.mode, len(solver.neighbours)))
+        return decision
+
+    monkeypatch.setattr(ns, "_solve_power", stashed)
+    monkeypatch.setattr(ns._EntitySolver, "solve", by_name)
+    sources = [(DATA / "problems" / name).read_text()
+               for name in ("jocp.ncp", "jocp_log.ncp", "jocp_log_powercap.ncp", "powermin.ncp")]
+    runs = [(source, dict(scenario=scenario))
+            for source in sources for scenario in range(1, 6)]
+    runs += [(source, dict(scenario=4, band_pattern=(0, 0, 1, 0, 0, 0)))
+             for source in sources]
+    runs += [(source, dict(scenario=5, band_pattern=(0, 1) * 9)) for source in sources]
+    runs += [(gradient.read_text(), dict(scenario=scenario)) for scenario in (2, 5)]
+    for source, cfg in runs:
+        net, _, _ = deploy(source, **cfg)
+        ns.run(net, 31, "joint")
+    modes = {mode for mode, _ in checked}
+    assert "gradient" in modes and len(modes) == 2
+    assert {victims for _, victims in checked} == {0, 1, 2, 3, 4, 8}
 
 
 def test_each_install_starts_from_the_scenario_boxes():
@@ -487,10 +566,10 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     for _ in range(3):
         ns.step(net, "joint")
     runs = []
-    solve_program = ns.solve_program
-    monkeypatch.setattr(ns, "solve_program",
-                        lambda prog, params, cfg: runs.append(dict(params))
-                        or solve_program(prog, params, cfg))
+    solve_args = ns.solve_args
+    monkeypatch.setattr(ns, "solve_args",
+                        lambda prog, args, *box_cfg: runs.append(dict(zip(prog.params, args)))
+                        or solve_args(prog, args, *box_cfg))
     link = net.links[0]
     start, powers = link.pwr_gain_db, ns._linear_powers(net)
     itfs = [ns._aggregate_interference(l, net, powers) for l in net.links]
@@ -512,10 +591,10 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     assert math.copysign(1.0, runs[1]["lbd"]) == -1.0
     assert solve(-0.0) == start and len(runs) == 2
     # a neighbour's noise enters only the noise parameter of its slot
-    (j, names), = ns._get_solver(net, "link", 0).neighbours
+    j, = ns._get_solver(net, "link", 0).neighbours
     net.links[j].noise *= 2.0
     assert solve(-0.0) == start and len(runs) == 3
-    assert [k for k in runs[2] if runs[2][k] != runs[1][k]] == [names[-1]]
+    assert [k for k in runs[2] if runs[2][k] != runs[1][k]] == ["itf_lnknoise@0"]
     # a program installed mid-run solves afresh, from the same parameters
     old = net.programs[("link", 0)]
     new = old._replace(objective=ex.neg(ex.var("lnkpwr")))
@@ -525,7 +604,7 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     assert len(runs) == 4 and runs[3] == runs[2]
     assert swapped < start
     solver = ns._get_solver(net, "link", 0)
-    assert swapped.hex() == solve_program(solver.program, runs[3], solver.cfg)["pwrgain"].hex()
+    assert swapped.hex() == ns.solve_program(solver.program, runs[3], solver.cfg)["pwrgain"].hex()
 
     # a whole power pass is skipped while it would only reuse decisions;
     # each edit below, made after a skipped pass, makes the next one run.
@@ -589,8 +668,8 @@ def test_skipped_power_passes_match_fresh_solves(monkeypatch, problem, skipped):
             for link in net.links:
                 solver, bound = ns._get_solver(net, "link", link.index), []
                 with monkeypatch.context() as m:
-                    m.setattr(solver, "solve", lambda params: bound.append(dict(params))
-                              or link.pwr_gain_db)
+                    m.setattr(solver, "solve", lambda args: bound.append(
+                        dict(zip(solver.program.params, args))) or link.pwr_gain_db)
                     solve_power(net, link, powers, itfs)
                 fresh = ns.solve_program(solver.program, bound[0], solver.cfg)["pwrgain"]
                 assert fresh.hex() == link.pwr_gain_db.hex()
@@ -776,23 +855,34 @@ SESSION_FAMILY = ab.Constraint(ex.var("sesrate", "netses"),
     ("jocp_log.ncp", [], ["link"]),
     ("powermin.ncp", [SESSION_FAMILY], ["link", "session"]),
 ])
-def test_compiled_slacks_and_utility_match_interpreted(problem, extra, families):
+def test_compiled_slacks_and_utility_match_interpreted(monkeypatch, problem, extra,
+                                                      families):
     problem = ab.parse_problem((DATA / "problems" / problem).read_text())
     programs, _, _ = cli.build_programs(problem)
     problem = problem._replace(constraints=problem.constraints + tuple(extra))
     cfg = ns.ScenarioConfig(scenario=2, seed=4, budgets=(0.0, 400.0))
     net = cli.deploy(problem, programs, cfg)
     assert [f.entity for f in net.families] == families
+    names = net.rate_names + net.cap_names + net.pwr_names
+    family_slacks, passed = ns._family_slacks, []
+
+    def checked_slacks(net, fam, args):
+        # what the dual update passes, read by name, is the env now
+        env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
+        assert bits(dict(zip(names, args))) == bits(env)
+        passed.append(net.epoch)
+        return family_slacks(net, fam, args)
+
+    monkeypatch.setattr(ns, "_family_slacks", checked_slacks)
 
     def check():
         env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
-        assert bits(ns._runtime_bindings(net, ns._linear_powers(net))) == bits(env)
         # finished sessions keep their rate here, so a member whose sums
         # still include one reads differently
         probe = interpreted_env(net, lambda s: s.rate)
         for fam in net.families:
             for e in (env, probe):
-                assert hexes(ns._family_slacks(net, fam, e)) \
+                assert hexes(family_slacks(net, fam, [e[n] for n in names])) \
                     == hexes(interpreted_slacks(net, fam, e))
         assert ns.sum_utility(net).hex() == interpreted_utility(net).hex()
 
@@ -814,6 +904,7 @@ def test_compiled_slacks_and_utility_match_interpreted(problem, extra, families)
     for _ in range(30):
         ns.step(net, "joint")
         check()
+    assert passed
 
 
 def test_family_duals_and_prev_are_distinct_lists_by_member():
@@ -949,15 +1040,17 @@ def test_family_slack_function_matches_member_by_member(problem, extra):
     cfg = ns.ScenarioConfig(scenario=2, seed=4, budgets=(0.0, 400.0))
     net = cli.deploy(parsed, programs, cfg)
     checked = {False: 0, True: 0}   # epochs checked before and after the drain
+    names = net.rate_names + net.cap_names + net.pwr_names
     for _ in range(180):
         ns.step(net, "joint")
         env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
+        args = [env[n] for n in names]
         for fam in net.families:
-            got = ns._compile_slacks(net, fam)(env)
+            got = ns._compile_slacks(net, fam)(args)
             assert [v.hex() for v in got] == [v.hex() for v in member_slacks(net, fam, env)]
             if fam.slack_key == tuple(s.done for s in net.sessions):
                 # the function the last dual update kept is the same
-                assert [v.hex() for v in fam.slack_fn(env)] == [v.hex() for v in got]
+                assert [v.hex() for v in fam.slack_fn(args)] == [v.hex() for v in got]
         checked[net.sessions[1].done] += 1
     assert checked[False] > 0 and checked[True] > 0
 

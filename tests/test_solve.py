@@ -23,6 +23,11 @@ def linear_rate_prog():
                         ex.mul(ex.var("sesrate"), ex.var("lbd"))))
 
 
+def _args(compiled, params):
+    """params, by name, as the sequence compiled.fused takes."""
+    return [params[name] for name in compiled.params]
+
+
 def test_linear_program_saturates_box():
     cfg = sv.SolverConfig(step=0.05, boxes={"sesrate": (0.0, 5.0)})
     d = sv.solve_program(linear_rate_prog(), {"lbd": 0.0, "sesrate_anchor": 0.0}, cfg)
@@ -345,7 +350,8 @@ def test_solve_skips_the_trial_when_the_step_cannot_move(monkeypatch):
     assert d == {"sesrate": 5.0}
     assert calls == {"objective": 1, "gradient": 1}
     # the fused loop reports its own evaluation counts
-    assert compile_program(linear_rate_prog()).fused(params, 0.0, 5.0, cfg) == (5.0, 1, 1)
+    compiled = compile_program(linear_rate_prog())
+    assert compiled.fused(_args(compiled, params), 0.0, 5.0, cfg) == (5.0, 1, 1)
 
 
 def test_staging_keeps_each_operation_in_place():
@@ -364,7 +370,7 @@ def test_staging_keeps_each_operation_in_place():
         assert compiled.objective(env) == -at_anchor ** 2
         generic, calls = _counted_generic(compiled)
         want = sv.solve_program(generic, params, cfg)["sesrate"]
-        fused = compiled.fused(params, -10.0, 10.0, cfg)
+        fused = compiled.fused(_args(compiled, params), -10.0, 10.0, cfg)
         assert fused == (want, calls["objective"], calls["gradient"])
         paths.append(fused)
     assert paths[0] != paths[1]
@@ -386,7 +392,7 @@ def test_fused_solver_matches_the_generic_loop(monkeypatch, problem):
 
     def both(prog, params, cfg):
         v = prog.var
-        fused = prog.fused(params, *cfg.box(v), cfg)
+        fused = prog.fused(_args(prog, params), *cfg.box(v), cfg)
         plain = generic.setdefault(id(prog), prog._replace(fused=None))
         want = solve_program(plain, params, cfg)
         assert fused is not None
@@ -394,21 +400,28 @@ def test_fused_solver_matches_the_generic_loop(monkeypatch, problem):
         solved[v] += 1
         return want
 
+    # link solves pass their parameters by position
+    def both_by_position(prog, args, lo, hi, cfg):
+        assert (lo, hi) == cfg.box(prog.var)
+        return both(prog, dict(zip(prog.params, args)), cfg)[prog.var]
+
     # a link solve that repeats, bit for bit, the parameters of its last
     # solve, when that one left the power in place, reuses its decision
-    # without calling solve_program: each must equal a fresh solve
+    # without solving: each must equal a fresh solve
     link_solves = 0
     entity_solve = netsim._EntitySolver.solve
 
-    def checked(solver, params):
+    def checked(solver, args):
         nonlocal link_solves
         link_solves += 1
-        decision = entity_solve(solver, params)
-        fresh = solve_program(solver.program, dict(params), solver.cfg)
+        decision = entity_solve(solver, args)
+        params = dict(zip(solver.program.params, args))
+        fresh = solve_program(solver.program, params, solver.cfg)
         assert decision.hex() == fresh["pwrgain"].hex()
         return decision
 
     monkeypatch.setattr(netsim, "solve_program", both)
+    monkeypatch.setattr(netsim, "solve_args", both_by_position)
     monkeypatch.setattr(netsim._EntitySolver, "solve", checked)
     for scenario, duration in (("s2.cfg", 90), ("s4.cfg", 90), ("s5.cfg", 60)):
         parsed = ab.parse_problem((DATA / "problems" / problem).read_text())
@@ -468,9 +481,10 @@ RATE_BOX = dict(boxes={"sesrate": (0.01, 10.0)})
 ], ids=["unbound", "prelude-domain", "non-finite-start", "minus-infinity-start",
         "infinite-gradient", "infinite-at-solution", "not-a-number", "move-overflow"])
 def test_fused_solver_raises_as_the_generic_loop(obj, params, cfg, error, message):
-    compiled = sv.compile_program(_prog(obj))
+    # the parameters in the order of params, which may miss a variable
+    compiled = sv.compile_program(_prog(obj), tuple(params))
     cfg = sv.SolverConfig(**{"step": 0.5, **cfg})
-    assert compiled.fused(params, *cfg.box("sesrate"), cfg) is None
+    assert compiled.fused(list(params.values()), *cfg.box("sesrate"), cfg) is None
     raised = []
     for prog in (compiled._replace(fused=None), compiled):
         with pytest.raises(Exception) as exc:
@@ -485,7 +499,7 @@ def test_fused_solver_sums_fold_left_from_zero():
     compiled = sv.compile_program(_prog(_shifted_square(total)))
     cfg = sv.SolverConfig(step=0.5, boxes={"sesrate": (-5.0, 5.0)})
     params = {"a": 1e16, "b": 1.0, "c": -1e16, "sesrate_anchor": 3.0}
-    x, _, _ = compiled.fused(params, -5.0, 5.0, cfg)
+    x, _, _ = compiled.fused(_args(compiled, params), -5.0, 5.0, cfg)
     assert x.hex() == (0.0).hex()
     assert sv.solve_program(compiled._replace(fused=None), params, cfg) \
         == {"sesrate": x}
@@ -507,11 +521,11 @@ def test_fused_solver_merges_equal_subtrees():
         collect(tree)
     rendered = [ex.render(e) for e in built.values()]
     assert rendered.count("-lnkpwr_anchor") == 2 and rendered.count("2048*2048") == 3
-    gen = ex.SourceGen(env="params")
+    gen = ex.SourceGen(link.params)
     gen.bind("pwrgain", "p")
     for tree in trees:
         gen.emit(tree)
-    anchor, = (name for name, code in gen.reads if code == "params['lnkpwr_anchor']")
+    anchor, = (local for local, name in gen.reads if name == "lnkpwr_anchor")
     two_k, = (name for name, value in gen.consts.items() if value == 2048.0)
     merged = [name for name, code in gen.lines
               if code in (f"-{anchor}", f"1.0 * {two_k} * {two_k}")]
@@ -555,7 +569,7 @@ def test_fused_solver_leaves_the_loop_as_the_generic_loop(obj, anchor, cfg, deci
     params = {"lbd": 0.5, "sesrate_anchor": anchor}
     generic, calls = _counted_generic(compiled)
     want = sv.solve_program(generic, params, cfg)["sesrate"]
-    fused = compiled.fused(params, *cfg.box("sesrate"), cfg)
+    fused = compiled.fused(_args(compiled, params), *cfg.box("sesrate"), cfg)
     assert fused is not None
     x, n_obj, n_grad = fused
     assert (x.hex(), n_obj, n_grad) == (want.hex(), calls["objective"], calls["gradient"])
