@@ -33,19 +33,19 @@ Model notes:
     shape): a link program names the parameters of each victim (a link
     whose capacity its power lowers) by slot, in index order, after its
     own (_LINK_PARAMS, then _NEIGHBOUR_PARAMS per slot), and a session
-    program its path's duals by hop, so every link with the same victim
-    count, and every session with the same path length, runs one
-    compiled program (the ascent loop fused into one generated function,
-    see solve.compile_program).  Each entity's solver keeps its box (for
-    a link also as bounds of its own), the position of its anchor among
-    the program's parameters, and its victims' or hops' indices; a link
-    solve passes its parameters by position (solve.solve_args), a
-    session solve by name (solve.solve_program), and a link solve reads
-    the capacity prices from net.link_family, found once at install.
+    program its path's duals by hop, after _SESSION_PARAMS, so every
+    link with the same victim count, and every session with the same
+    path length, runs one compiled program (the ascent loop fused into
+    one generated function, see solve.compile_program).  Each entity's
+    solver keeps its box (also as bounds of its own), the position of
+    its anchor among the program's parameters, its victims' or hops'
+    indices and its last kept decision; every solve, of a link or a
+    session, passes its parameters by position (solve.solve_args), and
+    a link solve reads the capacity prices from net.link_family.
   - One key per phase: a phase that reuses work packs what it reads as
     doubles into one key, and keeps its last value in a Kept while the
     key repeats bit for bit (the interference with every capacity, a
-    link solve that left its power at the anchor, the whole power pass
+    solve that left its decision at the anchor, the whole power pass
     when no solve in it moved a power, the slacks, the throughputs, the
     traced utility).  The exception is _measure: most joint epochs move
     a power, so it compares the powers with its last call's first, and
@@ -81,9 +81,8 @@ from typing import Callable, NamedTuple, Sequence, TextIO, get_args, get_origin,
 from . import expr as ex
 from .abstraction import BoxRule, ControlProblem, resolve_model
 from .decompose import ControlProgram
-from .expr import Env, Expr
-from .solve import (CompiledProgram, SolverConfig, clip, compile_program, dual_update,
-                    solve_args, solve_program)
+from .expr import Expr
+from .solve import CompiledProgram, SolverConfig, clip, compile_program, dual_update, solve_args
 
 SCHEMES = ("joint", "rate-only", "power-only", "no-control")
 MAX_EPOCHS = 10**6   # a run's trace keeps every epoch in memory; to_csv streams it
@@ -550,8 +549,8 @@ class _EntitySolver:
     wiring.  A solver is equal only to itself (see _power_key)."""
 
     def __init__(self, program: CompiledProgram, cfg: SolverConfig,
-                 lam_sources: list[tuple[int, str, int]], self_family: int | None,
-                 neighbours: tuple[int, ...] = (), kept: Kept | None = None) -> None:
+                 lam_sources: list[tuple[int, int]], self_family: int | None,
+                 neighbours: tuple[int, ...] = ()) -> None:
         self.program = program   # shared by the entities of the same shape
         # the entity's own box, keyed by the program's decision variable
         # so that cfg.box finds it at once, and its bounds
@@ -559,12 +558,12 @@ class _EntitySolver:
         self.lo, self.hi = cfg.box(program.var)
         # the position of the anchor among the program's parameters
         self.anchor = program.params.index(f"{program.var}_anchor")
-        # sessions: (family index, parameter name by hop, link) per collected dual
+        # sessions: (family index, link) per collected dual, in params order
         self.lam_sources, self.self_family = lam_sources, self_family
         # links: the index of each victim (a link whose capacity this
         # link's power lowers), by slot
         self.neighbours = neighbours
-        self.kept = kept   # links: see solve
+        self.kept = Kept(len(program.params))   # see solve
 
     def solve(self, args: list[float]) -> float:
         """The decision for args, the program's parameters in its params
@@ -597,25 +596,30 @@ def _shared_program(net: NetState, kind: str, prog: ControlProgram,
     return entry[1]
 
 
+# what _solve_rate passes, in this order, before each collected rule's
+# duals by hop
+_SESSION_PARAMS = ("sesrate_anchor", "lbd")
+
+
 def _session_program(net: NetState, prog: ControlProgram, hops: int) -> CompiledProgram:
     # collected sums run over hop positions, so the dual of a path's
     # h-th link is lbd_h for every session
-    objective = prog.objective
+    objective, params = prog.objective, _SESSION_PARAMS
     for rule in prog.collect:
         if rule.symbol != "self":
             objective = ex.expand_sums(objective, {rule.symbol: range(hops)})
-    return compile_program(prog._replace(objective=objective))
+            params += tuple(ex.var_name("lbd", hop) for hop in range(hops))
+    return compile_program(prog._replace(objective=objective), params)
 
 
 def _session_solver(net: NetState, s: Session, prog: ControlProgram) -> _EntitySolver:
-    lam_sources: list[tuple[int, str, int]] = []
+    lam_sources: list[tuple[int, int]] = []
     self_family = None
     for rule in prog.collect:
         if rule.symbol == "self":
             self_family = rule.family
         else:
-            lam_sources.extend((rule.family, ex.var_name("lbd", hop), li)
-                               for hop, li in enumerate(s.path))
+            lam_sources.extend((rule.family, li) for li in s.path)
     program = _shared_program(net, "session", prog, len(s.path))
     cfg = SolverConfig(step=net.cfg.rate_step, max_iters=net.cfg.rate_iters, tol=1e-9,
                        boxes={program.var: s.rate_box}, max_move=net.cfg.rate_move_max)
@@ -658,10 +662,9 @@ def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolv
         v.index for v in net.links if link.index in v.cross_gain)
     self_family = next((r.family for r in prog.collect if r.symbol == "self"), None)
     program = _shared_program(net, "link", prog, len(neighbours))
-    kept = Kept(len(program.params))
     cfg = SolverConfig(step=net.cfg.power_step, max_iters=net.cfg.power_iters, tol=1e-9,
                        boxes={program.var: link.power_box}, max_move=net.cfg.power_move_max)
-    return _EntitySolver(program, cfg, [], self_family, neighbours, kept)
+    return _EntitySolver(program, cfg, [], self_family, neighbours)
 
 
 def _get_solver(net: NetState, kind: str, idx: int) -> _EntitySolver | None:
@@ -943,12 +946,10 @@ def _solve_rate(net: NetState, s: Session) -> None:
     solver = _get_solver(net, "session", s.index)
     if solver is None or s.done:
         return
-    env: Env = {"sesrate_anchor": s.rate,
-                "lbd": _self_lambda(net, solver, s.index)}
-    for fam_ord, name, li in solver.lam_sources:
-        env[name] = net.families[fam_ord].prev[li]
-    decision = solve_program(solver.program, env, solver.cfg)
-    s.rate = decision["sesrate"]
+    # _SESSION_PARAMS, then each collected dual by hop
+    args = [s.rate, _self_lambda(net, solver, s.index)]
+    args += [net.families[fam].prev[li] for fam, li in solver.lam_sources]
+    s.rate = solver.solve(args)
 
 
 def _shares(net: NetState) -> list[float]:

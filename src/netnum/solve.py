@@ -14,8 +14,10 @@ loop's objective and gradient are compiled at their first call: in
 gradient mode, or where the fused loop gives up.  dual_loop computes
 every dual's slack with one generated function (expr.compile_slacks).
 A compiled program fixes the order of its parameters (`params`): its
-fused loop takes them as one sequence in that order, which solve_args
-passes as it is and solve_program builds from a name-keyed Mapping.
+fused loop takes them as one sequence in that order.  solve_args is the
+one way to run a compiled program: its fused loop, else solve_program,
+the generic loop on a name-keyed Mapping, which is also the reference
+the fused loop is tested against.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ class SolverConfig:
         self.boxes = {} if boxes is None else boxes
         self.diminishing = diminishing   # dual_loop's step decays as dual_step/sqrt(t)
         self.max_move = max_move         # per-iteration trust cap on |step*grad|; 0 = off
-        if step <= 0 or dual_step <= 0 or tol <= 0:
+        if not step > 0 or not dual_step > 0 or not tol > 0:
             raise SolveError("steps and tolerance must be positive")
         for name, (lo, hi) in self.boxes.items():
-            if lo > hi:
+            if not lo <= hi:
                 raise SolveError(f"{name}: box lower {lo} exceeds upper {hi}")
 
     def __eq__(self, other):
@@ -126,7 +128,7 @@ class _OnFirstCall:
 def compile_program(prog: ControlProgram,
                     params: Sequence[str] | None = None) -> CompiledProgram:
     """Differentiate a program's (concrete) objective once, so that
-    solve_program can run it any number of times.  The objective must
+    solve_args can run it any number of times.  The objective must
     hold exactly one variable named by prog.decision (the base name or
     one indexed instance of it): the program's own decision.  A program
     solved by ascent is compiled into `fused` (see _fuse), which computes
@@ -214,16 +216,17 @@ def _fuse(v: str, trees: list[Expr], params: tuple[str, ...]) -> Fused:
     objective and gradient trees, as one generated function with the
     same operations in the same order, so it returns the same decision
     as the generic loop.  The parameters are unpacked from args, in
-    params order, in one statement, and the decision is the local p.  Equal subtrees are computed once
-    (SourceGen), every line that does not vary with p runs once before
-    the loop, and the gradient reuses the values the objective computed
-    at p: the gradient is only ever evaluated at the point of the last
-    objective evaluation (the start, or the trial just accepted).  Where
-    anything raises or a value is not finite, the function returns None
-    instead, and solve_program runs the generic loop from the start:
-    that loop, not the merged and reordered work here, decides which
-    error a call raises (an unbound parameter, a domain error, a
-    non-finite value, a parameter that is not a number)."""
+    params order, in one statement, and the decision is the local p.
+    Equal subtrees are computed once (SourceGen), every line that does
+    not vary with p runs once before the loop, and the gradient reuses
+    the values the objective computed at p: the gradient is only ever
+    evaluated at the point of the last objective evaluation (the start,
+    or the trial just accepted).  Where anything raises or a value is
+    not finite, the function returns None instead, and solve_args runs
+    the generic loop (solve_program) from the start: that loop, not the
+    merged and reordered work here, decides which error a call raises
+    (an unbound parameter, a domain error, a non-finite value, a
+    parameter that is not a number)."""
     gen = ex.SourceGen(params)
     gen.bind(v, "p")
     anchor = gen.read(f"{v}_anchor")
@@ -244,10 +247,11 @@ def _fuse(v: str, trees: list[Expr], params: tuple[str, ...]) -> Fused:
 
 def solve_args(prog: CompiledProgram, args: Sequence[float], lo: float, hi: float,
                cfg: SolverConfig) -> float:
-    """solve_program's decision for the parameters `args`, given in
-    prog.params order, on cfg's box [lo, hi] of prog.var: the fused
-    function's, unless it has none or gives up; then solve_program's, on
-    the dict of args by name, which also raises what it raises."""
+    """The decision for the parameters `args`, given in prog.params
+    order, on cfg's box [lo, hi] of prog.var: the fused function's,
+    unless it has none or gives up; then solve_program's, on the dict of
+    args by name, which also raises what it raises.  The fused function
+    runs at most once."""
     if prog.fused is not None:
         done = prog.fused(args, lo, hi, cfg)
         if done is not None:
@@ -258,27 +262,15 @@ def solve_args(prog: CompiledProgram, args: Sequence[float], lo: float, hi: floa
 def solve_program(prog: CompiledProgram | ControlProgram, params: Mapping[str, float],
                   cfg: SolverConfig) -> dict[str, float]:
     """Projected gradient ascent on the program's objective over its one
-    decision variable.  A plain ControlProgram is compiled first; callers
-    that solve one program repeatedly pass its CompiledProgram.  All
+    decision variable: the generic loop, which the fused loop reproduces
+    (see solve_args).  A plain ControlProgram is compiled first.  All
     foreign variables and dual values must be bound in params; the anchor
-    defaults to the `<var>_anchor` entry, else the box midpoint.  A
-    program with a fused function runs that, on params in prog.params
-    order; the generic loop below runs only where a parameter is unbound
-    or the fused function returns None, and then raises what it always
-    raised.  Returns {var: converged decision}."""
+    defaults to the `<var>_anchor` entry, else the box midpoint.  Returns
+    {var: converged decision}."""
     if isinstance(prog, ControlProgram):
         prog = compile_program(prog)
-    v, fused = prog.var, prog.fused
+    v = prog.var
     lo, hi = cfg.box(v)
-    if fused is not None:
-        bound = {f"{v}_anchor": (lo + hi) / 2.0, **params}
-        try:
-            done = fused([bound[name] for name in prog.params], lo, hi, cfg)
-        except KeyError:   # an unbound parameter, which the generic loop reports
-            done = None
-        if done is not None:
-            return {v: done[0]}
-
     obj, grad = prog.objective, prog.grad
     env = dict(params)
     x = env[v] = clip(params.get(f"{v}_anchor", (lo + hi) / 2.0), lo, hi)
@@ -445,7 +437,12 @@ def dual_loop(dp: DualProblem, cfg: SolverConfig, epochs: int,
         shared.update(zip(dual_names, duals))
         shared.update(x)  # foreign decisions seen at their current values
         for prog in programs:
-            x.update(solve_program(prog, {**shared, f"{prog.var}_anchor": x[prog.var]}, cfg))
+            bound = {**shared, f"{prog.var}_anchor": x[prog.var]}
+            try:
+                args = [bound[name] for name in prog.params]
+            except KeyError as unbound:   # as the generic loop would report it
+                raise ex.UnboundVariable(unbound.args[0]) from None
+            x[prog.var] = solve_args(prog, args, *cfg.box(prog.var), cfg)
         env = dict(fixed)
         env.update(x)
         step = cfg.dual_step / math.sqrt(t) if cfg.diminishing else cfg.dual_step

@@ -8,6 +8,7 @@ from netnum import abstraction as ab
 from netnum import cli
 from netnum import expr as ex
 from netnum import netsim as ns
+from netnum import solve as sv
 from netnum.solve import clip
 
 from conftest import JOCP_LOG, JOCP_RATE, csv_text
@@ -380,6 +381,21 @@ def named_link_params(net, link, powers, itfs):
     return params
 
 
+def named_session_params(net, s):
+    """A session solve's parameters by name, each collected dual under
+    its hop's name, in the order a name-keyed env was built: the
+    reference for the sequence _solve_rate builds."""
+    solver = ns._get_solver(net, "session", s.index)
+    params = {"sesrate_anchor": s.rate,
+              "lbd": 0.0 if solver.self_family is None
+              else net.families[solver.self_family].prev[s.index]}
+    for rule in net.programs[("session", s.index)].collect:
+        if rule.symbol != "self":
+            for hop, li in enumerate(s.path):
+                params[ex.var_name("lbd", hop)] = net.families[rule.family].prev[li]
+    return params
+
+
 def typed_bits(values):
     return {k: (type(v), float(v).hex()) for k, v in values.items()}
 
@@ -387,37 +403,45 @@ def typed_bits(values):
 def test_link_solves_pass_their_parameters_in_program_order(monkeypatch, tmp_path):
     # every shipped problem on every scenario, s4 and s5 also with more
     # victims per link, and a gradient-mode program, which has no fused
-    # loop: the sequence each link solve passes, read by the program's
-    # parameter names, is the parameters by name, and its decision is
-    # solve_program's on them
+    # loop: the sequence each link or session solve passes, read by the
+    # program's parameter names, is the parameters by name, and its
+    # decision is solve_program's on them
     gradient = tmp_path / "jocp_log_gradient.ncp"
     gradient.write_text((DATA / "problems" / "jocp_log.ncp").read_text()
                         .replace("dist=dpl", "dist=gradient"))
-    solve_power, solve, at, checked = ns._solve_power, ns._EntitySolver.solve, [], []
+    solve_power, solve_rate, solve = ns._solve_power, ns._solve_rate, ns._EntitySolver.solve
+    at, checked = {}, []
 
-    def stashed(net, link, powers, itfs):
-        at[:] = [net, link, powers[:], itfs[:]]
+    def stashed_power(net, link, powers, itfs):
+        at["pwrgain"] = [net, link, powers[:], itfs[:]]
         return solve_power(net, link, powers, itfs)
+
+    def stashed_rate(net, s):
+        at["sesrate"] = [net, s]
+        return solve_rate(net, s)
 
     def by_name(solver, args):
         program = solver.program
+        v = program.var
         params = dict(zip(program.params, args))
         assert len(params) == len(args) == len(program.params)
         # an interference folded from 0 over no interferer is the int 0
-        assert typed_bits(params) == typed_bits(named_link_params(*at))
-        want = ns.solve_program(program, params, solver.cfg)["pwrgain"]
+        named = named_link_params if v == "pwrgain" else named_session_params
+        assert typed_bits(params) == typed_bits(named(*at[v]))
+        want = sv.solve_program(program, params, solver.cfg)[v]
         if program.fused is None:
             assert program.prog.mode == "gradient"
         else:
-            generic = ns.solve_program(program._replace(fused=None), params, solver.cfg)
             fused, _, _ = program.fused(args, solver.lo, solver.hi, solver.cfg)
-            assert fused.hex() == want.hex() == generic["pwrgain"].hex()
+            assert fused.hex() == want.hex()
         decision = solve(solver, args)
         assert decision.hex() == want.hex()
-        checked.append((program.prog.mode, len(solver.neighbours)))
+        shape = len(solver.neighbours) if v == "pwrgain" else len(solver.lam_sources)
+        checked.append((v, program.prog.mode, shape))
         return decision
 
-    monkeypatch.setattr(ns, "_solve_power", stashed)
+    monkeypatch.setattr(ns, "_solve_power", stashed_power)
+    monkeypatch.setattr(ns, "_solve_rate", stashed_rate)
     monkeypatch.setattr(ns._EntitySolver, "solve", by_name)
     sources = [(DATA / "problems" / name).read_text()
                for name in ("jocp.ncp", "jocp_log.ncp", "jocp_log_powercap.ncp", "powermin.ncp")]
@@ -430,9 +454,12 @@ def test_link_solves_pass_their_parameters_in_program_order(monkeypatch, tmp_pat
     for source, cfg in runs:
         net, _, _ = deploy(source, **cfg)
         ns.run(net, 31, "joint")
-    modes = {mode for mode, _ in checked}
-    assert "gradient" in modes and len(modes) == 2
-    assert {victims for _, victims in checked} == {0, 1, 2, 3, 4, 8}
+    for v in ("pwrgain", "sesrate"):
+        modes = {mode for var, mode, _ in checked if var == v}
+        assert "gradient" in modes and len(modes) == 2
+    # each session collects one dual per hop: paths of 2 hops, and of 6 on s5
+    assert {victims for v, _, victims in checked if v == "pwrgain"} == {0, 1, 2, 3, 4, 8}
+    assert {hops for v, _, hops in checked if v == "sesrate"} == {2, 6}
 
 
 def test_each_install_starts_from_the_scenario_boxes():
@@ -604,7 +631,7 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     assert len(runs) == 4 and runs[3] == runs[2]
     assert swapped < start
     solver = ns._get_solver(net, "link", 0)
-    assert swapped.hex() == ns.solve_program(solver.program, runs[3], solver.cfg)["pwrgain"].hex()
+    assert swapped.hex() == sv.solve_program(solver.program, runs[3], solver.cfg)["pwrgain"].hex()
 
     # a whole power pass is skipped while it would only reuse decisions;
     # each edit below, made after a skipped pass, makes the next one run.
@@ -671,13 +698,76 @@ def test_skipped_power_passes_match_fresh_solves(monkeypatch, problem, skipped):
                     m.setattr(solver, "solve", lambda args: bound.append(
                         dict(zip(solver.program.params, args))) or link.pwr_gain_db)
                     solve_power(net, link, powers, itfs)
-                fresh = ns.solve_program(solver.program, bound[0], solver.cfg)["pwrgain"]
+                fresh = sv.solve_program(solver.program, bound[0], solver.cfg)["pwrgain"]
                 assert fresh.hex() == link.pwr_gain_db.hex()
         deliver(net)
 
     monkeypatch.setattr(ns, "_deliver", checked_deliver)
     ns.run(net, 360, "joint")
     assert len(checked) == skipped
+
+
+@pytest.mark.parametrize("problem, solved", [("jocp.ncp", 4), ("powermin.ncp", 10)])
+def test_kept_session_solves_match_fresh_solves(monkeypatch, problem, solved):
+    # a session solve that repeats, bit for bit, the parameters of its
+    # last solve, when that one left the rate at its anchor, reuses the
+    # decision without solving: each decision must equal a fresh solve
+    net = deploy_file(problem, "s1.cfg")
+    entity_solve, solve_args = ns._EntitySolver.solve, ns.solve_args
+    ran, sessions = [], []
+    monkeypatch.setattr(ns, "solve_args", lambda prog, *rest: ran.append(prog.var)
+                        or solve_args(prog, *rest))
+
+    def checked(solver, args):
+        decision = entity_solve(solver, args)
+        program = solver.program
+        if program.var == "sesrate":
+            fresh = sv.solve_program(program, dict(zip(program.params, args)), solver.cfg)
+            assert decision.hex() == fresh["sesrate"].hex()
+            sessions.append(args)
+        return decision
+
+    monkeypatch.setattr(ns._EntitySolver, "solve", checked)
+    ns.run(net, 300, "joint")
+    # 2 sessions over 10 transport epochs
+    assert len(sessions) == 20 and ran.count("sesrate") == solved
+
+
+def test_a_session_solve_that_gives_up_runs_the_generic_loop_once(monkeypatch):
+    # where the fused loop is missing or gives up, a session solve ends
+    # as solve_program does: its decision, or its exception and message;
+    # the fused loop runs once, the generic loop once
+    net = deploy_file("jocp_log.ncp", "s2.cfg")
+    ns.run(net, 31, "joint")
+    s = net.sessions[0]
+    solver = ns._get_solver(net, "session", s.index)
+    program, fused_calls, generic_calls = solver.program, [], []
+    solve_program = sv.solve_program
+    monkeypatch.setattr(sv, "solve_program", lambda *a: generic_calls.append(a)
+                        or solve_program(*a))
+
+    # no fused loop
+    want = solve_program(program, named_session_params(net, s), solver.cfg)["sesrate"]
+    monkeypatch.setattr(solver, "program", program._replace(fused=None))
+    ns._solve_rate(net, s)
+    assert s.rate.hex() == want.hex() and len(generic_calls) == 1
+
+    # a fused loop that gives up on a non-finite objective
+    fam, li = solver.lam_sources[0]
+    net.families[fam].prev[li] = math.inf
+    params = named_session_params(net, s)
+    assert program.fused([params[name] for name in program.params],
+                         solver.lo, solver.hi, solver.cfg) is None
+    with pytest.raises(Exception) as generic:
+        solve_program(program, params, solver.cfg)
+    monkeypatch.setattr(solver, "program", program._replace(
+        fused=lambda *a: fused_calls.append(a) or program.fused(*a)))
+    with pytest.raises(Exception) as solved:
+        ns._solve_rate(net, s)
+    assert (type(solved.value), str(solved.value)) \
+        == (type(generic.value), str(generic.value)) \
+        == (sv.NumericalError, "non-finite objective at start")
+    assert len(fused_calls) == 1 and len(generic_calls) == 2
 
 
 def check_links_every_phase(monkeypatch):

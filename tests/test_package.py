@@ -78,10 +78,20 @@ def test_no_variable_name_is_parsed_back():
 
 
 def test_reuse_state_is_built_in_one_place():
-    # every Kept is built by _derive, or by a link solver that _derive
-    # drops: all reuse state is reset together when net.cfg is replaced
+    # every Kept is built by _derive, or by a solver that _derive drops:
+    # all reuse state is reset together when net.cfg is replaced
     assert sorted(set(calls_by_scope(("Kept",)))) \
-        == [("netsim.py", "_derive", "Kept"), ("netsim.py", "_link_solver", "Kept")]
+        == [("netsim.py", "_EntitySolver.__init__", "Kept"), ("netsim.py", "_derive", "Kept")]
+
+
+def test_every_runtime_solve_binds_by_position():
+    # one solve path: the simulator's solves, of links and sessions, go
+    # through _EntitySolver.solve to solve_args, and solve_program, the
+    # generic loop, runs only where solve_args falls back to it
+    assert calls_by_scope(("solve_args", "solve_program")) \
+        == [("netsim.py", "_EntitySolver.solve", "solve_args"),
+            ("solve.py", "dual_loop", "solve_args"),
+            ("solve.py", "solve_args", "solve_program")]
 
 
 def test_cli_starts_without_dataclasses():

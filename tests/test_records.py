@@ -35,8 +35,18 @@ DATA = Path(netnum.__file__).parent / "data"
      "steps and tolerance must be positive"),
     (sv.SolverConfig, {"step": 0.5}, {"boxes": {"x": (2.0, 1.0)}}, sv.SolveError,
      "x: box lower 2.0 exceeds upper 1.0"),
+    # nan compares false both ways: refused as not positive, not ordered
+    (sv.SolverConfig, {"step": 0.5}, {"step": float("nan")}, sv.SolveError,
+     "steps and tolerance must be positive"),
+    (sv.SolverConfig, {"step": 0.5}, {"dual_step": float("nan")}, sv.SolveError,
+     "steps and tolerance must be positive"),
+    (sv.SolverConfig, {"step": 0.5}, {"tol": float("nan")}, sv.SolveError,
+     "steps and tolerance must be positive"),
+    (sv.SolverConfig, {"step": 0.5}, {"boxes": {"x": (float("nan"), 1.0)}}, sv.SolveError,
+     "x: box lower nan exceeds upper 1.0"),
 ], ids=["scenario-packet-bits", "scenario-band-pattern", "scenario-rate-iters",
-        "scenario-power-iters", "instance", "solver-tol", "solver-box"])
+        "scenario-power-iters", "instance", "solver-tol", "solver-box", "solver-step-nan",
+        "solver-dual-step-nan", "solver-tol-nan", "solver-box-nan"])
 def test_validated_records_check_when_built_and_when_replaced(record, good, bad, error,
                                                               message):
     with pytest.raises(error, match=message):

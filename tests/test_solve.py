@@ -90,8 +90,8 @@ def test_compiled_program_solves_as_the_plain_program():
         assert compiled.var == "sesrate"
         for lbd, anchor in ((0.5, 0.01), (0.1, 7.0), (2.0, 3.0)):
             params = {"lbd": lbd, "sesrate_anchor": anchor}
-            assert sv.solve_program(compiled, params, cfg) \
-                == sv.solve_program(prog, params, cfg)
+            assert sv.solve_args(compiled, _args(compiled, params), *cfg.box("sesrate"), cfg) \
+                == sv.solve_program(prog, params, cfg)["sesrate"]
 
 
 def test_a_program_compiles_only_what_its_mode_runs(monkeypatch):
@@ -107,19 +107,18 @@ def test_a_program_compiles_only_what_its_mode_runs(monkeypatch):
     # ascent: the fused loop alone, at compile time
     compiled = sv.compile_program(_prog(LOG_RATE))
     assert defined == ["fused"]
-    sv.solve_program(compiled, params, cfg)
+    sv.solve_args(compiled, _args(compiled, params), *cfg.box("sesrate"), cfg)
     assert defined == ["fused"]
     # the generic loop compiles its objective and gradient once, when run
-    generic = compiled._replace(fused=None)
     for _ in range(2):
-        sv.solve_program(generic, params, cfg)
+        sv.solve_program(compiled, params, cfg)
     assert defined == ["fused", "compiled", "compiled"]
     # gradient mode: its gradient alone, at its first solve
     defined.clear()
     compiled = sv.compile_program(_prog(LOG_RATE, mode="gradient"))
     assert defined == []
     for _ in range(2):
-        sv.solve_program(compiled, params, cfg)
+        sv.solve_args(compiled, _args(compiled, params), *cfg.box("sesrate"), cfg)
     assert defined == ["compiled"]
 
 
@@ -223,6 +222,20 @@ def test_dual_loop_converges_to_oracle(toy_const_inst):
     assert all(v >= 0 for v in res.duals)
 
 
+def test_dual_loop_reports_an_unbound_parameter(monkeypatch, toy_const_inst):
+    # a subproblem that reads a parameter nothing binds raises
+    # UnboundVariable naming it, as the generic loop does, not KeyError
+    compile_program = sv.compile_program
+    monkeypatch.setattr(sv, "compile_program", lambda prog: compile_program(
+        prog._replace(objective=ex.mul(ex.var("weight"), prog.objective))))
+    dp = dc.dualize(toy_const_inst[0])
+    cfg = sv.SolverConfig(boxes={"sesrate": (0.0, 1.0)})
+    with pytest.raises(ex.UnboundVariable) as unbound:
+        sv.dual_loop(dp, cfg, epochs=1)
+    assert str(unbound.value) == "unbound variable: weight"
+    assert sv.dual_loop(dp, cfg, epochs=1, params={"weight": 1.0}).decisions
+
+
 def test_dual_loop_inactive_constraint_dual_vanishes():
     src = ("var wos_x path=netses.sesrate quant=all,none\n"
            "var wos_y path=netlnk.lnkses.sesrate quant=every,all,none\n"
@@ -304,8 +317,10 @@ def test_staged_domain_error_raises_as_unstaged(invariant, lbd):
     with pytest.raises(Exception) as unstaged:
         ex.eval_expr(obj, env)
     cfg = sv.SolverConfig(boxes={"sesrate": (0.01, 10.0)})
+    compiled = sv.compile_program(prog)
     with pytest.raises(Exception) as staged:
-        sv.solve_program(sv.compile_program(prog), {"lbd": lbd, "sesrate_anchor": 1.0}, cfg)
+        sv.solve_args(compiled, _args(compiled, {"lbd": lbd, "sesrate_anchor": 1.0}),
+                      *cfg.box("sesrate"), cfg)
     assert type(staged.value) is type(unstaged.value)
     assert str(staged.value) == str(unstaged.value)
 
@@ -318,8 +333,9 @@ def test_gradient_mode_ignores_an_objective_only_domain_error():
     compiled = sv.compile_program(_prog(obj, mode="gradient"))
     params = {"lbd": 1.0, "mu": -1.0, "sesrate_anchor": 1.0}
     assert sv.solve_program(compiled, params, cfg) == {"sesrate": 1.5}
+    ascent = sv.compile_program(_prog(obj))
     with pytest.raises(ex.DomainError):
-        sv.solve_program(sv.compile_program(_prog(obj)), params, cfg)
+        sv.solve_args(ascent, _args(ascent, params), *cfg.box("sesrate"), cfg)
 
 
 def test_solve_skips_the_trial_when_the_step_cannot_move(monkeypatch):
@@ -387,41 +403,34 @@ DATA = Path(sv.__file__).parent / "data"
 def test_fused_solver_matches_the_generic_loop(monkeypatch, problem):
     from netnum import cli, netsim
     solve_program = sv.solve_program
-    generic: dict[int, sv.CompiledProgram] = {}
     solved = {"pwrgain": 0, "sesrate": 0}
 
-    def both(prog, params, cfg):
-        v = prog.var
-        fused = prog.fused(_args(prog, params), *cfg.box(v), cfg)
-        plain = generic.setdefault(id(prog), prog._replace(fused=None))
-        want = solve_program(plain, params, cfg)
+    # link and session solves pass their parameters by position
+    def both(prog, args, lo, hi, cfg):
+        assert (lo, hi) == cfg.box(prog.var)
+        fused = prog.fused(args, lo, hi, cfg)
+        want = solve_program(prog, dict(zip(prog.params, args)), cfg)[prog.var]
         assert fused is not None
-        assert fused[0].hex() == want[v].hex()
-        solved[v] += 1
+        assert fused[0].hex() == want.hex()
+        solved[prog.var] += 1
         return want
 
-    # link solves pass their parameters by position
-    def both_by_position(prog, args, lo, hi, cfg):
-        assert (lo, hi) == cfg.box(prog.var)
-        return both(prog, dict(zip(prog.params, args)), cfg)[prog.var]
-
-    # a link solve that repeats, bit for bit, the parameters of its last
-    # solve, when that one left the power in place, reuses its decision
+    # a solve that repeats, bit for bit, the parameters of its entity's
+    # last solve, when that one left the decision in place, reuses it
     # without solving: each must equal a fresh solve
-    link_solves = 0
+    entity_solves = {"pwrgain": 0, "sesrate": 0}
     entity_solve = netsim._EntitySolver.solve
 
     def checked(solver, args):
-        nonlocal link_solves
-        link_solves += 1
+        v = solver.program.var
+        entity_solves[v] += 1
         decision = entity_solve(solver, args)
         params = dict(zip(solver.program.params, args))
         fresh = solve_program(solver.program, params, solver.cfg)
-        assert decision.hex() == fresh["pwrgain"].hex()
+        assert decision.hex() == fresh[v].hex()
         return decision
 
-    monkeypatch.setattr(netsim, "solve_program", both)
-    monkeypatch.setattr(netsim, "solve_args", both_by_position)
+    monkeypatch.setattr(netsim, "solve_args", both)
     monkeypatch.setattr(netsim._EntitySolver, "solve", checked)
     for scenario, duration in (("s2.cfg", 90), ("s4.cfg", 90), ("s5.cfg", 60)):
         parsed = ab.parse_problem((DATA / "problems" / problem).read_text())
@@ -429,12 +438,17 @@ def test_fused_solver_matches_the_generic_loop(monkeypatch, problem):
         cfg = netsim.load_scenario((DATA / "scenarios" / scenario).read_text())
         netsim.run(cli.deploy(parsed, programs, cfg), duration, "joint")
     # solves run plus solves reused: one per link and epoch, since no
-    # power pass of these runs is skipped
-    assert link_solves == 90 * 4 + 90 * 6 + 60 * 18
-    assert 0 < solved["pwrgain"] <= link_solves
+    # power pass of these runs is skipped, and one per session and
+    # transport epoch
+    assert entity_solves == {"pwrgain": 90 * 4 + 90 * 6 + 60 * 18,
+                             "sesrate": 3 * 2 + 3 * 3 + 2 * 3}
+    assert 0 < solved["pwrgain"] <= entity_solves["pwrgain"]
     if problem == "jocp_log.ncp":
-        assert solved["pwrgain"] < link_solves
-    assert solved["sesrate"] == 3 * 2 + 3 * 3 + 2 * 3
+        assert solved["pwrgain"] < entity_solves["pwrgain"]
+    # no session solve of these runs repeats its last parameters; see
+    # test_netsim.py::test_kept_session_solves_match_fresh_solves for runs
+    # where some do
+    assert solved["sesrate"] == entity_solves["sesrate"]
 
 
 LOG_RATE = ex.sub(ex.ln(ex.var("sesrate")), ex.mul(ex.var("sesrate"), ex.var("lbd")))
@@ -484,13 +498,19 @@ def test_fused_solver_raises_as_the_generic_loop(obj, params, cfg, error, messag
     # the parameters in the order of params, which may miss a variable
     compiled = sv.compile_program(_prog(obj), tuple(params))
     cfg = sv.SolverConfig(**{"step": 0.5, **cfg})
-    assert compiled.fused(list(params.values()), *cfg.box("sesrate"), cfg) is None
+    args = list(params.values())
+    assert compiled.fused(args, *cfg.box("sesrate"), cfg) is None
+    # solve_args runs the fused loop once, then the generic loop
+    fused_calls = []
+    counted = compiled._replace(fused=lambda *a: fused_calls.append(a) or compiled.fused(*a))
     raised = []
-    for prog in (compiled._replace(fused=None), compiled):
+    for solve in (lambda: sv.solve_program(compiled, params, cfg),
+                  lambda: sv.solve_args(counted, args, *cfg.box("sesrate"), cfg)):
         with pytest.raises(Exception) as exc:
-            sv.solve_program(prog, params, cfg)
+            solve()
         raised.append((type(exc.value), str(exc.value)))
     assert raised == [(error, message)] * 2
+    assert len(fused_calls) == 1
 
 
 def test_fused_solver_sums_fold_left_from_zero():
