@@ -41,7 +41,7 @@ Model notes:
     its anchor among the program's parameters, its victims' or hops'
     indices and its last kept decision; every solve, of a link or a
     session, passes its parameters by position (solve.solve_args), and
-    a link solve reads the capacity prices from net.link_family.
+    a link solve reads the capacity prices from control.link_family.
   - One key per phase: a phase that reuses work packs what it reads as
     doubles into one key, and keeps its last value in a Kept while the
     key repeats bit for bit (the interference with every capacity, a
@@ -58,16 +58,19 @@ Model notes:
     reuses a series' last line only for the same value object, or an
     equal non-zero one of the same type, so the bytes match a writer
     that formats every row.
-  - _derive builds all a step derives from net.cfg, net.capacity and the
-    installed problem (every Kept, the solvers): in install_problem, and
-    at the first step after either is replaced.  build_scenario and run
-    read their keys once, each step the rest.
-  - install_problem restores the scenario's power and rate boxes
-    (_scenario_boxes) before the problem's box rules narrow them, so
-    the rules of a problem installed before do not carry over.
+  - The network (NetState) is the plant: it measures link capacity with
+    the builtin lnkcap model, compiled once when it is built.  Each
+    install_problem gives it a new controller (Controller, net.control)
+    holding all the problem brings (only its link programs read the
+    problem's lnkcap model), and restores the scenario's boxes
+    (_scenario_boxes) before the problem's box rules narrow them.
+  - _derive builds every Kept, the plant's and the controller's, and
+    drops the solvers: in install_problem, and at the first step after
+    net.cfg or net.capacity is replaced.  build_scenario and run read
+    their keys once, each step the rest.
   - Values are NamedTuples (ScenarioConfig, Node); what a step reads or
-    rewrites is a plain class (Link, Session, NetState, the solvers),
-    for cheaper attribute reads, and equals only itself.
+    rewrites is a plain class (Link, Session, NetState, Controller, the
+    solvers), for cheaper attribute reads, and equals only itself.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ import struct
 from typing import Callable, NamedTuple, Sequence, TextIO, get_args, get_origin, get_type_hints
 
 from . import expr as ex
-from .abstraction import BoxRule, ControlProblem, resolve_model
+from .abstraction import BoxRule, ControlProblem, builtin_graph, resolve_model
 from .decompose import ControlProgram
 from .expr import Expr
 from .solve import CompiledProgram, SolverConfig, clip, compile_program, dual_update, solve_args
@@ -279,48 +282,61 @@ class ConstraintFamily:
 
 
 class NetState:
-    """The whole simulated network, its installed problem and its kept values."""
-    __slots__ = ("cfg", "nodes", "links", "sessions", "epoch", "families", "link_family",
-                 "utility_expr", "utility_fn", "utility_key", "rate_names",
-                 "cap_names", "pwr_names", "pending", "programs", "capacity_model", "capacity",
-                 "derived_for", "kept_itfs", "kept_slacks", "kept_shares", "kept_utility",
-                 "kept_power", "_solvers", "_shared")
+    """The plant: the network, the capacity model it is measured with,
+    what _measure and _deliver last computed, and the controller of the
+    installed problem (None until install_problem)."""
+    __slots__ = ("cfg", "nodes", "links", "sessions", "epoch", "capacity", "control",
+                 "derived_for", "kept_itfs", "kept_shares")
 
     def __init__(self, cfg: ScenarioConfig, nodes: list[Node], links: list[Link],
                  sessions: list[Session]) -> None:
         self.cfg, self.nodes, self.links, self.sessions = cfg, nodes, links, sessions
         self.epoch = 0
-        self.families: list[ConstraintFamily] = []
-        # the first family over links: its duals price link capacity
-        self.link_family: ConstraintFamily | None = None
-        self.utility_expr: Expr | None = None
-        # utility_expr compiled for (utility_expr, live sessions, active links)
-        self.utility_fn: Compiled | None = None
-        self.utility_key: tuple[Expr, tuple[int, ...], tuple[int, ...]] | None = None
-        # the names of each session's rate and each link's capacity and
-        # power: the parameters of the slack and utility functions
-        self.rate_names = self.cap_names = self.pwr_names = ()
-        self.pending: list[tuple[tuple[str, int], ControlProgram]] = []
-        self.programs: dict[tuple[str, int], ControlProgram] = {}
-        self.capacity_model: Expr | None = None   # the problem's lnkcap model, bits/s
-        self.capacity: Compiled | None = None     # capacity_model compiled
+        model = resolve_model(builtin_graph(), "lnkcap")   # bits/s; no problem replaces it
+        self.capacity = ex.compile_expr(model, _CAPACITY_PARAMS)
+        self.control: Controller | None = None
         self.derived_for: tuple[ScenarioConfig, Compiled] | None = None   # see _derive
-        # what _measure, _update_duals, _deliver and sum_utility last
-        # computed, and the key of the last power pass that moved no
-        # power; all five are built by _derive
-        self.kept_itfs = self.kept_slacks = self.kept_shares = None
-        self.kept_utility = self.kept_power = None
-        # (kind, index) -> solver built from the installed program on first use
-        self._solvers: dict[tuple[str, int], _EntitySolver | None] = {}
-        # (kind, id(program), shape) -> (program, its compiled solver
-        # program), shared by the entities running it with that shape;
-        # holding the program keeps its id from being reused
-        self._shared: dict[tuple[str, int, int], tuple[ControlProgram, CompiledProgram]] = {}
+        self.kept_itfs = self.kept_shares = None   # built by _derive
 
     @property
     def clock(self) -> float:
         """Seconds simulated: the end of the last epoch stepped."""
         return self.epoch * self.cfg.phys_epoch
+
+
+class Controller:
+    """What one installed problem brings to a network: its constraint
+    families and duals, utility, lnkcap model, programs and solvers, and
+    what _update_duals, the power pass and sum_utility last computed."""
+    __slots__ = ("families", "link_family", "utility", "utility_fn", "utility_key",
+                 "pending", "programs", "capacity_model", "solvers", "shared",
+                 "kept_slacks", "kept_utility", "kept_power")
+
+    def __init__(self, net: NetState, problem: ControlProblem) -> None:
+        self.families: list[ConstraintFamily] = []
+        for c in problem.constraints:
+            if c.holder not in ("netlnk", "netses"):
+                raise UnresolvableCollectionRule(
+                    f"constraint family over {c.holder} has no runtime entities")
+            entity, members = (("link", net.links) if c.holder == "netlnk"
+                               else ("session", net.sessions))
+            self.families.append(ConstraintFamily(c.holder, entity, c.lhs, c.rhs,
+                                                  len(members)))
+        # the first family over links: its duals price link capacity
+        self.link_family = next((f for f in self.families if f.entity == "link"), None)
+        self.utility = problem.utility
+        # the utility compiled for utility_key's (live sessions, active links)
+        self.utility_fn = self.utility_key = None
+        self.pending: list[tuple[tuple[str, int], ControlProgram]] = []
+        self.programs: dict[tuple[str, int], ControlProgram] = {}
+        self.capacity_model = resolve_model(problem.graph, "lnkcap")   # bits/s
+        # (kind, index) -> solver built from the installed program on first use
+        self.solvers: dict[tuple[str, int], _EntitySolver | None] = {}
+        # (kind, id(program), shape) -> (program, its compiled solver
+        # program), shared by the entities running it with that shape;
+        # holding the program keeps its id from being reused
+        self.shared: dict[tuple[str, int, int], tuple[ControlProgram, CompiledProgram]] = {}
+        self.kept_slacks = self.kept_utility = self.kept_power = None   # built by _derive
 
 
 # ---------------------------------------------------------------------------
@@ -438,22 +454,10 @@ def _aggregate_interference(link: Link, net: NetState, powers: list[float]) -> f
 # program installation
 
 def install_problem(net: NetState, problem: ControlProblem) -> NetState:
-    """Wire the problem's constraint families, utility, and box rules into
-    the runtime.  The box rules narrow the scenario's boxes, not the boxes
-    a problem installed before left."""
-    net.families = []
-    for c in problem.constraints:
-        if c.holder not in ("netlnk", "netses"):
-            raise UnresolvableCollectionRule(
-                f"constraint family over {c.holder} has no runtime entities")
-        entity, members = (("link", net.links) if c.holder == "netlnk"
-                           else ("session", net.sessions))
-        net.families.append(ConstraintFamily(c.holder, entity, c.lhs, c.rhs, len(members)))
-    net.link_family = next((f for f in net.families if f.entity == "link"), None)
-    net.utility_expr = problem.utility
-    net.rate_names = tuple(ex.var_name("sesrate", s.index) for s in net.sessions)
-    net.cap_names = tuple(ex.var_name("lnkcap", l.index) for l in net.links)
-    net.pwr_names = tuple(ex.var_name("lnkpwr", l.index) for l in net.links)
+    """Give the network a new controller for the problem, with no programs
+    yet.  Its box rules narrow the scenario's boxes, not those left by a
+    problem installed before; if one is refused, the old controller stays."""
+    control = Controller(net, problem)
     power_box, rate_box = _scenario_boxes(net.cfg)
     for link in net.links:
         link.power_box = power_box
@@ -461,22 +465,21 @@ def install_problem(net: NetState, problem: ControlProblem) -> NetState:
         s.rate_box = rate_box
     for rule in problem.box_rules:
         _apply_box_rule(net, rule)
-    net.capacity_model = resolve_model(problem.graph, "lnkcap")
-    net.capacity = ex.compile_expr(net.capacity_model, _CAPACITY_PARAMS)
+    net.control = control
     _derive(net)
     return net
 
 
 def _derive(net: NetState) -> None:
-    """Rebuild every Kept and the solvers (see step)."""
-    ns, nl = len(net.sessions), len(net.links)
+    """Rebuild every Kept and drop the solvers (see step)."""
+    ns, nl, control = len(net.sessions), len(net.links), net.control
     net.kept_itfs = Kept(5 * nl)
-    net.kept_slacks = Kept(2 * ns + 2 * nl)
     net.kept_shares = Kept(2 * ns + nl)
-    net.kept_utility = Kept(2 * ns + 2 * nl)
-    net.kept_power = Kept(nl)   # pwr_gain_db, then each link family's prev duals
-    net._solvers.clear()
-    net._shared.clear()
+    control.kept_slacks = Kept(2 * ns + 2 * nl)
+    control.kept_utility = Kept(2 * ns + 2 * nl)
+    control.kept_power = Kept(nl)   # pwr_gain_db, then each link family's prev duals
+    control.solvers.clear()
+    control.shared.clear()
     net.derived_for = (net.cfg, net.capacity)
 
 
@@ -515,6 +518,8 @@ def install_program(net: NetState, owner: tuple[str, int],
                     prog: ControlProgram) -> NetState:
     """Queue a program for an entity; it replaces the entity's installed
     program atomically at the next epoch boundary."""
+    if net.control is None:
+        raise NetsimError("install_problem must run before install_program")
     kind, idx = owner
     if kind not in ("session", "link"):
         raise UnknownEntity(f"unknown entity kind {kind}")
@@ -525,20 +530,21 @@ def install_program(net: NetState, owner: tuple[str, int],
         if rule.symbol not in collectable:
             raise UnresolvableCollectionRule(
                 f"{rule.symbol} cannot be collected by a {kind}")
-    net.pending.append((owner, prog))
+    net.control.pending.append((owner, prog))
     return net
 
 
 def _apply_pending(net: NetState) -> None:
-    if not net.pending:
+    control = net.control
+    if not control.pending:
         return
-    for owner, prog in net.pending:
-        net.programs[owner] = prog
-        net._solvers.pop(owner, None)
-    net.pending.clear()
-    installed = {id(prog) for prog in net.programs.values()}
-    for key in [key for key in net._shared if key[1] not in installed]:
-        del net._shared[key]
+    for owner, prog in control.pending:
+        control.programs[owner] = prog
+        control.solvers.pop(owner, None)
+    control.pending.clear()
+    installed = {id(prog) for prog in control.programs.values()}
+    for key in [key for key in control.shared if key[1] not in installed]:
+        del control.shared[key]
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +594,11 @@ def _shared_program(net: NetState, kind: str, prog: ControlProgram,
     """The compiled program of every `kind` entity that runs prog and has
     this shape (a link's victim count, a session's path length),
     compiled on first use."""
-    key = (kind, id(prog), shape)
-    entry = net._shared.get(key)
+    key, shared = (kind, id(prog), shape), net.control.shared
+    entry = shared.get(key)
     if entry is None:
         build = _session_program if kind == "session" else _link_program
-        entry = net._shared[key] = (prog, build(net, prog, shape))
+        entry = shared[key] = (prog, build(net, prog, shape))
     return entry[1]
 
 
@@ -636,7 +642,7 @@ _NEIGHBOUR_PARAMS = ("lbd_itf", "itf_freq", "itf_lnkpwr", "itf_lnkgain",
 
 def _link_program(net: NetState, prog: ControlProgram, slots: int) -> CompiledProgram:
     # capacity in packets/s so the objective shares the dual's units
-    model = ex.div(net.capacity_model, ex.const(net.cfg.packet_bits))
+    model = ex.div(net.control.capacity_model, ex.const(net.cfg.packet_bits))
     objective = ex.substitute(prog.objective, {"lnkcap": model})
     objective = ex.substitute(objective, {"lnkpwr": DB_TO_LINEAR})
     if prog.penalty is not None:
@@ -668,15 +674,14 @@ def _link_solver(net: NetState, link: Link, prog: ControlProgram) -> _EntitySolv
 
 
 def _get_solver(net: NetState, kind: str, idx: int) -> _EntitySolver | None:
-    key = (kind, idx)
+    key, control = (kind, idx), net.control
     try:
-        return net._solvers[key]
+        return control.solvers[key]
     except KeyError:
-        pass
-    prog = net.programs.get(key)
+        prog = control.programs.get(key)
     build, entities = ((_session_solver, net.sessions) if kind == "session"
                        else (_link_solver, net.links))
-    solver = net._solvers[key] = None if prog is None else build(net, entities[idx], prog)
+    solver = control.solvers[key] = None if prog is None else build(net, entities[idx], prog)
     return solver
 
 
@@ -848,22 +853,23 @@ def _compile_slacks(net: NetState,
         lhs = ex.expand_sums(ex.bind_index(fam.lhs, fam.holder, m), bindings)
         rhs = ex.expand_sums(ex.bind_index(fam.rhs, fam.holder, m), bindings)
         pairs.append((lhs, rhs))
-    return ex.compile_slacks(pairs, net.rate_names + net.cap_names + net.pwr_names)
+    bases = (("sesrate", net.sessions), ("lnkcap", net.links), ("lnkpwr", net.links))
+    return ex.compile_slacks(pairs, [ex.var_name(b, e.index) for b, es in bases for e in es])
 
 
 def _update_duals(net: NetState, powers: list[float]) -> None:
     """One dual step for every family, of net.cfg.dual_step, on slacks
     reused while the masked rates, capacities, `powers` and done flags
     repeat."""
-    sessions, kept = net.sessions, net.kept_slacks
+    sessions, families, kept = net.sessions, net.control.families, net.control.kept_slacks
     args = [0.0 if s.done else s.rate for s in sessions]
     args += [l.capacity_pps for l in net.links]
     args += powers
     key = kept.packer.pack(*args, *[s.done for s in sessions])
     if key != kept.key:
-        kept.keep(key, [_family_slacks(net, fam, args) for fam in net.families])
+        kept.keep(key, [_family_slacks(net, fam, args) for fam in families])
     step = net.cfg.dual_step
-    for fam, slacks in zip(net.families, kept.value):
+    for fam, slacks in zip(families, kept.value):
         fam.prev = fam.duals
         fam.duals = dual_update(fam.duals, slacks, step)
 
@@ -873,16 +879,16 @@ def _solve_power(net: NetState, link: Link, powers: list[float],
     """Solve one link's power program; `powers` and `itfs` hold every
     link's linear power (see _linear_powers) and interference as the
     epoch's earlier solves left them."""
-    i = link.index
+    i, control = link.index, net.control
     solver = _get_solver(net, "link", i)
     if solver is None or not link.active:
         return
-    own = powers[i]
+    own, fam = powers[i], solver.self_family
     # _LINK_PARAMS, then _NEIGHBOUR_PARAMS for each victim
     args = [link.bandwidth, link.gain, link.noise, 1.0, itfs[i], link.pwr_gain_db, own,
-            _self_lambda(net, solver, i)]
+            0.0 if fam is None else control.families[fam].prev[i]]
     if solver.neighbours:
-        cap, links = net.link_family, net.links
+        cap, links = control.link_family, net.links
         prices = [0.0] * len(links) if cap is None else cap.prev
         for j in solver.neighbours:
             lj = links[j]
@@ -899,12 +905,13 @@ def _power_key(net: NetState) -> list:
     _measure (the powers, active flags, channel values and cross gains):
     every link's pwr_gain_db and every link family's prev dual by link,
     packed (so -0.0 and 0.0 differ), and the solvers."""
-    pack, links = net.kept_power.packer.pack, net.links
+    control, links = net.control, net.links
+    pack = control.kept_power.packer.pack
     key = [net.kept_itfs.key, pack(*[l.pwr_gain_db for l in links])]
-    for fam in net.families:
+    for fam in control.families:
         if fam.entity == "link":
             key.append(pack(*fam.prev))
-    key.append(list(net._solvers.values()))
+    key.append(list(control.solvers.values()))
     return key
 
 
@@ -914,7 +921,7 @@ def _power_pass(net: NetState, powers: list[float], itfs: list[float]) -> None:
     no solve moved its link's pwr_gain_db keeps its key (built only when
     _measure built one); a pass whose key equals it would only reuse
     those decisions, and is skipped."""
-    kept, key = net.kept_power, None
+    kept, key = net.control.kept_power, None
     if net.kept_itfs.key is not None:
         key = _power_key(net)
         if key == kept.key:
@@ -936,19 +943,14 @@ def _power_pass(net: NetState, powers: list[float], itfs: list[float]) -> None:
     kept.key = key
 
 
-def _self_lambda(net: NetState, solver: _EntitySolver, member: int) -> float:
-    if solver.self_family is None:
-        return 0.0
-    return net.families[solver.self_family].prev[member]
-
-
 def _solve_rate(net: NetState, s: Session) -> None:
     solver = _get_solver(net, "session", s.index)
     if solver is None or s.done:
         return
+    families, fam = net.control.families, solver.self_family
     # _SESSION_PARAMS, then each collected dual by hop
-    args = [s.rate, _self_lambda(net, solver, s.index)]
-    args += [net.families[fam].prev[li] for fam, li in solver.lam_sources]
+    args = [s.rate, 0.0 if fam is None else families[fam].prev[s.index]]
+    args += [families[f].prev[li] for f, li in solver.lam_sources]
     s.rate = solver.solve(args)
 
 
@@ -1009,9 +1011,8 @@ def sum_utility(net: NetState) -> float:
     value is kept, and returned again while every session's (done,
     throughput) and every link's (active, pwr_gain_db) are what it was
     computed for, bit for bit."""
-    if net.utility_expr is None:
-        return 0.0
-    sessions, links, kept = net.sessions, net.links, net.kept_utility
+    sessions, links, control = net.sessions, net.links, net.control
+    kept = control.kept_utility
     values = [s.throughput for s in sessions]
     values += [l.pwr_gain_db for l in links]
     values += [s.done for s in sessions]
@@ -1019,16 +1020,18 @@ def sum_utility(net: NetState) -> float:
     key = kept.packer.pack(*values)
     if key == kept.key:
         return kept.value
-    topology = (net.utility_expr, tuple(s.index for s in sessions if not s.done),
+    topology = (tuple(s.index for s in sessions if not s.done),
                 tuple(l.index for l in links if l.active))
-    if net.utility_key != topology:
-        _, live_s, live_l = topology
-        e = ex.expand_sums(net.utility_expr, {"netses": live_s, "netlnk": live_l})
-        net.utility_fn = ex.compile_expr(e, net.rate_names + net.pwr_names)
-        net.utility_key = topology
+    if control.utility_key != topology:
+        live_s, live_l = topology
+        e = ex.expand_sums(control.utility, {"netses": live_s, "netlnk": live_l})
+        params = [ex.var_name("sesrate", s.index) for s in sessions]
+        params += [ex.var_name("lnkpwr", l.index) for l in links]
+        control.utility_fn = ex.compile_expr(e, params)
+        control.utility_key = topology
     args = [max(s.throughput, 1e-6) for s in sessions]
     args += _linear_powers(net)
-    return kept.keep(key, net.utility_fn(args))
+    return kept.keep(key, control.utility_fn(args))
 
 
 def _layout(net: NetState) -> Layout:
@@ -1048,7 +1051,7 @@ def _record(net: NetState, trace: Trace) -> None:
     then the utility.  A trace records one network, so its layout follows
     from the links' active flags alone."""
     t = net.clock
-    cap = net.link_family
+    cap = net.control.link_family
     lams = [0.0] * len(net.links) if cap is None else cap.duals
     values = [s.throughput for s in net.sessions]
     for link, lam in zip(net.links, lams):
@@ -1086,7 +1089,7 @@ def step(net: NetState, scheme: str = "joint") -> NetState:
     _deliver(net)
     net.epoch += 1
     # feasibility invariants hold at every epoch
-    for fam in net.families:
+    for fam in net.control.families:
         for v in fam.duals:
             if v < 0:
                 raise NetsimError("negative dual")

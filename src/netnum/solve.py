@@ -259,16 +259,13 @@ def solve_args(prog: CompiledProgram, args: Sequence[float], lo: float, hi: floa
     return solve_program(prog, dict(zip(prog.params, args)), cfg)[prog.var]
 
 
-def solve_program(prog: CompiledProgram | ControlProgram, params: Mapping[str, float],
+def solve_program(prog: CompiledProgram, params: Mapping[str, float],
                   cfg: SolverConfig) -> dict[str, float]:
     """Projected gradient ascent on the program's objective over its one
     decision variable: the generic loop, which the fused loop reproduces
-    (see solve_args).  A plain ControlProgram is compiled first.  All
-    foreign variables and dual values must be bound in params; the anchor
-    defaults to the `<var>_anchor` entry, else the box midpoint.  Returns
-    {var: converged decision}."""
-    if isinstance(prog, ControlProgram):
-        prog = compile_program(prog)
+    (see solve_args).  All foreign variables and dual values must be
+    bound in params; the anchor defaults to the `<var>_anchor` entry,
+    else the box midpoint.  Returns {var: converged decision}."""
     v = prog.var
     lo, hi = cfg.box(v)
     obj, grad = prog.objective, prog.grad

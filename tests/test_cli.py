@@ -715,7 +715,7 @@ def test_session_held_dual_runs(powermin_dual_run):
     rc, out, net, _ = powermin_dual_run
     assert rc == 0
     assert "collect: seslnk#0, self#1" in (out / "programs.txt").read_text()
-    duals = next(f.duals for f in net.families if f.entity == "session")
+    duals = next(f.duals for f in net.control.families if f.entity == "session")
     assert len(duals) == 2 and duals[0] >= 0.0 and duals[1] > 0.0
 
 

@@ -185,6 +185,15 @@ def test_install_on_unknown_entity():
         ns.install_program(net, ("vehicle", 0), programs["transport"])
 
 
+def test_programs_and_steps_need_an_installed_problem():
+    _, _, programs = deploy(scenario=1)
+    bare = ns.build_scenario(ns.ScenarioConfig(scenario=1))
+    with pytest.raises(ns.NetsimError, match="install_problem must run before install_program"):
+        ns.install_program(bare, ("link", 0), programs["physical"])
+    with pytest.raises(ns.NetsimError, match="install_problem must run before step"):
+        ns.step(bare, "joint")
+
+
 def test_install_unresolvable_collection_rule():
     net, problem, programs = deploy(scenario=1)
     with pytest.raises(ns.UnresolvableCollectionRule):
@@ -277,15 +286,15 @@ def test_program_installed_mid_run_takes_effect_at_next_step():
         for _ in range(3):
             ns.step(net, "rate-only")
     kept, swapped = nets
-    old = swapped.programs[("session", 0)]
+    old = swapped.control.programs[("session", 0)]
     new = old._replace(objective=ex.neg(ex.var("sesrate")))
     ns.install_program(swapped, ("session", 0), new)
-    assert swapped.programs[("session", 0)] is old
+    assert swapped.control.programs[("session", 0)] is old
     assert ns._get_solver(swapped, "session", 0).program.prog.objective \
         == ns._get_solver(kept, "session", 0).program.prog.objective
     for net in nets:
         ns.step(net, "rate-only")
-    assert swapped.programs[("session", 0)] is new
+    assert swapped.control.programs[("session", 0)] is new
     assert swapped.sessions[0].rate < kept.sessions[0].rate
     assert swapped.sessions[1].rate == kept.sessions[1].rate
 
@@ -361,13 +370,13 @@ def named_link_params(net, link, powers, itfs):
     """A link solve's parameters by name, each victim's under its slot's
     names: the reference for the sequence _solve_power builds."""
     i, own = link.index, powers[link.index]
-    solver, cap = ns._get_solver(net, "link", i), net.link_family
+    solver, cap = ns._get_solver(net, "link", i), net.control.link_family
     params = {"freq": link.bandwidth, "lnkgain": link.gain, "lnknoise": link.noise,
               "lnkgain_itf": 1.0, "itfpwr": itfs[i],
               "pwrgain_anchor": link.pwr_gain_db, "lnkpwr_anchor": own,
               "lbd": 0.0 if solver.self_family is None
-              else net.families[solver.self_family].prev[i]}
-    victims = [] if net.programs[("link", i)].penalty is None \
+              else net.control.families[solver.self_family].prev[i]}
+    victims = [] if net.control.programs[("link", i)].penalty is None \
         else [v for v in net.links if i in v.cross_gain]
     for slot, v in enumerate(victims):
         back = v.cross_gain[i]
@@ -388,11 +397,11 @@ def named_session_params(net, s):
     solver = ns._get_solver(net, "session", s.index)
     params = {"sesrate_anchor": s.rate,
               "lbd": 0.0 if solver.self_family is None
-              else net.families[solver.self_family].prev[s.index]}
-    for rule in net.programs[("session", s.index)].collect:
+              else net.control.families[solver.self_family].prev[s.index]}
+    for rule in net.control.programs[("session", s.index)].collect:
         if rule.symbol != "self":
             for hop, li in enumerate(s.path):
-                params[ex.var_name("lbd", hop)] = net.families[rule.family].prev[li]
+                params[ex.var_name("lbd", hop)] = net.control.families[rule.family].prev[li]
     return params
 
 
@@ -484,6 +493,124 @@ def test_each_install_starts_from_the_scenario_boxes():
         assert boxes(net) == scenario
 
 
+def controller_objects(control):
+    """The runtime objects a controller holds: its families and their
+    dual lists, its solvers and shared programs, and its Kepts."""
+    objects = [control.families, control.programs, control.pending, control.solvers,
+               control.shared, control.kept_slacks, control.kept_utility, control.kept_power]
+    for fam in control.families:
+        objects += [fam, fam.duals, fam.prev]
+    objects += [solver for solver in control.solvers.values() if solver is not None]
+    objects += [solver.kept for solver in control.solvers.values() if solver is not None]
+    objects += [compiled for _, compiled in control.shared.values()]
+    return objects
+
+
+def test_each_install_builds_a_controller_of_its_own():
+    # powermin's controller, with every solver and shared program built,
+    # leaves nothing to jocp_log's on the same network
+    cfg = ns.load_scenario((DATA / "scenarios" / "s2.cfg").read_text())
+    net = deploy_file("powermin.ncp", "s2.cfg")
+    ns._apply_pending(net)
+    for kind, entities in (("link", net.links), ("session", net.sessions)):
+        for e in entities:
+            assert ns._get_solver(net, kind, e.index) is not None
+    first = net.control
+    problem = ab.parse_problem((DATA / "problems" / "jocp_log.ncp").read_text())
+    programs, _, _ = cli.build_programs(problem)
+    ns.install_problem(net, problem)
+    assert net.control is not first and not net.control.programs
+    for s in net.sessions:
+        ns.install_program(net, ("session", s.index), programs["transport"])
+    for link in net.links:
+        ns.install_program(net, ("link", link.index), programs["physical"])
+    trace = ns.run(net, 300, "joint")
+    old = {id(obj) for obj in controller_objects(first)}
+    assert len(net.control.solvers) == len(net.links) + len(net.sessions)
+    assert not old & {id(obj) for obj in controller_objects(net.control)}
+    only = cli.deploy(problem, programs, cfg)
+    assert csv_text(trace) == csv_text(ns.run(only, 300, "joint"))
+
+
+def test_the_plant_capacity_is_compiled_once_per_network(monkeypatch):
+    compiled, compile_expr = [], ex.compile_expr
+
+    def counted(e, params=None):
+        if params == ns._CAPACITY_PARAMS:
+            compiled.append(e)
+        return compile_expr(e, params)
+
+    monkeypatch.setattr(ex, "compile_expr", counted)
+    net = ns.build_scenario(ns.ScenarioConfig(scenario=2))
+    capacity = net.capacity
+    assert compiled == [ab.resolve_model(ab.builtin_graph(), "lnkcap")]
+    for name in ("powermin.ncp", "jocp_log.ncp"):
+        problem = ab.parse_problem((DATA / "problems" / name).read_text())
+        programs, _, _ = cli.build_programs(problem)
+        ns.install_problem(net, problem)
+        for link in net.links:
+            ns.install_program(net, ("link", link.index), programs["physical"])
+        ns.run(net, 30, "joint")
+        assert net.capacity is capacity and len(compiled) == 1
+
+
+def subtrees(e):
+    yield e
+    for child in e.children:
+        yield from subtrees(child)
+
+
+def test_a_swapped_capacity_model_reaches_only_the_controller():
+    # the high-SINR surrogate of tests/test_decompose.py, swapped into
+    # the problem's graph: the link programs read it, the plant does not
+    problem = ab.parse_problem(JOCP_LOG)
+    programs, _, _ = cli.build_programs(problem)
+    builtin = ab.resolve_model(problem.graph, "lnkcap")
+    el = problem.graph.elements["lnkcap"]
+    problem.graph.elements["lnkcap"] = el._replace(
+        model=ex.mul(ex.var("freq"), ex.log2(ex.var("lnksinr"))))
+    surrogate = ab.resolve_model(problem.graph, "lnkcap")
+    assert surrogate != builtin
+    cfg = ns.ScenarioConfig(scenario=2, seed=3)
+    swapped = cli.deploy(problem, programs, cfg)
+    plain, _, _ = deploy(scenario=2, seed=3)
+    assert swapped.control.capacity_model == surrogate
+    assert plain.control.capacity_model == builtin
+    for net in (swapped, plain):
+        for link in net.links:
+            link.pwr_gain_db = 5.0 + link.index
+        ns._measure(net, ns._linear_powers(net))
+    powers = ns._linear_powers(plain)
+    for link in swapped.links:
+        env = {"freq": link.bandwidth, "lnkpwr": powers[link.index], "lnkgain": link.gain,
+               "lnknoise": link.noise, "lnkgain_itf": 1.0,
+               "itfpwr": ns._aggregate_interference(link, swapped, powers)}
+        want = ex.eval_expr(builtin, env) / cfg.packet_bits
+        assert want != ex.eval_expr(surrogate, env) / cfg.packet_bits
+        assert link.capacity_pps.hex() == want.hex()
+        assert plain.links[link.index].capacity_pps.hex() == want.hex()
+    bits = ex.const(cfg.packet_bits)
+    for model, net in ((surrogate, swapped), (builtin, plain)):
+        ns.run(net, 60, "joint")
+        own = ex.substitute(ex.div(model, bits), {"lnkpwr": ns.DB_TO_LINEAR})
+        for link in net.links:
+            objective = ns._get_solver(net, "link", link.index).program.prog.objective
+            assert own in set(subtrees(objective))
+    assert [l.pwr_gain_db for l in swapped.links] != [l.pwr_gain_db for l in plain.links]
+
+
+def test_a_refused_install_keeps_the_controller_before_it():
+    # powermin's rate floor of 4 pps does not fit a rate_max of 3
+    net, _, _ = deploy(scenario=2, rate_max=3.0)
+    ns.step(net, "joint")
+    control = net.control
+    powermin = ab.parse_problem((DATA / "problems" / "powermin.ncp").read_text())
+    with pytest.raises(ns.ConfigError, match="box lower 4.0 exceeds upper 3.0"):
+        ns.install_problem(net, powermin)
+    assert net.control is control
+    ns.step(net, "joint")
+
+
 def test_shared_link_program_keeps_each_link_power_box():
     # jocp_log_powercap caps the first session's links at 5 dB; the
     # jocp_log_powercap.ncp/s4.cfg pin in test_cli.py holds the traces
@@ -511,7 +638,7 @@ def test_program_installed_mid_run_compiles_its_own_solver(monkeypatch):
     # each network compiles its own
     assert counts == {"pwrgain": 2, "sesrate": 2}
     kept, swapped = nets
-    old = swapped.programs[("link", 3)]
+    old = swapped.control.programs[("link", 3)]
     # the same penalties, and an own term that only pays for power
     new = old._replace(objective=ex.neg(ex.var("lnkpwr")))
     for idx in (3, 9):
@@ -539,7 +666,7 @@ def test_program_installed_mid_run_compiles_its_own_solver(monkeypatch):
         ns.install_program(swapped, ("link", idx), old)
     ns.step(swapped, "joint")
     assert counts == {"pwrgain": 3, "sesrate": 2}
-    kept_programs = [prog for prog, _ in swapped._shared.values()]
+    kept_programs = [prog for prog, _ in swapped.control.shared.values()]
     assert len(kept_programs) == 2 and all(prog is not new for prog in kept_programs)
 
 
@@ -557,7 +684,7 @@ def copy_operating_point(src, dst):
         b.rate, b.sent, b.done, b.throughput = a.rate, a.sent, a.done, a.throughput
     for a, b in zip(src.links, dst.links):
         b.pwr_gain_db, b.active, b.capacity_pps = a.pwr_gain_db, a.active, a.capacity_pps
-    for a, b in zip(src.families, dst.families):
+    for a, b in zip(src.control.families, dst.control.families):
         b.duals, b.prev = list(a.duals), list(a.prev)
 
 
@@ -580,7 +707,7 @@ def test_replaced_config_takes_effect_at_next_step(key, value):
             got, want = ns._get_solver(net, kind, e.index), ns._get_solver(fresh, kind, e.index)
             assert got.program.prog.objective == want.program.prog.objective
             assert got.cfg == want.cfg
-    assert len(net._solvers) == len(net.links) + len(net.sessions)
+    assert len(net.control.solvers) == len(net.links) + len(net.sessions)
     assert [l.pwr_gain_db.hex() for l in net.links] \
         == [l.pwr_gain_db.hex() for l in fresh.links]
     assert [s.rate.hex() for s in net.sessions] == [s.rate.hex() for s in fresh.sessions]
@@ -600,7 +727,7 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     link = net.links[0]
     start, powers = link.pwr_gain_db, ns._linear_powers(net)
     itfs = [ns._aggregate_interference(l, net, powers) for l in net.links]
-    cap = net.link_family
+    cap = net.control.link_family
 
     def solve(lbd):
         # with no price on any link the power stays at its anchor, so the
@@ -623,7 +750,7 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     assert solve(-0.0) == start and len(runs) == 3
     assert [k for k in runs[2] if runs[2][k] != runs[1][k]] == ["itf_lnknoise@0"]
     # a program installed mid-run solves afresh, from the same parameters
-    old = net.programs[("link", 0)]
+    old = net.control.programs[("link", 0)]
     new = old._replace(objective=ex.neg(ex.var("lnkpwr")))
     ns.install_program(net, ("link", 0), new)
     ns._apply_pending(net)
@@ -640,11 +767,11 @@ def test_power_solve_reuse_needs_the_same_bits_and_program(monkeypatch):
     passes, solve_power = [], ns._solve_power
     monkeypatch.setattr(ns, "_solve_power", lambda net, *args: passes.append(net.epoch)
                         or solve_power(net, *args))
-    cap, j = net.link_family, min(net.links[0].cross_gain)
+    cap, j = net.control.link_family, min(net.links[0].cross_gain)
     victim = next(l for l in net.links if l.cross_gain)
 
     def reinstall():
-        ns.install_program(net, ("link", 0), net.programs[("link", 0)])
+        ns.install_program(net, ("link", 0), net.control.programs[("link", 0)])
 
     def moved_and_set_back():
         # a pass that moves a power keeps no key, even one the next pass's
@@ -754,7 +881,7 @@ def test_a_session_solve_that_gives_up_runs_the_generic_loop_once(monkeypatch):
 
     # a fused loop that gives up on a non-finite objective
     fam, li = solver.lam_sources[0]
-    net.families[fam].prev[li] = math.inf
+    net.control.families[fam].prev[li] = math.inf
     params = named_session_params(net, s)
     assert program.fused([params[name] for name in program.params],
                          solver.lo, solver.hi, solver.cfg) is None
@@ -906,6 +1033,14 @@ def interpreted_env(net, rates):
     return env
 
 
+def slack_names(net):
+    """The names of the slack functions' parameters, in their order:
+    every session's rate, then every link's capacity, then its power."""
+    return ([ex.var_name("sesrate", s.index) for s in net.sessions]
+            + [ex.var_name(base, l.index) for base in ("lnkcap", "lnkpwr")
+               for l in net.links])
+
+
 def interpreted_slacks(net, fam, env):
     """Each member's slack with its sums expanded over the live sessions
     now, walked by eval_expr: the reference for the compiled slacks."""
@@ -928,7 +1063,7 @@ def interpreted_slacks(net, fam, env):
 def interpreted_utility(net):
     live_s = [s.index for s in net.sessions if not s.done]
     live_l = [l.index for l in net.links if l.active]
-    e = ex.expand_sums(net.utility_expr, {"netses": live_s, "netlnk": live_l})
+    e = ex.expand_sums(net.control.utility, {"netses": live_s, "netlnk": live_l})
     env = interpreted_env(net, lambda s: max(s.throughput, 1e-6))
     return ex.eval_expr(e, env)
 
@@ -952,8 +1087,8 @@ def test_compiled_slacks_and_utility_match_interpreted(monkeypatch, problem, ext
     problem = problem._replace(constraints=problem.constraints + tuple(extra))
     cfg = ns.ScenarioConfig(scenario=2, seed=4, budgets=(0.0, 400.0))
     net = cli.deploy(problem, programs, cfg)
-    assert [f.entity for f in net.families] == families
-    names = net.rate_names + net.cap_names + net.pwr_names
+    assert [f.entity for f in net.control.families] == families
+    names = slack_names(net)
     family_slacks, passed = ns._family_slacks, []
 
     def checked_slacks(net, fam, args):
@@ -970,7 +1105,7 @@ def test_compiled_slacks_and_utility_match_interpreted(monkeypatch, problem, ext
         # finished sessions keep their rate here, so a member whose sums
         # still include one reads differently
         probe = interpreted_env(net, lambda s: s.rate)
-        for fam in net.families:
+        for fam in net.control.families:
             for e in (env, probe):
                 assert hexes(family_slacks(net, fam, [e[n] for n in names])) \
                     == hexes(interpreted_slacks(net, fam, e))
@@ -1004,13 +1139,13 @@ def test_family_duals_and_prev_are_distinct_lists_by_member():
     net = cli.deploy(problem, programs, ns.ScenarioConfig(scenario=2))
 
     def check():
-        for fam in net.families:
+        for fam in net.control.families:
             members = len(net.links if fam.entity == "link" else net.sessions)
             assert type(fam.duals) is list and type(fam.prev) is list
             assert fam.duals is not fam.prev
             assert len(fam.duals) == len(fam.prev) == members
 
-    assert [f.entity for f in net.families] == ["link", "session"]
+    assert [f.entity for f in net.control.families] == ["link", "session"]
     check()
     ns.step(net, "joint")
     check()
@@ -1028,9 +1163,10 @@ def check_duals_and_utility_every_epoch(monkeypatch):
         assert powers == ns._linear_powers(net)
         env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
         want = [ns.dual_update(fam.duals, interpreted_slacks(net, fam, env), net.cfg.dual_step)
-                for fam in net.families]
+                for fam in net.control.families]
         update_duals(net, powers)
-        assert [hexes(fam.duals) for fam in net.families] == [hexes(duals) for duals in want]
+        assert [hexes(fam.duals) for fam in net.control.families] \
+            == [hexes(duals) for duals in want]
         epochs.append(net.epoch)
 
     def checked_record(net, trace):
@@ -1089,7 +1225,7 @@ def test_duals_and_utility_follow_state_set_by_hand(monkeypatch, problem, extra)
     link.pwr_gain_db += 1.0
     ns._update_duals(net, ns._linear_powers(net))
     ns._record(net, trace)
-    assert all(v > 0 for v in net.families[-1].duals)
+    assert all(v > 0 for v in net.control.families[-1].duals)
     # a fresh problem: new families, and another utility, then a min one (powermin)
     doubled = parsed._replace(utility=ex.mul(ex.const(2.0), parsed.utility))
     for fresh in (doubled, other, parsed):
@@ -1130,12 +1266,12 @@ def test_family_slack_function_matches_member_by_member(problem, extra):
     cfg = ns.ScenarioConfig(scenario=2, seed=4, budgets=(0.0, 400.0))
     net = cli.deploy(parsed, programs, cfg)
     checked = {False: 0, True: 0}   # epochs checked before and after the drain
-    names = net.rate_names + net.cap_names + net.pwr_names
+    names = slack_names(net)
     for _ in range(180):
         ns.step(net, "joint")
         env = interpreted_env(net, lambda s: 0.0 if s.done else s.rate)
         args = [env[n] for n in names]
-        for fam in net.families:
+        for fam in net.control.families:
             got = ns._compile_slacks(net, fam)(args)
             assert [v.hex() for v in got] == [v.hex() for v in member_slacks(net, fam, env)]
             if fam.slack_key == tuple(s.done for s in net.sessions):
@@ -1159,9 +1295,9 @@ def test_slacks_evaluated_only_where_their_inputs_change(monkeypatch):
         return family_slacks(net, fam, env)
 
     def tagged_record(net, trace):
-        kept = net.kept_utility.key
+        kept = net.control.kept_utility.key
         record(net, trace)
-        if net.kept_utility.key is not kept:
+        if net.control.kept_utility.key is not kept:
             utility_epochs.append(net.epoch - 1)
 
     def tagged_step(net, scheme):
@@ -1307,7 +1443,7 @@ def test_slacks_and_utility_compile_once_per_topology(monkeypatch):
     # generated function per family
     assert set(compiles) == {0, d, d + 1}
     assert compiles.count(d) == 1
-    assert compiles.count(d + 1) == len(net.families) == 1
+    assert compiles.count(d + 1) == len(net.control.families) == 1
 
 
 def test_joint_run_defines_one_function_per_runtime_unit(monkeypatch, tmp_path):
@@ -1361,7 +1497,7 @@ def test_scenario_loader_refuses_a_repeated_key():
 # as the reference for Trace's by-epoch storage.
 def reference_record(net, rows):
     t = net.clock
-    cap = net.link_family
+    cap = net.control.link_family
     lams = [0.0] * len(net.links) if cap is None else cap.duals
     add = rows.append
     for s in net.sessions:

@@ -65,10 +65,12 @@ def fresh_mutables():
     graph, imap = ab.ElementGraph(), it.InstanceMap()
     family = ns.ConstraintFamily("netlnk", "link", ex.ZERO, ex.ZERO, 2)
     net = ns.NetState(ns.ScenarioConfig(), [], [], [])
+    problem = ab.parse_problem((DATA / "problems" / "jocp_log.ncp").read_text())
+    control = ns.Controller(net, problem)
     link = ns.Link(0, 0, 1, 0, 1.0, 1.0, 1.0, (0.0, 30.0), (0,))
-    return [graph.elements, imap.glb, imap.lcl,
-            sv.SolverConfig().boxes, family.duals, family.prev, net.families,
-            net.pending, net.programs, net._solvers, net._shared, link.cross_gain]
+    return [graph.elements, imap.glb, imap.lcl, sv.SolverConfig().boxes, family.duals,
+            family.prev, control.families, control.pending, control.programs,
+            control.solvers, control.shared, link.cross_gain]
 
 
 def test_fresh_records_share_no_mutable_default():
@@ -87,15 +89,15 @@ def deploy():
 def test_simulator_state_equals_only_itself():
     # two networks built alike hold equal values in distinct objects
     a, b = deploy(), deploy()
-    pairs = [(a, b), (a.links[0], b.links[0]), (a.sessions[0], b.sessions[0]),
-             (a.families[0], b.families[0]),
+    pairs = [(a, b), (a.control, b.control), (a.links[0], b.links[0]),
+             (a.sessions[0], b.sessions[0]), (a.control.families[0], b.control.families[0]),
              (ns._get_solver(a, "link", 0), ns._get_solver(b, "link", 0)),
              (ns._get_solver(a, "session", 0), ns._get_solver(b, "session", 0))]
     for x, y in pairs:
         assert x == x and x != y
     # the values they hold compare by value
     assert a.cfg == b.cfg and a.nodes == b.nodes
-    assert a.families[0].duals == b.families[0].duals
+    assert a.control.families[0].duals == b.control.families[0].duals
     assert ns._get_solver(a, "link", 0).cfg == ns._get_solver(b, "link", 0).cfg
     assert ns._get_solver(a, "link", 0).cfg != ns._get_solver(a, "session", 0).cfg
 
@@ -104,7 +106,7 @@ def test_every_record_maximizes_and_carries_no_sense():
     for record in (ab.ControlProblem, it.InstantiatedProblem, dc.DualProblem,
                    dc.Subproblem, dc.ControlProgram):
         assert "sense" not in record._fields, record
-    assert "utility_sense" not in ns.NetState.__slots__
+    assert "utility_sense" not in ns.NetState.__slots__ + ns.Controller.__slots__
     # `min U` is parsed once into the maximized utility -U
     source = (DATA / "problems" / "powermin.ncp").read_text()
     assert "utility min sum(wos_p)" in source

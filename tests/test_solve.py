@@ -30,13 +30,15 @@ def _args(compiled, params):
 
 def test_linear_program_saturates_box():
     cfg = sv.SolverConfig(step=0.05, boxes={"sesrate": (0.0, 5.0)})
-    d = sv.solve_program(linear_rate_prog(), {"lbd": 0.0, "sesrate_anchor": 0.0}, cfg)
+    d = sv.solve_program(sv.compile_program(linear_rate_prog()),
+                         {"lbd": 0.0, "sesrate_anchor": 0.0}, cfg)
     assert d == {"sesrate": 5.0}
 
 
 def test_linear_program_negative_slope_hits_lower_bound():
     cfg = sv.SolverConfig(step=0.05, boxes={"sesrate": (0.0, 5.0)})
-    d = sv.solve_program(linear_rate_prog(), {"lbd": 2.0, "sesrate_anchor": 3.0}, cfg)
+    d = sv.solve_program(sv.compile_program(linear_rate_prog()),
+                         {"lbd": 2.0, "sesrate_anchor": 3.0}, cfg)
     assert d == {"sesrate": 0.0}
 
 
@@ -45,7 +47,8 @@ def test_log_program_stationarity_matches_grid_search():
                  ex.mul(ex.var("sesrate"), ex.var("lbd")))
     cfg = sv.SolverConfig(step=0.5, max_iters=5000, tol=1e-12,
                           boxes={"sesrate": (0.01, 10.0)})
-    d = sv.solve_program(_prog(obj), {"lbd": 0.5, "sesrate_anchor": 0.01}, cfg)
+    d = sv.solve_program(sv.compile_program(_prog(obj)), {"lbd": 0.5, "sesrate_anchor": 0.01},
+                         cfg)
     # independent grid search at resolution 1e-4
     grid_best = max((k * 1e-4 for k in range(100, 100001)),
                     key=lambda r: math.log(r) - 0.5 * r)
@@ -58,16 +61,15 @@ def test_solve_idempotent_at_convergence():
                  ex.mul(ex.var("sesrate"), ex.var("lbd")))
     cfg = sv.SolverConfig(step=0.5, max_iters=5000, tol=1e-12,
                           boxes={"sesrate": (0.01, 10.0)})
-    params = {"lbd": 0.5}
-    first = sv.solve_program(_prog(obj), {**params, "sesrate_anchor": 0.01}, cfg)
-    second = sv.solve_program(_prog(obj),
-                              {**params, "sesrate_anchor": first["sesrate"]}, cfg)
+    params, prog = {"lbd": 0.5}, sv.compile_program(_prog(obj))
+    first = sv.solve_program(prog, {**params, "sesrate_anchor": 0.01}, cfg)
+    second = sv.solve_program(prog, {**params, "sesrate_anchor": first["sesrate"]}, cfg)
     assert abs(second["sesrate"] - first["sesrate"]) < cfg.tol * 10
 
 
 def test_gradient_mode_is_single_projected_step():
     cfg = sv.SolverConfig(step=0.1, max_iters=100, boxes={"sesrate": (0.0, 5.0)})
-    prog = _prog(linear_rate_prog().objective, mode="gradient")
+    prog = sv.compile_program(_prog(linear_rate_prog().objective, mode="gradient"))
     d = sv.solve_program(prog, {"lbd": 0.0, "sesrate_anchor": 1.0}, cfg)
     assert abs(d["sesrate"] - 1.1) < 1e-12
 
@@ -76,7 +78,7 @@ def test_numerical_error_on_nonfinite():
     obj = ex.div(ex.ONE, ex.var("sesrate"))
     cfg = sv.SolverConfig(step=1.0, boxes={"sesrate": (0.0, 1.0)})
     with pytest.raises((sv.NumericalError, ex.DomainError)):
-        sv.solve_program(_prog(obj), {"sesrate_anchor": 0.0}, cfg)
+        sv.solve_program(sv.compile_program(_prog(obj)), {"sesrate_anchor": 0.0}, cfg)
 
 
 def test_compiled_program_solves_as_the_plain_program():
@@ -91,7 +93,7 @@ def test_compiled_program_solves_as_the_plain_program():
         for lbd, anchor in ((0.5, 0.01), (0.1, 7.0), (2.0, 3.0)):
             params = {"lbd": lbd, "sesrate_anchor": anchor}
             assert sv.solve_args(compiled, _args(compiled, params), *cfg.box("sesrate"), cfg) \
-                == sv.solve_program(prog, params, cfg)["sesrate"]
+                == sv.solve_program(compiled, params, cfg)["sesrate"]
 
 
 def test_a_program_compiles_only_what_its_mode_runs(monkeypatch):
@@ -338,7 +340,7 @@ def test_gradient_mode_ignores_an_objective_only_domain_error():
         sv.solve_args(ascent, _args(ascent, params), *cfg.box("sesrate"), cfg)
 
 
-def test_solve_skips_the_trial_when_the_step_cannot_move(monkeypatch):
+def test_solve_skips_the_trial_when_the_step_cannot_move():
     # the anchor sits on the upper edge and the gradient points outward
     calls = {"objective": 0, "gradient": 0}
 
@@ -359,10 +361,9 @@ def test_solve_skips_the_trial_when_the_step_cannot_move(monkeypatch):
             grad=counted("gradient", c.grad),
             fused=None)
 
-    monkeypatch.setattr(sv, "compile_program", counted_program)
     cfg = sv.SolverConfig(step=0.05, boxes={"sesrate": (0.0, 5.0)})
     params = {"lbd": 0.0, "sesrate_anchor": 5.0}
-    d = sv.solve_program(linear_rate_prog(), params, cfg)
+    d = sv.solve_program(counted_program(linear_rate_prog()), params, cfg)
     assert d == {"sesrate": 5.0}
     assert calls == {"objective": 1, "gradient": 1}
     # the fused loop reports its own evaluation counts
